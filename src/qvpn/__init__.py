@@ -52,8 +52,10 @@ from .allocation_lp import (
     AllocationProblem,
     AllocationSolution,
     LinearProgram,
+    LpCompiler,
     SolverError,
     build_problem,
+    lp_backend,
     solve,
     solve_lp,
     wegr_of_selection,
@@ -92,4 +94,4 @@ from .harness import (
 )
 from .fixtures import bundled_topology, bundled_catalog
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

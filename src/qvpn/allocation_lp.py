@@ -1,4 +1,4 @@
-"""Weighted-EGR rate allocation: build and solve the LP for a fixed selection.
+"""Weighted-EGR rate allocation: compile and solve the LP for a fixed selection.
 
 For a selection assigning each user pair up to P_max (path, strategy)
 choices, the LP maximizes sum over variables of w_k * lambda^k_u *
@@ -7,19 +7,33 @@ distillation overhead g per link), per-pair min/max rate rows on the raw
 sums, and x >= 0. Infeasible (path, strategy) pairs are dropped at build
 time; an unsatisfiable R_min row then makes the whole problem infeasible,
 which reports as W-EGR 0.
+
+An LpCompiler is built once per (graph, workload, noise, p_max) and turns
+selections into LPs in compressed sparse column (CSC) form. solve_lp hands
+those arrays to the HiGHS binding bundled with scipy, with the options
+linprog(method="highs") sets; where that private binding is missing it
+falls back to linprog itself.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .quantum_math import DEFAULT_NOISE, NoiseParams, path_overhead_per_link
 
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError:  # older scipy: solve through linprog
+    _highs = None
+
 SOLVER_TOL = 1e-7
+# linprog's post-solve check: sqrt(tol) * 10 at its default tol of 1e-9
+_CHECK_TOL = math.sqrt(1e-9) * 10
 
 
 class SolverError(RuntimeError):
@@ -28,12 +42,38 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """maximize objective . x  subject to  row_coeffs @ x <= row_bounds, x >= 0."""
+    """maximize objective . x  subject to  A @ x <= row_bounds, x >= 0.
+
+    A is held in CSC form: column j has the coefficients
+    data[indptr[j]:indptr[j+1]] in the rows indices[indptr[j]:indptr[j+1]],
+    ascending. row_coeffs is the dense view of A.
+    """
 
     objective: np.ndarray
-    row_coeffs: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     row_bounds: np.ndarray
     row_labels: tuple = ()
+
+    @classmethod
+    def from_dense(cls, objective, row_coeffs, row_bounds, row_labels=()):
+        objective = np.asarray(objective, dtype=float)
+        row_bounds = np.asarray(row_bounds, dtype=float)
+        n = len(objective)
+        by_column = np.asarray(row_coeffs, dtype=float).reshape(len(row_bounds), n).T
+        cols, rows = np.nonzero(by_column)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n), out=indptr[1:])
+        return cls(objective, indptr, rows.astype(np.int32), by_column[cols, rows],
+                   row_bounds, tuple(row_labels))
+
+    @property
+    def row_coeffs(self) -> np.ndarray:
+        n = len(self.objective)
+        dense = np.zeros((len(self.row_bounds), n))
+        dense[self.indices, np.repeat(np.arange(n), np.diff(self.indptr))] = self.data
+        return dense
 
 
 @dataclass(frozen=True)
@@ -56,105 +96,219 @@ class AllocationSolution:
     true_egr_per_pair: dict  # pair_key -> unweighted sum of q^(|p|-1) * x
 
 
-def _overhead_for(path, strategy, user_threshold, graph, noise):
-    """Per-link overhead coefficients of a (path, strategy) choice, or None
-    if any stage is infeasible. Cached on the CandidatePath."""
-    cache_key = (strategy.link_threshold, strategy.max_rounds, user_threshold, noise)
-    hit = path.strategy_cache.get(cache_key)
-    if hit is None:
-        per_link = []
-        feasible = True
+class LpCompiler:
+    """Compiles selections on one (graph, workload, noise, p_max) into LPs.
+
+    Rows: the capacity rows of the links a selection touches, in sorted
+    link-key order, then per workload pair its R_min row (when r_min > 0)
+    and its R_max row (when finite). Columns follow selection order; a
+    pair's repeated path keeps its first occurrence, and a (path, strategy)
+    choice with an infeasible distillation stage is dropped. Each column's
+    rows, overhead coefficients and objective weight are computed on first
+    use and memoized per (pair, path links, strategy), so compiling a
+    selection is a gather.
+    """
+
+    def __init__(self, graph, workload, noise: NoiseParams = DEFAULT_NOISE, p_max: int = 3):
+        self.graph = graph
+        self.noise = noise
+        self.p_max = p_max
+        org_weight = {o.id: o.weight for o in workload.organizations}
+        self._pairs = {p.key: p for p in workload.user_pairs}
+        self._pair_weight = {p.key: org_weight[p.org_id] * p.weight
+                             for p in workload.user_pairs}
+        self._pair_keys = tuple(p.key for p in workload.user_pairs)
+        self._link_keys = sorted(graph.link_by_key)
+        self._link_row = {lk: i for i, lk in enumerate(self._link_keys)}
+        self._capacity = np.array([graph.link_by_key[lk].capacity_eprps
+                                   for lk in self._link_keys], dtype=float)
+        # pair rows are coded after the link rows: num_links + position among pair rows
+        num_links = len(self._link_keys)
+        self._pair_rows = {}  # pair key -> ([row code, ...], [coefficient, ...])
+        bounds, labels = [], []
+        for pair in workload.user_pairs:
+            codes, coeffs = self._pair_rows.setdefault(pair.key, ([], []))
+            if pair.r_min > 0:
+                codes.append(num_links + len(bounds))
+                coeffs.append(-1.0)
+                bounds.append(-pair.r_min)
+                labels.append(("rmin", pair.key))
+            if math.isfinite(pair.r_max):
+                codes.append(num_links + len(bounds))
+                coeffs.append(1.0)
+                bounds.append(pair.r_max)
+                labels.append(("rmax", pair.key))
+        self._pair_bounds = np.array(bounds, dtype=float)
+        self._pair_labels = tuple(labels)
+        self._columns = {}
+
+    def _column(self, pair_key, path, strategy):
+        """(row codes, coefficients, objective coefficient) of one choice,
+        or None if a distillation stage is infeasible."""
+        key = (pair_key, path.link_keys, strategy)
+        try:
+            return self._columns[key]
+        except KeyError:
+            pass
+        pair = self._pairs[pair_key]
+        ends = (path.nodes[0], path.nodes[-1])
+        if set(ends) != set(pair.endpoints):
+            raise ValueError(f"path endpoints {ends} do not match pair {pair_key}")
+        overhead = {}
         for lk in path.link_keys:
-            link = graph.link_by_key[lk]
-            res = path_overhead_per_link(
-                link.base_fidelity, path.hop_count, strategy, user_threshold, noise
-            )
+            res = path_overhead_per_link(self.graph.link_by_key[lk].base_fidelity,
+                                         path.hop_count, strategy,
+                                         pair.fidelity_threshold, self.noise)
             if not res.feasible:
-                feasible = False
+                column = None
                 break
-            per_link.append(res.overhead)
-        hit = tuple(per_link) if feasible else False
-        path.strategy_cache[cache_key] = hit
-    return None if hit is False else hit
+            overhead[self._link_row[lk]] = res.overhead
+        else:
+            rows = sorted(overhead)
+            pair_codes, pair_coeffs = self._pair_rows[pair_key]
+            column = (rows + pair_codes, [overhead[r] for r in rows] + pair_coeffs,
+                      self._pair_weight[pair_key]
+                      * self.noise.swap_success_prob ** (path.hop_count - 1))
+        self._columns[key] = column
+        return column
+
+    def compile(self, selection) -> AllocationProblem:
+        """The LP of one selection: {pair_key: [(CandidatePath, DistillationStrategy), ...]}.
+
+        Raises ValueError if a selected path's endpoints mismatch its pair or
+        a pair exceeds p_max paths.
+        """
+        variables, objective, counts, codes, data = [], [], [], [], []
+        for pair_key, choices in selection.items():
+            if pair_key not in self._pairs:
+                raise ValueError(f"selection references unknown pair {pair_key}")
+            if len(choices) > self.p_max:
+                raise ValueError(
+                    f"pair {pair_key} selects {len(choices)} paths, cap is {self.p_max}")
+            seen_paths = set()
+            for path, strategy in choices:
+                if path.link_keys in seen_paths:
+                    continue
+                seen_paths.add(path.link_keys)
+                column = self._column(pair_key, path, strategy)
+                if column is None:
+                    continue  # infeasible strategy for this pair, excluded up front
+                variables.append((pair_key, path, strategy))
+                objective.append(column[2])
+                counts.append(len(column[0]))
+                codes.extend(column[0])
+                data.extend(column[1])
+
+        num_links = len(self._link_keys)
+        codes = np.array(codes, dtype=np.intp)
+        touched = np.unique(codes[codes < num_links])
+        # row code -> row index: touched links keep their sorted order, pair rows follow
+        row_of = np.empty(num_links + len(self._pair_bounds), dtype=np.int32)
+        row_of[touched] = np.arange(len(touched))
+        row_of[num_links:] = len(touched) + np.arange(len(self._pair_bounds))
+        indptr = np.zeros(len(counts) + 1, dtype=np.int32)
+        np.cumsum(counts, out=indptr[1:])
+        lp = LinearProgram(
+            objective=np.array(objective, dtype=float),
+            indptr=indptr,
+            indices=row_of[codes],
+            data=np.array(data, dtype=float),
+            row_bounds=np.concatenate((self._capacity[touched], self._pair_bounds)),
+            row_labels=tuple(("cap", self._link_keys[i]) for i in touched.tolist())
+            + self._pair_labels,
+        )
+        return AllocationProblem(
+            variables=tuple(variables),
+            lp=lp,
+            pair_keys=self._pair_keys,
+            swap_success_prob=self.noise.swap_success_prob,
+        )
 
 
 def build_problem(graph, workload, selection, noise: NoiseParams = DEFAULT_NOISE,
                   p_max: int = 3) -> AllocationProblem:
-    """Assemble the LP for one selection.
+    """Assemble the LP for one selection with a one-shot LpCompiler.
 
     selection: {pair_key: [(CandidatePath, DistillationStrategy), ...]}.
     Raises ValueError if a selected path's endpoints mismatch its pair or a
     pair exceeds p_max paths.
     """
-    pair_by_key = {p.key: p for p in workload.user_pairs}
-    variables = []
-    columns = []  # per variable: dict link_key -> overhead coefficient
-    q = noise.swap_success_prob
-    objective = []
-    for pair_key, choices in selection.items():
-        pair = pair_by_key.get(pair_key)
-        if pair is None:
-            raise ValueError(f"selection references unknown pair {pair_key}")
-        if len(choices) > p_max:
-            raise ValueError(f"pair {pair_key} selects {len(choices)} paths, cap is {p_max}")
-        org = workload.org_by_id(pair.org_id)
-        seen_paths = set()
-        for path, strategy in choices:
-            ends = (path.nodes[0], path.nodes[-1])
-            if set(ends) != set(pair.endpoints):
-                raise ValueError(
-                    f"path endpoints {ends} do not match pair {pair_key}"
-                )
-            if path.link_keys in seen_paths:
-                continue
-            seen_paths.add(path.link_keys)
-            coeffs = _overhead_for(path, strategy, pair.fidelity_threshold, graph, noise)
-            if coeffs is None:
-                continue  # infeasible strategy for this pair, excluded up front
-            variables.append((pair_key, path, strategy))
-            columns.append(dict(zip(path.link_keys, coeffs)))
-            objective.append(org.weight * pair.weight * q ** (path.hop_count - 1))
-
-    n = len(variables)
-    rows = []
-    bounds = []
-    labels = []
-    touched = sorted({lk for col in columns for lk in col})
-    for lk in touched:
-        row = np.zeros(n)
-        for j, col in enumerate(columns):
-            if lk in col:
-                row[j] = col[lk]
-        rows.append(row)
-        bounds.append(graph.link_by_key[lk].capacity_eprps)
-        labels.append(("cap", lk))
-    for pair in workload.user_pairs:
-        mask = np.array([1.0 if variables[j][0] == pair.key else 0.0 for j in range(n)])
-        if pair.r_min > 0:
-            rows.append(-mask)
-            bounds.append(-pair.r_min)
-            labels.append(("rmin", pair.key))
-        if math.isfinite(pair.r_max):
-            rows.append(mask)
-            bounds.append(pair.r_max)
-            labels.append(("rmax", pair.key))
-
-    lp = LinearProgram(
-        objective=np.array(objective, dtype=float),
-        row_coeffs=np.array(rows, dtype=float).reshape(len(bounds), n),
-        row_bounds=np.array(bounds, dtype=float),
-        row_labels=tuple(labels),
-    )
-    return AllocationProblem(
-        variables=tuple(variables),
-        lp=lp,
-        pair_keys=tuple(p.key for p in workload.user_pairs),
-        swap_success_prob=q,
-    )
+    return LpCompiler(graph, workload, noise, p_max).compile(selection)
 
 
-def solve_lp(lp: LinearProgram):
-    """Solve the raw interface problem. Returns ("optimal", x) or ("infeasible", None)."""
+def lp_backend() -> str:
+    """Which route solve_lp takes: "highs" (direct binding) or "linprog"."""
+    return "linprog" if _highs is None else "highs"
+
+
+_thread = threading.local()
+
+
+def _thread_highs():
+    """This thread's HiGHS instance, cleared of any previous solution and
+    basis: threads never share one, and no solve is warm-started. Its
+    options are the ones linprog(method="highs") sets, at our tolerances."""
+    highs = getattr(_thread, "highs", None)
+    if highs is None:
+        options = _highs.HighsOptions()
+        options.presolve = "on"
+        options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        options.primal_feasibility_tolerance = SOLVER_TOL
+        options.dual_feasibility_tolerance = SOLVER_TOL
+        options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+        options.output_flag = False
+        options.log_to_console = False
+        highs = _highs._Highs()
+        if highs.passOptions(options) == _highs.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the solver options")
+        _thread.highs = highs
+    highs.clearSolver()
+    return highs
+
+
+def _solve_highs(lp: LinearProgram):
+    n, m = len(lp.objective), len(lp.row_bounds)
+    model = _highs.HighsLp()
+    model.num_col_ = n
+    model.num_row_ = m
+    # plain lists cross the binding faster than numpy arrays
+    model.col_cost_ = (-lp.objective).tolist()
+    model.col_lower_ = [0.0] * n
+    model.col_upper_ = [_highs.kHighsInf] * n
+    model.row_lower_ = [-_highs.kHighsInf] * m
+    model.row_upper_ = lp.row_bounds.tolist()
+    matrix = model.a_matrix_
+    matrix.format_ = _highs.MatrixFormat.kColwise
+    matrix.num_col_ = n
+    matrix.num_row_ = m
+    matrix.start_ = lp.indptr.tolist()
+    matrix.index_ = lp.indices.tolist()
+    matrix.value_ = lp.data.tolist()
+
+    highs = _thread_highs()
+    model_status = _highs.HighsModelStatus
+    if highs.passModel(model) == _highs.HighsStatus.kError:
+        status = model_status.kModelError
+    else:
+        highs.run()
+        status = highs.getModelStatus()
+    if status in (model_status.kInfeasible, model_status.kModelError):
+        return "infeasible", None
+    if status != model_status.kOptimal:
+        raise SolverError(f"LP solve failed: HiGHS model status "
+                          f"{highs.modelStatusToString(status)}")
+    solution = highs.getSolution()
+    x = np.array(solution.col_value)
+    slack = lp.row_bounds - np.array(solution.row_value)
+    fun = highs.getInfo().objective_function_value
+    if (np.isnan(x).any() or math.isnan(fun) or np.isnan(slack).any()
+            or (x < -_CHECK_TOL).any() or (slack < -_CHECK_TOL).any()):
+        raise SolverError(f"LP solve failed: HiGHS reported optimal, but the solution "
+                          f"violates the constraints by more than {_CHECK_TOL:.2e}")
+    return "optimal", np.clip(x, 0.0, None)
+
+
+def _solve_linprog(lp: LinearProgram):
     n = len(lp.objective)
     res = linprog(
         c=-lp.objective,
@@ -170,6 +324,21 @@ def solve_lp(lp: LinearProgram):
     if res.status != 0:
         raise SolverError(f"LP solve failed (status {res.status}): {res.message}")
     return "optimal", np.clip(res.x, 0.0, None)
+
+
+def solve_lp(lp: LinearProgram):
+    """Solve the raw interface problem. Returns ("optimal", x) or ("infeasible", None).
+
+    Raises ValueError on a non-finite coefficient or bound, and SolverError
+    on any other outcome (unbounded, numerical failure, or a reported
+    optimum that fails the post-solve feasibility check).
+    """
+    for name in ("objective", "data", "row_bounds"):
+        if not np.isfinite(getattr(lp, name)).all():
+            raise ValueError(f"LP {name} must be finite")
+    if _highs is None:
+        return _solve_linprog(lp)
+    return _solve_highs(lp)
 
 
 def solve(problem: AllocationProblem) -> AllocationSolution:
@@ -195,15 +364,20 @@ def solve(problem: AllocationProblem) -> AllocationSolution:
     q = problem.swap_success_prob
     rates = {}
     true_egr = {k: 0.0 for k in problem.pair_keys}
-    for j, (pair_key, path, _) in enumerate(problem.variables):
-        rates[(pair_key, path.nodes)] = float(x[j])
-        true_egr[pair_key] += float(x[j]) * q ** (path.hop_count - 1)
+    for rate, (pair_key, path, _) in zip(x.tolist(), problem.variables):
+        rates[(pair_key, path.nodes)] = rate
+        true_egr[pair_key] += rate * q ** (path.hop_count - 1)
     wegr = float(lp.objective @ x)
     return AllocationSolution("optimal", rates, wegr, true_egr)
 
 
 def wegr_of_selection(graph, workload, selection, noise: NoiseParams = DEFAULT_NOISE,
-                      p_max: int = 3) -> float:
-    """Convenience: build + solve; 0 on infeasible. Propagates solver failures."""
-    problem = build_problem(graph, workload, selection, noise, p_max)
-    return solve(problem).wegr
+                      p_max: int = 3, compiler: LpCompiler | None = None) -> float:
+    """Convenience: compile + solve; 0 on infeasible. Propagates solver failures.
+
+    A search passes the LpCompiler it built on the same graph, workload,
+    noise and p_max, so its column memo carries over between calls.
+    """
+    if compiler is None:
+        compiler = LpCompiler(graph, workload, noise, p_max)
+    return solve(compiler.compile(selection)).wegr

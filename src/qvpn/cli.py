@@ -33,7 +33,7 @@ from .pathfinding import (
     nearest_strategy_index,
 )
 from .workload import WorkloadParams, generate_workload, load_workload
-from .allocation_lp import build_problem, solve
+from .allocation_lp import LpCompiler, build_problem, lp_backend, solve
 from . import ga_optimizer as ga
 from . import rl_optimizer as rl
 from .harness import (
@@ -386,13 +386,14 @@ def cmd_rl(config, out_dir):
 
     candidates = build_candidate_sets(graph, workload, k=k)
     problem = rl.RlProblem(workload, candidates, catalog[0], p_max=p_max)
+    compiler = LpCompiler(graph, workload, p_max=p_max)
     reward_cache = {}
 
     def environment(selection):
         key = tuple(sorted((pk, tuple(p.nodes for p, _ in chosen))
                            for pk, chosen in selection.items()))
         if key not in reward_cache:
-            reward_cache[key] = _solve_selection(graph, workload, selection, p_max).wegr
+            reward_cache[key] = solve(compiler.compile(selection)).wegr
         return reward_cache[key]
 
     start = time.perf_counter()
@@ -550,6 +551,8 @@ def cmd_report(config, out_dir):
     return manifest
 
 
+_LP_COMMANDS = ("allocate", "ga", "rl", "report")
+
 _COMMANDS = {
     "capacity": cmd_capacity,
     "paths": cmd_paths,
@@ -602,6 +605,8 @@ def main(argv=None) -> int:
         "seed": config["seed"],
         "total_seconds": time.perf_counter() - start,
     })
+    if args.command in _LP_COMMANDS:
+        manifest["lp_backend"] = lp_backend()  # which solver route produced the run
     _write_manifest(out_dir, manifest)
     status = manifest.get("status")
     wegr = manifest.get("wegr", manifest.get("total_wegr"))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation_lp import SolverError, wegr_of_selection
+from .allocation_lp import LpCompiler, SolverError, wegr_of_selection
 from .quantum_math import DEFAULT_NOISE
 
 
@@ -101,6 +101,7 @@ class GaProblem:
         # rows still live in the LP and decide feasibility
         self.pair_order = [p.key for p in workload.user_pairs if candidates.get(p.key)]
         self.candidates = {k: list(candidates[k]) for k in self.pair_order}
+        self.compiler = LpCompiler(graph, workload, noise, p_max)
         self._cache = {}
         self.lp_solves = 0
 
@@ -145,7 +146,7 @@ class GaProblem:
             return hit
         try:
             value = wegr_of_selection(self.graph, self.workload, self.decode(genome),
-                                      self.noise, self.p_max)
+                                      self.noise, self.p_max, compiler=self.compiler)
         except SolverError as exc:
             raise SolverError(f"{exc} (while scoring genome {genome.genes})") from exc
         self.lp_solves += 1

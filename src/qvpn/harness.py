@@ -30,7 +30,7 @@ from .pathfinding import (
     path_from_nodes,
 )
 from .workload import Workload, WorkloadParams, generate_workload, save_workload
-from .allocation_lp import build_problem, solve
+from .allocation_lp import LpCompiler, build_problem, solve
 from . import ga_optimizer as ga
 from . import rl_optimizer as rl
 
@@ -224,16 +224,14 @@ def _run_point(scenario: Scenario, axis_value, repetition: int, seed: int) -> Po
     else:  # "rl"
         problem = rl.RlProblem(workload, candidates, catalog[0], p_max=p_max)
         config = replace(scenario.rl_config or rl.TrainConfig(), seed=seed)
+        compiler = LpCompiler(scenario.graph, workload, scenario.noise, p_max)
         reward_cache = {}
 
         def environment(selection):
             key = tuple(sorted((pk, tuple(p.nodes for p, _ in chosen))
                                for pk, chosen in selection.items()))
             if key not in reward_cache:
-                prob = build_problem(scenario.graph, workload, selection,
-                                     noise=scenario.noise, p_max=p_max)
-                sol = solve(prob)
-                reward_cache[key] = sol.wegr
+                reward_cache[key] = solve(compiler.compile(selection)).wegr
             return reward_cache[key]
 
         policy = rl.PolicyNetwork.init(problem, seed=seed)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .topology import NetworkGraph
@@ -39,10 +39,6 @@ class CandidatePath:
     link_keys: tuple  # canonical link keys in path order
     hop_count: int
     bottleneck_capacity: float
-    strategy_cache: dict = field(default_factory=dict, compare=False, repr=False)
-
-    def __hash__(self):
-        return hash((self.pair_key, self.nodes))
 
 
 def path_from_nodes(graph, pair_key, nodes):

@@ -127,8 +127,8 @@ def _random_bounded_lp(rng):
     for i in range(n):
         if not any(rows[j][i] > 0 for j in cap_rows):
             rows[cap_rows[int(rng.integers(len(cap_rows)))], i] = float(rng.uniform(0.1, 2.0))
-    return LinearProgram(objective=rng.uniform(0.1, 1.0, n),
-                         row_coeffs=rows, row_bounds=bounds)
+    return LinearProgram.from_dense(objective=rng.uniform(0.1, 1.0, n),
+                                    row_coeffs=rows, row_bounds=bounds)
 
 
 def test_05_lp_solver_matches_vertex_enumeration():

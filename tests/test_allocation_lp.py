@@ -3,23 +3,32 @@ import math
 import numpy as np
 import pytest
 
+from qvpn import allocation_lp
 from qvpn.allocation_lp import (
+    LinearProgram,
+    LpCompiler,
+    SolverError,
     build_problem,
+    lp_backend,
     solve,
     solve_lp,
     wegr_of_selection,
 )
+from qvpn.fixtures import TOPOLOGY_10, bundled_topology
+from qvpn.ga_optimizer import GaConfig, GaProblem, evolve, initialize_population
 from qvpn.oracles import brute_force_lp
-from qvpn.pathfinding import build_candidate_set, path_from_nodes
+from qvpn.pathfinding import build_candidate_set, build_candidate_sets, path_from_nodes
 from qvpn.quantum_math import (
     DistillationStrategy,
     NoiseParams,
+    default_strategy_catalog,
     path_overhead_per_link,
 )
 from qvpn.topology import NetworkGraph, NodeSpec, make_link
-from qvpn.workload import Organization, UserPair, Workload
+from qvpn.workload import Organization, UserPair, Workload, WorkloadParams, generate_workload
 
 from conftest import make_pair
+from test_acceptance import _random_bounded_lp
 
 EASY = DistillationStrategy(0.8)  # base fidelity already 0.8, so g_link = 1
 
@@ -315,3 +324,109 @@ def test_solution_rates_respect_capacities():
                 loads[lk] = loads.get(lk, 0.0) + coeffs[lk] * r
         for lk, load in loads.items():
             assert load <= graph.link_by_key[lk].capacity_eprps * (1 + 1e-6) + 1e-6
+
+
+# ------------------------------------------------------- compiler and solver routes
+
+def test_compiled_lp_does_not_depend_on_memo_state():
+    rng = np.random.default_rng(11)
+    for trial in range(10):
+        graph, wl, sel = _random_small_problem(rng)
+        compiler = LpCompiler(graph, wl, p_max=6)
+        # fill the memo with other choices first, in reverse pair order
+        compiler.compile({k: v[::-1] for k, v in reversed(sel.items())})
+        warm = compiler.compile(sel).lp
+        cold = build_problem(graph, wl, sel, p_max=6).lp
+        for name in ("objective", "indptr", "indices", "data", "row_bounds"):
+            assert np.array_equal(getattr(warm, name), getattr(cold, name)), (trial, name)
+        assert warm.row_labels == cold.row_labels
+
+
+def test_csc_layout_and_dense_view():
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        graph, wl, sel = _random_small_problem(rng)
+        lp = build_problem(graph, wl, sel, p_max=6).lp
+        for j in range(len(lp.objective)):
+            rows = lp.indices[lp.indptr[j]:lp.indptr[j + 1]]
+            assert np.all(np.diff(rows) > 0)
+        again = LinearProgram.from_dense(lp.objective, lp.row_coeffs, lp.row_bounds)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(again, name), getattr(lp, name))
+
+
+@pytest.fixture(params=["highs", "linprog"])
+def lp_route(request, monkeypatch):
+    """Run a test on the direct HiGHS route and on the linprog fallback."""
+    if request.param == "linprog":
+        monkeypatch.setattr(allocation_lp, "_highs", None)
+    elif allocation_lp._highs is None:
+        pytest.skip("this scipy has no bundled HiGHS binding")
+    assert lp_backend() == request.param
+    return request.param
+
+
+def _both_routes(monkeypatch, run):
+    direct = run()
+    with monkeypatch.context() as m:
+        m.setattr(allocation_lp, "_highs", None)
+        fallback = run()
+    return direct, fallback
+
+
+def test_routes_agree_bitwise_and_with_vertex_oracle(monkeypatch):
+    if allocation_lp._highs is None:
+        pytest.skip("this scipy has no bundled HiGHS binding")
+    rng = np.random.default_rng(2024)
+    for i in range(100):
+        lp = _random_bounded_lp(rng)
+        (status, x), (fb_status, fb_x) = _both_routes(monkeypatch, lambda: solve_lp(lp))
+        assert status == fb_status, i
+        best, _ = brute_force_lp(lp.objective, lp.row_coeffs, lp.row_bounds)
+        if status == "infeasible":
+            assert x is None and fb_x is None and best is None, i
+        else:
+            assert x.tobytes() == fb_x.tobytes(), i
+            assert abs(float(lp.objective @ x) - best) <= 1e-4 * max(abs(best), 1.0), i
+
+
+def test_routes_give_the_same_ga_trace(monkeypatch):
+    if allocation_lp._highs is None:
+        pytest.skip("this scipy has no bundled HiGHS binding")
+    net10 = bundled_topology(TOPOLOGY_10)
+    catalog = default_strategy_catalog()
+    wl = generate_workload(net10, WorkloadParams(num_orgs=3, pairs_per_org=10, r_min=0.0), 1)
+    candidates = build_candidate_sets(net10, wl, k=5)
+    config = GaConfig(population_size=16, generations=10, seed=1)
+
+    def run():
+        problem = GaProblem(net10, wl, candidates, catalog, p_max=3)
+        return evolve(initialize_population(problem, config), config, problem)
+
+    direct, fallback = _both_routes(monkeypatch, run)
+    assert direct.best_fitness == fallback.best_fitness
+    assert direct.mean_fitness == fallback.mean_fitness
+    assert direct.best_genome == fallback.best_genome
+
+
+def test_unbounded_lp_raises_solver_error(lp_route):
+    lp = LinearProgram.from_dense([1.0, 2.0], np.zeros((0, 2)), [])
+    with pytest.raises(SolverError):
+        solve_lp(lp)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_coefficient_is_rejected(lp_route, bad):
+    for lp in (LinearProgram.from_dense([1.0, 1.0], [[1.0, bad]], [5.0]),
+               LinearProgram.from_dense([bad, 1.0], [[1.0, 1.0]], [5.0]),
+               LinearProgram.from_dense([1.0, 1.0], [[1.0, 1.0]], [bad])):
+        with pytest.raises(ValueError):
+            solve_lp(lp)
+
+
+def test_infeasible_rmin_row_on_both_routes(lp_route, triangle):
+    # the direct A-B link carries about 2.5e5 EPR/s, far below the floor
+    pair = make_pair("org0", "A", "B", r_min=1e8, r_max=1e9)
+    prob = build_problem(triangle, one_org(pair), direct_selection(triangle, one_org(pair)))
+    assert solve_lp(prob.lp) == ("infeasible", None)
+    assert solve(prob).status == "infeasible"

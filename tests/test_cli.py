@@ -163,6 +163,26 @@ def test_allocate_baseline_writes_rates(tmp_path):
     assert pair_header[:3] == ["org", "src", "dst"]
 
 
+def test_manifest_names_the_lp_backend(tmp_path, monkeypatch):
+    from qvpn import allocation_lp
+    topo, wlf = _triangle_files(tmp_path)
+    cfg = _config(tmp_path, "alloc.json", _base(topo, wlf), source={"baseline": "hop"})
+    fast = tmp_path / "fast"
+    assert main(["allocate", "--config", str(cfg), "--out", str(fast)]) == 0
+    assert _manifest(fast)["lp_backend"] == allocation_lp.lp_backend()
+    monkeypatch.setattr(allocation_lp, "_highs", None)
+    slow = tmp_path / "slow"
+    assert main(["allocate", "--config", str(cfg), "--out", str(slow)]) == 0
+    assert _manifest(slow)["lp_backend"] == "linprog"
+    # the route is recorded in the manifest only; the CSVs do not change
+    for name in _manifest(slow)["outputs"]:
+        assert (fast / name).read_bytes() == (slow / name).read_bytes(), name
+    paths = tmp_path / "paths"
+    assert main(["paths", "--config", str(_config(tmp_path, "p.json", _base(topo, wlf))),
+                 "--out", str(paths)]) == 0
+    assert "lp_backend" not in _manifest(paths)
+
+
 def test_allocate_unknown_baseline_is_config_error(tmp_path, capsys):
     topo, wlf = _triangle_files(tmp_path)
     cfg = _config(tmp_path, "alloc.json", _base(topo, wlf),

@@ -166,6 +166,24 @@ def test_run_scenario_repeatable_and_threaded(triangle, one_pair_workload):
     assert serial.points[0].selection == again.points[0].selection
 
 
+def test_run_scenario_ga_threaded_matches_serial():
+    # two GA points solve their LPs on two threads at once
+    net10 = bundled_topology(TOPOLOGY_10)
+    sc = Scenario(name="ga-threads", graph=net10,
+                  workload_params=WorkloadParams(num_orgs=2, pairs_per_org=4, r_min=0.0),
+                  optimizer="ga", ga_config=GaConfig(population_size=8, generations=4),
+                  sweep_axis="p_max", sweep_values=(2, 3),
+                  catalog=tuple(default_strategy_catalog(4)))
+    serial = run_scenario(sc, max_workers=1)
+    threaded = run_scenario(sc, max_workers=2)
+    assert all(p.status == "optimal" for p in serial.points)
+    for a, b in zip(serial.points, threaded.points):
+        assert a.wegr == b.wegr
+        assert a.trace.best_fitness == b.trace.best_fitness
+        assert a.trace.mean_fitness == b.trace.mean_fitness
+        assert save_selection(a.selection) == save_selection(b.selection)
+
+
 def test_run_scenario_records_errors_and_continues(triangle, one_pair_workload):
     sc = _scenario(triangle, one_pair_workload,
                    sweep_axis="strategy_count", sweep_values=(1, 50))
