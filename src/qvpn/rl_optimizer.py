@@ -155,26 +155,35 @@ class PolicyNetwork:
             probs[start:end] = e / e.sum()
         return probs
 
-    def backward(self, dlogits, cache):
-        """Gradient of a scalar surrogate wrt all parameters, given dL/dlogits."""
+    def backward(self, dlogits, cache, out=None):
+        """Gradient of a scalar surrogate wrt all parameters, given dL/dlogits.
+
+        out: optional weight-shaped arrays that receive the weight gradients,
+        so a training loop reuses one buffer per layer instead of allocating
+        a fresh outer product per sample.
+        """
         hs, zs = cache
+        if out is None:
+            out = [None] * len(self.weights)
         grads_w = [None] * len(self.weights)
         grads_b = [None] * len(self.biases)
         delta = dlogits
-        grads_w[-1] = np.outer(delta, hs[-1])
+        grads_w[-1] = np.outer(delta, hs[-1], out=out[-1])
         grads_b[-1] = delta.copy()
         for layer in range(len(self.weights) - 2, -1, -1):
             delta = self.weights[layer + 1].T @ delta
             delta = delta * np.where(zs[layer] > 0, 1.0, LEAKY_SLOPE)
-            grads_w[layer] = np.outer(delta, hs[layer])
+            grads_w[layer] = np.outer(delta, hs[layer], out=out[layer])
             grads_b[layer] = delta.copy()
         return grads_w, grads_b
 
     def apply_update(self, grads_w, grads_b, scale):
+        """Add scale * gradient to every parameter. The gradients are scaled
+        in place, so no parameter-sized temporary is allocated."""
         for W, g in zip(self.weights, grads_w):
-            W += scale * g
+            W += np.multiply(g, scale, out=g)
         for b, g in zip(self.biases, grads_b):
-            b += scale * g
+            b += np.multiply(g, scale, out=g)
         for W in self.weights:
             if not np.all(np.isfinite(W)):
                 raise DivergenceError("policy weights diverged to non-finite values")
@@ -282,9 +291,15 @@ def train(policy: PolicyNetwork, problem: RlProblem, config: TrainConfig, enviro
     baseline = BaselineTable()
     state = problem.state_key()
     trace = []
+    # Gradient buffers live for the whole run. Allocating and freeing
+    # parameter-sized arrays per sample lets the allocator's reuse of those
+    # blocks, and so the peak memory, depend on unrelated small allocations.
+    grads_w = [np.zeros_like(w) for w in policy.weights]
+    grads_b = [np.zeros_like(b) for b in policy.biases]
+    sample_w = [np.empty_like(w) for w in policy.weights]
     for epoch in range(config.epochs):
-        grads_w = [np.zeros_like(w) for w in policy.weights]
-        grads_b = [np.zeros_like(b) for b in policy.biases]
+        for acc in grads_w + grads_b:
+            acc.fill(0.0)
         rewards = []
         for b_idx in range(config.batch_size):
             rng = np.random.default_rng([config.seed, epoch, b_idx])
@@ -294,7 +309,7 @@ def train(policy: PolicyNetwork, problem: RlProblem, config: TrainConfig, enviro
             advantage = reward - baseline.value(state)
             dlogits = _surrogate_dlogits(policy, problem, probs, actions,
                                          advantage, config.entropy_beta)
-            gw, gb = policy.backward(dlogits, cache)
+            gw, gb = policy.backward(dlogits, cache, out=sample_w)
             for acc, g in zip(grads_w, gw):
                 acc += g
             for acc, g in zip(grads_b, gb):

@@ -189,6 +189,35 @@ def test_gradient_check_size_guard(triangle):
         gradient_check(policy, prob, actions, 1.0, 0.1)
 
 
+def test_backward_into_buffers_matches_fresh_arrays(triangle):
+    # train reuses one gradient buffer per layer; the bits must not change
+    prob = _multi_problem(triangle)
+    policy = PolicyNetwork.init(prob, hidden=(6,), seed=3)
+    actions, probs, cache = sample_action(policy, prob, np.random.default_rng(3))
+    dlogits = probs - 0.5
+    fresh_w, fresh_b = policy.backward(dlogits, cache)
+    out = [np.full_like(w, np.nan) for w in policy.weights]
+    into_w, into_b = policy.backward(dlogits, cache, out=out)
+    for f, i, o in zip(fresh_w, into_w, out):
+        assert i is o
+        assert np.array_equal(f, i)
+    for f, i in zip(fresh_b, into_b):
+        assert np.array_equal(f, i)
+
+
+def test_apply_update_matches_scaled_sum(triangle):
+    prob = _multi_problem(triangle)
+    policy = PolicyNetwork.init(prob, hidden=(6,), seed=4)
+    rng = np.random.default_rng(4)
+    grads_w = [rng.normal(size=w.shape) for w in policy.weights]
+    grads_b = [rng.normal(size=b.shape) for b in policy.biases]
+    expect_w = [w + 0.3 * g for w, g in zip(policy.weights, grads_w)]
+    expect_b = [b + 0.3 * g for b, g in zip(policy.biases, grads_b)]
+    policy.apply_update(grads_w, grads_b, 0.3)
+    for got, want in zip(policy.weights + policy.biases, expect_w + expect_b):
+        assert np.array_equal(got, want)
+
+
 def test_apply_update_detects_divergence(triangle):
     prob = _multi_problem(triangle)
     policy = PolicyNetwork.init(prob, hidden=(6,), seed=0)
