@@ -386,16 +386,7 @@ def cmd_rl(config, out_dir):
 
     candidates = build_candidate_sets(graph, workload, k=k)
     problem = rl.RlProblem(workload, candidates, catalog[0], p_max=p_max)
-    compiler = LpCompiler(graph, workload, p_max=p_max)
-    reward_cache = {}
-
-    def environment(selection):
-        key = tuple(sorted((pk, tuple(p.nodes for p, _ in chosen))
-                           for pk, chosen in selection.items()))
-        if key not in reward_cache:
-            reward_cache[key] = solve(compiler.compile(selection)).wegr
-        return reward_cache[key]
-
+    environment = rl.cached_reward(LpCompiler(graph, workload, p_max=p_max))
     start = time.perf_counter()
     policy = rl.PolicyNetwork.init(problem, hidden=hidden, seed=config["seed"])
     _, trace, _ = rl.train(policy, problem, rl_config, environment)
@@ -421,7 +412,7 @@ def cmd_rl(config, out_dir):
         "config_hash": config_hash,
         "status": solution.status,
         "wegr": solution.wegr,
-        "lp_solves": len(reward_cache),
+        "lp_solves": len(environment.cache),
         "epochs": rl_config.epochs,
         "seconds": seconds,
         "outputs": outputs,

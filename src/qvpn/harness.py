@@ -224,16 +224,7 @@ def _run_point(scenario: Scenario, axis_value, repetition: int, seed: int) -> Po
     else:  # "rl"
         problem = rl.RlProblem(workload, candidates, catalog[0], p_max=p_max)
         config = replace(scenario.rl_config or rl.TrainConfig(), seed=seed)
-        compiler = LpCompiler(scenario.graph, workload, scenario.noise, p_max)
-        reward_cache = {}
-
-        def environment(selection):
-            key = tuple(sorted((pk, tuple(p.nodes for p, _ in chosen))
-                               for pk, chosen in selection.items()))
-            if key not in reward_cache:
-                reward_cache[key] = solve(compiler.compile(selection)).wegr
-            return reward_cache[key]
-
+        environment = rl.cached_reward(LpCompiler(scenario.graph, workload, scenario.noise, p_max))
         policy = rl.PolicyNetwork.init(problem, seed=seed)
         _, trace, _ = rl.train(policy, problem, config, environment)
         selection = rl.greedy_selection(policy, problem)

@@ -13,14 +13,26 @@ with b(s) the running mean of rewards observed at s (updated with r_t before
 the advantage is formed). Gradients are computed by hand-written reverse-mode
 differentiation; gradient_check validates them against central finite
 differences and is part of the test gate.
+
+Cost model: the state is a fixed one-hot encoding of the pair list, so the
+first layer reads only its nonzero inputs. forward gathers those columns of
+W0, backward returns the first layer's weight gradient over just those
+columns, and apply_update scatter-adds it back, so an epoch costs
+O(hidden x active inputs + output_dim) rather than O(hidden x input_dim).
+Softmax, entropy and surrogate gradients run over all pair blocks at once;
+only the per-block sampler loops in Python, on lists.
 """
 
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
+
+from . import allocation_lp
 
 LEAKY_SLOPE = 0.01
 PROB_FLOOR = 1e-12  # only applied when a softmax block underflows to zeros
@@ -111,6 +123,44 @@ class RlProblem:
         return selection
 
 
+class _BlockLayout:
+    """The per-pair logit blocks as index arrays, for whole-vector softmax.
+
+    Per-block sums gather the blocks of each length into a (blocks, length)
+    matrix and sum its rows, which adds in the same order as summing each
+    block on its own. np.add.reduceat does not: it adds a block's first
+    entry to the sum of the rest, which moves the last bit.
+    """
+
+    def __init__(self, block_slices):
+        bounds = np.array(block_slices, dtype=np.intp).reshape(-1, 2)
+        self.starts = bounds[:, 0]
+        self.lengths = bounds[:, 1] - self.starts
+        if np.any(self.lengths < 1) or np.any(
+                self.starts != np.cumsum(self.lengths) - self.lengths):
+            raise ValueError("block slices must tile the logits in order, none empty")
+        self.groups = []
+        for length in np.unique(self.lengths):
+            blocks = np.flatnonzero(self.lengths == length)
+            self.groups.append((blocks, self.starts[blocks, None] + np.arange(length)))
+
+    def _reduce(self, values, reduce):
+        out = np.empty(self.starts.size)
+        for blocks, index in self.groups:
+            out[blocks] = reduce(values[index], axis=1)
+        return out
+
+    def max(self, values):
+        return self._reduce(values, np.max)
+
+    def sum(self, values):
+        return self._reduce(values, np.sum)
+
+    def spread(self, per_block):
+        """One value per block -> that value at every entry of the block."""
+        return np.repeat(per_block, self.lengths)
+
+
 class PolicyNetwork:
     """Feed-forward logits over candidate paths; weights in float64."""
 
@@ -118,6 +168,7 @@ class PolicyNetwork:
         self.weights = [np.asarray(w, dtype=float) for w in weights]
         self.biases = [np.asarray(b, dtype=float) for b in biases]
         self.block_slices = list(block_slices)
+        self.blocks = _BlockLayout(self.block_slices)
 
     @classmethod
     def init(cls, problem: RlProblem, hidden=(128,), seed=0):
@@ -134,35 +185,41 @@ class PolicyNetwork:
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
     def forward(self, x):
-        """Returns (logits, cache) where cache holds activations for backprop."""
-        h = np.asarray(x, dtype=float)
+        """Returns (logits, cache) where cache holds activations for backprop.
+
+        The first layer reads only the columns of W0 at nonzero inputs; the
+        cache's first entry holds their indices.
+        """
+        x = np.asarray(x, dtype=float)
+        columns = np.flatnonzero(x)
+        h = x[columns]
         hs = [h]
         zs = []
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
+        weights = [self.weights[0][:, columns], *self.weights[1:]]
+        for W, b in zip(weights[:-1], self.biases[:-1]):
             z = W @ h + b
             zs.append(z)
             h = np.where(z > 0, z, LEAKY_SLOPE * z)
             hs.append(h)
-        logits = self.weights[-1] @ h + self.biases[-1]
-        return logits, (hs, zs)
+        logits = weights[-1] @ h + self.biases[-1]
+        return logits, (columns, hs, zs)
 
     def block_probs(self, logits):
         """Per-pair softmax, each block summing to 1."""
-        probs = np.empty_like(logits)
-        for start, end in self.block_slices:
-            block = logits[start:end]
-            e = np.exp(block - block.max())
-            probs[start:end] = e / e.sum()
-        return probs
+        e = np.exp(logits - self.blocks.spread(self.blocks.max(logits)))
+        return e / self.blocks.spread(self.blocks.sum(e))
 
     def backward(self, dlogits, cache, out=None):
         """Gradient of a scalar surrogate wrt all parameters, given dL/dlogits.
 
-        out: optional weight-shaped arrays that receive the weight gradients,
-        so a training loop reuses one buffer per layer instead of allocating
-        a fresh outer product per sample.
+        The first layer's weight gradient is the compact (fan_out, columns)
+        block over the input columns forward read (the cache's first entry);
+        it is zero at every other column.
+        out: optional arrays of the gradients' shapes that receive the weight
+        gradients, so a training loop reuses one buffer per layer instead of
+        allocating a fresh outer product per sample.
         """
-        hs, zs = cache
+        _, hs, zs = cache
         if out is None:
             out = [None] * len(self.weights)
         grads_w = [None] * len(self.weights)
@@ -177,13 +234,20 @@ class PolicyNetwork:
             grads_b[layer] = delta.copy()
         return grads_w, grads_b
 
-    def apply_update(self, grads_w, grads_b, scale):
+    def apply_update(self, grads_w, grads_b, scale, columns=None):
         """Add scale * gradient to every parameter. The gradients are scaled
-        in place, so no parameter-sized temporary is allocated."""
-        for W, g in zip(self.weights, grads_w):
-            W += np.multiply(g, scale, out=g)
+        in place, so no parameter-sized temporary is allocated.
+
+        columns: the input columns a compact first-layer gradient covers, as
+        in backward; None when grads_w[0] has the shape of W0.
+        """
+        for g in [*grads_w, *grads_b]:
+            np.multiply(g, scale, out=g)
+        self.weights[0][:, slice(None) if columns is None else columns] += grads_w[0]
+        for W, g in zip(self.weights[1:], grads_w[1:]):
+            W += g
         for b, g in zip(self.biases, grads_b):
-            b += np.multiply(g, scale, out=g)
+            b += g
         for W in self.weights:
             if not np.all(np.isfinite(W)):
                 raise DivergenceError("policy weights diverged to non-finite values")
@@ -216,7 +280,8 @@ def sample_action(policy: PolicyNetwork, problem: RlProblem, rng, R=None):
 
     Returns (actions, probs, cache) where actions maps pair_key to global
     logit indices. The log-probability uses the factorized approximation
-    (independent draws, no renormalization).
+    (independent draws, no renormalization). Each block consumes rng as
+    rng.choice(n, r, replace=False, p=p) would.
     """
     x = problem.encode_state()
     logits, cache = policy.forward(x)
@@ -226,43 +291,69 @@ def sample_action(policy: PolicyNetwork, problem: RlProblem, rng, R=None):
             "policy produced non-finite action probabilities; "
             "lower the learning rate or rescale rewards")
     quotas = problem.per_pair_quota(R)
+    blocks = policy.blocks
+    # A saturated softmax can underflow to fewer nonzero entries than the
+    # quota; such a block draws from floored probabilities, so zero-mass
+    # entries stay reachable and the quota can still be filled.
+    starved = blocks.sum(probs != 0) < quotas
+    floored = np.maximum(probs, PROB_FLOOR)
+    floored /= blocks.spread(blocks.sum(floored))
+    draw = np.where(blocks.spread(starved), floored, probs).tolist()
     actions = {}
-    for i, k in enumerate(problem.pair_order):
-        start, end = problem.block_slices[i]
-        n = end - start
-        r = quotas[i]
-        p = probs[start:end]
-        if r >= n:
-            chosen = np.arange(n)
+    for k, (start, end), r in zip(problem.pair_order, problem.block_slices, quotas):
+        if r >= end - start:
+            actions[k] = list(range(start, end))
         else:
-            if np.count_nonzero(p) < r:
-                # saturated softmax underflowed; keep zero-mass entries
-                # reachable so the quota can still be filled
-                p = np.maximum(p, PROB_FLOOR)
-                p = p / p.sum()
-            chosen = rng.choice(n, size=r, replace=False, p=p)
-        actions[k] = [start + int(c) for c in sorted(chosen)]
+            chosen = _choice_without_replacement(rng, draw[start:end], r)
+            actions[k] = [start + c for c in sorted(chosen)]
     return actions, probs, cache
+
+
+def _choice_without_replacement(rng, p, size):
+    """rng.choice(len(p), size, replace=False, p=p) on a list of floats.
+
+    Draws the same uniforms and returns the same indices as numpy's
+    Generator.choice: each round draws one uniform per missing pick, zeroes
+    the entries already found, inverts the renormalized cumulative sum and
+    keeps the first occurrence of each new index. Zeroed entries cannot be
+    drawn again, since their cdf step is empty. Without numpy's per-call
+    validation and unique/sort this costs a few microseconds per block.
+    """
+    p = list(p)
+    found = []
+    while len(found) < size:
+        draws = rng.random(size - len(found)).tolist()
+        for j in found:
+            p[j] = 0.0
+        cdf = list(accumulate(p))
+        total = cdf[-1]
+        cdf = [c / total for c in cdf]
+        for u in draws:
+            j = bisect_right(cdf, u)
+            if j not in found:
+                found.append(j)
+    return found
+
+
+def _log_probs(probs):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(probs > 0, np.log(probs), 0.0)
+
+
+def _chosen(problem, actions):
+    return [a for k in problem.pair_order for a in actions[k]]
 
 
 def _surrogate_dlogits(policy, problem, probs, actions, advantage, beta):
     """dL/dlogits for L = sum log pi(a)*(advantage) + beta*H, per pair block."""
-    d = np.zeros_like(probs)
-    for i, k in enumerate(problem.pair_order):
-        start, end = problem.block_slices[i]
-        p = probs[start:end]
-        block = np.zeros(end - start)
-        chosen = [a - start for a in actions[k]]
-        for c in chosen:
-            block[c] += 1.0
-        block -= len(chosen) * p
-        block *= advantage
-        if beta > 0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logp = np.where(p > 0, np.log(p), 0.0)
-            entropy = -np.sum(p * logp)
-            block += beta * (-p * (logp + entropy))
-        d[start:end] = block
+    blocks = policy.blocks
+    picks = blocks.spread([len(actions[k]) for k in problem.pair_order])
+    d = np.bincount(_chosen(problem, actions), minlength=probs.size) - picks * probs
+    d *= advantage
+    if beta > 0:
+        logp = _log_probs(probs)
+        entropy = -blocks.sum(probs * logp)
+        d += beta * (-probs * (logp + blocks.spread(entropy)))
     return d
 
 
@@ -270,15 +361,9 @@ def surrogate_value(policy, problem, actions, advantage, beta):
     """L = sum_chosen log pi(a) * advantage + beta * H, for gradient checking."""
     logits, _ = policy.forward(problem.encode_state())
     probs = policy.block_probs(logits)
-    total = 0.0
-    for i, k in enumerate(problem.pair_order):
-        start, end = problem.block_slices[i]
-        p = probs[start:end]
-        for a in actions[k]:
-            total += np.log(p[a - start]) * advantage
-        if beta > 0:
-            logp = np.where(p > 0, np.log(p), 0.0)
-            total += beta * (-np.sum(p * logp))
+    total = np.sum(np.log(probs[_chosen(problem, actions)])) * advantage
+    if beta > 0:
+        total += beta * -np.sum(probs * _log_probs(probs))
     return float(total)
 
 
@@ -291,12 +376,16 @@ def train(policy: PolicyNetwork, problem: RlProblem, config: TrainConfig, enviro
     baseline = BaselineTable()
     state = problem.state_key()
     trace = []
-    # Gradient buffers live for the whole run. Allocating and freeing
-    # parameter-sized arrays per sample lets the allocator's reuse of those
+    # The state is fixed, so every sample's first-layer gradient covers the
+    # same input columns. Gradient buffers live for the whole run: allocating
+    # and freeing large arrays per sample lets the allocator's reuse of those
     # blocks, and so the peak memory, depend on unrelated small allocations.
-    grads_w = [np.zeros_like(w) for w in policy.weights]
+    columns = np.flatnonzero(problem.encode_state())
+    shapes = [(policy.weights[0].shape[0], columns.size),
+              *(w.shape for w in policy.weights[1:])]
+    grads_w = [np.zeros(shape) for shape in shapes]
     grads_b = [np.zeros_like(b) for b in policy.biases]
-    sample_w = [np.empty_like(w) for w in policy.weights]
+    sample_w = [np.empty(shape) for shape in shapes]
     for epoch in range(config.epochs):
         for acc in grads_w + grads_b:
             acc.fill(0.0)
@@ -315,9 +404,25 @@ def train(policy: PolicyNetwork, problem: RlProblem, config: TrainConfig, enviro
             for acc, g in zip(grads_b, gb):
                 acc += g
             rewards.append(reward)
-        policy.apply_update(grads_w, grads_b, config.lr_at(epoch))
+        policy.apply_update(grads_w, grads_b, config.lr_at(epoch), columns)
         trace.append(float(np.mean(rewards)))
     return policy, trace, baseline
+
+
+def cached_reward(compiler):
+    """Reward callback for train: a selection's W-EGR under an LpCompiler, solved
+    once per distinct choice of path nodes; `.cache` holds one entry per LP."""
+    cache = {}
+
+    def environment(selection):
+        key = tuple(sorted((pk, tuple(p.nodes for p, _ in chosen))
+                           for pk, chosen in selection.items()))
+        if key not in cache:
+            cache[key] = allocation_lp.solve(compiler.compile(selection)).wegr
+        return cache[key]
+
+    environment.cache = cache
+    return environment
 
 
 def greedy_selection(policy: PolicyNetwork, problem: RlProblem):
@@ -348,8 +453,10 @@ def gradient_check(policy: PolicyNetwork, problem: RlProblem, actions,
     probs = policy.block_probs(logits)
     dlogits = _surrogate_dlogits(policy, problem, probs, actions, advantage, beta)
     grads_w, grads_b = policy.backward(dlogits, cache)
+    first = np.zeros_like(policy.weights[0])
+    first[:, cache[0]] = grads_w[0]
 
-    analytic = np.concatenate([g.ravel() for g in grads_w + grads_b])
+    analytic = np.concatenate([g.ravel() for g in [first, *grads_w[1:], *grads_b]])
     params = policy.weights + policy.biases
     fd = np.empty_like(analytic)
     idx = 0

@@ -360,6 +360,7 @@ def test_10_cli_runs_are_byte_identical(tmp_path):
         "allocate": dict(base, source={"baseline": "inv-egr"}),
         "ga": dict(base, p_max=2, strategy_count=4,
                    ga={"population_size": 8, "generations": 3}),
+        "rl": dict(base, p_max=1, hidden=[4], rl={"epochs": 4, "batch_size": 2}),
         "report": dict(base, optimizer="baseline-hop", repetitions=2,
                        sweep={"axis": "p_max", "values": [1, 2]}),
     }
@@ -377,5 +378,5 @@ def test_10_cli_runs_are_byte_identical(tmp_path):
             assert (first / name).read_bytes() == (second / name).read_bytes(), \
                 f"{command}/{name} differs between identical runs"
             compared += 1
-    _verdict("repeated CLI runs byte-identical (allocate, ga, report)",
+    _verdict("repeated CLI runs byte-identical (allocate, ga, rl, report)",
              compared > 0, f"{compared} files compared")

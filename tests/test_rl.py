@@ -1,16 +1,25 @@
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from qvpn.allocation_lp import LpCompiler, build_problem, solve
+from qvpn.fixtures import bundled_topology
 from qvpn.pathfinding import build_candidate_sets
 from qvpn.quantum_math import DistillationStrategy
 from qvpn.rl_optimizer import (
+    LEAKY_SLOPE,
+    PROB_FLOOR,
     BaselineTable,
     DivergenceError,
     PolicyNetwork,
     RlProblem,
     TrainConfig,
+    _choice_without_replacement,
+    _surrogate_dlogits,
+    cached_reward,
     gradient_check,
     greedy_selection,
     load_policy,
@@ -19,7 +28,7 @@ from qvpn.rl_optimizer import (
     train,
 )
 from qvpn.topology import NetworkGraph, NodeSpec, make_link
-from qvpn.workload import Organization, Workload
+from qvpn.workload import Organization, Workload, WorkloadParams, generate_workload
 
 from conftest import make_pair
 
@@ -196,7 +205,7 @@ def test_backward_into_buffers_matches_fresh_arrays(triangle):
     actions, probs, cache = sample_action(policy, prob, np.random.default_rng(3))
     dlogits = probs - 0.5
     fresh_w, fresh_b = policy.backward(dlogits, cache)
-    out = [np.full_like(w, np.nan) for w in policy.weights]
+    out = [np.full_like(g, np.nan) for g in fresh_w]  # compact first layer
     into_w, into_b = policy.backward(dlogits, cache, out=out)
     for f, i, o in zip(fresh_w, into_w, out):
         assert i is o
@@ -216,6 +225,15 @@ def test_apply_update_matches_scaled_sum(triangle):
     policy.apply_update(grads_w, grads_b, 0.3)
     for got, want in zip(policy.weights + policy.biases, expect_w + expect_b):
         assert np.array_equal(got, want)
+
+    # a compact first-layer gradient lands on its columns only
+    columns = np.array([1, 4, 8])
+    grads_w = [rng.normal(size=(6, 3)), rng.normal(size=(5, 6))]
+    grads_b = [np.zeros(6), np.zeros(5)]
+    expect = policy.weights[0].copy()
+    expect[:, columns] += 0.3 * grads_w[0]
+    policy.apply_update(grads_w, grads_b, 0.3, columns)
+    assert np.array_equal(policy.weights[0], expect)
 
 
 def test_apply_update_detects_divergence(triangle):
@@ -377,3 +395,243 @@ def test_checkpoint_rejects_bad_blobs():
         bad += struct.pack("<I", 1) + struct.pack("<1I", 1) + struct.pack("<d", 0.0)
     with pytest.raises(ValueError, match="array count"):
         load_policy(bad)
+
+
+def test_cached_reward_solves_each_selection_once(triangle, one_pair_workload):
+    prob = RlProblem(one_pair_workload, build_candidate_sets(triangle, one_pair_workload, k=3),
+                     EASY, p_max=1)
+    env = cached_reward(LpCompiler(triangle, one_pair_workload, p_max=1))
+    selections = [prob.selection_from_actions({prob.pair_order[0]: [a]})
+                  for a in range(prob.output_dim)]
+    first = [env(sel) for sel in selections]
+    assert [env(sel) for sel in selections] == first
+    assert len(env.cache) == prob.output_dim
+    for sel, reward in zip(selections, first):
+        assert reward == solve(build_problem(triangle, one_pair_workload, sel, p_max=1)).wegr
+
+
+def test_block_layout_must_tile_the_logits():
+    with pytest.raises(ValueError, match="tile"):
+        PolicyNetwork([np.zeros((5, 2))], [np.zeros(5)], [(0, 2), (3, 5)])
+    with pytest.raises(ValueError, match="tile"):
+        PolicyNetwork([np.zeros((2, 2))], [np.zeros(2)], [(0, 2), (2, 2)])
+
+
+# Reference implementations: the per-block loops and dense first-layer
+# algebra that the vectorized policy code must reproduce.
+
+def _reference_block_probs(logits, block_slices):
+    probs = np.empty_like(logits)
+    for start, end in block_slices:
+        block = logits[start:end]
+        e = np.exp(block - block.max())
+        probs[start:end] = e / e.sum()
+    return probs
+
+
+def _reference_dlogits(probs, block_slices, chosen_per_block, advantage, beta):
+    d = np.zeros_like(probs)
+    for (start, end), chosen in zip(block_slices, chosen_per_block):
+        p = probs[start:end]
+        block = np.zeros(end - start)
+        for a in chosen:
+            block[a - start] += 1.0
+        block -= len(chosen) * p
+        block *= advantage
+        if beta > 0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logp = np.where(p > 0, np.log(p), 0.0)
+            entropy = -np.sum(p * logp)
+            block += beta * (-p * (logp + entropy))
+        d[start:end] = block
+    return d
+
+
+def _reference_train(policy, problem, config, environment):
+    """REINFORCE with dense W0 @ x, a Python pass per block and
+    Generator.choice; mutates policy and returns the reward trace."""
+    baseline = BaselineTable()
+    state = problem.state_key()
+    x = problem.encode_state()
+    quotas = problem.per_pair_quota(config.paths_per_state)
+    trace = []
+    for epoch in range(config.epochs):
+        grads_w = [np.zeros_like(w) for w in policy.weights]
+        grads_b = [np.zeros_like(b) for b in policy.biases]
+        rewards = []
+        for b_idx in range(config.batch_size):
+            rng = np.random.default_rng([config.seed, epoch, b_idx])
+            hs, zs = [x], []
+            for W, b in zip(policy.weights[:-1], policy.biases[:-1]):
+                zs.append(W @ hs[-1] + b)
+                hs.append(np.where(zs[-1] > 0, zs[-1], LEAKY_SLOPE * zs[-1]))
+            logits = policy.weights[-1] @ hs[-1] + policy.biases[-1]
+            probs = _reference_block_probs(logits, problem.block_slices)
+            actions = {}
+            for k, (start, end), r in zip(problem.pair_order, problem.block_slices, quotas):
+                p = probs[start:end]
+                if r >= end - start:
+                    chosen = range(end - start)
+                else:
+                    if np.count_nonzero(p) < r:
+                        p = np.maximum(p, PROB_FLOOR)
+                        p = p / p.sum()
+                    chosen = rng.choice(end - start, size=r, replace=False, p=p)
+                actions[k] = [start + int(c) for c in sorted(chosen)]
+            reward = environment(problem.selection_from_actions(actions))
+            baseline.update(state, reward)
+            delta = _reference_dlogits(probs, problem.block_slices,
+                                       [actions[k] for k in problem.pair_order],
+                                       reward - baseline.value(state), config.entropy_beta)
+            for layer in range(len(policy.weights) - 1, -1, -1):
+                grads_w[layer] += np.outer(delta, hs[layer])
+                grads_b[layer] += delta
+                if layer:
+                    delta = (policy.weights[layer].T @ delta) * np.where(
+                        zs[layer - 1] > 0, 1.0, LEAKY_SLOPE)
+            rewards.append(reward)
+        for param, g in zip(policy.weights + policy.biases, grads_w + grads_b):
+            param += g * config.lr_at(epoch)
+        trace.append(float(np.mean(rewards)))
+    return trace
+
+
+def _square_problem(p_max=2):
+    """Four nodes, six links: pairs with up to five candidate paths."""
+    nodes = tuple(NodeSpec(n) for n in "ABCD")
+    links = (make_link("A", "B", 10.0), make_link("A", "C", 10.0),
+             make_link("C", "B", 10.0), make_link("A", "D", 10.0),
+             make_link("D", "B", 10.0), make_link("C", "D", 10.0))
+    graph = NetworkGraph(nodes=nodes, links=links)
+    pairs = (make_pair("org0", "A", "B"), make_pair("org0", "C", "D"),
+             make_pair("org0", "A", "D"))
+    wl = Workload(organizations=(Organization("org0", 1.0),), user_pairs=pairs, seed=0)
+    return RlProblem(wl, build_candidate_sets(graph, wl, k=5), EASY, p_max=p_max)
+
+
+def test_block_ops_match_per_block_loops():
+    # blocks of 1 to 12 entries; sums of 8 or more entries are pairwise in numpy
+    rng = np.random.default_rng(8)
+    lengths = rng.permutation(np.repeat(np.arange(1, 13), 3))
+    ends = np.cumsum(lengths)
+    slices = [(int(e - n), int(e)) for e, n in zip(ends, lengths)]
+    size = int(ends[-1])
+    policy = PolicyNetwork([np.zeros((size, 1))], [np.zeros(size)], slices)
+    problem = SimpleNamespace(pair_order=list(range(len(slices))))
+    for trial in range(30):
+        logits = rng.normal(0.0, 10.0 ** rng.uniform(0, 3), size)
+        probs = policy.block_probs(logits)
+        assert np.array_equal(probs, _reference_block_probs(logits, slices))
+        chosen = [sorted((start + rng.choice(end - start, size=rng.integers(1, end - start + 1),
+                                             replace=False)).tolist())
+                  for start, end in slices]
+        advantage = float(rng.normal(0.0, 5.0))
+        for beta in (0.0, 0.1):
+            got = _surrogate_dlogits(policy, problem, probs, dict(enumerate(chosen)),
+                                     advantage, beta)
+            assert np.array_equal(got, _reference_dlogits(probs, slices, chosen,
+                                                          advantage, beta))
+
+
+def _floored(p):
+    p = np.maximum(p, PROB_FLOOR)
+    return p / p.sum()
+
+
+def test_sampler_replays_generator_choice():
+    """The list sampler returns Generator.choice's indices and leaves the
+    generator in the same state, on flat, sparse and floor-saturated blocks."""
+    rng = np.random.default_rng(2024)
+    for case in range(10_500):
+        kind = case % 3
+        n = 2 + (case // 3) % 10
+        r = int(rng.integers(1, n))
+        if kind == 0:
+            p = rng.dirichlet(np.ones(n))
+        elif kind == 1:
+            p = rng.dirichlet(np.full(n, 0.05))
+            if np.count_nonzero(p) < r:
+                p = _floored(p)
+        else:
+            logits = np.where(rng.random(n) < 0.3, rng.normal(size=n), -800.0)
+            logits[rng.integers(n)] = 0.0
+            p = _floored(_reference_block_probs(logits, [(0, n)]))
+        want_rng = np.random.default_rng([case, 11])
+        got_rng = np.random.default_rng([case, 11])
+        want = want_rng.choice(n, size=r, replace=False, p=p).tolist()
+        assert _choice_without_replacement(got_rng, p.tolist(), r) == want, (case, r, p)
+        assert got_rng.random() == want_rng.random(), case
+    # a draw equal to a cdf step goes right, as searchsorted(side="right") does
+    u = np.random.default_rng(5).random()
+    p = np.array([u, 1.0 - u])
+    want = np.random.default_rng(5).choice(2, size=1, replace=False, p=p).tolist()
+    assert _choice_without_replacement(np.random.default_rng(5), p.tolist(), 1) == want == [1]
+
+
+@pytest.mark.parametrize("learning_rate, beta", [(1e-3, 0.1), (200.0, 0.0)])
+def test_train_matches_dense_reference(learning_rate, beta):
+    # the small step never saturates the softmax; the large one saturates it
+    # in the first update, so later samples take the floor path
+    prob = _square_problem()
+    cfg = TrainConfig(learning_rate=learning_rate, epochs=12, batch_size=3,
+                      entropy_beta=beta, seed=4)
+    env = lambda sel: float(_count_hops(sel)) ** 2
+    policy = PolicyNetwork.init(prob, hidden=(6,), seed=4)
+    reference = policy.copy()
+    _, trace, _ = train(policy, prob, cfg, env)
+    assert trace == _reference_train(reference, prob, cfg, env)
+    for got, want in zip(policy.weights + policy.biases,
+                         reference.weights + reference.biases):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("hidden", [(), (5,)])
+@pytest.mark.parametrize("state", ["one-hot", "valued", "dense"])
+def test_gradient_check_sparse_first_layer(triangle, hidden, state):
+    prob = _multi_problem(triangle, p_max=1)
+    rng = np.random.default_rng(12)
+    x = {"one-hot": prob.encode_state(),
+         "valued": np.array([1.5, 0.0, 0.3, 0.0, -0.7, 0.0, 0.0, 0.0, 2.0]),
+         "dense": rng.normal(size=prob.input_dim)}[state]
+    prob.encode_state = lambda: x.copy()
+    for seed in (0, 1, 2):
+        policy = PolicyNetwork.init(prob, hidden=hidden, seed=seed)
+        actions, probs, cache = sample_action(policy, prob, rng)
+        grads_w, _ = policy.backward(probs, cache)
+        assert grads_w[0].shape == (policy.weights[0].shape[0], np.count_nonzero(x))
+        advantage = float(rng.normal(0.0, 5.0))
+        for beta in (0.0, 0.1):
+            assert gradient_check(policy, prob, actions, advantage, beta) < 1e-4
+
+
+def test_train_epoch_allocates_nothing_parameter_sized():
+    graph = bundled_topology()
+    wl = generate_workload(graph, WorkloadParams(num_orgs=3, pairs_per_org=20, r_min=0.0),
+                           seed=1)
+    prob = RlProblem(wl, build_candidate_sets(graph, wl, k=3), EASY, p_max=3)
+    assert prob.num_pairs >= 40
+    policy = PolicyNetwork.init(prob, seed=1)
+    limit = policy.weights[0].nbytes
+    cfg = TrainConfig(epochs=3, batch_size=2, seed=1)
+    calls = [0]
+    marks = {}
+
+    def env(sel):
+        calls[0] += 1
+        if calls[0] == cfg.batch_size + 1:  # first sample of the second epoch
+            marks["first_peak"] = tracemalloc.get_traced_memory()[1]
+            marks["epoch_start"] = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+        return float(_count_hops(sel))
+
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        train(policy, prob, cfg, env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # no per-sample or per-epoch temporary the size of W0 ...
+    assert peak - marks["epoch_start"] < limit
+    # ... and no gradient buffer of that size for the whole run
+    assert max(marks["first_peak"], peak) - start < limit
