@@ -254,14 +254,19 @@ def test_sampling_rejects_non_finite_probabilities(triangle):
         sample_action(policy, prob, np.random.default_rng(0))
 
 
-def test_sampling_fills_quota_from_saturated_softmax():
-    """A block whose softmax underflows to a single nonzero entry must still
-    yield the full per-pair quota of distinct paths."""
+def _square_graph():
+    """Four nodes, six links: several candidate paths between any two."""
     nodes = tuple(NodeSpec(n) for n in "ABCD")
     links = (make_link("A", "B", 10.0), make_link("A", "C", 10.0),
              make_link("C", "B", 10.0), make_link("A", "D", 10.0),
              make_link("D", "B", 10.0), make_link("C", "D", 10.0))
-    graph = NetworkGraph(nodes=nodes, links=links)
+    return NetworkGraph(nodes=nodes, links=links)
+
+
+def test_sampling_fills_quota_from_saturated_softmax():
+    """A block whose softmax underflows to a single nonzero entry must still
+    yield the full per-pair quota of distinct paths."""
+    graph = _square_graph()
     org = Organization("org0", 1.0)
     wl = Workload(organizations=(org,), user_pairs=(make_pair("org0", "A", "B"),),
                   seed=0)
@@ -497,12 +502,8 @@ def _reference_train(policy, problem, config, environment):
 
 
 def _square_problem(p_max=2):
-    """Four nodes, six links: pairs with up to five candidate paths."""
-    nodes = tuple(NodeSpec(n) for n in "ABCD")
-    links = (make_link("A", "B", 10.0), make_link("A", "C", 10.0),
-             make_link("C", "B", 10.0), make_link("A", "D", 10.0),
-             make_link("D", "B", 10.0), make_link("C", "D", 10.0))
-    graph = NetworkGraph(nodes=nodes, links=links)
+    """Three pairs on the square graph, five candidate paths each."""
+    graph = _square_graph()
     pairs = (make_pair("org0", "A", "B"), make_pair("org0", "C", "D"),
              make_pair("org0", "A", "D"))
     wl = Workload(organizations=(Organization("org0", 1.0),), user_pairs=pairs, seed=0)
