@@ -30,6 +30,7 @@ from .quantum_math import (
 )
 from .pathfinding import (
     CandidatePath,
+    PathFinder,
     WeightScheme,
     yen_k_shortest,
     path_from_nodes,

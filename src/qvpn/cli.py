@@ -27,7 +27,8 @@ from .quantum_math import (
     load_strategy_catalog,
 )
 from .pathfinding import (
-    WeightScheme,
+    BASELINE_SCHEMES,
+    PathFinder,
     build_candidate_sets,
     baseline_selection,
     nearest_strategy_index,
@@ -49,13 +50,6 @@ from .harness import (
 
 class ConfigError(ValueError):
     """Malformed or incomplete CLI configuration document."""
-
-
-_BASELINES = {
-    "hop": WeightScheme.HOP,
-    "inv-egr": WeightScheme.INV_EGR,
-    "inv-egr-sq": WeightScheme.INV_EGR_SQ,
-}
 
 
 def _fmt(value) -> str:
@@ -289,14 +283,16 @@ def cmd_allocate(config, out_dir):
         hasher.update(b"\n--selection--\n" + text.encode())
         selection = load_selection(text, graph)
     elif "baseline" in source:
-        scheme = _BASELINES.get(source["baseline"])
+        scheme = BASELINE_SCHEMES.get(source["baseline"])
         if scheme is None:
             raise ConfigError(f"unknown baseline {source['baseline']!r}, "
-                              f"expected one of {sorted(_BASELINES)}")
-        candidates = build_candidate_sets(graph, workload, k=config.get("k", 5))
+                              f"expected one of {sorted(BASELINE_SCHEMES)}")
+        finder = PathFinder(graph)
+        candidates = build_candidate_sets(graph, workload, k=config.get("k", 5),
+                                          finder=finder)
         idx = nearest_strategy_index(catalog, source.get("threshold", 0.992))
-        selection = baseline_selection(graph, workload, candidates, scheme,
-                                       p_max=p_max, strategy_index=idx, catalog=catalog)
+        selection = baseline_selection(graph, workload, candidates, scheme, p_max=p_max,
+                                       strategy_index=idx, catalog=catalog, finder=finder)
     else:
         raise ConfigError("source must contain \"selection\" (file) or \"baseline\" (scheme)")
     config_hash = hasher.hexdigest()
@@ -327,13 +323,14 @@ def cmd_ga(config, out_dir):
         raise ConfigError(f"bad ga block: {exc}") from None
     config_hash = hasher.hexdigest()
 
-    candidates = build_candidate_sets(graph, workload, k=k)
+    finder = PathFinder(graph)
+    candidates = build_candidate_sets(graph, workload, k=k, finder=finder)
     problem = ga.GaProblem(graph, workload, candidates, catalog, p_max=p_max)
     idx = nearest_strategy_index(catalog, config.get("baseline_threshold", 0.992))
     heuristics = [
-        baseline_selection(graph, workload, candidates, scheme,
-                           p_max=p_max, strategy_index=idx, catalog=catalog)
-        for scheme in _BASELINES.values()
+        baseline_selection(graph, workload, candidates, scheme, p_max=p_max,
+                           strategy_index=idx, catalog=catalog, finder=finder)
+        for scheme in BASELINE_SCHEMES.values()
     ]
     population = ga.initialize_population(problem, ga_config, seed_heuristics=heuristics)
     trace = ga.evolve(population, ga_config, problem)
@@ -467,7 +464,8 @@ def cmd_report(config, out_dir):
         raise ConfigError(f"bad scenario: {exc}") from None
     config_hash = hasher.hexdigest()
 
-    result = run_scenario(scenario, max_workers=config.get("max_workers", 1))
+    finder = PathFinder(graph)
+    result = run_scenario(scenario, max_workers=config.get("max_workers", 1), finder=finder)
     sweep_rows = [
         (p.axis_value if p.axis_value is not None else "", p.repetition, p.seed,
          p.status, p.wegr, p.error or "")
@@ -494,6 +492,10 @@ def cmd_report(config, out_dir):
              "seconds": p.seconds, "error": p.error}
             for p in result.points
         ],
+        # path searches asked and Yen runs done: worker threads may race, so
+        # these vary between runs and stay out of every CSV
+        "path_queries": finder.queries,
+        "yen_runs": finder.yen_runs,
         "outputs": outputs,
     }
 

@@ -23,7 +23,8 @@ from .quantum_math import (
     default_strategy_catalog,
 )
 from .pathfinding import (
-    WeightScheme,
+    BASELINE_SCHEMES,
+    PathFinder,
     build_candidate_sets,
     baseline_selection,
     nearest_strategy_index,
@@ -61,14 +62,10 @@ def pearson(xs, ys) -> float:
     return sxy / math.sqrt(sxx * syy)
 
 
-OPTIMIZERS = ("baseline-hop", "baseline-inv-egr", "baseline-inv-egr-sq", "ga", "rl")
-SWEEP_AXES = ("p_max", "strategy_count", "pairs_per_org", "k", "r_max")
+_BASELINE_SCHEMES = {f"baseline-{name}": scheme for name, scheme in BASELINE_SCHEMES.items()}
 
-_BASELINE_SCHEMES = {
-    "baseline-hop": WeightScheme.HOP,
-    "baseline-inv-egr": WeightScheme.INV_EGR,
-    "baseline-inv-egr-sq": WeightScheme.INV_EGR_SQ,
-}
+OPTIMIZERS = (*_BASELINE_SCHEMES, "ga", "rl")
+SWEEP_AXES = ("p_max", "strategy_count", "pairs_per_org", "k", "r_max")
 
 
 @dataclass(frozen=True)
@@ -188,7 +185,8 @@ def point_workload(scenario: Scenario, axis_value, seed):
     return wl
 
 
-def _run_point(scenario: Scenario, axis_value, repetition: int, seed: int) -> PointResult:
+def _run_point(scenario: Scenario, axis_value, repetition: int, seed: int,
+               finder: PathFinder) -> PointResult:
     start = time.perf_counter()
     p_max = axis_value if scenario.sweep_axis == "p_max" else scenario.p_max
     k = axis_value if scenario.sweep_axis == "k" else scenario.k
@@ -200,14 +198,14 @@ def _run_point(scenario: Scenario, axis_value, repetition: int, seed: int) -> Po
         catalog = tuple(scenario.catalog)
 
     workload = point_workload(scenario, axis_value, seed)
-    candidates = build_candidate_sets(scenario.graph, workload, k=k)
+    candidates = build_candidate_sets(scenario.graph, workload, k=k, finder=finder)
     trace = None
 
     if scenario.optimizer in _BASELINE_SCHEMES:
         idx = nearest_strategy_index(catalog, scenario.baseline_threshold)
         selection = baseline_selection(
             scenario.graph, workload, candidates, _BASELINE_SCHEMES[scenario.optimizer],
-            p_max=p_max, strategy_index=idx, catalog=catalog)
+            p_max=p_max, strategy_index=idx, catalog=catalog, finder=finder)
     elif scenario.optimizer == "ga":
         problem = ga.GaProblem(scenario.graph, workload, candidates, catalog,
                                noise=scenario.noise, p_max=p_max)
@@ -215,7 +213,8 @@ def _run_point(scenario: Scenario, axis_value, repetition: int, seed: int) -> Po
         idx = nearest_strategy_index(catalog, scenario.baseline_threshold)
         heuristics = [
             baseline_selection(scenario.graph, workload, candidates, scheme,
-                               p_max=p_max, strategy_index=idx, catalog=catalog)
+                               p_max=p_max, strategy_index=idx, catalog=catalog,
+                               finder=finder)
             for scheme in _BASELINE_SCHEMES.values()
         ]
         population = ga.initialize_population(problem, config, seed_heuristics=heuristics)
@@ -238,8 +237,15 @@ def _run_point(scenario: Scenario, axis_value, repetition: int, seed: int) -> Po
         selection=selection, solution=solution, trace=trace)
 
 
-def run_scenario(scenario: Scenario, max_workers: int = 1) -> ScenarioResult:
-    """Evaluate every sweep point x repetition; errors are recorded per point."""
+def run_scenario(scenario: Scenario, max_workers: int = 1,
+                 finder: PathFinder | None = None) -> ScenarioResult:
+    """Evaluate every sweep point x repetition; errors are recorded per point.
+
+    All points and worker threads share one PathFinder of the scenario's
+    graph: finder when given, else a fresh one.
+    """
+    if finder is None:
+        finder = PathFinder(scenario.graph)
     config_hash = scenario_hash(scenario)
     axis_values = scenario.sweep_values if scenario.sweep_axis is not None else (None,)
     tasks = [(value, rep, scenario.seeds[rep])
@@ -248,7 +254,7 @@ def run_scenario(scenario: Scenario, max_workers: int = 1) -> ScenarioResult:
     def guarded(task):
         value, rep, seed = task
         try:
-            return _run_point(scenario, value, rep, seed)
+            return _run_point(scenario, value, rep, seed, finder)
         except Exception as exc:  # recorded, sweep continues
             return PointResult(axis_value=value, repetition=rep, seed=seed,
                                status="error", wegr=float("nan"), seconds=0.0,

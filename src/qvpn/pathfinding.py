@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import heapq
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .topology import NetworkGraph
 
@@ -46,9 +48,9 @@ def path_from_nodes(graph, pair_key, nodes):
     links = []
     bottleneck = math.inf
     for a, b in zip(nodes, nodes[1:]):
-        link = graph.link_by_key[(a, b) if a <= b else (b, a)]
-        links.append(link.key)
-        bottleneck = min(bottleneck, link.capacity_eprps)
+        key = (a, b) if a <= b else (b, a)
+        bottleneck = min(bottleneck, graph.link_by_key[key].capacity_eprps)
+        links.append(key)
     return CandidatePath(
         pair_key=pair_key,
         nodes=tuple(nodes),
@@ -58,11 +60,39 @@ def path_from_nodes(graph, pair_key, nodes):
     )
 
 
-def _dijkstra(graph, weights, src, dst, banned_nodes, banned_edges):
-    """Shortest path honoring bans; ties resolved toward the lexicographically
+class SchemeTable(NamedTuple):
+    """One graph's link weights under one scheme, in the form Yen reads them.
+
+    weights: canonical link key -> weight. adjacency: node id -> list of
+    (neighbor id, weight) in the graph's sorted neighbor order, without the
+    links whose weight is infinite (unusable under the scheme).
+    """
+    weights: dict
+    adjacency: dict
+
+    @classmethod
+    def build(cls, graph: NetworkGraph, scheme: WeightScheme):
+        weights = {l.key: scheme.link_weight(l) for l in graph.links}
+        adjacency = {}
+        for node, neighbors in graph.adjacency.items():
+            row = []
+            for nbr, link in neighbors:
+                w = weights[link.key]
+                if not math.isinf(w):
+                    row.append((nbr, w))
+            adjacency[node] = row
+        return cls(weights, adjacency)
+
+
+def _dijkstra(adjacency, src, dst, banned_nodes, banned_first_hops):
+    """Shortest src-dst path (src != dst) that avoids banned_nodes and leaves
+    src by none of banned_first_hops; ties resolved toward the lexicographically
     smallest node sequence by keying the heap on (cost, nodes)."""
-    heap = [(0.0, (src,))]
-    settled = set()
+    settled = set(banned_nodes)
+    settled.add(src)
+    heap = [(w, (src, nbr)) for nbr, w in adjacency[src]
+            if nbr not in settled and nbr not in banned_first_hops]
+    heapq.heapify(heap)
     while heap:
         cost, nodes = heapq.heappop(heap)
         node = nodes[-1]
@@ -71,24 +101,23 @@ def _dijkstra(graph, weights, src, dst, banned_nodes, banned_edges):
         if node in settled:
             continue
         settled.add(node)
-        for nbr, link in graph.adjacency[node]:
-            if nbr in settled or nbr in banned_nodes:
-                continue
-            if (node, nbr) in banned_edges:
-                continue
-            w = weights[link.key]
-            if math.isinf(w):
-                continue
-            heapq.heappush(heap, (cost + w, nodes + (nbr,)))
+        for nbr, w in adjacency[node]:
+            if nbr not in settled:
+                heapq.heappush(heap, (cost + w, nodes + (nbr,)))
     return None
 
 
 def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
-                   scheme: WeightScheme, pair_key: tuple | None = None):
+                   scheme: WeightScheme, pair_key: tuple | None = None, *, table=None):
     """Up to k loopless shortest paths in nondecreasing total weight.
 
     Returns an empty list when src and dst are disconnected. pair_key tags
-    the produced CandidatePaths (defaults to an anonymous pair).
+    the produced CandidatePaths (defaults to an anonymous pair). table: the
+    graph's SchemeTable for scheme, when the caller keeps one; built here
+    otherwise.
+
+    The first j paths do not depend on k: the search accepts paths in rank
+    order and k only says when to stop. PathFinder's memo relies on this.
     """
     if src == dst:
         raise ValueError("src and dst must differ")
@@ -99,9 +128,11 @@ def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
             raise ValueError(f"unknown node {nid!r}")
     if pair_key is None:
         pair_key = ("-", src, dst)
-    weights = {l.key: scheme.link_weight(l) for l in graph.links}
+    if table is None:
+        table = SchemeTable.build(graph, scheme)
+    weights, adjacency = table
 
-    first = _dijkstra(graph, weights, src, dst, frozenset(), frozenset())
+    first = _dijkstra(adjacency, src, dst, frozenset(), frozenset())
     if first is None:
         return []
     accepted = [first]  # list of (cost, nodes)
@@ -116,13 +147,11 @@ def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
             root_cost = sum(
                 weights[(a, b) if a <= b else (b, a)] for a, b in zip(root, root[1:])
             )
-            banned_edges = set()
-            for cost, nodes in accepted:
-                if nodes[: i + 1] == root and len(nodes) > i + 1:
-                    banned_edges.add((spur, nodes[i + 1]))
-                    banned_edges.add((nodes[i + 1], spur))
-            banned_nodes = frozenset(root[:-1])
-            spur_path = _dijkstra(graph, weights, spur, dst, banned_nodes, banned_edges)
+            # the spur may not leave by the next hop of any accepted path that
+            # shares this root; it is settled first, so no path re-enters it
+            banned_hops = {nodes[i + 1] for _, nodes in accepted
+                           if nodes[: i + 1] == root and len(nodes) > i + 1}
+            spur_path = _dijkstra(adjacency, spur, dst, root[:-1], banned_hops)
             if spur_path is None:
                 continue
             total = root[:-1] + spur_path[1]
@@ -136,52 +165,116 @@ def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
     return [path_from_nodes(graph, pair_key, nodes) for _, nodes in accepted]
 
 
+class PathFinder:
+    """Yen's k-shortest paths on one graph, memoized per (src, dst, scheme).
+
+    The caller owns the finder and shares it wherever the same graph is
+    searched again (one per CLI command or scenario). For each key the memo
+    keeps the longest ranked list of node tuples computed so far and whether
+    it is exhausted (Yen found fewer paths than asked). A query for k is
+    answered from that list when it is long enough or exhausted, since Yen's
+    first j paths for any k >= j are its paths for j; otherwise it runs
+    yen_k_shortest again with the larger k.
+
+    Threads may share a finder. The searches run outside the lock, so two
+    threads that miss on one key at once both search it. Every answer is a
+    pure function of (graph, src, dst, scheme, k), so that repeats work and
+    never changes a result. queries counts calls and yen_runs the searches
+    run; the latter can vary between threaded runs, so both belong in the
+    manifest only.
+    """
+
+    def __init__(self, graph: NetworkGraph):
+        self.graph = graph
+        self.queries = 0
+        self.yen_runs = 0
+        self._tables = {scheme: SchemeTable.build(graph, scheme) for scheme in WeightScheme}
+        self._memo = {}  # (src, dst, scheme) -> (node tuples, exhausted)
+        self._lock = threading.Lock()
+
+    def paths(self, src: str, dst: str, k: int, scheme: WeightScheme) -> tuple:
+        """Node tuples of up to k shortest src-dst paths under scheme, in rank order."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        key = (src, dst, scheme)
+        with self._lock:
+            self.queries += 1
+            known = self._memo.get(key)
+            if known is not None and (len(known[0]) >= k or known[1]):
+                return known[0][:k]
+            self.yen_runs += 1
+        found = tuple(p.nodes for p in yen_k_shortest(self.graph, src, dst, k, scheme,
+                                                      table=self._tables[scheme]))
+        exhausted = len(found) < k  # then found is every path there is
+        with self._lock:
+            known = self._memo.get(key)  # another thread may have stored a longer list
+            if known is None or len(found) > len(known[0]) or exhausted:
+                self._memo[key] = (found, exhausted)
+        return found
+
+
+def _finder_for(graph, finder):
+    if finder is None:
+        return PathFinder(graph)
+    if finder.graph is not graph:
+        raise ValueError("finder was built for a different graph")
+    return finder
+
+
 DEFAULT_SCHEMES = (WeightScheme.HOP, WeightScheme.INV_EGR, WeightScheme.INV_EGR_SQ)
+
+# Greedy baselines by name: each takes the top p_max paths of one scheme.
+BASELINE_SCHEMES = {
+    "hop": WeightScheme.HOP,
+    "inv-egr": WeightScheme.INV_EGR,
+    "inv-egr-sq": WeightScheme.INV_EGR_SQ,
+}
 
 
 def build_candidate_set(graph: NetworkGraph, user_pair, k: int = 5,
-                        schemes=DEFAULT_SCHEMES):
+                        schemes=DEFAULT_SCHEMES, *, finder: PathFinder | None = None):
     """Deduplicated union of per-scheme k-shortest paths for one user pair.
 
     Order is stable: scheme order, then rank within scheme; duplicates keep
-    their first occurrence. At most len(schemes)*k entries.
+    their first occurrence. At most len(schemes)*k entries. finder: a
+    PathFinder of graph to share; a fresh one is used when absent.
     """
-    pair_key = user_pair.key
-    out = []
-    seen = set()
+    finder = _finder_for(graph, finder)
+    src, dst = user_pair.endpoints
+    unique = {}  # node tuple -> None, in first-occurrence order
     for scheme in schemes:
-        for path in yen_k_shortest(graph, user_pair.endpoints[0], user_pair.endpoints[1],
-                                   k, scheme, pair_key):
-            if path.link_keys not in seen:
-                seen.add(path.link_keys)
-                out.append(path)
-    return out
+        unique.update(dict.fromkeys(finder.paths(src, dst, k, scheme)))
+    return [path_from_nodes(graph, user_pair.key, nodes) for nodes in unique]
 
 
-def build_candidate_sets(graph, workload, k=5, schemes=DEFAULT_SCHEMES):
+def build_candidate_sets(graph, workload, k=5, schemes=DEFAULT_SCHEMES, *, finder=None):
     """Candidate sets for every pair in the workload; pairs may map to []."""
-    return {pair.key: build_candidate_set(graph, pair, k, schemes) for pair in workload.user_pairs}
+    finder = _finder_for(graph, finder)
+    return {pair.key: build_candidate_set(graph, pair, k, schemes, finder=finder)
+            for pair in workload.user_pairs}
 
 
 def baseline_selection(graph, workload, candidates, scheme: WeightScheme,
-                       p_max: int = 3, strategy_index: int = 0, catalog=None):
+                       p_max: int = 3, strategy_index: int = 0, catalog=None, *,
+                       finder: PathFinder | None = None):
     """Greedy baseline: per pair, the top p_max paths of one weight scheme,
     all using one fixed distillation strategy.
 
     candidates must have been built with the scheme included and k >= p_max,
-    so every baseline path is locatable in the pair's candidate list.
+    so every baseline path is locatable in the pair's candidate list. Pass
+    the finder that built them to reuse its searches.
     Returns {pair_key: [(CandidatePath, DistillationStrategy), ...]}.
     """
+    finder = _finder_for(graph, finder)
     selection = {}
     for pair in workload.user_pairs:
         cands = candidates.get(pair.key, [])
         if not cands:
             continue
-        by_links = {p.link_keys: p for p in cands}
+        by_nodes = {p.nodes: p for p in cands}
         picks = []
-        for path in yen_k_shortest(graph, pair.endpoints[0], pair.endpoints[1],
-                                   p_max, scheme, pair.key):
-            hit = by_links.get(path.link_keys)
+        for nodes in finder.paths(pair.endpoints[0], pair.endpoints[1], p_max, scheme):
+            hit = by_nodes.get(nodes)
             if hit is None:
                 raise ValueError(
                     f"baseline path for pair {pair.key} missing from its candidate set; "

@@ -248,7 +248,14 @@ class PolicyNetwork:
             W += g
         for b, g in zip(self.biases, grads_b):
             b += g
-        for W in self.weights:
+        self.check_finite(columns)
+
+    def check_finite(self, columns=None):
+        """Raise DivergenceError if a parameter is NaN or infinite. columns
+        limits the scan of W0 to those columns (the ones a compact update
+        changed); every other layer and every bias is always scanned."""
+        first = self.weights[0] if columns is None else self.weights[0][:, columns]
+        for W in [first, *self.weights[1:]]:
             if not np.all(np.isfinite(W)):
                 raise DivergenceError("policy weights diverged to non-finite values")
         for b in self.biases:
@@ -373,6 +380,8 @@ def train(policy: PolicyNetwork, problem: RlProblem, config: TrainConfig, enviro
     environment(selection) -> W-EGR reward. Returns (policy, reward_trace,
     baseline_table) with one mean-reward entry per epoch.
     """
+    # updates scan only the columns they change, so scan everything once here
+    policy.check_finite()
     baseline = BaselineTable()
     state = problem.state_key()
     trace = []

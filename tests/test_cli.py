@@ -305,6 +305,23 @@ def test_report_sweep_fairness_and_rerun(tmp_path):
         assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_report_manifest_counts_path_searches(tmp_path):
+    # 4 points x 2 pairs: 3 candidate queries and 1 baseline query each, all
+    # answered by 6 Yen runs at the first point (serial, so the counts are exact)
+    topo, wlf = _triangle_files(tmp_path)
+    cfg = _config(tmp_path, "report.json", _base(topo, wlf),
+                  optimizer="baseline-hop", repetitions=2,
+                  sweep={"axis": "p_max", "values": [1, 2]})
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = _manifest(out)
+    assert manifest["path_queries"] == 32
+    assert manifest["yen_runs"] == 6
+    for name in manifest["outputs"]:
+        assert "yen_runs" not in (out / name).read_text()
+        assert "path_queries" not in (out / name).read_text()
+
+
 def test_report_single_pair_skips_fairness(tmp_path):
     topo, _ = _triangle_files(tmp_path)
     wl = Workload(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from qvpn.harness import (
     save_selection,
     scenario_hash,
 )
-from qvpn.pathfinding import path_from_nodes
+from qvpn.pathfinding import PathFinder, build_candidate_sets, path_from_nodes
 from qvpn.quantum_math import DistillationStrategy, default_strategy_catalog
 from qvpn.rl_optimizer import TrainConfig
 from qvpn.topology import NetworkGraph, NodeSpec
@@ -182,6 +183,56 @@ def test_run_scenario_ga_threaded_matches_serial():
         assert a.trace.best_fitness == b.trace.best_fitness
         assert a.trace.mean_fitness == b.trace.mean_fitness
         assert save_selection(a.selection) == save_selection(b.selection)
+
+
+def _point_view(point):
+    return (point.axis_value, point.seed, point.status, point.wegr,
+            save_selection(point.selection))
+
+
+def test_shared_path_finder_changes_no_point():
+    # one finder shared by every point and both threads, one shared serially,
+    # and a fresh finder per point must give the same sweep
+    net50 = bundled_topology()
+    sc = Scenario(name="share", graph=net50,
+                  workload_params=WorkloadParams(num_orgs=3, pairs_per_org=4, r_min=0.0),
+                  optimizer="baseline-inv-egr", sweep_axis="pairs_per_org",
+                  sweep_values=(4, 8, 12), repetitions=2, seeds=(3, 4),
+                  catalog=tuple(default_strategy_catalog(4)))
+    finder = PathFinder(net50)
+    threaded = run_scenario(sc, max_workers=2, finder=finder)
+    serial = run_scenario(sc, max_workers=1)
+    fresh = [run_scenario(replace(sc, sweep_values=(p.axis_value,), repetitions=1,
+                                  seeds=(p.seed,))).points[0]
+             for p in serial.points]
+    want = [_point_view(p) for p in fresh]
+    assert all(p.status == "optimal" for p in fresh)
+    assert [_point_view(p) for p in serial.points] == want
+    assert [_point_view(p) for p in threaded.points] == want
+    # later points reuse earlier searches: pairs_per_org=4 pairs recur at 8 and 12
+    assert finder.yen_runs < finder.queries
+
+
+def test_k_below_p_max_still_errors_with_a_warm_finder():
+    # the memo holds 8 paths per scheme for every pair, but a k=1 or k=2
+    # point must still see only its k paths and fail as it does without one
+    net50 = bundled_topology()
+    sc = Scenario(name="k", graph=net50,
+                  workload_params=WorkloadParams(num_orgs=2, pairs_per_org=4, r_min=0.0),
+                  optimizer="baseline-inv-egr", sweep_axis="k", sweep_values=(1, 2, 3),
+                  p_max=3, catalog=tuple(default_strategy_catalog(4)))
+    finder = PathFinder(net50)
+    build_candidate_sets(net50, point_workload(sc, 1, 0), k=8, finder=finder)
+    runs = finder.yen_runs
+    warm = run_scenario(sc, finder=finder)
+    assert finder.yen_runs == runs  # every query was answered from the memo
+    cold = run_scenario(sc)
+    message = ("ValueError: baseline path for pair ('org1', 'n06', 'n23') missing from "
+               "its candidate set; build candidates with this scheme and k >= p_max")
+    for result in (warm, cold):
+        assert [p.status for p in result.points] == ["error", "error", "optimal"]
+        assert [p.error for p in result.points[:2]] == [message, message]
+    assert warm.points[2].wegr == cold.points[2].wegr
 
 
 def test_run_scenario_records_errors_and_continues(triangle, one_pair_workload):

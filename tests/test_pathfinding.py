@@ -1,10 +1,14 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from qvpn.fixtures import TOPOLOGY_10, bundled_topology
 from qvpn.oracles import enumerate_simple_paths
 from qvpn.pathfinding import (
+    PathFinder,
     WeightScheme,
     baseline_selection,
     build_candidate_set,
@@ -133,6 +137,123 @@ def test_yen_agrees_with_exhaustive_enumeration():
             for path, want in zip(got, costs):
                 have = sum(weights[lk] for lk in path.link_keys)
                 assert have == pytest.approx(want, rel=1e-12)
+
+
+def test_yen_prefix_property_on_net50():
+    # the PathFinder memo answers k=j from a longer list: Yen's first j
+    # paths for k=8 must be exactly its paths for k=j
+    g = bundled_topology()
+    ids = sorted(n.id for n in g.user_nodes())
+    rng = np.random.default_rng(2023)
+    pairs = set()
+    while len(pairs) < 100:
+        a, b = rng.choice(len(ids), size=2, replace=False)
+        pairs.add((ids[a], ids[b]))
+    lengths = []
+    for src, dst in sorted(pairs):
+        for scheme in WeightScheme:
+            full = [p.nodes for p in yen_k_shortest(g, src, dst, 8, scheme)]
+            lengths.append(len(full))
+            for j in range(1, 8):
+                assert [p.nodes for p in yen_k_shortest(g, src, dst, j, scheme)] == full[:j]
+    # most endpoint pairs have 8 paths; the rest check exhausted searches
+    assert lengths.count(8) > len(lengths) // 2
+
+
+def test_path_finder_serves_prefixes_from_its_memo():
+    g = _grid_graph()
+    finder = PathFinder(g)
+    want = [p.nodes for p in yen_k_shortest(g, "g00", "g12", 4, WeightScheme.HOP)]
+    assert list(finder.paths("g00", "g12", 4, WeightScheme.HOP)) == want
+    assert list(finder.paths("g00", "g12", 2, WeightScheme.HOP)) == want[:2]
+    assert (finder.queries, finder.yen_runs) == (2, 1)
+    # a longer query runs Yen again; the other direction and scheme are new keys
+    longer = finder.paths("g00", "g12", 5, WeightScheme.HOP)
+    assert list(longer[:4]) == want
+    finder.paths("g12", "g00", 2, WeightScheme.HOP)
+    finder.paths("g00", "g12", 2, WeightScheme.INV_EGR)
+    assert (finder.queries, finder.yen_runs) == (5, 4)
+
+
+def test_path_finder_remembers_exhausted_searches(triangle):
+    finder = PathFinder(triangle)
+    assert finder.paths("A", "B", 10, WeightScheme.HOP) == (("A", "B"), ("A", "C", "B"))
+    # the graph has only two A-B paths, so no k needs a new search
+    assert finder.paths("A", "B", 50, WeightScheme.HOP) == (("A", "B"), ("A", "C", "B"))
+    assert finder.paths("A", "B", 1, WeightScheme.HOP) == (("A", "B"),)
+    assert finder.yen_runs == 1
+
+
+def test_path_finder_argument_errors(triangle):
+    finder = PathFinder(triangle)
+    finder.paths("A", "B", 3, WeightScheme.HOP)
+    with pytest.raises(ValueError, match="k must be"):
+        finder.paths("A", "B", 0, WeightScheme.HOP)
+    with pytest.raises(ValueError, match="unknown node"):
+        finder.paths("A", "Z", 2, WeightScheme.HOP)
+    pair = make_pair("org0", "A", "B")
+    with pytest.raises(ValueError, match="different graph"):
+        build_candidate_set(_grid_graph(), pair, k=2, finder=finder)
+
+
+def test_path_finder_under_thread_contention():
+    # 8 threads on 2 cores, switching every microsecond: every answer must
+    # equal a serial search, no query may go uncounted, and the memo must
+    # end up holding each key's longest list
+    g = bundled_topology(TOPOLOGY_10)
+    ids = sorted(n.id for n in g.user_nodes())
+    keys = [(a, b, scheme) for a in ids[:4] for b in ids[4:8] for scheme in WeightScheme]
+    want = {key: [p.nodes for p in yen_k_shortest(g, key[0], key[1], 6, key[2])]
+            for key in keys}
+    queries = [(key, k) for key in keys for k in range(1, 7)]
+    finder = PathFinder(g)
+    errors = []
+
+    def worker(seed):
+        try:
+            for i in np.random.default_rng(seed).permutation(len(queries)):
+                (src, dst, scheme), k = queries[i]
+                if list(finder.paths(src, dst, k, scheme)) != want[(src, dst, scheme)][:k]:
+                    errors.append((src, dst, scheme, k))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert finder.queries == 8 * len(queries)
+    runs = finder.yen_runs
+    for src, dst, scheme in keys:
+        finder.paths(src, dst, 6, scheme)
+    assert finder.yen_runs == runs
+
+
+def test_shared_finder_gives_the_same_candidates_and_baselines():
+    g = _grid_graph()
+    org = Organization("org0", 1.0)
+    pairs = (make_pair("org0", "g00", "g12"), make_pair("org0", "g01", "g10"))
+    wl = Workload(organizations=(org,), user_pairs=pairs, seed=0)
+    catalog = default_strategy_catalog()
+    finder = PathFinder(g)
+    finder.paths("g00", "g12", 8, WeightScheme.INV_EGR)  # memo longer than k
+    for k in (3, 1, 4):
+        shared = build_candidate_sets(g, wl, k=k, finder=finder)
+        fresh = build_candidate_sets(g, wl, k=k)
+        assert shared == fresh
+        p_max = min(k, 2)
+        for scheme in WeightScheme:
+            assert baseline_selection(g, wl, shared, scheme, p_max=p_max, catalog=catalog,
+                                      finder=finder) == \
+                baseline_selection(g, wl, fresh, scheme, p_max=p_max, catalog=catalog)
 
 
 def test_path_from_nodes_fields(triangle):

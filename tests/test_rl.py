@@ -245,6 +245,50 @@ def test_apply_update_detects_divergence(triangle):
         policy.apply_update(grads_w, grads_b, 10.0)
 
 
+def _compact_grads(policy, columns):
+    grads_w = [np.zeros((policy.weights[0].shape[0], columns.size)),
+               *(np.zeros_like(w) for w in policy.weights[1:])]
+    return grads_w, [np.zeros_like(b) for b in policy.biases]
+
+
+def test_compact_update_detects_divergence_in_active_columns(triangle):
+    prob = _multi_problem(triangle)
+    policy = PolicyNetwork.init(prob, hidden=(6,), seed=0)
+    columns = np.flatnonzero(prob.encode_state())
+    grads_w, grads_b = _compact_grads(policy, columns)
+    grads_w[0][2, 1] = np.nan
+    with pytest.raises(DivergenceError, match="weights"):
+        policy.apply_update(grads_w, grads_b, 0.1, columns)
+
+
+def test_dense_update_detects_divergence_in_any_column(triangle):
+    prob = _multi_problem(triangle)
+    policy = PolicyNetwork.init(prob, hidden=(6,), seed=0)
+    inactive = np.flatnonzero(prob.encode_state() == 0)
+    grads_w = [np.zeros_like(w) for w in policy.weights]
+    grads_b = [np.zeros_like(b) for b in policy.biases]
+    grads_w[0][0, inactive[-1]] = np.inf
+    with pytest.raises(DivergenceError, match="weights"):
+        policy.apply_update(grads_w, grads_b, 0.1)
+
+
+def test_train_rejects_non_finite_policy_before_first_epoch(triangle):
+    # updates scan only the first-layer columns they touch, so a non-finite
+    # weight in a column the state never reads (a bad loaded policy.bin)
+    # must be caught when training starts
+    prob = _multi_problem(triangle)
+    policy = PolicyNetwork.init(prob, hidden=(6,), seed=0)
+    inactive = np.flatnonzero(prob.encode_state() == 0)
+    policy.weights[0][3, inactive[0]] = np.nan
+    policy = load_policy(save_policy(policy))
+    assert np.all(np.isfinite(policy.forward(prob.encode_state())[0]))
+    calls = []
+    with pytest.raises(DivergenceError, match="weights"):
+        train(policy, prob, TrainConfig(epochs=1, batch_size=1),
+              lambda selection: calls.append(selection) or 1.0)
+    assert calls == []
+
+
 def test_sampling_rejects_non_finite_probabilities(triangle):
     # finite weights can still overflow in forward; the sampler must name it
     prob = _multi_problem(triangle)
