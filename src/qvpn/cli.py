@@ -18,23 +18,18 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from .topology import load_topology, engineer_repeaters
 from .quantum_math import (
     default_strategy_catalog,
     load_strategy_catalog,
 )
-from .pathfinding import (
-    BASELINE_SCHEMES,
-    PathFinder,
-    build_candidate_sets,
-    baseline_selection,
-    nearest_strategy_index,
-)
+from .pathfinding import BASELINE_SCHEMES, PathFinder, build_candidate_sets
 from .workload import WorkloadParams, generate_workload, load_workload
-from .allocation_lp import LpCompiler, build_problem, lp_backend, solve
+from .allocation_lp import build_problem, lp_backend, solve
 from . import ga_optimizer as ga
 from . import rl_optimizer as rl
 from .harness import (
@@ -45,6 +40,7 @@ from .harness import (
     point_workload,
     run_scenario,
     save_selection,
+    search,
 )
 
 
@@ -59,14 +55,10 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    try:
-        import numpy as np
-        if isinstance(value, (np.floating, np.integer)):
-            return repr(float(value)) if isinstance(value, np.floating) else str(int(value))
-    except ImportError:
-        pass
+    if isinstance(value, np.integer):
+        return str(int(value))
     text = str(value)
     if "," in text or "\n" in text:
         raise ValueError(f"CSV cell may not contain commas or newlines: {text!r}")
@@ -86,11 +78,11 @@ def _write_manifest(out_dir: Path, payload: dict):
     (out_dir / "manifest.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _write_plot(out_dir: Path, name: str, script: str, enabled: bool):
-    if not enabled:
-        return None
-    (out_dir / name).write_text(script)
-    return name
+def _write_plot(out_dir: Path, outputs: list, config: dict, name: str, script: str):
+    """Write a gnuplot script and list it in outputs, if the config emits plots."""
+    if config.get("emit_plots", False):
+        (out_dir / name).write_text(_GNUPLOT_PRELUDE + script)
+        outputs.append(name)
 
 
 _GNUPLOT_PRELUDE = (
@@ -152,16 +144,21 @@ def _workload_params(config) -> WorkloadParams:
         raise ConfigError(f"bad workload_params: {exc}") from None
 
 
-def _load_workload(config, graph, hasher):
+def _workload_source(config, hasher):
+    """(workload read from its file, None) or (None, generator parameters)."""
     has_file = "workload" in config
-    has_params = "workload_params" in config
-    if has_file == has_params:
+    if has_file == ("workload_params" in config):
         raise ConfigError("config needs exactly one of \"workload\" / \"workload_params\"")
     if has_file:
-        return load_workload(_read_ref(config, "workload", hasher))
+        return load_workload(_read_ref(config, "workload", hasher)), None
     params = _workload_params(config)
     hasher.update(f"\n--workload_params--\n{params!r}".encode())
-    return generate_workload(graph, params, config["seed"])
+    return None, params
+
+
+def _load_workload(config, graph, hasher):
+    workload, params = _workload_source(config, hasher)
+    return workload if params is None else generate_workload(graph, params, config["seed"])
 
 
 def _load_catalog(config, hasher):
@@ -177,13 +174,30 @@ def _load_catalog(config, hasher):
     return tuple(catalog)
 
 
+def _optimizer_config(config, name: str, cls):
+    """The config's `name` block as a cls (GaConfig / TrainConfig), None when
+    absent or empty. The top-level seed seeds the search, so the block may
+    not carry its own."""
+    raw = config.get(name) or {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} block must be a JSON object")
+    if "seed" in raw:
+        raise ConfigError(f"{name} block may not carry its own seed; use the top-level seed")
+    if not raw:
+        return None
+    try:
+        return cls(**raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {name} block: {exc}") from None
+
+
 def _hasher(config) -> "hashlib._Hash":
     h = hashlib.sha256()
     h.update(json.dumps(config, sort_keys=True).encode())
     return h
 
 
-def _rates_outputs(out_dir, workload, selection, solution, config_hash, emit_plots):
+def _rates_outputs(out_dir, config, workload, selection, solution, config_hash):
     rate_rows = []
     for pair_key in sorted(selection):
         org, a, b = pair_key
@@ -203,13 +217,12 @@ def _rates_outputs(out_dir, workload, selection, solution, config_hash, emit_plo
                               ("org", "src", "dst", "demand_weight", "fidelity_threshold",
                                "true_egr"),
                               pair_rows, config_hash))
-    plot = _write_plot(out_dir, "rates.gp", _GNUPLOT_PRELUDE + (
-        "set style data histograms\nset style fill solid 0.7\n"
-        "set xtics rotate by -45\nset ylabel 'true EGR (EPR/s)'\n"
-        "plot 'pairs.csv' using 6:xtic(stringcolumn(1).'-'.stringcolumn(2).'-'.stringcolumn(3)) "
-        "title 'true EGR'\n"), emit_plots)
-    if plot:
-        outputs.append(plot)
+    _write_plot(out_dir, outputs, config, "rates.gp",
+                "set style data histograms\nset style fill solid 0.7\n"
+                "set xtics rotate by -45\nset ylabel 'true EGR (EPR/s)'\n"
+                "plot 'pairs.csv' using "
+                "6:xtic(stringcolumn(1).'-'.stringcolumn(2).'-'.stringcolumn(3)) "
+                "title 'true EGR'\n")
     return outputs
 
 
@@ -223,12 +236,9 @@ def cmd_capacity(config, out_dir):
                           ("src", "dst", "length_km", "multiplex", "alpha", "base_fidelity",
                            "capacity_eprps"),
                           rows, config_hash)]
-    plot = _write_plot(out_dir, "links.gp", _GNUPLOT_PRELUDE + (
-        "set xlabel 'length (km)'\nset ylabel 'capacity (EPR/s)'\nset logscale y\n"
-        "plot 'links.csv' using 3:7 with points pt 7 title 'links'\n"),
-        config.get("emit_plots", False))
-    if plot:
-        outputs.append(plot)
+    _write_plot(out_dir, outputs, config, "links.gp",
+                "set xlabel 'length (km)'\nset ylabel 'capacity (EPR/s)'\nset logscale y\n"
+                "plot 'links.csv' using 3:7 with points pt 7 title 'links'\n")
     return {
         "config_hash": config_hash,
         "num_nodes": len(graph.nodes),
@@ -262,11 +272,6 @@ def cmd_paths(config, out_dir):
     }
 
 
-def _solve_selection(graph, workload, selection, p_max):
-    problem = build_problem(graph, workload, selection, p_max=p_max)
-    return solve(problem)
-
-
 def cmd_allocate(config, out_dir):
     hasher = _hasher(config)
     graph = _load_graph(config, hasher)
@@ -282,23 +287,19 @@ def cmd_allocate(config, out_dir):
             raise ConfigError(f"cannot read selection file {sel_path!r}: {exc}") from None
         hasher.update(b"\n--selection--\n" + text.encode())
         selection = load_selection(text, graph)
+        solution = solve(build_problem(graph, workload, selection, p_max=p_max))
     elif "baseline" in source:
-        scheme = BASELINE_SCHEMES.get(source["baseline"])
-        if scheme is None:
+        if source["baseline"] not in BASELINE_SCHEMES:
             raise ConfigError(f"unknown baseline {source['baseline']!r}, "
                               f"expected one of {sorted(BASELINE_SCHEMES)}")
-        finder = PathFinder(graph)
-        candidates = build_candidate_sets(graph, workload, k=config.get("k", 5),
-                                          finder=finder)
-        idx = nearest_strategy_index(catalog, source.get("threshold", 0.992))
-        selection = baseline_selection(graph, workload, candidates, scheme, p_max=p_max,
-                                       strategy_index=idx, catalog=catalog, finder=finder)
+        result = search(graph, workload, f"baseline-{source['baseline']}", config["seed"],
+                        k=config.get("k", 5), p_max=p_max, catalog=catalog,
+                        baseline_threshold=source.get("threshold", 0.992))
+        selection, solution = result.selection, result.solution
     else:
         raise ConfigError("source must contain \"selection\" (file) or \"baseline\" (scheme)")
     config_hash = hasher.hexdigest()
-    solution = _solve_selection(graph, workload, selection, p_max)
-    outputs = _rates_outputs(out_dir, workload, selection, solution, config_hash,
-                             config.get("emit_plots", False))
+    outputs = _rates_outputs(out_dir, config, workload, selection, solution, config_hash)
     return {
         "config_hash": config_hash,
         "status": solution.status,
@@ -312,52 +313,32 @@ def cmd_ga(config, out_dir):
     graph = _load_graph(config, hasher)
     workload = _load_workload(config, graph, hasher)
     catalog = _load_catalog(config, hasher)
-    p_max = config.get("p_max", 3)
-    k = config.get("k", 5)
-    raw = dict(config.get("ga", {}))
-    if "seed" in raw:
-        raise ConfigError("ga block may not carry its own seed; use the top-level seed")
-    try:
-        ga_config = replace(ga.GaConfig(**raw), seed=config["seed"])
-    except TypeError as exc:
-        raise ConfigError(f"bad ga block: {exc}") from None
+    ga_config = _optimizer_config(config, "ga", ga.GaConfig) or ga.GaConfig()
     config_hash = hasher.hexdigest()
 
-    finder = PathFinder(graph)
-    candidates = build_candidate_sets(graph, workload, k=k, finder=finder)
-    problem = ga.GaProblem(graph, workload, candidates, catalog, p_max=p_max)
-    idx = nearest_strategy_index(catalog, config.get("baseline_threshold", 0.992))
-    heuristics = [
-        baseline_selection(graph, workload, candidates, scheme, p_max=p_max,
-                           strategy_index=idx, catalog=catalog, finder=finder)
-        for scheme in BASELINE_SCHEMES.values()
-    ]
-    population = ga.initialize_population(problem, ga_config, seed_heuristics=heuristics)
-    trace = ga.evolve(population, ga_config, problem)
-    selection = problem.decode(trace.best_genome)
-    solution = _solve_selection(graph, workload, selection, p_max)
-
+    result = search(graph, workload, "ga", config["seed"], k=config.get("k", 5),
+                    p_max=config.get("p_max", 3), catalog=catalog,
+                    baseline_threshold=config.get("baseline_threshold", 0.992),
+                    ga_config=ga_config)
+    trace = result.trace
     trace_rows = list(zip(range(len(trace.best_fitness)), trace.best_fitness,
                           trace.mean_fitness))
     outputs = [_write_csv(out_dir, "trace.csv",
                           ("generation", "best_wegr", "mean_fitness"),
                           trace_rows, config_hash)]
-    (out_dir / "selection.txt").write_text(save_selection(selection))
+    (out_dir / "selection.txt").write_text(save_selection(result.selection))
     outputs.append("selection.txt")
-    outputs.extend(_rates_outputs(out_dir, workload, selection, solution, config_hash,
-                                  config.get("emit_plots", False)))
-    plot = _write_plot(out_dir, "trace.gp", _GNUPLOT_PRELUDE + (
-        "set xlabel 'generation'\nset ylabel 'W-EGR'\n"
-        "plot 'trace.csv' using 1:2 with lines lw 2 title 'best', "
-        "'trace.csv' using 1:3 with lines title 'population mean'\n"),
-        config.get("emit_plots", False))
-    if plot:
-        outputs.append(plot)
+    outputs.extend(_rates_outputs(out_dir, config, workload, result.selection,
+                                  result.solution, config_hash))
+    _write_plot(out_dir, outputs, config, "trace.gp",
+                "set xlabel 'generation'\nset ylabel 'W-EGR'\n"
+                "plot 'trace.csv' using 1:2 with lines lw 2 title 'best', "
+                "'trace.csv' using 1:3 with lines title 'population mean'\n")
     return {
         "config_hash": config_hash,
-        "status": solution.status,
+        "status": result.solution.status,
         "wegr": trace.best_wegr,
-        "lp_solves": trace.lp_solves,
+        "lp_solves": result.lp_solves,
         "generations": ga_config.generations,
         "seconds": trace.seconds,
         "outputs": outputs,
@@ -369,49 +350,30 @@ def cmd_rl(config, out_dir):
     graph = _load_graph(config, hasher)
     workload = _load_workload(config, graph, hasher)
     catalog = _load_catalog(config, hasher)
-    p_max = config.get("p_max", 3)
-    k = config.get("k", 5)
-    hidden = tuple(config.get("hidden", (128,)))
-    raw = dict(config.get("rl", {}))
-    if "seed" in raw:
-        raise ConfigError("rl block may not carry its own seed; use the top-level seed")
-    try:
-        rl_config = replace(rl.TrainConfig(**raw), seed=config["seed"])
-    except TypeError as exc:
-        raise ConfigError(f"bad rl block: {exc}") from None
+    rl_config = _optimizer_config(config, "rl", rl.TrainConfig) or rl.TrainConfig()
     config_hash = hasher.hexdigest()
 
-    candidates = build_candidate_sets(graph, workload, k=k)
-    problem = rl.RlProblem(workload, candidates, catalog[0], p_max=p_max)
-    environment = rl.cached_reward(LpCompiler(graph, workload, p_max=p_max))
-    start = time.perf_counter()
-    policy = rl.PolicyNetwork.init(problem, hidden=hidden, seed=config["seed"])
-    _, trace, _ = rl.train(policy, problem, rl_config, environment)
-    seconds = time.perf_counter() - start
-    selection = rl.greedy_selection(policy, problem)
-    solution = _solve_selection(graph, workload, selection, p_max)
-
+    result = search(graph, workload, "rl", config["seed"], k=config.get("k", 5),
+                    p_max=config.get("p_max", 3), catalog=catalog, rl_config=rl_config,
+                    hidden=tuple(config.get("hidden", (128,))))
     outputs = [_write_csv(out_dir, "trace.csv", ("epoch", "mean_reward"),
-                          list(zip(range(len(trace)), trace)), config_hash)]
-    (out_dir / "selection.txt").write_text(save_selection(selection))
+                          list(zip(range(len(result.trace)), result.trace)), config_hash)]
+    (out_dir / "selection.txt").write_text(save_selection(result.selection))
     outputs.append("selection.txt")
-    (out_dir / "policy.bin").write_bytes(rl.save_policy(policy))
+    (out_dir / "policy.bin").write_bytes(rl.save_policy(result.policy))
     outputs.append("policy.bin")
-    outputs.extend(_rates_outputs(out_dir, workload, selection, solution, config_hash,
-                                  config.get("emit_plots", False)))
-    plot = _write_plot(out_dir, "trace.gp", _GNUPLOT_PRELUDE + (
-        "set xlabel 'epoch'\nset ylabel 'mean reward (W-EGR)'\n"
-        "plot 'trace.csv' using 1:2 with lines lw 2 title 'reward'\n"),
-        config.get("emit_plots", False))
-    if plot:
-        outputs.append(plot)
+    outputs.extend(_rates_outputs(out_dir, config, workload, result.selection,
+                                  result.solution, config_hash))
+    _write_plot(out_dir, outputs, config, "trace.gp",
+                "set xlabel 'epoch'\nset ylabel 'mean reward (W-EGR)'\n"
+                "plot 'trace.csv' using 1:2 with lines lw 2 title 'reward'\n")
     return {
         "config_hash": config_hash,
-        "status": solution.status,
-        "wegr": solution.wegr,
-        "lp_solves": len(environment.cache),
+        "status": result.solution.status,
+        "wegr": result.solution.wegr,
+        "lp_solves": result.lp_solves,
         "epochs": rl_config.epochs,
-        "seconds": seconds,
+        "seconds": result.seconds,
         "outputs": outputs,
     }
 
@@ -420,28 +382,16 @@ def cmd_report(config, out_dir):
     hasher = _hasher(config)
     graph = _load_graph(config, hasher)
     catalog = _load_catalog(config, hasher)
-    workload = None
-    params = None
-    if "workload" in config:
-        workload = load_workload(_read_ref(config, "workload", hasher))
-    elif "workload_params" in config:
-        params = _workload_params(config)
-        hasher.update(f"\n--workload_params--\n{params!r}".encode())
-    else:
-        raise ConfigError("config needs one of \"workload\" / \"workload_params\"")
-
-    sweep = config.get("sweep")
-    axis = values = None
-    if sweep is not None:
-        axis = sweep.get("axis")
-        values = tuple(sweep.get("values", ()))
+    workload, params = _workload_source(config, hasher)
+    sweep = config.get("sweep") or {}
     repetitions = config.get("repetitions", 1)
     seeds = tuple(config.get("seeds", range(config["seed"], config["seed"] + repetitions)))
 
-    raw_ga = dict(config.get("ga", {}))
-    raw_rl = dict(config.get("rl", {}))
-    if "seed" in raw_ga or "seed" in raw_rl:
-        raise ConfigError("ga/rl blocks may not carry their own seed")
+    if "hidden" in config:
+        raise ConfigError("report trains the default (128,) policy; "
+                          "\"hidden\" is read by `qvpn rl` only")
+    ga_config = _optimizer_config(config, "ga", ga.GaConfig)
+    rl_config = _optimizer_config(config, "rl", rl.TrainConfig)
     try:
         scenario = Scenario(
             name=config.get("name", "report"),
@@ -449,10 +399,10 @@ def cmd_report(config, out_dir):
             workload=workload,
             workload_params=params,
             optimizer=config.get("optimizer", "baseline-hop"),
-            ga_config=ga.GaConfig(**raw_ga) if raw_ga else None,
-            rl_config=rl.TrainConfig(**raw_rl) if raw_rl else None,
-            sweep_axis=axis,
-            sweep_values=values if values else (),
+            ga_config=ga_config,
+            rl_config=rl_config,
+            sweep_axis=sweep.get("axis"),
+            sweep_values=tuple(sweep.get("values", ())),
             repetitions=repetitions,
             seeds=seeds,
             k=config.get("k", 5),
@@ -466,21 +416,19 @@ def cmd_report(config, out_dir):
 
     finder = PathFinder(graph)
     result = run_scenario(scenario, max_workers=config.get("max_workers", 1), finder=finder)
+    # a CSV cell holds no commas or newlines; the manifest keeps the full error
     sweep_rows = [
         (p.axis_value if p.axis_value is not None else "", p.repetition, p.seed,
-         p.status, p.wegr, p.error or "")
+         p.status, p.wegr, (p.error or "").replace(",", ";").replace("\n", " "))
         for p in result.points
     ]
     comments = (f"scenario_hash={result.config_hash}",)
     outputs = [_write_csv(out_dir, "sweep.csv",
                           ("axis_value", "repetition", "seed", "status", "wegr", "error"),
                           sweep_rows, config_hash, comments)]
-    plot = _write_plot(out_dir, "sweep.gp", _GNUPLOT_PRELUDE + (
-        f"set xlabel '{axis or 'run'}'\nset ylabel 'W-EGR'\n"
-        "plot 'sweep.csv' using 1:5 with linespoints lw 2 title 'W-EGR'\n"),
-        config.get("emit_plots", False))
-    if plot:
-        outputs.append(plot)
+    _write_plot(out_dir, outputs, config, "sweep.gp",
+                f"set xlabel '{scenario.sweep_axis or 'run'}'\nset ylabel 'W-EGR'\n"
+                "plot 'sweep.csv' using 1:5 with linespoints lw 2 title 'W-EGR'\n")
 
     manifest = {
         "config_hash": config_hash,
@@ -531,14 +479,11 @@ def cmd_report(config, out_dir):
                     config_hash))
                 manifest["total_wegr"] = report.total_wegr
                 manifest["zero_rate_pairs"] = report.zero_rate_pairs
-                plot = _write_plot(out_dir, "fairness.gp", _GNUPLOT_PRELUDE + (
-                    "set xlabel 'user pair (descending true EGR)'\n"
-                    "set ylabel 'EPR/s'\nset logscale y\n"
-                    "plot 'fairness.csv' using 0:4 with steps lw 2 title 'true EGR', "
-                    "'fairness.csv' using 0:5 with steps title 'weighted EGR'\n"),
-                    config.get("emit_plots", False))
-                if plot:
-                    outputs.append(plot)
+                _write_plot(out_dir, outputs, config, "fairness.gp",
+                            "set xlabel 'user pair (descending true EGR)'\n"
+                            "set ylabel 'EPR/s'\nset logscale y\n"
+                            "plot 'fairness.csv' using 0:4 with steps lw 2 title 'true EGR', "
+                            "'fairness.csv' using 0:5 with steps title 'weighted EGR'\n")
         else:
             manifest["fairness_skipped"] = f"final point status {final.status!r}"
     return manifest

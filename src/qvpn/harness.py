@@ -1,7 +1,10 @@
-"""Experiment orchestration: scenario sweeps, fairness statistics, Pearson r.
+"""Experiment orchestration: the search pipeline, scenario sweeps, fairness
+statistics, Pearson r.
 
-A Scenario bundles a topology, a workload (explicit or generation parameters),
-an optimizer choice, and one optional sweep axis. run_scenario evaluates every
+search (candidate paths, a baseline / GA / RL selection, one final LP) is
+the pipeline of the CLI commands and of every sweep point. A Scenario
+bundles a topology, a workload (explicit or generation parameters), an
+optimizer choice, and one optional sweep axis. run_scenario evaluates every
 (sweep value, repetition) cell and returns an ordered result bundle stamped
 with a hash of the full configuration. Failures are recorded per point; the
 remaining points still run.
@@ -185,6 +188,72 @@ def point_workload(scenario: Scenario, axis_value, seed):
     return wl
 
 
+@dataclass(frozen=True)
+class SearchResult:
+    selection: dict
+    solution: object  # AllocationSolution of the final solve
+    trace: object  # GaTrace (ga), mean reward per epoch (rl), None (baselines)
+    lp_solves: int  # distinct LPs the search solved, the final solve not counted
+    seconds: float  # the selection search alone
+    policy: object | None = None  # the trained PolicyNetwork (rl)
+
+
+def search(graph: NetworkGraph, workload: Workload, optimizer: str, seed: int, *,
+           k: int, p_max: int, catalog, noise: NoiseParams = DEFAULT_NOISE,
+           baseline_threshold: float = 0.992, ga_config: ga.GaConfig | None = None,
+           rl_config: rl.TrainConfig | None = None, hidden=(128,),
+           finder: PathFinder | None = None) -> SearchResult:
+    """Candidate paths, one selection search, one final LP solve.
+
+    optimizer is one of OPTIMIZERS; the GA starts from the three baselines.
+    seed replaces the seed of ga_config / rl_config (defaults when None) and
+    seeds the RL policy of layer widths `hidden`. Every path query goes to
+    finder (a fresh PathFinder when None). The final solve raises on solver
+    failure.
+    """
+    if optimizer not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {optimizer!r}, expected one of {OPTIMIZERS}")
+    catalog = tuple(catalog)
+    if finder is None:
+        finder = PathFinder(graph)
+    candidates = build_candidate_sets(graph, workload, k=k, finder=finder)
+
+    start = time.perf_counter()
+    trace = policy = None
+    lp_solves = 0
+    if optimizer == "rl":
+        problem = rl.RlProblem(workload, candidates, catalog[0], p_max=p_max)
+        environment = rl.cached_reward(LpCompiler(graph, workload, noise, p_max))
+        policy = rl.PolicyNetwork.init(problem, hidden=hidden, seed=seed)
+        config = replace(rl_config or rl.TrainConfig(), seed=seed)
+        _, trace, _ = rl.train(policy, problem, config, environment)
+        selection = rl.greedy_selection(policy, problem)
+        lp_solves = len(environment.cache)
+    else:
+        idx = nearest_strategy_index(catalog, baseline_threshold)
+
+        def baseline(scheme):
+            return baseline_selection(graph, workload, candidates, scheme, p_max=p_max,
+                                      strategy_index=idx, catalog=catalog, finder=finder)
+
+        if optimizer == "ga":
+            problem = ga.GaProblem(graph, workload, candidates, catalog, noise=noise,
+                                   p_max=p_max)
+            config = replace(ga_config or ga.GaConfig(), seed=seed)
+            heuristics = [baseline(scheme) for scheme in _BASELINE_SCHEMES.values()]
+            population = ga.initialize_population(problem, config, seed_heuristics=heuristics)
+            trace = ga.evolve(population, config, problem)
+            selection = problem.decode(trace.best_genome)
+            lp_solves = trace.lp_solves
+        else:
+            selection = baseline(_BASELINE_SCHEMES[optimizer])
+    seconds = time.perf_counter() - start
+
+    solution = solve(build_problem(graph, workload, selection, noise=noise, p_max=p_max))
+    return SearchResult(selection=selection, solution=solution, trace=trace,
+                        lp_solves=lp_solves, seconds=seconds, policy=policy)
+
+
 def _run_point(scenario: Scenario, axis_value, repetition: int, seed: int,
                finder: PathFinder) -> PointResult:
     start = time.perf_counter()
@@ -195,46 +264,18 @@ def _run_point(scenario: Scenario, axis_value, repetition: int, seed: int,
             raise ValueError(f"strategy count {axis_value} outside catalog of {len(scenario.catalog)}")
         catalog = scenario.catalog[:axis_value]
     else:
-        catalog = tuple(scenario.catalog)
+        catalog = scenario.catalog
 
-    workload = point_workload(scenario, axis_value, seed)
-    candidates = build_candidate_sets(scenario.graph, workload, k=k, finder=finder)
-    trace = None
-
-    if scenario.optimizer in _BASELINE_SCHEMES:
-        idx = nearest_strategy_index(catalog, scenario.baseline_threshold)
-        selection = baseline_selection(
-            scenario.graph, workload, candidates, _BASELINE_SCHEMES[scenario.optimizer],
-            p_max=p_max, strategy_index=idx, catalog=catalog, finder=finder)
-    elif scenario.optimizer == "ga":
-        problem = ga.GaProblem(scenario.graph, workload, candidates, catalog,
-                               noise=scenario.noise, p_max=p_max)
-        config = replace(scenario.ga_config or ga.GaConfig(), seed=seed)
-        idx = nearest_strategy_index(catalog, scenario.baseline_threshold)
-        heuristics = [
-            baseline_selection(scenario.graph, workload, candidates, scheme,
-                               p_max=p_max, strategy_index=idx, catalog=catalog,
-                               finder=finder)
-            for scheme in _BASELINE_SCHEMES.values()
-        ]
-        population = ga.initialize_population(problem, config, seed_heuristics=heuristics)
-        trace = ga.evolve(population, config, problem)
-        selection = problem.decode(trace.best_genome)
-    else:  # "rl"
-        problem = rl.RlProblem(workload, candidates, catalog[0], p_max=p_max)
-        config = replace(scenario.rl_config or rl.TrainConfig(), seed=seed)
-        environment = rl.cached_reward(LpCompiler(scenario.graph, workload, scenario.noise, p_max))
-        policy = rl.PolicyNetwork.init(problem, seed=seed)
-        _, trace, _ = rl.train(policy, problem, config, environment)
-        selection = rl.greedy_selection(policy, problem)
-
-    solution = solve(build_problem(scenario.graph, workload, selection,
-                                   noise=scenario.noise, p_max=p_max))
-    seconds = time.perf_counter() - start
+    result = search(scenario.graph, point_workload(scenario, axis_value, seed),
+                    scenario.optimizer, seed, k=k, p_max=p_max, catalog=catalog,
+                    noise=scenario.noise, baseline_threshold=scenario.baseline_threshold,
+                    ga_config=scenario.ga_config, rl_config=scenario.rl_config,
+                    finder=finder)
     return PointResult(
         axis_value=axis_value, repetition=repetition, seed=seed,
-        status=solution.status, wegr=solution.wegr, seconds=seconds,
-        selection=selection, solution=solution, trace=trace)
+        status=result.solution.status, wegr=result.solution.wegr,
+        seconds=time.perf_counter() - start,
+        selection=result.selection, solution=result.solution, trace=result.trace)
 
 
 def run_scenario(scenario: Scenario, max_workers: int = 1,

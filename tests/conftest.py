@@ -18,8 +18,3 @@ def one_pair_workload():
     pair = UserPair("org0", ("A", "B"), weight=0.5, fidelity_threshold=0.7,
                     r_min=0.0, r_max=1e9)
     return Workload(organizations=(org,), user_pairs=(pair,), seed=0)
-
-
-def make_pair(org_id, a, b, weight=0.5, threshold=0.7, r_min=0.0, r_max=1e9):
-    return UserPair(org_id, (a, b), weight=weight, fidelity_threshold=threshold,
-                    r_min=r_min, r_max=r_max)

@@ -27,7 +27,7 @@ from qvpn.quantum_math import (
 from qvpn.topology import NetworkGraph, NodeSpec, make_link
 from qvpn.workload import Organization, UserPair, Workload, WorkloadParams, generate_workload
 
-from conftest import make_pair
+from qvpn_helpers import make_pair
 from test_acceptance import _random_bounded_lp
 
 EASY = DistillationStrategy(0.8)  # base fidelity already 0.8, so g_link = 1

@@ -6,11 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qvpn import ga_optimizer as ga
+from qvpn import rl_optimizer as rl
 from qvpn.cli import _fmt, main
-from qvpn.harness import load_selection
+from qvpn.harness import Scenario, load_selection, run_scenario, save_selection
+from qvpn.quantum_math import default_strategy_catalog
 from qvpn.rl_optimizer import load_policy
-from qvpn.topology import NetworkGraph, NodeSpec, make_link, save_topology
-from qvpn.workload import Organization, UserPair, Workload, save_workload
+from qvpn.topology import NetworkGraph, NodeSpec, load_topology, make_link, save_topology
+from qvpn.workload import Organization, UserPair, Workload, load_workload, save_workload
 
 
 def _triangle_graph():
@@ -322,6 +325,68 @@ def test_report_manifest_counts_path_searches(tmp_path):
         assert "path_queries" not in (out / name).read_text()
 
 
+def test_report_error_text_with_commas_fits_the_csv(tmp_path):
+    # k=1 leaves the second hop-ranked path out of the candidate sets, so the
+    # baseline fails at that point with an error naming the pair-key tuple
+    topo, wlf = _triangle_files(tmp_path)
+    cfg = _config(tmp_path, "report.json", _base(topo, wlf),
+                  optimizer="baseline-hop", sweep={"axis": "k", "values": [1, 2]})
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = _manifest(out)
+    error = manifest["points"][0]["error"]
+    assert "('org1', 'A', 'B') missing from its candidate set" in error
+    assert manifest["points"][1]["status"] == "optimal"
+    _, header, rows = _csv_rows(out / "sweep.csv")
+    assert [len(r) for r in rows] == [len(header)] * 2
+    assert rows[0][3] == "error"
+    assert rows[0][5] == error.replace(",", ";")
+    assert rows[1][5] == ""
+
+
+def test_report_rejects_hidden(tmp_path, capsys):
+    topo, wlf = _triangle_files(tmp_path)
+    cfg = _config(tmp_path, "report.json", _base(topo, wlf), optimizer="rl",
+                  hidden=[4], rl={"epochs": 2, "batch_size": 2})
+    out = tmp_path / "out"
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "hidden" in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, optimizer, extra", [
+    ("allocate", "baseline-inv-egr", {"source": {"baseline": "inv-egr"}}),
+    ("ga", "ga", {"ga": {"population_size": 8, "generations": 3}}),
+    ("rl", "rl", {"rl": {"epochs": 3, "batch_size": 2}}),
+])
+def test_cli_matches_the_harness_point(tmp_path, command, optimizer, extra):
+    """A command and the one-point scenario of the same search agree."""
+    topo, wlf = _triangle_files(tmp_path)
+    config = dict(_base(topo, wlf, seed=3), p_max=2, k=4, strategy_count=5, **extra)
+    cfg = _config(tmp_path, f"{command}.json", config)
+    out = tmp_path / command
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+
+    scenario = Scenario(
+        name=command, graph=load_topology(topo.read_text()),
+        workload=load_workload(wlf.read_text()), optimizer=optimizer,
+        ga_config=ga.GaConfig(**extra["ga"]) if "ga" in extra else None,
+        rl_config=rl.TrainConfig(**extra["rl"]) if "rl" in extra else None,
+        seeds=(3,), k=4, p_max=2, catalog=tuple(default_strategy_catalog()[:5]))
+    (point,) = run_scenario(scenario).points
+    assert point.status == "optimal"
+    assert _manifest(out)["wegr"] == point.wegr
+    if command == "allocate":  # writes no selection.txt; rates.csv lists the selection
+        _, _, rows = _csv_rows(out / "rates.csv")
+        assert [tuple(r[:6]) for r in rows] == [
+            (*pk, ">".join(path.nodes), repr(st.link_threshold), str(st.max_rounds))
+            for pk in sorted(point.selection) for path, st in point.selection[pk]]
+    else:
+        assert (out / "selection.txt").read_text() == save_selection(point.selection)
+
+
 def test_report_single_pair_skips_fairness(tmp_path):
     topo, _ = _triangle_files(tmp_path)
     wl = Workload(
@@ -370,6 +435,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
     both = dict(_base(topo, wlf))
     both["workload_params"] = {"num_orgs": 1, "pairs_per_org": 1}
     assert rc("paths", "bothwl.json", both) == 2
+    assert rc("report", "bothwl.json", both) == 2
 
     missing = dict(_base(topo))
     missing["topology"] = str(tmp_path / "nope.topo")
@@ -380,6 +446,20 @@ def test_config_errors_exit_2(tmp_path, capsys):
               sweep={"axis": "volume", "values": [1, 2]}) == 2
     assert rc("allocate", "badcount.json", _base(topo, wlf),
               source={"baseline": "hop"}, strategy_count=99) == 2
+
+    # ga / rl blocks: values the dataclass rejects, unknown fields, wrong type
+    for command in ("ga", "report"):
+        assert rc(command, "gasize.json", _base(topo, wlf), optimizer="ga",
+                  ga={"population_size": 0}) == 2
+        assert rc(command, "gafield.json", _base(topo, wlf), optimizer="ga",
+                  ga={"populaton_size": 8}) == 2
+    for command in ("rl", "report"):
+        assert rc(command, "rllr.json", _base(topo, wlf), optimizer="rl",
+                  rl={"learning_rate": -1}) == 2
+        assert rc(command, "rlfield.json", _base(topo, wlf), optimizer="rl",
+                  rl={"epoch": 2}) == 2
+    assert rc("report", "rlseed.json", _base(topo, wlf), rl={"seed": 7}) == 2
+    assert rc("ga", "galist.json", _base(topo, wlf), ga=[8, 3]) == 2
 
 
 def test_unparseable_config_exits_2(tmp_path, capsys):

@@ -15,7 +15,7 @@ from qvpn.pathfinding import WeightScheme, baseline_selection, build_candidate_s
 from qvpn.quantum_math import default_strategy_catalog
 from qvpn.workload import Organization, Workload
 
-from conftest import make_pair
+from qvpn_helpers import make_pair
 
 
 @pytest.fixture

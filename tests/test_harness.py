@@ -17,6 +17,7 @@ from qvpn.harness import (
     run_scenario,
     save_selection,
     scenario_hash,
+    search,
 )
 from qvpn.pathfinding import PathFinder, build_candidate_sets, path_from_nodes
 from qvpn.quantum_math import DistillationStrategy, default_strategy_catalog
@@ -24,7 +25,7 @@ from qvpn.rl_optimizer import TrainConfig
 from qvpn.topology import NetworkGraph, NodeSpec
 from qvpn.workload import Organization, UserPair, Workload, WorkloadParams
 
-from conftest import make_pair
+from qvpn_helpers import make_pair
 
 
 # ---------------------------------------------------------------- pearson
@@ -280,6 +281,31 @@ def test_run_scenario_rl_smoke(triangle, one_pair_workload):
     assert point.wegr > 0
     # rewards seen during training are real allocation values
     assert all(r >= 0 for r in point.trace)
+
+
+def test_search_serves_every_optimizer_from_one_finder(triangle, one_pair_workload):
+    finder = PathFinder(triangle)
+    common = dict(k=3, p_max=2, catalog=default_strategy_catalog(), finder=finder,
+                  hidden=(4,), ga_config=GaConfig(population_size=6, generations=2),
+                  rl_config=TrainConfig(epochs=2, batch_size=2))
+    results = {name: search(triangle, one_pair_workload, name, 5, **common)
+               for name in ("baseline-hop", "ga", "rl")}
+    # per search 3 candidate queries, plus one per baseline: 1 (hop), 3 (ga), 0 (rl)
+    assert finder.queries == (3 + 1) + (3 + 3) + 3
+    assert finder.yen_runs == 3
+    base, ga_run, rl_run = results.values()
+    assert base.trace is None and base.policy is None and base.lp_solves == 0
+    assert ga_run.lp_solves == ga_run.trace.lp_solves > 0
+    assert ga_run.solution.wegr == ga_run.trace.best_wegr
+    assert len(rl_run.trace) == 2 and rl_run.lp_solves >= 1
+    assert [w.shape[0] for w in rl_run.policy.weights[:-1]] == [4]
+    for result in results.values():
+        assert result.solution.status == "optimal"
+        assert result.seconds >= 0.0
+        assert result.solution == solve(build_problem(triangle, one_pair_workload,
+                                                      result.selection, p_max=2))
+    with pytest.raises(ValueError, match="unknown optimizer"):
+        search(triangle, one_pair_workload, "baseline-shortest", 0, **common)
 
 
 # ---------------------------------------------------------------- fairness

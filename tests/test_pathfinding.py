@@ -21,7 +21,7 @@ from qvpn.quantum_math import default_strategy_catalog
 from qvpn.topology import NetworkGraph, NodeSpec, link_capacity, make_link
 from qvpn.workload import Organization, UserPair, Workload
 
-from conftest import make_pair
+from qvpn_helpers import make_pair
 
 
 def test_weight_schemes():

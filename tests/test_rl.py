@@ -30,7 +30,7 @@ from qvpn.rl_optimizer import (
 from qvpn.topology import NetworkGraph, NodeSpec, make_link
 from qvpn.workload import Organization, Workload, WorkloadParams, generate_workload
 
-from conftest import make_pair
+from qvpn_helpers import make_pair
 
 EASY = DistillationStrategy(0.8)
 
