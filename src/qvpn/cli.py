@@ -102,9 +102,16 @@ def _load_config(path: str) -> dict:
         raise ConfigError("config must be a JSON object")
     if config.get("version") != 1:
         raise ConfigError(f"unsupported config version {config.get('version')!r}, expected 1")
-    if not isinstance(config.get("seed"), int):
-        raise ConfigError("config needs an integer top-level \"seed\"")
+    _config_int("seed", config.get("seed"), low=0)
     return config
+
+
+def _config_int(key: str, value, low: int = 1) -> int:
+    """value, read from config key `key`, checked to be an integer >= low.
+    JSON true/false load as Python bools, which are ints; they are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{key!r} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def _require(config: dict, key: str):
@@ -168,7 +175,7 @@ def _load_catalog(config, hasher):
         catalog = default_strategy_catalog()
     count = config.get("strategy_count")
     if count is not None:
-        if not 1 <= count <= len(catalog):
+        if _config_int("strategy_count", count) > len(catalog):
             raise ConfigError(f"strategy_count {count} outside catalog of {len(catalog)}")
         catalog = catalog[:count]
     return tuple(catalog)
@@ -253,7 +260,7 @@ def cmd_paths(config, out_dir):
     graph = _load_graph(config, hasher)
     workload = _load_workload(config, graph, hasher)
     config_hash = hasher.hexdigest()
-    k = config.get("k", 5)
+    k = _config_int("k", config.get("k", 5))
     candidates = build_candidate_sets(graph, workload, k=k)
     rows = []
     for pair in workload.user_pairs:
@@ -277,7 +284,7 @@ def cmd_allocate(config, out_dir):
     graph = _load_graph(config, hasher)
     workload = _load_workload(config, graph, hasher)
     catalog = _load_catalog(config, hasher)
-    p_max = config.get("p_max", 3)
+    p_max = _config_int("p_max", config.get("p_max", 3))
     source = _require(config, "source")
     if "selection" in source:
         sel_path = source["selection"]
@@ -293,8 +300,8 @@ def cmd_allocate(config, out_dir):
             raise ConfigError(f"unknown baseline {source['baseline']!r}, "
                               f"expected one of {sorted(BASELINE_SCHEMES)}")
         result = search(graph, workload, f"baseline-{source['baseline']}", config["seed"],
-                        k=config.get("k", 5), p_max=p_max, catalog=catalog,
-                        baseline_threshold=source.get("threshold", 0.992))
+                        k=_config_int("k", config.get("k", 5)), p_max=p_max,
+                        catalog=catalog, baseline_threshold=source.get("threshold", 0.992))
         selection, solution = result.selection, result.solution
     else:
         raise ConfigError("source must contain \"selection\" (file) or \"baseline\" (scheme)")
@@ -314,10 +321,10 @@ def cmd_ga(config, out_dir):
     workload = _load_workload(config, graph, hasher)
     catalog = _load_catalog(config, hasher)
     ga_config = _optimizer_config(config, "ga", ga.GaConfig) or ga.GaConfig()
+    k, p_max = _config_int("k", config.get("k", 5)), _config_int("p_max", config.get("p_max", 3))
     config_hash = hasher.hexdigest()
 
-    result = search(graph, workload, "ga", config["seed"], k=config.get("k", 5),
-                    p_max=config.get("p_max", 3), catalog=catalog,
+    result = search(graph, workload, "ga", config["seed"], k=k, p_max=p_max, catalog=catalog,
                     baseline_threshold=config.get("baseline_threshold", 0.992),
                     ga_config=ga_config)
     trace = result.trace
@@ -351,10 +358,11 @@ def cmd_rl(config, out_dir):
     workload = _load_workload(config, graph, hasher)
     catalog = _load_catalog(config, hasher)
     rl_config = _optimizer_config(config, "rl", rl.TrainConfig) or rl.TrainConfig()
+    k, p_max = _config_int("k", config.get("k", 5)), _config_int("p_max", config.get("p_max", 3))
     config_hash = hasher.hexdigest()
 
-    result = search(graph, workload, "rl", config["seed"], k=config.get("k", 5),
-                    p_max=config.get("p_max", 3), catalog=catalog, rl_config=rl_config,
+    result = search(graph, workload, "rl", config["seed"], k=k, p_max=p_max, catalog=catalog,
+                    rl_config=rl_config,
                     hidden=tuple(config.get("hidden", (128,))))
     outputs = [_write_csv(out_dir, "trace.csv", ("epoch", "mean_reward"),
                           list(zip(range(len(result.trace)), result.trace)), config_hash)]
@@ -384,8 +392,13 @@ def cmd_report(config, out_dir):
     catalog = _load_catalog(config, hasher)
     workload, params = _workload_source(config, hasher)
     sweep = config.get("sweep") or {}
-    repetitions = config.get("repetitions", 1)
-    seeds = tuple(config.get("seeds", range(config["seed"], config["seed"] + repetitions)))
+    repetitions = _config_int("repetitions", config.get("repetitions", 1))
+    seeds = config.get("seeds", list(range(config["seed"], config["seed"] + repetitions)))
+    if not isinstance(seeds, list):
+        raise ConfigError(f"'seeds' must be a list of integers, got {seeds!r}")
+    seeds = tuple(_config_int("seeds", seed, low=0) for seed in seeds)
+    max_workers = _config_int("max_workers", config.get("max_workers", 1))
+    k, p_max = _config_int("k", config.get("k", 5)), _config_int("p_max", config.get("p_max", 3))
 
     if "hidden" in config:
         raise ConfigError("report trains the default (128,) policy; "
@@ -405,8 +418,8 @@ def cmd_report(config, out_dir):
             sweep_values=tuple(sweep.get("values", ())),
             repetitions=repetitions,
             seeds=seeds,
-            k=config.get("k", 5),
-            p_max=config.get("p_max", 3),
+            k=k,
+            p_max=p_max,
             catalog=catalog,
             baseline_threshold=config.get("baseline_threshold", 0.992),
         )
@@ -415,7 +428,7 @@ def cmd_report(config, out_dir):
     config_hash = hasher.hexdigest()
 
     finder = PathFinder(graph)
-    result = run_scenario(scenario, max_workers=config.get("max_workers", 1), finder=finder)
+    result = run_scenario(scenario, max_workers=max_workers, finder=finder)
     # a CSV cell holds no commas or newlines; the manifest keeps the full error
     sweep_rows = [
         (p.axis_value if p.axis_value is not None else "", p.repetition, p.seed,

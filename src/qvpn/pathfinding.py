@@ -118,6 +118,13 @@ def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
 
     The first j paths do not depend on k: the search accepts paths in rank
     order and k only says when to stop. PathFinder's memo relies on this.
+
+    Lawler's spur skip (Lawler 1972): each candidate keeps the spur index at
+    which it left its parent, and the spur loop over the last accepted path
+    starts at that index. An earlier spur would rerun a search with the same
+    root and banned hops, so the skip changes no ranked path; it only saves
+    Dijkstra runs. Root costs are a running sum in the order of sum(), so
+    path costs, and with them every tie, keep their bits.
     """
     if src == dst:
         raise ValueError("src and dst must differ")
@@ -135,34 +142,39 @@ def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
     first = _dijkstra(adjacency, src, dst, frozenset(), frozenset())
     if first is None:
         return []
-    accepted = [first]  # list of (cost, nodes)
-    candidates = []  # heap of (cost, nodes)
+    accepted = [first[1]]  # node tuples in rank order
     seen = {first[1]}
+    # heap of (cost, nodes, spur index); no nodes tuple is pushed twice, so
+    # ties break on (cost, nodes) alone
+    candidates = []
+    deviation = 0  # spur index at which the last accepted path left its parent
 
     while len(accepted) < k:
-        prev_nodes = accepted[-1][1]
-        for i in range(len(prev_nodes) - 1):
-            spur = prev_nodes[i]
-            root = prev_nodes[: i + 1]
-            root_cost = sum(
-                weights[(a, b) if a <= b else (b, a)] for a, b in zip(root, root[1:])
-            )
-            # the spur may not leave by the next hop of any accepted path that
-            # shares this root; it is settled first, so no path re-enters it
-            banned_hops = {nodes[i + 1] for _, nodes in accepted
-                           if nodes[: i + 1] == root and len(nodes) > i + 1}
-            spur_path = _dijkstra(adjacency, spur, dst, root[:-1], banned_hops)
-            if spur_path is None:
-                continue
-            total = root[:-1] + spur_path[1]
-            if total not in seen:
-                seen.add(total)
-                heapq.heappush(candidates, (root_cost + spur_path[0], total))
+        prev = accepted[-1]
+        root_cost = 0  # running sum in sum()'s order, so every cost keeps its bits
+        for i in range(len(prev) - 1):
+            # Lawler: a spur before the deviation index would repeat a search
+            # already run with the same root and banned hops, whose path is
+            # queued or accepted
+            if i >= deviation:
+                root = prev[: i + 1]
+                # the spur may not leave by the next hop of any accepted path
+                # that shares this root; it is settled first, so no path re-enters it
+                banned_hops = {nodes[i + 1] for nodes in accepted if nodes[: i + 1] == root}
+                spur_path = _dijkstra(adjacency, prev[i], dst, prev[:i], banned_hops)
+                if spur_path is not None:
+                    total = prev[:i] + spur_path[1]
+                    if total not in seen:
+                        seen.add(total)
+                        heapq.heappush(candidates, (root_cost + spur_path[0], total, i))
+            a, b = prev[i], prev[i + 1]
+            root_cost += weights[(a, b) if a <= b else (b, a)]
         if not candidates:
             break
-        accepted.append(heapq.heappop(candidates))
+        _, nodes, deviation = heapq.heappop(candidates)
+        accepted.append(nodes)
 
-    return [path_from_nodes(graph, pair_key, nodes) for _, nodes in accepted]
+    return [path_from_nodes(graph, pair_key, nodes) for nodes in accepted]
 
 
 class PathFinder:
@@ -174,7 +186,9 @@ class PathFinder:
     it is exhausted (Yen found fewer paths than asked). A query for k is
     answered from that list when it is long enough or exhausted, since Yen's
     first j paths for any k >= j are its paths for j; otherwise it runs
-    yen_k_shortest again with the larger k.
+    yen_k_shortest again with the larger k. The finder also keeps each path
+    Yen built, by node tuple, and candidate_paths copies its link fields
+    instead of walking its links again.
 
     Threads may share a finder. The searches run outside the lock, so two
     threads that miss on one key at once both search it. Every answer is a
@@ -190,6 +204,7 @@ class PathFinder:
         self.yen_runs = 0
         self._tables = {scheme: SchemeTable.build(graph, scheme) for scheme in WeightScheme}
         self._memo = {}  # (src, dst, scheme) -> (node tuples, exhausted)
+        self._built = {}  # node tuple -> CandidatePath as Yen built it
         self._lock = threading.Lock()
 
     def paths(self, src: str, dst: str, k: int, scheme: WeightScheme) -> tuple:
@@ -203,14 +218,27 @@ class PathFinder:
             if known is not None and (len(known[0]) >= k or known[1]):
                 return known[0][:k]
             self.yen_runs += 1
-        found = tuple(p.nodes for p in yen_k_shortest(self.graph, src, dst, k, scheme,
-                                                      table=self._tables[scheme]))
+        built = yen_k_shortest(self.graph, src, dst, k, scheme, table=self._tables[scheme])
+        found = tuple(p.nodes for p in built)
         exhausted = len(found) < k  # then found is every path there is
         with self._lock:
+            for p in built:
+                self._built.setdefault(p.nodes, p)
             known = self._memo.get(key)  # another thread may have stored a longer list
             if known is None or len(found) > len(known[0]) or exhausted:
                 self._memo[key] = (found, exhausted)
         return found
+
+    def candidate_paths(self, node_tuples, pair_key) -> list:
+        """CandidatePaths of pair_key for node tuples that paths() returned.
+
+        Link keys, hop count and bottleneck are copied from the path Yen
+        built, so each path's links are walked once per finder.
+        """
+        with self._lock:
+            built = [self._built[nodes] for nodes in node_tuples]
+        return [CandidatePath(pair_key, p.nodes, p.link_keys, p.hop_count, p.bottleneck_capacity)
+                for p in built]
 
 
 def _finder_for(graph, finder):
@@ -244,7 +272,7 @@ def build_candidate_set(graph: NetworkGraph, user_pair, k: int = 5,
     unique = {}  # node tuple -> None, in first-occurrence order
     for scheme in schemes:
         unique.update(dict.fromkeys(finder.paths(src, dst, k, scheme)))
-    return [path_from_nodes(graph, user_pair.key, nodes) for nodes in unique]
+    return finder.candidate_paths(unique, user_pair.key)
 
 
 def build_candidate_sets(graph, workload, k=5, schemes=DEFAULT_SCHEMES, *, finder=None):

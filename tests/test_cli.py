@@ -461,6 +461,26 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert rc("report", "rlseed.json", _base(topo, wlf), rl={"seed": 7}) == 2
     assert rc("ga", "galist.json", _base(topo, wlf), ga=[8, 3]) == 2
 
+    # integer fields: bools, strings and values below the minimum
+    commands = ("capacity", "paths", "allocate", "ga", "rl", "report")
+    baseline = {"baseline": "hop"}
+    for seed in (-1, True, 1.0):
+        for command in commands:
+            assert rc(command, "seed.json", _base(topo, wlf, seed=seed), source=baseline) == 2
+    assert rc("report", "seeds.json", _base(topo, wlf), repetitions=2, seeds=[-3, -4]) == 2
+    assert rc("report", "seedsint.json", _base(topo, wlf), seeds=3) == 2
+    assert rc("report", "seedsbool.json", _base(topo, wlf), seeds=[True]) == 2
+    for key, value in (("k", True), ("k", 0), ("p_max", 0), ("p_max", "3"),
+                       ("strategy_count", True), ("strategy_count", 0),
+                       ("strategy_count", "2")):
+        readers = ("paths",) if key == "k" else ()
+        for command in (*readers, "allocate", "ga", "rl", "report"):
+            assert rc(command, "int.json", _base(topo, wlf), source=baseline,
+                      **{key: value}) == 2, (command, key, value)
+    for key in ("repetitions", "max_workers"):
+        for value in ("2", 0, False):
+            assert rc("report", "int.json", _base(topo, wlf), **{key: value}) == 2
+
 
 def test_unparseable_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "broken.json"

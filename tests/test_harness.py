@@ -1,11 +1,12 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from qvpn.allocation_lp import build_problem, solve
 from qvpn.fixtures import TOPOLOGY_10, bundled_topology
+from qvpn import pathfinding
 from qvpn.ga_optimizer import GaConfig
 from qvpn.harness import (
     DegenerateVarianceError,
@@ -212,6 +213,39 @@ def test_shared_path_finder_changes_no_point():
     assert [_point_view(p) for p in threaded.points] == want
     # later points reuse earlier searches: pairs_per_org=4 pairs recur at 8 and 12
     assert finder.yen_runs < finder.queries
+
+
+def test_traced_yen_sees_every_finder_run(monkeypatch):
+    # a trace counts Yen runs by wrapping the module attribute
+    # pathfinding.yen_k_shortest, so every memo miss must go through it; and
+    # the paths the finder tags from its store must equal freshly built ones
+    calls = []
+    real = pathfinding.yen_k_shortest
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pathfinding, "yen_k_shortest", counting)
+    net50 = bundled_topology()
+    sc = Scenario(name="trace", graph=net50,
+                  workload_params=WorkloadParams(num_orgs=3, pairs_per_org=4, r_min=0.0),
+                  optimizer="baseline-hop", sweep_axis="pairs_per_org", sweep_values=(4, 8),
+                  catalog=tuple(default_strategy_catalog(4)))
+    finder = PathFinder(net50)
+    result = run_scenario(sc, max_workers=1, finder=finder)
+    assert [p.status for p in result.points] == ["optimal", "optimal"]
+    assert 0 < finder.yen_runs < finder.queries
+    assert len(calls) == finder.yen_runs
+    workload = point_workload(sc, 8, 0)
+    shared = build_candidate_sets(net50, workload, k=sc.k, finder=finder)
+    assert len(calls) == finder.yen_runs  # answered from the memo
+    fresh = build_candidate_sets(net50, workload, k=sc.k)
+    assert shared.keys() == fresh.keys()
+    for key, paths in shared.items():
+        assert [astuple(p) for p in paths] == [astuple(p) for p in fresh[key]]
+        assert [astuple(p) for p in paths] == \
+            [astuple(path_from_nodes(net50, key, p.nodes)) for p in paths]
 
 
 def test_k_below_p_max_still_errors_with_a_warm_finder():

@@ -1,3 +1,4 @@
+import heapq
 import math
 import sys
 import threading
@@ -9,7 +10,9 @@ from qvpn.fixtures import TOPOLOGY_10, bundled_topology
 from qvpn.oracles import enumerate_simple_paths
 from qvpn.pathfinding import (
     PathFinder,
+    SchemeTable,
     WeightScheme,
+    _dijkstra,
     baseline_selection,
     build_candidate_set,
     build_candidate_sets,
@@ -158,6 +161,97 @@ def test_yen_prefix_property_on_net50():
                 assert [p.nodes for p in yen_k_shortest(g, src, dst, j, scheme)] == full[:j]
     # most endpoint pairs have 8 paths; the rest check exhausted searches
     assert lengths.count(8) > len(lengths) // 2
+
+
+def _yen_full_spur_loop(graph, src, dst, k, scheme):
+    """Yen without Lawler's skip, the reference: every accepted path spurs
+    at every index, and each root cost is summed afresh."""
+    weights, adjacency = SchemeTable.build(graph, scheme)
+    first = _dijkstra(adjacency, src, dst, frozenset(), frozenset())
+    if first is None:
+        return []
+    accepted = [first]
+    candidates = []
+    seen = {first[1]}
+    while len(accepted) < k:
+        prev_nodes = accepted[-1][1]
+        for i in range(len(prev_nodes) - 1):
+            spur = prev_nodes[i]
+            root = prev_nodes[: i + 1]
+            root_cost = sum(
+                weights[(a, b) if a <= b else (b, a)] for a, b in zip(root, root[1:])
+            )
+            banned_hops = {nodes[i + 1] for _, nodes in accepted
+                           if nodes[: i + 1] == root and len(nodes) > i + 1}
+            spur_path = _dijkstra(adjacency, spur, dst, root[:-1], banned_hops)
+            if spur_path is None:
+                continue
+            total = root[:-1] + spur_path[1]
+            if total not in seen:
+                seen.add(total)
+                heapq.heappush(candidates, (root_cost + spur_path[0], total))
+        if not candidates:
+            break
+        accepted.append(heapq.heappop(candidates))
+    return [nodes for _, nodes in accepted]
+
+
+def _assert_matches_full_spur_loop(graph, src, dst, scheme, ks=(5, 8)):
+    want = _yen_full_spur_loop(graph, src, dst, max(ks), scheme)  # prefix property
+    for k in ks:
+        got = [p.nodes for p in yen_k_shortest(graph, src, dst, k, scheme)]
+        assert got == want[:k], (src, dst, scheme, k)
+    return len(want)
+
+
+def test_lawler_skip_matches_full_spur_loop_on_net10():
+    g = bundled_topology(TOPOLOGY_10)
+    ids = sorted(n.id for n in g.nodes)
+    for src in ids:
+        for dst in ids:
+            if src != dst:
+                for scheme in WeightScheme:
+                    _assert_matches_full_spur_loop(g, src, dst, scheme, ks=(8,))
+
+
+def test_lawler_skip_matches_full_spur_loop_on_net50():
+    g = bundled_topology()
+    ids = sorted(n.id for n in g.user_nodes())
+    rng = np.random.default_rng(1972)
+    pairs = set()
+    while len(pairs) < 300:
+        a, b = rng.choice(len(ids), size=2, replace=False)
+        pairs.add((ids[a], ids[b]))
+    lengths = [_assert_matches_full_spur_loop(g, src, dst, scheme)
+               for src, dst in sorted(pairs) for scheme in WeightScheme]
+    assert lengths.count(8) > len(lengths) // 2
+
+
+def _tied_graph(rng, n, extra, dead):
+    """Random connected graph whose links take two lengths, so many paths tie
+    under every scheme; `dead` links have zero capacity."""
+    ids = [f"t{i}" for i in range(n)]
+    keys = set()
+    order = rng.permutation(n)
+    for a, b in zip(order, order[1:]):
+        keys.add(tuple(sorted((ids[a], ids[b]))))
+    while len(keys) < n - 1 + extra:
+        a, b = rng.choice(n, size=2, replace=False)
+        keys.add(tuple(sorted((ids[a], ids[b]))))
+    links = [make_link(a, b, float(rng.choice((5.0, 10.0)))) for a, b in sorted(keys)]
+    for i in rng.choice(len(links), size=dead, replace=False):
+        object.__setattr__(links[i], "capacity_eprps", 0.0)
+    return NetworkGraph(nodes=tuple(NodeSpec(i) for i in ids), links=tuple(links))
+
+
+def test_lawler_skip_matches_full_spur_loop_on_tied_random_graphs():
+    rng = np.random.default_rng(300)
+    for trial in range(300):
+        n = int(rng.integers(5, 9))  # a 5-node graph has room for 6 extra links
+        g = _tied_graph(rng, n, extra=int(rng.integers(2, 7)), dead=int(rng.integers(0, 3)))
+        src, dst = (f"t{i}" for i in rng.choice(n, size=2, replace=False))
+        for scheme in WeightScheme:
+            _assert_matches_full_spur_loop(g, src, dst, scheme, ks=(3, 8))
 
 
 def test_path_finder_serves_prefixes_from_its_memo():
