@@ -359,11 +359,14 @@ def cmd_rl(config, out_dir):
     catalog = _load_catalog(config, hasher)
     rl_config = _optimizer_config(config, "rl", rl.TrainConfig) or rl.TrainConfig()
     k, p_max = _config_int("k", config.get("k", 5)), _config_int("p_max", config.get("p_max", 3))
+    hidden = config.get("hidden", [128])
+    if not isinstance(hidden, list):
+        raise ConfigError(f"'hidden' must be a list of layer widths, got {hidden!r}")
+    hidden = tuple(_config_int("hidden", width) for width in hidden)
     config_hash = hasher.hexdigest()
 
     result = search(graph, workload, "rl", config["seed"], k=k, p_max=p_max, catalog=catalog,
-                    rl_config=rl_config,
-                    hidden=tuple(config.get("hidden", (128,))))
+                    rl_config=rl_config, hidden=hidden)
     outputs = [_write_csv(out_dir, "trace.csv", ("epoch", "mean_reward"),
                           list(zip(range(len(result.trace)), result.trace)), config_hash)]
     (out_dir / "selection.txt").write_text(save_selection(result.selection))

@@ -153,10 +153,7 @@ def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
         prev = accepted[-1]
         root_cost = 0  # running sum in sum()'s order, so every cost keeps its bits
         for i in range(len(prev) - 1):
-            # Lawler: a spur before the deviation index would repeat a search
-            # already run with the same root and banned hops, whose path is
-            # queued or accepted
-            if i >= deviation:
+            if i >= deviation:  # Lawler's skip, see the docstring
                 root = prev[: i + 1]
                 # the spur may not leave by the next hop of any accepted path
                 # that shares this root; it is settled first, so no path re-enters it

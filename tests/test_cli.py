@@ -480,6 +480,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
     for key in ("repetitions", "max_workers"):
         for value in ("2", 0, False):
             assert rc("report", "int.json", _base(topo, wlf), **{key: value}) == 2
+    for hidden in (128, [0], [True], ["8"]):
+        assert rc("rl", "hidden.json", _base(topo, wlf), hidden=hidden) == 2
 
 
 def test_unparseable_config_exits_2(tmp_path, capsys):
