@@ -107,20 +107,30 @@ def test_yen_disconnected_returns_empty():
     assert yen_k_shortest(g, "A", "X", 3, WeightScheme.HOP) == []
 
 
-def _random_graph(rng, n=6, extra=4):
+def _random_graph(rng, n=6, extra=4, lengths=None, dead=0):
+    """A random spanning tree on r0..r{n-1} plus `extra` links. Link lengths
+    are uniform in 2-40 km, or drawn from `lengths` (few values make many
+    paths tie); `dead` random links get zero capacity."""
+    def length():
+        return float(rng.uniform(2.0, 40.0) if lengths is None else rng.choice(lengths))
+
     ids = [f"r{i}" for i in range(n)]
     links = {}
     order = rng.permutation(n)
     for a, b in zip(order, order[1:]):  # random spanning tree keeps it connected
         key = tuple(sorted((ids[a], ids[b])))
-        links[key] = make_link(key[0], key[1], float(rng.uniform(2.0, 40.0)))
+        links[key] = make_link(key[0], key[1], length())
     while len(links) < n - 1 + extra:
         a, b = rng.choice(n, size=2, replace=False)
         key = tuple(sorted((ids[a], ids[b])))
         if key not in links:
-            links[key] = make_link(key[0], key[1], float(rng.uniform(2.0, 40.0)))
+            links[key] = make_link(key[0], key[1], length())
+    links = list(links.values())
+    if dead:
+        for i in rng.choice(len(links), size=dead, replace=False):
+            object.__setattr__(links[i], "capacity_eprps", 0.0)
     nodes = tuple(NodeSpec(i) for i in ids)
-    return NetworkGraph(nodes=nodes, links=tuple(links.values()))
+    return NetworkGraph(nodes=nodes, links=tuple(links))
 
 
 def test_yen_agrees_with_exhaustive_enumeration():
@@ -227,29 +237,13 @@ def test_lawler_skip_matches_full_spur_loop_on_net50():
     assert lengths.count(8) > len(lengths) // 2
 
 
-def _tied_graph(rng, n, extra, dead):
-    """Random connected graph whose links take two lengths, so many paths tie
-    under every scheme; `dead` links have zero capacity."""
-    ids = [f"t{i}" for i in range(n)]
-    keys = set()
-    order = rng.permutation(n)
-    for a, b in zip(order, order[1:]):
-        keys.add(tuple(sorted((ids[a], ids[b]))))
-    while len(keys) < n - 1 + extra:
-        a, b = rng.choice(n, size=2, replace=False)
-        keys.add(tuple(sorted((ids[a], ids[b]))))
-    links = [make_link(a, b, float(rng.choice((5.0, 10.0)))) for a, b in sorted(keys)]
-    for i in rng.choice(len(links), size=dead, replace=False):
-        object.__setattr__(links[i], "capacity_eprps", 0.0)
-    return NetworkGraph(nodes=tuple(NodeSpec(i) for i in ids), links=tuple(links))
-
-
 def test_lawler_skip_matches_full_spur_loop_on_tied_random_graphs():
     rng = np.random.default_rng(300)
     for trial in range(300):
         n = int(rng.integers(5, 9))  # a 5-node graph has room for 6 extra links
-        g = _tied_graph(rng, n, extra=int(rng.integers(2, 7)), dead=int(rng.integers(0, 3)))
-        src, dst = (f"t{i}" for i in rng.choice(n, size=2, replace=False))
+        g = _random_graph(rng, n, extra=int(rng.integers(2, 7)), lengths=(5.0, 10.0),
+                          dead=int(rng.integers(0, 3)))
+        src, dst = (f"r{i}" for i in rng.choice(n, size=2, replace=False))
         for scheme in WeightScheme:
             _assert_matches_full_spur_loop(g, src, dst, scheme, ks=(3, 8))
 
