@@ -103,10 +103,13 @@ class LpCompiler:
     link-key order, then per workload pair its R_min row (when r_min > 0)
     and its R_max row (when finite). Columns follow selection order; a
     pair's repeated path keeps its first occurrence, and a (path, strategy)
-    choice with an infeasible distillation stage is dropped. Each column's
-    rows, overhead coefficients and objective weight are computed on first
-    use and memoized per (pair, path links, strategy), so compiling a
-    selection is a gather.
+    choice with an infeasible distillation stage is dropped.
+
+    Columns live in a pool. Each (pair, path links, strategy) choice gets an
+    integer id on first use, when its row codes, overhead coefficients,
+    objective weight and feasibility are computed and appended to flat
+    arrays. gather turns an id array into an LP with one numpy gather;
+    compile maps each choice of a selection to its id and gathers.
     """
 
     def __init__(self, graph, workload, noise: NoiseParams = DEFAULT_NOISE, p_max: int = 3):
@@ -120,6 +123,7 @@ class LpCompiler:
         self._pair_keys = tuple(p.key for p in workload.user_pairs)
         self._link_keys = sorted(graph.link_by_key)
         self._link_row = {lk: i for i, lk in enumerate(self._link_keys)}
+        self._cap_labels = [("cap", lk) for lk in self._link_keys]
         self._capacity = np.array([graph.link_by_key[lk].capacity_eprps
                                    for lk in self._link_keys], dtype=float)
         # pair rows are coded after the link rows: num_links + position among pair rows
@@ -140,16 +144,32 @@ class LpCompiler:
                 labels.append(("rmax", pair.key))
         self._pair_bounds = np.array(bounds, dtype=float)
         self._pair_labels = tuple(labels)
-        self._columns = {}
+        # the column pool: (pair key, path links, strategy) -> id, and per id
+        # its entries first[id] .. first[id] + count[id] in codes / coeffs.
+        # New columns wait in _new until the next gather appends them.
+        self._ids = {}
+        self._new = []  # (row codes, coefficients, objective weight, feasible)
+        self._first = np.zeros(0, dtype=np.intp)
+        self._count = np.zeros(0, dtype=np.intp)
+        self._weight = np.zeros(0)
+        self._feasible = np.zeros(0, dtype=bool)
+        self._codes = np.zeros(0, dtype=np.intp)
+        self._coeffs = np.zeros(0)
+
+    def column_id(self, pair_key, path, strategy) -> int:
+        """Pool id of one (path, strategy) choice for a pair, computing the
+        column on first use. Raises ValueError if the path's endpoints
+        mismatch the pair."""
+        key = (pair_key, path.link_keys, strategy)
+        column = self._ids.get(key)
+        if column is None:
+            self._new.append(self._column(pair_key, path, strategy))  # may raise
+            column = self._ids[key] = len(self._ids)
+        return column
 
     def _column(self, pair_key, path, strategy):
-        """(row codes, coefficients, objective coefficient) of one choice,
-        or None if a distillation stage is infeasible."""
-        key = (pair_key, path.link_keys, strategy)
-        try:
-            return self._columns[key]
-        except KeyError:
-            pass
+        """(row codes, coefficients, objective weight, feasible) of one choice;
+        a choice with an infeasible distillation stage has no entries."""
         pair = self._pairs[pair_key]
         ends = (path.nodes[0], path.nodes[-1])
         if set(ends) != set(pair.endpoints):
@@ -160,17 +180,57 @@ class LpCompiler:
                                          path.hop_count, strategy,
                                          pair.fidelity_threshold, self.noise)
             if not res.feasible:
-                column = None
-                break
+                return [], [], 0.0, False
             overhead[self._link_row[lk]] = res.overhead
-        else:
-            rows = sorted(overhead)
-            pair_codes, pair_coeffs = self._pair_rows[pair_key]
-            column = (rows + pair_codes, [overhead[r] for r in rows] + pair_coeffs,
-                      self._pair_weight[pair_key]
-                      * self.noise.swap_success_prob ** (path.hop_count - 1))
-        self._columns[key] = column
-        return column
+        rows = sorted(overhead)
+        pair_codes, pair_coeffs = self._pair_rows[pair_key]
+        return (rows + pair_codes, [overhead[r] for r in rows] + pair_coeffs,
+                self._pair_weight[pair_key]
+                * self.noise.swap_success_prob ** (path.hop_count - 1), True)
+
+    def _append_new(self):
+        codes, coeffs, weights, feasible = zip(*self._new)
+        count = np.array([len(c) for c in codes], dtype=np.intp)
+        first = len(self._codes) + np.cumsum(count) - count
+        self._first = np.concatenate((self._first, first))
+        self._count = np.concatenate((self._count, count))
+        self._weight = np.concatenate((self._weight, np.array(weights, dtype=float)))
+        self._feasible = np.concatenate((self._feasible, np.array(feasible, dtype=bool)))
+        self._codes = np.concatenate(
+            (self._codes, np.array([c for col in codes for c in col], dtype=np.intp)))
+        self._coeffs = np.concatenate(
+            (self._coeffs, np.array([v for col in coeffs for v in col], dtype=float)))
+        self._new = []
+
+    def gather(self, ids) -> LinearProgram:
+        """The LP of pool columns ids (an integer array), in that order, with
+        infeasible columns dropped."""
+        if self._new:
+            self._append_new()
+        ids = np.asarray(ids, dtype=np.intp)
+        ids = ids[self._feasible[ids]]
+        count = self._count[ids]
+        indptr = np.zeros(len(ids) + 1, dtype=np.int32)
+        np.cumsum(count, out=indptr[1:])
+        # entry positions: each column's run first[id] .. first[id] + count[id]
+        at = np.arange(indptr[-1]) + np.repeat(self._first[ids] - indptr[:-1], count)
+        codes = self._codes[at]
+        num_links = len(self._link_keys)
+        num_pair_rows = len(self._pair_bounds)
+        touched = np.flatnonzero(np.bincount(codes, minlength=num_links)[:num_links])
+        # row code -> row index: touched links keep their sorted order, pair rows follow
+        row_of = np.empty(num_links + num_pair_rows, dtype=np.int32)
+        row_of[touched] = np.arange(len(touched))
+        row_of[num_links:] = len(touched) + np.arange(num_pair_rows)
+        cap_labels = self._cap_labels
+        return LinearProgram(
+            objective=self._weight[ids],
+            indptr=indptr,
+            indices=row_of[codes],
+            data=self._coeffs[at],
+            row_bounds=np.concatenate((self._capacity[touched], self._pair_bounds)),
+            row_labels=tuple([cap_labels[i] for i in touched.tolist()]) + self._pair_labels,
+        )
 
     def compile(self, selection) -> AllocationProblem:
         """The LP of one selection: {pair_key: [(CandidatePath, DistillationStrategy), ...]}.
@@ -178,7 +238,7 @@ class LpCompiler:
         Raises ValueError if a selected path's endpoints mismatch its pair or
         a pair exceeds p_max paths.
         """
-        variables, objective, counts, codes, data = [], [], [], [], []
+        choices_kept, ids = [], []
         for pair_key, choices in selection.items():
             if pair_key not in self._pairs:
                 raise ValueError(f"selection references unknown pair {pair_key}")
@@ -190,35 +250,13 @@ class LpCompiler:
                 if path.link_keys in seen_paths:
                     continue
                 seen_paths.add(path.link_keys)
-                column = self._column(pair_key, path, strategy)
-                if column is None:
-                    continue  # infeasible strategy for this pair, excluded up front
-                variables.append((pair_key, path, strategy))
-                objective.append(column[2])
-                counts.append(len(column[0]))
-                codes.extend(column[0])
-                data.extend(column[1])
-
-        num_links = len(self._link_keys)
-        codes = np.array(codes, dtype=np.intp)
-        touched = np.unique(codes[codes < num_links])
-        # row code -> row index: touched links keep their sorted order, pair rows follow
-        row_of = np.empty(num_links + len(self._pair_bounds), dtype=np.int32)
-        row_of[touched] = np.arange(len(touched))
-        row_of[num_links:] = len(touched) + np.arange(len(self._pair_bounds))
-        indptr = np.zeros(len(counts) + 1, dtype=np.int32)
-        np.cumsum(counts, out=indptr[1:])
-        lp = LinearProgram(
-            objective=np.array(objective, dtype=float),
-            indptr=indptr,
-            indices=row_of[codes],
-            data=np.array(data, dtype=float),
-            row_bounds=np.concatenate((self._capacity[touched], self._pair_bounds)),
-            row_labels=tuple(("cap", self._link_keys[i]) for i in touched.tolist())
-            + self._pair_labels,
-        )
+                choices_kept.append((pair_key, path, strategy))
+                ids.append(self.column_id(pair_key, path, strategy))
+        ids = np.array(ids, dtype=np.intp)
+        lp = self.gather(ids)
+        feasible = self._feasible[ids].tolist()
         return AllocationProblem(
-            variables=tuple(variables),
+            variables=tuple(v for v, ok in zip(choices_kept, feasible) if ok),
             lp=lp,
             pair_keys=self._pair_keys,
             swap_success_prob=self.noise.swap_success_prob,
@@ -268,26 +306,17 @@ def _thread_highs():
 
 def _solve_highs(lp: LinearProgram):
     n, m = len(lp.objective), len(lp.row_bounds)
-    model = _highs.HighsLp()
-    model.num_col_ = n
-    model.num_row_ = m
-    # plain lists cross the binding faster than numpy arrays
-    model.col_cost_ = (-lp.objective).tolist()
-    model.col_lower_ = [0.0] * n
-    model.col_upper_ = [_highs.kHighsInf] * n
-    model.row_lower_ = [-_highs.kHighsInf] * m
-    model.row_upper_ = lp.row_bounds.tolist()
-    matrix = model.a_matrix_
-    matrix.format_ = _highs.MatrixFormat.kColwise
-    matrix.num_col_ = n
-    matrix.num_row_ = m
-    matrix.start_ = lp.indptr.tolist()
-    matrix.index_ = lp.indices.tolist()
-    matrix.value_ = lp.data.tolist()
-
+    inf = _highs.kHighsInf
     highs = _thread_highs()
     model_status = _highs.HighsModelStatus
-    if highs.passModel(model) == _highs.HighsStatus.kError:
+    # the column-wise LP as arrays: costs, column bounds, row bounds, CSC
+    # matrix, and integrality 0 (continuous) for every column
+    passed = highs.passModel(
+        n, m, len(lp.data), int(_highs.MatrixFormat.kColwise),
+        int(_highs.ObjSense.kMinimize), 0.0, -lp.objective, np.zeros(n), np.full(n, inf),
+        np.full(m, -inf), lp.row_bounds, lp.indptr, lp.indices, lp.data,
+        np.zeros(n, dtype=np.int32))
+    if passed == _highs.HighsStatus.kError:
         status = model_status.kModelError
     else:
         highs.run()
@@ -300,9 +329,9 @@ def _solve_highs(lp: LinearProgram):
     solution = highs.getSolution()
     x = np.array(solution.col_value)
     slack = lp.row_bounds - np.array(solution.row_value)
-    fun = highs.getInfo().objective_function_value
-    if (np.isnan(x).any() or math.isnan(fun) or np.isnan(slack).any()
-            or (x < -_CHECK_TOL).any() or (slack < -_CHECK_TOL).any()):
+    # a NaN fails both comparisons, so these also reject NaN entries
+    if (math.isnan(highs.getObjectiveValue()) or not (x >= -_CHECK_TOL).all()
+            or not (slack >= -_CHECK_TOL).all()):
         raise SolverError(f"LP solve failed: HiGHS reported optimal, but the solution "
                           f"violates the constraints by more than {_CHECK_TOL:.2e}")
     return "optimal", np.clip(x, 0.0, None)
@@ -341,43 +370,51 @@ def solve_lp(lp: LinearProgram):
     return _solve_highs(lp)
 
 
+def _solve_columns(lp: LinearProgram):
+    """solve_lp, extended to an LP without columns: that one is feasible
+    iff it has no R_min row, and its solution is empty."""
+    if len(lp.objective) == 0:
+        if any(kind == "rmin" for kind, _ in lp.row_labels):
+            return "infeasible", None
+        return "optimal", np.zeros(0)
+    return solve_lp(lp)
+
+
 def solve(problem: AllocationProblem) -> AllocationSolution:
     """Solve to optimality or report infeasibility (wegr 0 by convention)."""
-    lp = problem.lp
-    n = problem.num_variables
-    infeasible = AllocationSolution(
-        status="infeasible",
-        rates={},
-        wegr=0.0,
-        true_egr_per_pair={k: 0.0 for k in problem.pair_keys},
-    )
-    if n == 0:
-        # no variables: feasible iff no min-rate rows exist
-        if any(kind == "rmin" for kind, _ in lp.row_labels):
-            return infeasible
-        return AllocationSolution("optimal", {}, 0.0,
-                                  {k: 0.0 for k in problem.pair_keys})
-
-    status, x = solve_lp(lp)
+    status, x = _solve_columns(problem.lp)
     if status == "infeasible":
-        return infeasible
+        return AllocationSolution(
+            status="infeasible",
+            rates={},
+            wegr=0.0,
+            true_egr_per_pair={k: 0.0 for k in problem.pair_keys},
+        )
     q = problem.swap_success_prob
     rates = {}
     true_egr = {k: 0.0 for k in problem.pair_keys}
     for rate, (pair_key, path, _) in zip(x.tolist(), problem.variables):
         rates[(pair_key, path.nodes)] = rate
         true_egr[pair_key] += rate * q ** (path.hop_count - 1)
-    wegr = float(lp.objective @ x)
+    wegr = float(problem.lp.objective @ x)
     return AllocationSolution("optimal", rates, wegr, true_egr)
 
 
 def wegr_of_selection(graph, workload, selection, noise: NoiseParams = DEFAULT_NOISE,
                       p_max: int = 3, compiler: LpCompiler | None = None) -> float:
-    """Convenience: compile + solve; 0 on infeasible. Propagates solver failures.
+    """W-EGR of a selection: compile + solve; 0 on infeasible. Propagates
+    solver failures.
 
-    A search passes the LpCompiler it built on the same graph, workload,
-    noise and p_max, so its column memo carries over between calls.
+    selection is a {pair_key: [(CandidatePath, DistillationStrategy), ...]}
+    dict, or an integer array of ids from the compiler's column pool. A
+    search passes the LpCompiler it built on the same graph, workload, noise
+    and p_max, so its column pool carries over between calls.
     """
     if compiler is None:
         compiler = LpCompiler(graph, workload, noise, p_max)
-    return solve(compiler.compile(selection)).wegr
+    if isinstance(selection, np.ndarray):
+        lp = compiler.gather(selection)
+    else:
+        lp = compiler.compile(selection).lp
+    status, x = _solve_columns(lp)
+    return 0.0 if status == "infeasible" else float(lp.objective @ x)

@@ -3,14 +3,19 @@
 A genome is a flat list of (path index, strategy index) genes, p_max slots
 per user pair in a fixed pair order. Fitness is the W-EGR of the decoded
 selection through the allocation LP; infeasible selections score 0 so the
-search can walk out of infeasible regions. Random streams are derived per
-(seed, generation, slot), so results do not depend on evaluation order.
+search can walk out of infeasible regions. Fitness never decodes: each gene
+is a column id, and the LP is gathered from the compiler's column pool.
+Random streams are derived per (seed, generation, slot), so results do not
+depend on evaluation order.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -39,6 +44,12 @@ class GaConfig:
     pool_end: float = 0.2
 
     def __post_init__(self):
+        # JSON true/false load as bools, which are ints; they are rejected
+        for name, low in (("population_size", 2), ("generations", 0),
+                          ("elitism_count", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
         if self.mode not in ("dynamic", "static"):
             raise ValueError(f"unknown mode {self.mode!r}")
         for name in ("mutation_start", "mutation_end", "crossover_start",
@@ -46,10 +57,8 @@ class GaConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0,1], got {v}")
-        if not 1 <= self.elitism_count < self.population_size:
+        if not self.elitism_count < self.population_size:
             raise ValueError("need 1 <= elitism_count < population_size")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
     @classmethod
     def static_mode(cls, **overrides):
@@ -89,7 +98,14 @@ def dynamic_schedule(generation: int, total: int, config: GaConfig = GaConfig())
 
 
 class GaProblem:
-    """Evaluation context: decode genomes, cache LP fitness by decoded selection."""
+    """Evaluation context: decode genomes, cache LP fitness by canonical selection.
+
+    Every (pair, path, strategy) gene value has a column id: the pair's
+    base, plus path index times the catalog size, plus strategy index.
+    fitness keeps the ids of each pair's first occurrence of each path, in
+    slot order, and maps them to the compiler's pool ids, which it learns on
+    first use.
+    """
 
     def __init__(self, graph, workload, candidates, catalog, noise=DEFAULT_NOISE, p_max=3):
         self.graph = graph
@@ -104,14 +120,24 @@ class GaProblem:
         self.compiler = LpCompiler(graph, workload, noise, p_max)
         self._cache = {}
         self.lp_solves = 0
+        num_paths = [len(self.candidates[k]) for k in self.pair_order]
+        self._slot_paths = [n for n in num_paths for _ in range(p_max)]
+        num_strats = len(self.catalog)
+        self._pair_base = [0]
+        for n in num_paths:
+            self._pair_base.append(self._pair_base[-1] + n * num_strats)
+        # per (pair, slot): the pair's base id and its path count
+        self._slot_base = np.repeat(np.array(self._pair_base[:-1], dtype=np.intp),
+                                    p_max).reshape(-1, p_max)
+        self._slot_limit = np.array(self._slot_paths, dtype=np.intp).reshape(-1, p_max)
+        self._compiler_ids = np.full(self._pair_base[-1], -1, dtype=np.intp)  # -1: not yet known
 
     def genome_length(self):
         return len(self.pair_order) * self.p_max
 
     def gene_space(self, slot):
         """(num paths, num strategies) valid at a given gene slot."""
-        pair_key = self.pair_order[slot // self.p_max]
-        return len(self.candidates[pair_key]), len(self.catalog)
+        return self._slot_paths[slot], len(self.catalog)
 
     def decode(self, genome: Genome):
         """Genome -> {pair_key: [(path, strategy), ...]}; duplicate path
@@ -129,23 +155,44 @@ class GaProblem:
             selection[pair_key] = picks
         return selection
 
-    def _cache_key(self, genome: Genome):
-        key = []
-        for i in range(len(self.pair_order)):
-            genes = genome.genes[i * self.p_max:(i + 1) * self.p_max]
-            seen = {}
-            for path_idx, strat_idx in genes:
-                seen.setdefault(path_idx, strat_idx)
-            key.append(tuple(sorted(seen.items())))
-        return tuple(key)
+    def _column_ids(self, genome: Genome) -> np.ndarray:
+        """Column ids of the genome's first occurrence of each path per
+        pair, in pair order and then slot order: decode's choices as ids."""
+        genes = np.fromiter(chain.from_iterable(genome.genes), dtype=np.intp,
+                            count=2 * len(genome.genes)).reshape(-1, self.p_max, 2)
+        paths, strats = genes[..., 0], genes[..., 1]
+        if paths.shape != self._slot_limit.shape:
+            raise ValueError("genome length does not match the problem encoding")
+        if not ((0 <= paths) & (paths < self._slot_limit)
+                & (0 <= strats) & (strats < len(self.catalog))).all():
+            raise ValueError(f"gene outside the gene space in {genome.genes}")
+        first = np.ones(paths.shape, dtype=bool)
+        for j in range(1, self.p_max):
+            first[:, j] = (paths[:, :j] != paths[:, j:j + 1]).all(axis=1)
+        return (self._slot_base + paths * len(self.catalog) + strats)[first]
+
+    def _to_compiler_ids(self, ids):
+        """The compiler's pool ids of these column ids."""
+        pool = self._compiler_ids[ids]
+        for i in np.flatnonzero(pool < 0).tolist():
+            column = int(ids[i])
+            pair = bisect_right(self._pair_base, column) - 1
+            path_idx, strat_idx = divmod(column - self._pair_base[pair], len(self.catalog))
+            pair_key = self.pair_order[pair]
+            pool[i] = self._compiler_ids[column] = self.compiler.column_id(
+                pair_key, self.candidates[pair_key][path_idx], self.catalog[strat_idx])
+        return pool
 
     def fitness(self, genome: Genome) -> float:
-        key = self._cache_key(genome)
+        ids = self._column_ids(genome)
+        # each pair's ids lie in their own range, so one sort orders every
+        # pair's set: permuted slots share a key, and so do repeated paths
+        key = np.sort(ids).tobytes()
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         try:
-            value = wegr_of_selection(self.graph, self.workload, self.decode(genome),
+            value = wegr_of_selection(self.graph, self.workload, self._to_compiler_ids(ids),
                                       self.noise, self.p_max, compiler=self.compiler)
         except SolverError as exc:
             raise SolverError(f"{exc} (while scoring genome {genome.genes})") from exc
@@ -207,26 +254,35 @@ def _schedule_for(config: GaConfig, generation: int):
     return dynamic_schedule(generation, max(config.generations, 1), config)
 
 
-def _pick_parent(rng, order, fitnesses, pool_size, proportional):
-    pool = order[:pool_size]
+def _pick_parent(rng, pool, weights):
+    """One parent from the pool: proportional to weights (normalized, or
+    None for a uniform pick)."""
+    if weights is not None:
+        return pool[rng.choice(len(pool), p=weights)]
+    return pool[rng.integers(len(pool))]
+
+
+def _pool_weights(pool, fitnesses, proportional):
+    """Fitness-proportional pick weights over the pool, None when the pick
+    is uniform (static mode, or no positive total)."""
     if proportional:
         weights = np.array([fitnesses[i] for i in pool], dtype=float)
         total = weights.sum()
         if total > 0:
-            return pool[rng.choice(len(pool), p=weights / total)]
-    return pool[rng.integers(len(pool))]
+            return weights / total
+    return None
 
 
-def _mutate(genes, problem, rng, prob):
+def _mutate(genes, slot_paths, num_strats, rng, prob):
+    random, integers = rng.random, rng.integers
     out = list(genes)
-    for slot in range(len(out)):
-        if rng.random() < prob:
-            n_paths, n_strats = problem.gene_space(slot)
+    for slot, n_paths in enumerate(slot_paths):
+        if random() < prob:
             path_idx, strat_idx = out[slot]
-            if rng.random() < 0.5:
-                path_idx = int(rng.integers(n_paths))
+            if random() < 0.5:
+                path_idx = int(integers(n_paths))
             else:
-                strat_idx = int(rng.integers(n_strats))
+                strat_idx = int(integers(num_strats))
             out[slot] = (path_idx, strat_idx)
     return tuple(out)
 
@@ -237,6 +293,8 @@ def evolve(population, config: GaConfig, problem: GaProblem) -> GaTrace:
     trace = GaTrace()
     pop = list(population)
     length = problem.genome_length()
+    slot_paths = [problem.gene_space(slot)[0] for slot in range(length)]
+    num_strats = len(problem.catalog)
     for genome in pop:
         if len(genome.genes) != length:
             raise ValueError("genome length does not match the problem encoding")
@@ -254,20 +312,20 @@ def evolve(population, config: GaConfig, problem: GaProblem) -> GaTrace:
         t0 = time.perf_counter()
         pool_frac, mut_prob, cross_prob = _schedule_for(config, gen - 1)
         order = sorted(range(len(pop)), key=lambda i: (-fitnesses[i], i))
-        pool_size = max(1, int(np.ceil(pool_frac * len(pop))))
-        proportional = config.mode == "dynamic"
+        pool = order[:max(1, int(np.ceil(pool_frac * len(pop))))]
+        weights = _pool_weights(pool, fitnesses, config.mode == "dynamic")
 
         next_pop = [pop[i] for i in order[: config.elitism_count]]
         for slot in range(config.population_size - config.elitism_count):
             rng = np.random.default_rng([config.seed, gen, slot])
-            p1 = pop[_pick_parent(rng, order, fitnesses, pool_size, proportional)]
-            p2 = pop[_pick_parent(rng, order, fitnesses, pool_size, proportional)]
+            p1 = pop[_pick_parent(rng, pool, weights)]
+            p2 = pop[_pick_parent(rng, pool, weights)]
             if rng.random() < cross_prob and length > 1:
                 cut = int(rng.integers(1, length))
                 child = p1.genes[:cut] + p2.genes[cut:]
             else:
                 child = p1.genes
-            next_pop.append(Genome(_mutate(child, problem, rng, mut_prob)))
+            next_pop.append(Genome(_mutate(child, slot_paths, num_strats, rng, mut_prob)))
         pop = next_pop
         fitnesses = [problem.fitness(g) for g in pop]
         record(fitnesses, time.perf_counter() - t0)

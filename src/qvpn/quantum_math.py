@@ -152,6 +152,7 @@ def _overhead_cached(input_fidelity, target_fidelity, max_rounds):
     return purification_overhead(input_fidelity, target_fidelity, max_rounds)
 
 
+@lru_cache(maxsize=16384)
 def path_overhead_per_link(link_fidelity: float, path_length_links: int,
                            strategy: DistillationStrategy, user_threshold: float,
                            noise: NoiseParams = DEFAULT_NOISE) -> OverheadResult:
@@ -162,6 +163,9 @@ def path_overhead_per_link(link_fidelity: float, path_length_links: int,
     user threshold. g_total = g_link * g_e2e, since every e2e input pair
     costs g_link raw pairs on each link. The swap chain is evaluated at the
     nominal post-distillation link fidelity max(F_l, threshold).
+
+    Memoized (bounded): the arguments are numbers and frozen dataclasses,
+    and the result is frozen, so callers share it safely.
     """
     g_link = 1.0
     rounds = 0

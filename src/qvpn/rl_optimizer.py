@@ -29,6 +29,7 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
+from numbers import Integral
 
 import numpy as np
 
@@ -55,12 +56,18 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # JSON true/false load as bools, which are ints; they are rejected
+        minimums = [("lr_decay_every", 1), ("batch_size", 1), ("epochs", 0), ("seed", 0)]
+        if self.paths_per_state is not None:  # None: no cap
+            minimums.append(("paths_per_state", 1))
+        for name, low in minimums:
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
         if self.entropy_beta < 0:
             raise ValueError("entropy beta must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
     def lr_at(self, epoch: int) -> float:
         decayed = self.learning_rate * self.lr_decay ** (epoch // self.lr_decay_every)

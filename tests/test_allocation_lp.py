@@ -108,6 +108,15 @@ def test_problem_rejects_endpoint_mismatch(triangle, one_pair_workload):
     pair = one_pair_workload.user_pairs[0]
     with pytest.raises(ValueError, match="endpoints"):
         build_problem(triangle, one_pair_workload, {pair.key: [(stray, EASY)]})
+    # a rejected choice leaves the compiler's column pool as it was
+    compiler = LpCompiler(triangle, one_pair_workload)
+    with pytest.raises(ValueError, match="endpoints"):
+        compiler.compile({pair.key: [(stray, EASY)]})
+    good = {pair.key: [(p, EASY) for p in build_candidate_set(triangle, pair, k=2)]}
+    got = compiler.compile(good).lp
+    want = build_problem(triangle, one_pair_workload, good).lp
+    for name in ("objective", "indptr", "indices", "data", "row_bounds"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_problem_collapses_duplicate_paths(triangle, one_pair_workload):

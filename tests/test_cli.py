@@ -460,6 +460,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
                   rl={"epoch": 2}) == 2
     assert rc("report", "rlseed.json", _base(topo, wlf), rl={"seed": 7}) == 2
     assert rc("ga", "galist.json", _base(topo, wlf), ga=[8, 3]) == 2
+    # integer fields of the ga / rl blocks: bools, floats, values below the minimum
+    for block in ({"generations": True, "population_size": 4}, {"generations": 2.0},
+                  {"generations": -3}):
+        for command in ("ga", "report"):
+            assert rc(command, "gaint.json", _base(topo, wlf), optimizer="ga", ga=block) == 2
+    for block in ({"epochs": True}, {"epochs": -1}, {"batch_size": 0}, {"batch_size": 2.5},
+                  {"lr_decay_every": 0}, {"paths_per_state": 0}):
+        for command in ("rl", "report"):
+            assert rc(command, "rlint.json", _base(topo, wlf), optimizer="rl", rl=block) == 2
 
     # integer fields: bools, strings and values below the minimum
     commands = ("capacity", "paths", "allocate", "ga", "rl", "report")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from qvpn.allocation_lp import wegr_of_selection
+from qvpn import ga_optimizer
+from qvpn.allocation_lp import LpCompiler, wegr_of_selection
+from qvpn.fixtures import bundled_topology
 from qvpn.ga_optimizer import (
     GaConfig,
     GaProblem,
@@ -12,8 +14,8 @@ from qvpn.ga_optimizer import (
     random_genome,
 )
 from qvpn.pathfinding import WeightScheme, baseline_selection, build_candidate_sets
-from qvpn.quantum_math import default_strategy_catalog
-from qvpn.workload import Organization, Workload
+from qvpn.quantum_math import default_strategy_catalog, path_overhead_per_link
+from qvpn.workload import Organization, Workload, WorkloadParams, generate_workload
 
 from qvpn_helpers import make_pair
 
@@ -37,6 +39,14 @@ def test_config_validation():
         GaConfig(population_size=4, elitism_count=4)
     with pytest.raises(ValueError, match="seed"):
         GaConfig(seed=-1)
+    # integer fields reject bools (JSON true), floats and values below the minimum
+    for name, value in (("generations", True), ("generations", 2.0), ("generations", -3),
+                        ("population_size", 8.0), ("population_size", 1),
+                        ("elitism_count", True), ("seed", 1.5)):
+        with pytest.raises(ValueError, match=name):
+            GaConfig(**{name: value})
+    assert GaConfig(generations=0).generations == 0
+    assert GaConfig(generations=np.int64(3), seed=np.int64(2)).generations == 3
 
 
 def test_static_mode_constructor():
@@ -226,3 +236,156 @@ def test_pairs_without_candidates_are_skipped(triangle):
     prob = GaProblem(triangle, wl, cands, default_strategy_catalog(2), p_max=2)
     assert prob.pair_order == [pairs[0].key]
     assert prob.genome_length() == 2
+
+
+# ------------------------------------------------ fitness through the column pool
+
+@pytest.fixture(scope="module", params=[0, 1])
+def net50_inputs(request):
+    """A ga-net50-sized instance: its graph, workload and candidate sets."""
+    net50 = bundled_topology()
+    wl = generate_workload(net50, WorkloadParams(num_orgs=3, pairs_per_org=10, r_min=0.0),
+                           request.param)
+    return net50, wl, build_candidate_sets(net50, wl, k=5)
+
+
+@pytest.fixture
+def net50_problem(net50_inputs):
+    net50, wl, cands = net50_inputs
+    return GaProblem(net50, wl, cands, default_strategy_catalog(), p_max=3)
+
+
+def _feasibility(problem):
+    """feasible[pair index][path index][strategy index], from the overheads."""
+    pairs = {p.key: p for p in problem.workload.user_pairs}
+    links = problem.graph.link_by_key
+    return [[[all(path_overhead_per_link(links[lk].base_fidelity, path.hop_count, strategy,
+                                         pairs[key].fidelity_threshold).feasible
+                  for lk in path.link_keys)
+              for strategy in problem.catalog]
+             for path in problem.candidates[key]]
+            for key in problem.pair_order]
+
+
+def _split_pick(feasible_pair):
+    """(path, infeasible strategy, feasible strategy) for one pair, or None."""
+    for path_idx, row in enumerate(feasible_pair):
+        if not all(row) and any(row):
+            return path_idx, row.index(False), row.index(True)
+    return None
+
+
+def _scored_lps(monkeypatch, problem):
+    """Record the LP of every fitness miss, as the pool ids it passes."""
+    lps = []
+    real = ga_optimizer.wegr_of_selection
+
+    def recording(graph, workload, selection, *args, **kwargs):
+        lps.append(kwargs["compiler"].gather(selection))
+        return real(graph, workload, selection, *args, **kwargs)
+
+    monkeypatch.setattr(ga_optimizer, "wegr_of_selection", recording)
+    return lps
+
+
+def test_pool_lp_equals_compile_of_decode(monkeypatch, net50_problem):
+    # the id route must hand HiGHS exactly the arrays compile(decode(g))
+    # builds, with repeated paths and infeasible first picks in the mix
+    problem = net50_problem
+    feasible = _feasibility(problem)
+    splits = [_split_pick(f) for f in feasible]
+    assert sum(s is not None for s in splits) >= 10
+    lps = _scored_lps(monkeypatch, problem)
+    reference = LpCompiler(problem.graph, problem.workload, problem.noise, problem.p_max)
+    rng = np.random.default_rng(41)
+    p = problem.p_max
+    forced_duplicates = forced_infeasible = 0
+    for trial in range(300):
+        genes = list(random_genome(problem, rng).genes)
+        for i, split in enumerate(splits):
+            r = rng.random()
+            if r < 0.3:  # the same path twice; the first strategy wins
+                genes[i * p + 2] = (genes[i * p][0], int(rng.integers(len(problem.catalog))))
+                forced_duplicates += 1
+            elif r < 0.5 and split is not None:  # infeasible first, feasible second
+                path_idx, bad, good = split
+                genes[i * p] = (path_idx, bad)
+                genes[i * p + 1] = (path_idx, good)
+                forced_infeasible += 1
+        genome = Genome(tuple(genes))
+        before = len(lps)
+        value = problem.fitness(genome)
+        assert len(lps) == before + 1, trial  # random genomes never repeat here
+        want = reference.compile(problem.decode(genome)).lp
+        got = lps[-1]
+        for name in ("objective", "indptr", "indices", "data", "row_bounds"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (trial, name)
+        assert got.row_labels == want.row_labels
+        assert value == wegr_of_selection(problem.graph, problem.workload,
+                                          problem.decode(genome), problem.noise,
+                                          problem.p_max, compiler=reference)
+    assert forced_duplicates > 300 and forced_infeasible > 300
+
+
+def test_fitness_cache_is_keyed_on_first_picks(net50_problem):
+    problem = net50_problem
+    splits = [_split_pick(f) for f in _feasibility(problem)]
+    i = next(i for i, s in enumerate(splits) if s is not None)
+    path_idx, bad, good = splits[i]
+    other = (path_idx + 1) % len(problem.candidates[problem.pair_order[i]])
+    base = list(random_genome(problem, np.random.default_rng(3)).genes)
+    p = problem.p_max
+
+    def with_pair(slots):
+        genes = list(base)
+        genes[i * p:(i + 1) * p] = slots
+        return Genome(tuple(genes))
+
+    before = problem.lp_solves
+    infeasible_first = problem.fitness(with_pair([(path_idx, bad), (other, 0), (path_idx, good)]))
+    assert problem.lp_solves == before + 1
+    # permuted slots with the same first picks hit, infeasible pick and all
+    assert problem.fitness(with_pair([(other, 0), (path_idx, bad), (path_idx, good)])) \
+        == infeasible_first
+    assert problem.fitness(with_pair([(other, 0), (other, 5), (path_idx, bad)])) \
+        == infeasible_first
+    assert problem.lp_solves == before + 1
+    # the same path picked feasible first is another selection
+    problem.fitness(with_pair([(path_idx, good), (other, 0), (path_idx, bad)]))
+    assert problem.lp_solves == before + 2
+
+
+def test_genes_outside_the_gene_space_are_rejected(tri_problem):
+    n_paths, n_strats = tri_problem.gene_space(0)
+    for bad in ((n_paths, 0), (-1, 0), (0, n_strats), (0, -1)):
+        with pytest.raises(ValueError, match="gene space"):
+            tri_problem.fitness(Genome((bad, (0, 0), (0, 0), (0, 0))))
+    with pytest.raises(ValueError, match="length"):
+        tri_problem.fitness(Genome(((0, 0), (0, 0))))
+
+
+def test_traced_lp_solves_see_every_miss(monkeypatch, tri_problem):
+    # a trace counts LP solves by wrapping the module attribute
+    # ga_optimizer.wegr_of_selection and fitness calls by wrapping
+    # GaProblem.fitness, so every miss must go through the one and every
+    # scored genome through the other
+    lp_calls, fitness_calls = [], []
+    real_wegr = ga_optimizer.wegr_of_selection
+    real_fitness = GaProblem.fitness
+
+    def counting_wegr(*args, **kwargs):
+        lp_calls.append(args[2])
+        return real_wegr(*args, **kwargs)
+
+    def counting_fitness(self, genome):
+        fitness_calls.append(genome)
+        return real_fitness(self, genome)
+
+    monkeypatch.setattr(ga_optimizer, "wegr_of_selection", counting_wegr)
+    monkeypatch.setattr(GaProblem, "fitness", counting_fitness)
+    cfg = GaConfig(population_size=12, generations=6, seed=4)
+    trace = evolve(initialize_population(tri_problem, cfg), cfg, tri_problem)
+    assert len(fitness_calls) == cfg.population_size * (cfg.generations + 1)
+    assert len(lp_calls) == trace.lp_solves == tri_problem.lp_solves
+    assert 0 < trace.lp_solves < len(fitness_calls)  # hits happen, and are not counted

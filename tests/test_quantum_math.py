@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -188,6 +189,25 @@ def test_path_overhead_long_low_fidelity_path_infeasible():
     r = path_overhead_per_link(0.8, 12, DistillationStrategy(0.8), 0.9, noise)
     assert not r.feasible
     assert r.overhead == math.inf
+
+
+def test_path_overhead_memo_matches_uncached():
+    # the memo must hand back what the uncached function computes, on the
+    # catalog x hop counts x user thresholds, feasible and infeasible alike
+    uncached = path_overhead_per_link.__wrapped__
+    noisy = NoiseParams(two_qubit_gate_fidelity=0.99, measurement_fidelity=0.97)
+    feasible = 0
+    for strategy in default_strategy_catalog():
+        for hops in range(1, 9):
+            for threshold in (0.6, 0.75, 0.8, 0.88, 0.95):
+                for link_fidelity in (0.82, 0.93, 0.99):
+                    for noise in (NoiseParams(), noisy):
+                        args = (link_fidelity, hops, strategy, threshold, noise)
+                        want = astuple(uncached(*args))
+                        assert astuple(path_overhead_per_link(*args)) == want, args
+                        assert astuple(path_overhead_per_link(*args)) == want, args  # a hit
+                        feasible += want[3]
+    assert 0 < feasible < 16 * 8 * 5 * 3 * 2
 
 
 def test_catalog_default_16():

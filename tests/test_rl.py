@@ -53,6 +53,15 @@ def test_train_config_validation():
         TrainConfig(entropy_beta=-0.1)
     with pytest.raises(ValueError):
         TrainConfig(seed=-2)
+    # integer fields reject bools (JSON true), floats and values below the minimum
+    for name, value in (("epochs", True), ("epochs", -1), ("epochs", 3.0),
+                        ("batch_size", 0), ("batch_size", 2.5), ("lr_decay_every", 0),
+                        ("lr_decay_every", False), ("paths_per_state", 0),
+                        ("paths_per_state", True), ("seed", 1.5)):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+    assert TrainConfig(epochs=0, paths_per_state=None).epochs == 0
+    assert TrainConfig(epochs=np.int64(2), paths_per_state=np.int64(4)).paths_per_state == 4
 
 
 def test_learning_rate_schedule():
