@@ -15,7 +15,7 @@ from qvpn.workload import WorkloadParams, generate_workload
 from qvpn.pathfinding import (WeightScheme, baseline_selection, build_candidate_sets,
                               nearest_strategy_index)
 from qvpn.quantum_math import default_strategy_catalog
-from qvpn.allocation_lp import wegr_of_selection
+from qvpn.allocation_lp import LpCompiler, wegr_of_selection
 from qvpn import ga_optimizer as ga
 from qvpn import rl_optimizer as rl
 
@@ -55,22 +55,13 @@ def main():
     t0 = time.perf_counter()
     rl_problem = rl.RlProblem(workload, candidates, catalog[idx], p_max=P_MAX)
     policy = rl.PolicyNetwork.init(rl_problem, hidden=(32,), seed=SEED)
-    reward_cache = {}
-
-    def environment(selection):
-        key = tuple(sorted((k, tuple(p.nodes for p, _ in v))
-                           for k, v in selection.items()))
-        if key not in reward_cache:
-            reward_cache[key] = wegr_of_selection(graph, workload, selection,
-                                                  p_max=P_MAX)
-        return reward_cache[key]
-
+    environment = rl.cached_reward(LpCompiler(graph, workload, p_max=P_MAX))
     # default learning rate is scaled for raw W-EGR rewards in the thousands
     rl_config = rl.TrainConfig(epochs=150, batch_size=6, seed=SEED)
     rl.train(policy, rl_problem, rl_config, environment)
     greedy = rl.greedy_selection(policy, rl_problem)
     results["rl"] = wegr_of_selection(graph, workload, greedy, p_max=P_MAX)
-    print(f"RL: {len(reward_cache)} distinct selections scored in "
+    print(f"RL: {len(environment.cache)} distinct selections scored in "
           f"{time.perf_counter() - t0:.1f}s")
 
     print()

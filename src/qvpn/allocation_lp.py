@@ -105,11 +105,11 @@ class LpCompiler:
     pair's repeated path keeps its first occurrence, and a (path, strategy)
     choice with an infeasible distillation stage is dropped.
 
-    Columns live in a pool. Each (pair, path links, strategy) choice gets an
-    integer id on first use, when its row codes, overhead coefficients,
-    objective weight and feasibility are computed and appended to flat
-    arrays. gather turns an id array into an LP with one numpy gather;
-    compile maps each choice of a selection to its id and gathers.
+    Columns live in a pool, one id space for every search. column_id gives
+    each (pair, path links, strategy) choice the next integer id and does no
+    column math; the first gather that asks for an id computes its column
+    into flat arrays that grow by doubling. gather turns an id array into an
+    LP with one numpy gather; compile is column_ids plus gather.
     """
 
     def __init__(self, graph, workload, noise: NoiseParams = DEFAULT_NOISE, p_max: int = 3):
@@ -144,71 +144,107 @@ class LpCompiler:
                 labels.append(("rmax", pair.key))
         self._pair_bounds = np.array(bounds, dtype=float)
         self._pair_labels = tuple(labels)
-        # the column pool: (pair key, path links, strategy) -> id, and per id
-        # its entries first[id] .. first[id] + count[id] in codes / coeffs.
-        # New columns wait in _new until the next gather appends them.
+        # the column pool: _choice_key of (pair, path, strategy) -> id, the choice
+        # behind each id, and per id its entries first[id] .. first[id] +
+        # count[id] in codes / coeffs. count is -1 for a column not computed
+        # yet and 0 for an infeasible one (a feasible one has a link row).
         self._ids = {}
-        self._new = []  # (row codes, coefficients, objective weight, feasible)
+        self._choices = []  # (pair key, path, strategy) per id
         self._first = np.zeros(0, dtype=np.intp)
         self._count = np.zeros(0, dtype=np.intp)
         self._weight = np.zeros(0)
-        self._feasible = np.zeros(0, dtype=bool)
         self._codes = np.zeros(0, dtype=np.intp)
         self._coeffs = np.zeros(0)
+        self._entries = 0  # filled length of codes / coeffs
 
     def column_id(self, pair_key, path, strategy) -> int:
-        """Pool id of one (path, strategy) choice for a pair, computing the
-        column on first use. Raises ValueError if the path's endpoints
-        mismatch the pair."""
-        key = (pair_key, path.link_keys, strategy)
+        """Pool id of one (path, strategy) choice for a pair, assigning the
+        next id on first use. Raises ValueError if the path's endpoints
+        mismatch the pair; the pool is then left as it was."""
+        key = _choice_key(pair_key, path, strategy)
         column = self._ids.get(key)
         if column is None:
-            self._new.append(self._column(pair_key, path, strategy))  # may raise
-            column = self._ids[key] = len(self._ids)
+            ends, endpoints = (path.nodes[0], path.nodes[-1]), self._pairs[pair_key].endpoints
+            if ends != endpoints and ends[::-1] != endpoints:
+                raise ValueError(f"path endpoints {ends} do not match pair {pair_key}")
+            column = self._ids[key] = len(self._choices)
+            self._choices.append((pair_key, path, strategy))
         return column
 
+    def find_id(self, pair_key, path, strategy) -> int | None:
+        """Pool id of a choice, or None when it has none; assigns no id."""
+        return self._ids.get(_choice_key(pair_key, path, strategy))
+
+    def choice(self, column: int):
+        """(pair key, path, strategy) of a pool id: the choice that got it."""
+        return self._choices[column]
+
+    def _kept(self, selection):
+        """The selection's choices as (pair key, path, strategy), in order,
+        each pair keeping the first occurrence of a repeated path."""
+        for pair_key, choices in selection.items():
+            if pair_key not in self._pairs:
+                raise ValueError(f"selection references unknown pair {pair_key}")
+            if len(choices) > self.p_max:
+                raise ValueError(
+                    f"pair {pair_key} selects {len(choices)} paths, cap is {self.p_max}")
+            seen_paths = set()
+            for path, strategy in choices:
+                if path.link_keys not in seen_paths:
+                    seen_paths.add(path.link_keys)
+                    yield pair_key, path, strategy
+
+    def column_ids(self, selection) -> np.ndarray:
+        """Pool ids of a {pair_key: [(CandidatePath, DistillationStrategy), ...]}
+        selection's kept choices, in order. Raises ValueError on an unknown
+        pair, more than p_max paths in a pair, or mismatched endpoints."""
+        return np.array([self.column_id(*c) for c in self._kept(selection)], dtype=np.intp)
+
     def _column(self, pair_key, path, strategy):
-        """(row codes, coefficients, objective weight, feasible) of one choice;
-        a choice with an infeasible distillation stage has no entries."""
+        """(row codes, coefficients, objective weight) of one choice; a
+        choice with an infeasible distillation stage has no entries."""
         pair = self._pairs[pair_key]
-        ends = (path.nodes[0], path.nodes[-1])
-        if set(ends) != set(pair.endpoints):
-            raise ValueError(f"path endpoints {ends} do not match pair {pair_key}")
         overhead = {}
         for lk in path.link_keys:
             res = path_overhead_per_link(self.graph.link_by_key[lk].base_fidelity,
                                          path.hop_count, strategy,
                                          pair.fidelity_threshold, self.noise)
             if not res.feasible:
-                return [], [], 0.0, False
+                return [], [], 0.0
             overhead[self._link_row[lk]] = res.overhead
         rows = sorted(overhead)
         pair_codes, pair_coeffs = self._pair_rows[pair_key]
         return (rows + pair_codes, [overhead[r] for r in rows] + pair_coeffs,
                 self._pair_weight[pair_key]
-                * self.noise.swap_success_prob ** (path.hop_count - 1), True)
+                * self.noise.swap_success_prob ** (path.hop_count - 1))
 
-    def _append_new(self):
-        codes, coeffs, weights, feasible = zip(*self._new)
+    def _fill(self, ids):
+        """Compute the columns of ids (distinct, none computed yet) into the pool."""
+        codes, coeffs, weights = zip(*(self._column(*self._choices[i]) for i in ids.tolist()))
         count = np.array([len(c) for c in codes], dtype=np.intp)
-        first = len(self._codes) + np.cumsum(count) - count
-        self._first = np.concatenate((self._first, first))
-        self._count = np.concatenate((self._count, count))
-        self._weight = np.concatenate((self._weight, np.array(weights, dtype=float)))
-        self._feasible = np.concatenate((self._feasible, np.array(feasible, dtype=bool)))
-        self._codes = np.concatenate(
-            (self._codes, np.array([c for col in codes for c in col], dtype=np.intp)))
-        self._coeffs = np.concatenate(
-            (self._coeffs, np.array([v for col in coeffs for v in col], dtype=float)))
-        self._new = []
+        start, end = self._entries, self._entries + int(count.sum())
+        self._codes = _grown(self._codes, end)
+        self._coeffs = _grown(self._coeffs, end)
+        self._codes[start:end] = [c for col in codes for c in col]
+        self._coeffs[start:end] = [v for col in coeffs for v in col]
+        self._first[ids] = start + np.cumsum(count) - count
+        self._count[ids] = count
+        self._weight[ids] = weights
+        self._entries = end
 
     def gather(self, ids) -> LinearProgram:
         """The LP of pool columns ids (an integer array), in that order, with
         infeasible columns dropped."""
-        if self._new:
-            self._append_new()
         ids = np.asarray(ids, dtype=np.intp)
-        ids = ids[self._feasible[ids]]
+        size = len(self._choices)
+        if size > len(self._count):
+            self._first = _grown(self._first, size)
+            self._count = _grown(self._count, size)
+            self._weight = _grown(self._weight, size)
+        new = ids[self._count[ids] < 0]
+        if new.size:
+            self._fill(np.unique(new))
+        ids = ids[self._count[ids] > 0]
         count = self._count[ids]
         indptr = np.zeros(len(ids) + 1, dtype=np.int32)
         np.cumsum(count, out=indptr[1:])
@@ -232,35 +268,42 @@ class LpCompiler:
             row_labels=tuple([cap_labels[i] for i in touched.tolist()]) + self._pair_labels,
         )
 
-    def compile(self, selection) -> AllocationProblem:
-        """The LP of one selection: {pair_key: [(CandidatePath, DistillationStrategy), ...]}.
-
-        Raises ValueError if a selected path's endpoints mismatch its pair or
-        a pair exceeds p_max paths.
-        """
-        choices_kept, ids = [], []
-        for pair_key, choices in selection.items():
-            if pair_key not in self._pairs:
-                raise ValueError(f"selection references unknown pair {pair_key}")
-            if len(choices) > self.p_max:
-                raise ValueError(
-                    f"pair {pair_key} selects {len(choices)} paths, cap is {self.p_max}")
-            seen_paths = set()
-            for path, strategy in choices:
-                if path.link_keys in seen_paths:
-                    continue
-                seen_paths.add(path.link_keys)
-                choices_kept.append((pair_key, path, strategy))
-                ids.append(self.column_id(pair_key, path, strategy))
-        ids = np.array(ids, dtype=np.intp)
+    def wegr(self, ids) -> float:
+        """W-EGR of pool columns ids: gather, solve, objective @ x; 0 when
+        the LP is infeasible. Propagates solver failures."""
         lp = self.gather(ids)
-        feasible = self._feasible[ids].tolist()
+        status, x = _solve_columns(lp)
+        return 0.0 if status == "infeasible" else float(lp.objective @ x)
+
+    def compile(self, selection) -> AllocationProblem:
+        """The LP of one selection, as column_ids takes it; its variables
+        hold the selection's own path objects. Raises as column_ids does."""
+        kept = list(self._kept(selection))
+        ids = np.array([self.column_id(*c) for c in kept], dtype=np.intp)
+        lp = self.gather(ids)
+        feasible = (self._count[ids] > 0).tolist()
         return AllocationProblem(
-            variables=tuple(v for v, ok in zip(choices_kept, feasible) if ok),
+            variables=tuple(c for c, ok in zip(kept, feasible) if ok),
             lp=lp,
             pair_keys=self._pair_keys,
             swap_success_prob=self.noise.swap_success_prob,
         )
+
+
+def _choice_key(pair_key, path, strategy):
+    """The pool's key of a choice. It holds the strategy's fields, which
+    hash in C, where the frozen dataclass would hash in Python."""
+    return pair_key, path.link_keys, strategy.link_threshold, strategy.max_rounds
+
+
+def _grown(array, size):
+    """array when it holds size entries, else a copy at least twice as long
+    padded with -1, so growing to C entries copies O(C) in all."""
+    if size <= len(array):
+        return array
+    out = np.full(max(size, 2 * len(array)), -1, dtype=array.dtype)
+    out[:len(array)] = array
+    return out
 
 
 def build_problem(graph, workload, selection, noise: NoiseParams = DEFAULT_NOISE,
@@ -402,7 +445,7 @@ def solve(problem: AllocationProblem) -> AllocationSolution:
 
 def wegr_of_selection(graph, workload, selection, noise: NoiseParams = DEFAULT_NOISE,
                       p_max: int = 3, compiler: LpCompiler | None = None) -> float:
-    """W-EGR of a selection: compile + solve; 0 on infeasible. Propagates
+    """W-EGR of a selection: gather + solve; 0 on infeasible. Propagates
     solver failures.
 
     selection is a {pair_key: [(CandidatePath, DistillationStrategy), ...]}
@@ -412,9 +455,6 @@ def wegr_of_selection(graph, workload, selection, noise: NoiseParams = DEFAULT_N
     """
     if compiler is None:
         compiler = LpCompiler(graph, workload, noise, p_max)
-    if isinstance(selection, np.ndarray):
-        lp = compiler.gather(selection)
-    else:
-        lp = compiler.compile(selection).lp
-    status, x = _solve_columns(lp)
-    return 0.0 if status == "infeasible" else float(lp.objective @ x)
+    if not isinstance(selection, np.ndarray):
+        selection = compiler.column_ids(selection)
+    return compiler.wegr(selection)

@@ -114,6 +114,14 @@ def _config_int(key: str, value, low: int = 1) -> int:
     return value
 
 
+def _config_real(key: str, value):
+    """value, read from config key `key`, checked to be a finite number > 0.
+    JSON true/false load as Python bools, which are ints; they are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise ConfigError(f"{key!r} must be a finite number > 0, got {value!r}")
+    return value
+
+
 def _require(config: dict, key: str):
     if key not in config:
         raise ConfigError(f"config is missing required key {key!r}")
@@ -135,8 +143,12 @@ def _load_graph(config, hasher):
     graph = load_topology(_read_ref(config, "topology", hasher))
     eng = config.get("engineer")
     if eng is not None:
-        graph = engineer_repeaters(graph, threshold_km=float(eng["threshold_km"]),
-                                   spacing_km=float(eng["spacing_km"]))
+        if not isinstance(eng, dict):
+            raise ConfigError(f"engineer block must be a JSON object, got {eng!r}")
+        threshold_km = _config_real("engineer.threshold_km", eng.get("threshold_km"))
+        spacing_km = _config_real("engineer.spacing_km", eng.get("spacing_km"))
+        graph = engineer_repeaters(graph, threshold_km=float(threshold_km),
+                                   spacing_km=float(spacing_km))
     return graph
 
 
@@ -299,9 +311,10 @@ def cmd_allocate(config, out_dir):
         if source["baseline"] not in BASELINE_SCHEMES:
             raise ConfigError(f"unknown baseline {source['baseline']!r}, "
                               f"expected one of {sorted(BASELINE_SCHEMES)}")
+        threshold = _config_real("threshold", source.get("threshold", 0.992))
         result = search(graph, workload, f"baseline-{source['baseline']}", config["seed"],
                         k=_config_int("k", config.get("k", 5)), p_max=p_max,
-                        catalog=catalog, baseline_threshold=source.get("threshold", 0.992))
+                        catalog=catalog, baseline_threshold=threshold)
         selection, solution = result.selection, result.solution
     else:
         raise ConfigError("source must contain \"selection\" (file) or \"baseline\" (scheme)")
@@ -322,11 +335,11 @@ def cmd_ga(config, out_dir):
     catalog = _load_catalog(config, hasher)
     ga_config = _optimizer_config(config, "ga", ga.GaConfig) or ga.GaConfig()
     k, p_max = _config_int("k", config.get("k", 5)), _config_int("p_max", config.get("p_max", 3))
+    threshold = _config_real("baseline_threshold", config.get("baseline_threshold", 0.992))
     config_hash = hasher.hexdigest()
 
     result = search(graph, workload, "ga", config["seed"], k=k, p_max=p_max, catalog=catalog,
-                    baseline_threshold=config.get("baseline_threshold", 0.992),
-                    ga_config=ga_config)
+                    baseline_threshold=threshold, ga_config=ga_config)
     trace = result.trace
     trace_rows = list(zip(range(len(trace.best_fitness)), trace.best_fitness,
                           trace.mean_fitness))
@@ -402,6 +415,7 @@ def cmd_report(config, out_dir):
     seeds = tuple(_config_int("seeds", seed, low=0) for seed in seeds)
     max_workers = _config_int("max_workers", config.get("max_workers", 1))
     k, p_max = _config_int("k", config.get("k", 5)), _config_int("p_max", config.get("p_max", 3))
+    threshold = _config_real("baseline_threshold", config.get("baseline_threshold", 0.992))
 
     if "hidden" in config:
         raise ConfigError("report trains the default (128,) policy; "
@@ -424,7 +438,7 @@ def cmd_report(config, out_dir):
             k=k,
             p_max=p_max,
             catalog=catalog,
-            baseline_threshold=config.get("baseline_threshold", 0.992),
+            baseline_threshold=threshold,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario: {exc}") from None

@@ -4,7 +4,7 @@ A genome is a flat list of (path index, strategy index) genes, p_max slots
 per user pair in a fixed pair order. Fitness is the W-EGR of the decoded
 selection through the allocation LP; infeasible selections score 0 so the
 search can walk out of infeasible regions. Fitness never decodes: each gene
-is a column id, and the LP is gathered from the compiler's column pool.
+is an id in the compiler's column pool, and the LP is gathered from it.
 Random streams are derived per (seed, generation, slot), so results do not
 depend on evaluation order.
 """
@@ -12,7 +12,6 @@ depend on evaluation order.
 from __future__ import annotations
 
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain
 from numbers import Integral
@@ -100,11 +99,11 @@ def dynamic_schedule(generation: int, total: int, config: GaConfig = GaConfig())
 class GaProblem:
     """Evaluation context: decode genomes, cache LP fitness by canonical selection.
 
-    Every (pair, path, strategy) gene value has a column id: the pair's
-    base, plus path index times the catalog size, plus strategy index.
-    fitness keeps the ids of each pair's first occurrence of each path, in
-    slot order, and maps them to the compiler's pool ids, which it learns on
-    first use.
+    The compiler's column pool numbers the whole layout at init, in pair
+    order, then candidate order, then catalog order, so the pool id of a
+    (pair, path, strategy) gene is the pair's base id plus path index times
+    the catalog size plus strategy index. fitness keeps the ids of each
+    pair's first occurrence of each path, in slot order.
     """
 
     def __init__(self, graph, workload, candidates, catalog, noise=DEFAULT_NOISE, p_max=3):
@@ -120,17 +119,16 @@ class GaProblem:
         self.compiler = LpCompiler(graph, workload, noise, p_max)
         self._cache = {}
         self.lp_solves = 0
-        num_paths = [len(self.candidates[k]) for k in self.pair_order]
-        self._slot_paths = [n for n in num_paths for _ in range(p_max)]
-        num_strats = len(self.catalog)
-        self._pair_base = [0]
-        for n in num_paths:
-            self._pair_base.append(self._pair_base[-1] + n * num_strats)
+        layout = [(k, path, strategy) for k in self.pair_order
+                  for path in self.candidates[k] for strategy in self.catalog]
+        if [self.compiler.column_id(*c) for c in layout] != list(range(len(layout))):
+            raise ValueError("candidate paths or catalog strategies repeat")
+        num_paths = np.array([len(self.candidates[k]) for k in self.pair_order], dtype=np.intp)
+        self._slot_paths = np.repeat(num_paths, p_max).tolist()
         # per (pair, slot): the pair's base id and its path count
-        self._slot_base = np.repeat(np.array(self._pair_base[:-1], dtype=np.intp),
-                                    p_max).reshape(-1, p_max)
-        self._slot_limit = np.array(self._slot_paths, dtype=np.intp).reshape(-1, p_max)
-        self._compiler_ids = np.full(self._pair_base[-1], -1, dtype=np.intp)  # -1: not yet known
+        pair_base = (np.cumsum(num_paths) - num_paths) * len(self.catalog)
+        self._slot_base = np.repeat(pair_base, p_max).reshape(-1, p_max)
+        self._slot_limit = np.repeat(num_paths, p_max).reshape(-1, p_max)
 
     def genome_length(self):
         return len(self.pair_order) * self.p_max
@@ -142,22 +140,15 @@ class GaProblem:
     def decode(self, genome: Genome):
         """Genome -> {pair_key: [(path, strategy), ...]}; duplicate path
         indices within a pair keep their first occurrence."""
-        selection = {}
-        for i, pair_key in enumerate(self.pair_order):
-            genes = genome.genes[i * self.p_max:(i + 1) * self.p_max]
-            seen = set()
-            picks = []
-            for path_idx, strat_idx in genes:
-                if path_idx in seen:
-                    continue
-                seen.add(path_idx)
-                picks.append((self.candidates[pair_key][path_idx], self.catalog[strat_idx]))
-            selection[pair_key] = picks
+        selection = {k: [] for k in self.pair_order}
+        for column in self._column_ids(genome).tolist():
+            pair_key, path, strategy = self.compiler.choice(column)
+            selection[pair_key].append((path, strategy))
         return selection
 
     def _column_ids(self, genome: Genome) -> np.ndarray:
-        """Column ids of the genome's first occurrence of each path per
-        pair, in pair order and then slot order: decode's choices as ids."""
+        """Pool ids of the genome's first occurrence of each path per pair,
+        in pair order and then slot order."""
         genes = np.fromiter(chain.from_iterable(genome.genes), dtype=np.intp,
                             count=2 * len(genome.genes)).reshape(-1, self.p_max, 2)
         paths, strats = genes[..., 0], genes[..., 1]
@@ -171,18 +162,6 @@ class GaProblem:
             first[:, j] = (paths[:, :j] != paths[:, j:j + 1]).all(axis=1)
         return (self._slot_base + paths * len(self.catalog) + strats)[first]
 
-    def _to_compiler_ids(self, ids):
-        """The compiler's pool ids of these column ids."""
-        pool = self._compiler_ids[ids]
-        for i in np.flatnonzero(pool < 0).tolist():
-            column = int(ids[i])
-            pair = bisect_right(self._pair_base, column) - 1
-            path_idx, strat_idx = divmod(column - self._pair_base[pair], len(self.catalog))
-            pair_key = self.pair_order[pair]
-            pool[i] = self._compiler_ids[column] = self.compiler.column_id(
-                pair_key, self.candidates[pair_key][path_idx], self.catalog[strat_idx])
-        return pool
-
     def fitness(self, genome: Genome) -> float:
         ids = self._column_ids(genome)
         # each pair's ids lie in their own range, so one sort orders every
@@ -192,8 +171,8 @@ class GaProblem:
         if hit is not None:
             return hit
         try:
-            value = wegr_of_selection(self.graph, self.workload, self._to_compiler_ids(ids),
-                                      self.noise, self.p_max, compiler=self.compiler)
+            value = wegr_of_selection(self.graph, self.workload, ids, self.noise, self.p_max,
+                                      compiler=self.compiler)
         except SolverError as exc:
             raise SolverError(f"{exc} (while scoring genome {genome.genes})") from exc
         self.lp_solves += 1
@@ -202,21 +181,21 @@ class GaProblem:
 
     def encode_selection(self, selection) -> Genome:
         """Inverse of decode for seeding: pad unused slots by repeating the
-        first pick (duplicates collapse back out at decode time)."""
+        first pick (duplicates collapse back out at decode time). Raises
+        ValueError naming the pair when a pick is not one of its candidate
+        paths with a catalog strategy."""
         genes = []
-        for pair_key in self.pair_order:
-            picks = selection.get(pair_key, [])
+        layout_size = int(self._slot_limit[:, 0].sum()) * len(self.catalog)
+        for i, pair_key in enumerate(self.pair_order):
             slots = []
-            for path, strategy in picks[: self.p_max]:
-                path_idx = next(
-                    i for i, c in enumerate(self.candidates[pair_key])
-                    if c.link_keys == path.link_keys
-                )
-                strat_idx = next(
-                    i for i, s in enumerate(self.catalog)
-                    if abs(s.link_threshold - strategy.link_threshold) < 1e-12
-                )
-                slots.append((path_idx, strat_idx))
+            for path, strategy in selection.get(pair_key, [])[: self.p_max]:
+                # the pool is keyed by pair, so a layout id is one of this pair's
+                column = self.compiler.find_id(pair_key, path, strategy)
+                if column is None or column >= layout_size:
+                    raise ValueError(f"pair {pair_key}: path {path.nodes} with link "
+                                     f"threshold {strategy.link_threshold} is not among "
+                                     "its candidate paths and catalog strategies")
+                slots.append(divmod(column - int(self._slot_base[i, 0]), len(self.catalog)))
             if not slots:
                 slots = [(0, 0)]
             while len(slots) < self.p_max:

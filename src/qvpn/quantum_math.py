@@ -96,15 +96,11 @@ def swap_chain_fidelity(link_fidelity: float, num_links: int, noise: NoiseParams
     return 0.25 + 0.75 * gate ** (num_links - 1) * state**num_links
 
 
-def purify_step(state_a: BellDiagonalState, state_b: BellDiagonalState):
-    """One DEJMPS round: consume two pairs, keep one, post-selected on success.
-
-    Returns (output state, success probability). The map below is the
-    Bell-diagonal recurrence of the rotate + bilateral-CNOT + coincidence
-    circuit; tests hold it to the density-matrix simulation within 1e-10.
-    """
-    a1, b1, c1, d1 = state_a.coefficients
-    a2, b2, c2, d2 = state_b.coefficients
+def _dejmps_round(first, second):
+    """One DEJMPS round on coefficient tuples: (output coefficients, success
+    probability), renormalized so the coefficients sum to 1 again."""
+    a1, b1, c1, d1 = first
+    a2, b2, c2, d2 = second
     p = (a1 + c1) * (a2 + c2) + (b1 + d1) * (b2 + d2)
     if p < 1e-12:
         raise ValueError(f"degenerate purification step, success probability {p!r}")
@@ -116,7 +112,18 @@ def purify_step(state_a: BellDiagonalState, state_b: BellDiagonalState):
     )
     # renormalize away accumulated rounding so downstream states stay valid
     total = sum(out)
-    return BellDiagonalState(tuple(x / total for x in out)), p
+    return tuple(x / total for x in out), p
+
+
+def purify_step(state_a: BellDiagonalState, state_b: BellDiagonalState):
+    """One DEJMPS round: consume two pairs, keep one, post-selected on success.
+
+    Returns (output state, success probability). The map is the
+    Bell-diagonal recurrence of the rotate + bilateral-CNOT + coincidence
+    circuit; tests hold it to the density-matrix simulation within 1e-10.
+    """
+    coefficients, p = _dejmps_round(state_a.coefficients, state_b.coefficients)
+    return BellDiagonalState(coefficients), p
 
 
 def purification_overhead(input_fidelity: float, target_fidelity: float,
@@ -131,20 +138,20 @@ def purification_overhead(input_fidelity: float, target_fidelity: float,
         raise ValueError(f"input fidelity must lie in (0.25,1], got {input_fidelity}")
     if not 0.25 < target_fidelity < 1.0:
         raise ValueError(f"target fidelity must lie in (0.25,1), got {target_fidelity}")
-    state = werner(input_fidelity)
+    state = werner(input_fidelity).coefficients
     overhead = 1.0
     rounds = 0
-    while state.fidelity < target_fidelity - FIDELITY_ATOL:
+    while state[0] < target_fidelity - FIDELITY_ATOL:
         if rounds >= max_rounds:
-            return OverheadResult(math.inf, rounds, state.fidelity, False)
-        prev = state.fidelity
-        state, p = purify_step(state, state)
+            return OverheadResult(math.inf, rounds, state[0], False)
+        prev = state[0]
+        state, p = _dejmps_round(state, state)
         overhead *= 2.0 / p
         rounds += 1
-        if state.fidelity <= prev + 1e-15:
+        if state[0] <= prev + 1e-15:
             # map stalled (at or below the F=0.5 fixed line); cap would only spin
-            return OverheadResult(math.inf, rounds, state.fidelity, False)
-    return OverheadResult(overhead, rounds, state.fidelity, True)
+            return OverheadResult(math.inf, rounds, state[0], False)
+    return OverheadResult(overhead, rounds, state[0], True)
 
 
 @lru_cache(maxsize=65536)

@@ -33,8 +33,6 @@ from numbers import Integral
 
 import numpy as np
 
-from . import allocation_lp
-
 LEAKY_SLOPE = 0.01
 PROB_FLOOR = 1e-12  # only applied when a softmax block underflows to zeros
 
@@ -426,15 +424,19 @@ def train(policy: PolicyNetwork, problem: RlProblem, config: TrainConfig, enviro
 
 
 def cached_reward(compiler):
-    """Reward callback for train: a selection's W-EGR under an LpCompiler, solved
-    once per distinct choice of path nodes; `.cache` holds one entry per LP."""
+    """Reward callback for train: a selection's W-EGR under an LpCompiler,
+    solved once per set of pool ids; `.cache` holds one entry per LP.
+
+    The policy's picks within a pair come sorted and share one strategy, so
+    the sorted ids name a selection as its ordered picks would.
+    """
     cache = {}
 
     def environment(selection):
-        key = tuple(sorted((pk, tuple(p.nodes for p, _ in chosen))
-                           for pk, chosen in selection.items()))
+        ids = compiler.column_ids(selection)
+        key = np.sort(ids).tobytes()
         if key not in cache:
-            cache[key] = allocation_lp.solve(compiler.compile(selection)).wegr
+            cache[key] = compiler.wegr(ids)
         return cache[key]
 
     environment.cache = cache

@@ -86,9 +86,13 @@ class Workload:
         if len(set(org_ids)) != len(org_ids):
             raise WorkloadError("duplicate organization ids")
         known = set(org_ids)
+        keys = set()
         for p in self.user_pairs:
             if p.org_id not in known:
                 raise WorkloadError(f"pair {p.endpoints} references unknown org {p.org_id!r}")
+            if p.key in keys:
+                raise WorkloadError(f"duplicate pair {p.key}")
+            keys.add(p.key)
 
     def org_by_id(self, org_id):
         for o in self.organizations:

@@ -345,10 +345,17 @@ def test_compiled_lp_does_not_depend_on_memo_state():
         # fill the memo with other choices first, in reverse pair order
         compiler.compile({k: v[::-1] for k, v in reversed(sel.items())})
         warm = compiler.compile(sel).lp
+        # every choice gets an id, in reverse order, before the first gather
+        numbered = LpCompiler(graph, wl, p_max=6)
+        for pair_key, choices in reversed(sel.items()):
+            for path, strategy in reversed(choices):
+                numbered.column_id(pair_key, path, strategy)
+        late = numbered.compile(sel).lp
         cold = build_problem(graph, wl, sel, p_max=6).lp
-        for name in ("objective", "indptr", "indices", "data", "row_bounds"):
-            assert np.array_equal(getattr(warm, name), getattr(cold, name)), (trial, name)
-        assert warm.row_labels == cold.row_labels
+        for lp in (warm, late):
+            for name in ("objective", "indptr", "indices", "data", "row_bounds"):
+                assert np.array_equal(getattr(lp, name), getattr(cold, name)), (trial, name)
+            assert lp.row_labels == cold.row_labels
 
 
 def test_csc_layout_and_dense_view():

@@ -493,6 +493,36 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert rc("rl", "hidden.json", _base(topo, wlf), hidden=hidden) == 2
 
 
+def test_real_config_keys_exit_2(tmp_path, capsys):
+    # real-valued keys: bools, strings, non-finite and non-positive values
+    topo, wlf = _triangle_files(tmp_path)
+    out = tmp_path / "out"
+
+    def rc(command, **extra):
+        cfg = _config(tmp_path, "real.json", _base(topo, wlf), **extra)
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert "config error" in capsys.readouterr().err, (command, extra)
+        return code
+
+    bad = ("high", True, None, 0, -0.5, float("nan"), float("inf"))
+    for value in bad:
+        for command in ("ga", "report"):
+            assert rc(command, optimizer="ga", ga={"generations": 1, "population_size": 4},
+                      baseline_threshold=value) == 2, (command, value)
+        assert rc("allocate", source={"baseline": "hop", "threshold": value}) == 2, value
+    engineer_blocks = [{"threshold_km": 20.0}, {"spacing_km": 10.0}, [20.0, 10.0]]
+    engineer_blocks += [{"threshold_km": 20.0, "spacing_km": v} for v in bad]
+    engineer_blocks += [{"threshold_km": v, "spacing_km": 10.0} for v in bad]
+    for block in engineer_blocks:
+        for command in ("capacity", "paths", "allocate"):
+            assert rc(command, engineer=block, source={"baseline": "hop"}) == 2, (command, block)
+    # JSON integers are numbers too
+    for command, extra in (("capacity", {"engineer": {"threshold_km": 20, "spacing_km": 10}}),
+                           ("allocate", {"source": {"baseline": "hop", "threshold": 1}})):
+        cfg = _config(tmp_path, "real.json", _base(topo, wlf), **extra)
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+
+
 def test_unparseable_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from qvpn import ga_optimizer
+from qvpn import allocation_lp, ga_optimizer
 from qvpn.allocation_lp import LpCompiler, wegr_of_selection
 from qvpn.fixtures import bundled_topology
 from qvpn.ga_optimizer import (
@@ -14,7 +16,8 @@ from qvpn.ga_optimizer import (
     random_genome,
 )
 from qvpn.pathfinding import WeightScheme, baseline_selection, build_candidate_sets
-from qvpn.quantum_math import default_strategy_catalog, path_overhead_per_link
+from qvpn.quantum_math import (DistillationStrategy, default_strategy_catalog,
+                               path_overhead_per_link)
 from qvpn.workload import Organization, Workload, WorkloadParams, generate_workload
 
 from qvpn_helpers import make_pair
@@ -121,6 +124,31 @@ def test_encode_decode_round_trip(tri_problem):
         again = tri_problem.decode(tri_problem.encode_selection(sel))
         assert {k: [(p.link_keys, s.link_threshold) for p, s in v] for k, v in sel.items()} == \
                {k: [(p.link_keys, s.link_threshold) for p, s in v] for k, v in again.items()}
+
+
+def test_encode_selection_rejects_picks_outside_the_problem(triangle, tri_problem):
+    pair_key = tri_problem.pair_order[0]
+    cands = dict(tri_problem.candidates)
+    outside = cands[pair_key][1]
+    cands[pair_key] = cands[pair_key][:1]
+    prob = GaProblem(triangle, tri_problem.workload, cands, tri_problem.catalog, p_max=2)
+    inside = cands[pair_key][0]
+    for pick in ((outside, prob.catalog[0]), (inside, DistillationStrategy(0.5))):
+        with pytest.raises(ValueError, match=re.escape(f"pair {pair_key}")):
+            prob.encode_selection({pair_key: [pick]})
+        # looking a pick up gives it no pool id
+        assert prob.compiler.find_id(pair_key, *pick) is None
+    # a choice scored through the problem's compiler gets an id past the layout
+    prob.compiler.column_id(pair_key, outside, prob.catalog[0])
+    with pytest.raises(ValueError, match=re.escape(f"pair {pair_key}")):
+        prob.encode_selection({pair_key: [(outside, prob.catalog[0])]})
+
+
+def test_repeated_catalog_strategies_are_rejected(triangle, tri_problem):
+    # a repeated choice would share a pool id, and gene arithmetic would skew
+    catalog = tri_problem.catalog + tri_problem.catalog[:1]
+    with pytest.raises(ValueError, match="repeat"):
+        GaProblem(triangle, tri_problem.workload, tri_problem.candidates, catalog, p_max=2)
 
 
 def test_fitness_matches_lp_and_caches(tri_problem):
@@ -326,6 +354,24 @@ def test_pool_lp_equals_compile_of_decode(monkeypatch, net50_problem):
                                           problem.decode(genome), problem.noise,
                                           problem.p_max, compiler=reference)
     assert forced_duplicates > 300 and forced_infeasible > 300
+
+
+def test_building_a_problem_does_no_column_math(monkeypatch, net50_inputs):
+    # the layout gets its pool ids at init; a column's overheads are computed
+    # the first time a gather asks for it
+    calls = []
+    real = allocation_lp.path_overhead_per_link
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(allocation_lp, "path_overhead_per_link", counting)
+    net50, wl, cands = net50_inputs
+    problem = GaProblem(net50, wl, cands, default_strategy_catalog(), p_max=3)
+    assert calls == []
+    problem.fitness(random_genome(problem, np.random.default_rng(0)))
+    assert calls
 
 
 def test_fitness_cache_is_keyed_on_first_picks(net50_problem):

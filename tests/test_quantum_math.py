@@ -147,6 +147,49 @@ def test_overhead_matches_success_probability_product():
     assert r.achieved_fidelity == pytest.approx(state.fidelity, rel=1e-12)
 
 
+def _overhead_by_purify_step(input_fidelity, target, max_rounds):
+    """purification_overhead's loop on validated states, one purify_step per round."""
+    state = werner(input_fidelity)
+    overhead, rounds = 1.0, 0
+    while state.fidelity < target - FIDELITY_ATOL:
+        if rounds >= max_rounds:
+            return (math.inf, rounds, state.fidelity, False)
+        prev = state.fidelity
+        state, p = purify_step(state, state)
+        overhead *= 2.0 / p
+        rounds += 1
+        if state.fidelity <= prev + 1e-15:
+            return (math.inf, rounds, state.fidelity, False)
+    return (overhead, rounds, state.fidelity, True)
+
+
+def test_overhead_is_bitwise_the_purify_step_recurrence():
+    # the loop on plain coefficient tuples must give purify_step's bits:
+    # reached, capped and stalled alike
+    outcomes = set()
+    for f in np.linspace(0.26, 1.0, 50):
+        for target in np.linspace(0.3, 0.999, 30):
+            for max_rounds in (3, DEFAULT_MAX_ROUNDS):
+                want = _overhead_by_purify_step(float(f), float(target), max_rounds)
+                got = astuple(purification_overhead(float(f), float(target), max_rounds))
+                assert got == want, (f, target, max_rounds)
+                outcomes.add((want[3], want[1] == max_rounds))
+    assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
+
+
+@pytest.mark.parametrize("args, overhead, rounds, fidelity", [
+    ((0.8, 0.85, 20), "0x1.bf271d772eed1p+2", 2, "0x1.e324ae036c5ccp-1"),
+    ((0.51, 0.999, 20), "0x1.0f2a5312511d4p+23", 14, "0x1.ff91e39d8c75bp-1"),
+    ((0.93, 0.998, 20), "0x1.38e61c4b02b02p+3", 3, "0x1.ffdb9c4127e43p-1"),
+    ((0.6, 0.95, 5), "inf", 5, "0x1.ddff4f215e2a9p-1"),
+])
+def test_overhead_bits_are_pinned(args, overhead, rounds, fidelity):
+    # every LP coefficient derives from these; a reordered recurrence moves them
+    r = purification_overhead(*args)
+    assert (r.overhead, r.rounds, r.achieved_fidelity) == \
+        (float.fromhex(overhead), rounds, float.fromhex(fidelity))
+
+
 def test_overhead_domain():
     with pytest.raises(ValueError):
         purification_overhead(0.25, 0.8)

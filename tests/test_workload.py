@@ -133,6 +133,17 @@ def test_load_rejects_bad_documents():
         load_workload("qvpn-workload v1\norg o heavy\n")
 
 
+def test_duplicate_pair_keys_are_rejected():
+    # two rows on one key would share one pair's R_min / R_max rows and weight
+    doc = ("qvpn-workload v1\norg o1 1.0\norg o2 1.0\n"
+           "pair o1 A B 0.5 0.8 0.0 10.0\n")
+    with pytest.raises(WorkloadError, match="duplicate pair"):
+        load_workload(doc + "pair o1 A B 0.4 0.85 1.0 20.0\n")
+    # the same endpoints in another org, or in the other order, are other pairs
+    wl = load_workload(doc + "pair o2 A B 0.5 0.8 0.0 10.0\npair o1 B A 0.5 0.8 0.0 10.0\n")
+    assert len({p.key for p in wl.user_pairs}) == 3
+
+
 def test_load_ignores_comments_and_blanks():
     doc = """
 # demand sheet
