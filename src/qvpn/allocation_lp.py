@@ -114,6 +114,7 @@ class LpCompiler:
 
     def __init__(self, graph, workload, noise: NoiseParams = DEFAULT_NOISE, p_max: int = 3):
         self.graph = graph
+        self.workload = workload
         self.noise = noise
         self.p_max = p_max
         org_weight = {o.id: o.weight for o in workload.organizations}
@@ -144,7 +145,7 @@ class LpCompiler:
                 labels.append(("rmax", pair.key))
         self._pair_bounds = np.array(bounds, dtype=float)
         self._pair_labels = tuple(labels)
-        # the column pool: _choice_key of (pair, path, strategy) -> id, the choice
+        # the column pool: (pair key, path links, strategy) -> id, the choice
         # behind each id, and per id its entries first[id] .. first[id] +
         # count[id] in codes / coeffs. count is -1 for a column not computed
         # yet and 0 for an infeasible one (a feasible one has a link row).
@@ -161,7 +162,7 @@ class LpCompiler:
         """Pool id of one (path, strategy) choice for a pair, assigning the
         next id on first use. Raises ValueError if the path's endpoints
         mismatch the pair; the pool is then left as it was."""
-        key = _choice_key(pair_key, path, strategy)
+        key = (pair_key, path.link_keys, strategy)
         column = self._ids.get(key)
         if column is None:
             ends, endpoints = (path.nodes[0], path.nodes[-1]), self._pairs[pair_key].endpoints
@@ -173,7 +174,7 @@ class LpCompiler:
 
     def find_id(self, pair_key, path, strategy) -> int | None:
         """Pool id of a choice, or None when it has none; assigns no id."""
-        return self._ids.get(_choice_key(pair_key, path, strategy))
+        return self._ids.get((pair_key, path.link_keys, strategy))
 
     def choice(self, column: int):
         """(pair key, path, strategy) of a pool id: the choice that got it."""
@@ -268,32 +269,18 @@ class LpCompiler:
             row_labels=tuple([cap_labels[i] for i in touched.tolist()]) + self._pair_labels,
         )
 
-    def wegr(self, ids) -> float:
-        """W-EGR of pool columns ids: gather, solve, objective @ x; 0 when
-        the LP is infeasible. Propagates solver failures."""
-        lp = self.gather(ids)
-        status, x = _solve_columns(lp)
-        return 0.0 if status == "infeasible" else float(lp.objective @ x)
-
     def compile(self, selection) -> AllocationProblem:
         """The LP of one selection, as column_ids takes it; its variables
         hold the selection's own path objects. Raises as column_ids does."""
-        kept = list(self._kept(selection))
-        ids = np.array([self.column_id(*c) for c in kept], dtype=np.intp)
+        ids = self.column_ids(selection)
         lp = self.gather(ids)
         feasible = (self._count[ids] > 0).tolist()
         return AllocationProblem(
-            variables=tuple(c for c, ok in zip(kept, feasible) if ok),
+            variables=tuple(c for c, ok in zip(self._kept(selection), feasible) if ok),
             lp=lp,
             pair_keys=self._pair_keys,
             swap_success_prob=self.noise.swap_success_prob,
         )
-
-
-def _choice_key(pair_key, path, strategy):
-    """The pool's key of a choice. It holds the strategy's fields, which
-    hash in C, where the frozen dataclass would hash in Python."""
-    return pair_key, path.link_keys, strategy.link_threshold, strategy.max_rounds
 
 
 def _grown(array, size):
@@ -457,4 +444,6 @@ def wegr_of_selection(graph, workload, selection, noise: NoiseParams = DEFAULT_N
         compiler = LpCompiler(graph, workload, noise, p_max)
     if not isinstance(selection, np.ndarray):
         selection = compiler.column_ids(selection)
-    return compiler.wegr(selection)
+    lp = compiler.gather(selection)
+    status, x = _solve_columns(lp)
+    return 0.0 if status == "infeasible" else float(lp.objective @ x)

@@ -182,7 +182,11 @@ def _load_workload(config, graph, hasher):
 
 def _load_catalog(config, hasher):
     if "strategies" in config:
-        catalog = load_strategy_catalog(_read_ref(config, "strategies", hasher))
+        text = _read_ref(config, "strategies", hasher)
+        try:
+            catalog = load_strategy_catalog(text)
+        except ValueError as exc:
+            raise ConfigError(f"bad strategies file: {exc}") from None
     else:
         catalog = default_strategy_catalog()
     count = config.get("strategy_count")

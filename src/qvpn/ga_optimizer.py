@@ -123,12 +123,13 @@ class GaProblem:
                   for path in self.candidates[k] for strategy in self.catalog]
         if [self.compiler.column_id(*c) for c in layout] != list(range(len(layout))):
             raise ValueError("candidate paths or catalog strategies repeat")
+        self._layout_size = len(layout)
         num_paths = np.array([len(self.candidates[k]) for k in self.pair_order], dtype=np.intp)
-        self._slot_paths = np.repeat(num_paths, p_max).tolist()
         # per (pair, slot): the pair's base id and its path count
         pair_base = (np.cumsum(num_paths) - num_paths) * len(self.catalog)
         self._slot_base = np.repeat(pair_base, p_max).reshape(-1, p_max)
         self._slot_limit = np.repeat(num_paths, p_max).reshape(-1, p_max)
+        self._slot_paths = self._slot_limit.ravel().tolist()
 
     def genome_length(self):
         return len(self.pair_order) * self.p_max
@@ -185,13 +186,12 @@ class GaProblem:
         ValueError naming the pair when a pick is not one of its candidate
         paths with a catalog strategy."""
         genes = []
-        layout_size = int(self._slot_limit[:, 0].sum()) * len(self.catalog)
         for i, pair_key in enumerate(self.pair_order):
             slots = []
             for path, strategy in selection.get(pair_key, [])[: self.p_max]:
                 # the pool is keyed by pair, so a layout id is one of this pair's
                 column = self.compiler.find_id(pair_key, path, strategy)
-                if column is None or column >= layout_size:
+                if column is None or column >= self._layout_size:
                     raise ValueError(f"pair {pair_key}: path {path.nodes} with link "
                                      f"threshold {strategy.link_threshold} is not among "
                                      "its candidate paths and catalog strategies")

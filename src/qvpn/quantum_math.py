@@ -217,8 +217,8 @@ def load_strategy_catalog(source: str, max_rounds: int = DEFAULT_MAX_ROUNDS):
             raise ValueError(f"line {lineno}: bad threshold {text!r}") from None
     if not thresholds:
         raise ValueError("strategy catalog is empty")
-    if thresholds != sorted(thresholds):
-        raise ValueError("strategy catalog must be sorted ascending by threshold")
+    if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
+        raise ValueError("strategy catalog must be strictly ascending by threshold")
     return [DistillationStrategy(t, max_rounds) for t in thresholds]
 
 

@@ -33,6 +33,8 @@ from numbers import Integral
 
 import numpy as np
 
+from . import allocation_lp
+
 LEAKY_SLOPE = 0.01
 PROB_FLOOR = 1e-12  # only applied when a softmax block underflows to zeros
 
@@ -436,7 +438,9 @@ def cached_reward(compiler):
         ids = compiler.column_ids(selection)
         key = np.sort(ids).tobytes()
         if key not in cache:
-            cache[key] = compiler.wegr(ids)
+            cache[key] = allocation_lp.wegr_of_selection(
+                compiler.graph, compiler.workload, ids, compiler.noise, compiler.p_max,
+                compiler=compiler)
         return cache[key]
 
     environment.cache = cache

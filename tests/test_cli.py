@@ -523,6 +523,22 @@ def test_real_config_keys_exit_2(tmp_path, capsys):
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
 
 
+def test_bad_strategy_catalog_exits_2(tmp_path, capsys):
+    # a repeated threshold would give two catalog entries one LP column
+    topo, wlf = _triangle_files(tmp_path)
+    out = tmp_path / "out"
+    for name, text in (("repeat.cat", "0.9\n0.9\n0.95\n"), ("desc.cat", "0.95\n0.9\n"),
+                       ("word.cat", "0.9\nhigh\n"), ("empty.cat", "# none\n")):
+        (tmp_path / name).write_text(text)
+        for command, extra in (("ga", {"ga": {"generations": 1, "population_size": 4}}),
+                               ("report", {"optimizer": "ga", "repetitions": 1,
+                                           "ga": {"generations": 1, "population_size": 4}})):
+            cfg = _config(tmp_path, "cat.json", _base(topo, wlf),
+                          strategies=str(tmp_path / name), **extra)
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, (name, command)
+            assert "config error: bad strategies file" in capsys.readouterr().err
+
+
 def test_unparseable_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")

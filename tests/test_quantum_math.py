@@ -272,6 +272,8 @@ def test_catalog_round_trip():
 def test_catalog_rejects_unsorted():
     with pytest.raises(ValueError, match="ascending"):
         load_strategy_catalog("0.9\n0.8\n")
+    with pytest.raises(ValueError, match="strictly ascending"):
+        load_strategy_catalog("0.9\n0.9\n0.95\n")
 
 
 def test_catalog_rejects_garbage_line():
