@@ -272,11 +272,13 @@ class LpCompiler:
     def compile(self, selection) -> AllocationProblem:
         """The LP of one selection, as column_ids takes it; its variables
         hold the selection's own path objects. Raises as column_ids does."""
-        ids = self.column_ids(selection)
+        # one walk: the kept choices give the ids and then the variables
+        kept = list(self._kept(selection))
+        ids = np.array([self.column_id(*c) for c in kept], dtype=np.intp)
         lp = self.gather(ids)
         feasible = (self._count[ids] > 0).tolist()
         return AllocationProblem(
-            variables=tuple(c for c, ok in zip(self._kept(selection), feasible) if ok),
+            variables=tuple(c for c, ok in zip(kept, feasible) if ok),
             lp=lp,
             pair_keys=self._pair_keys,
             swap_success_prob=self.noise.swap_success_prob,
