@@ -114,11 +114,14 @@ def _config_int(key: str, value, low: int = 1) -> int:
     return value
 
 
-def _config_real(key: str, value):
-    """value, read from config key `key`, checked to be a finite number > 0.
-    JSON true/false load as Python bools, which are ints; they are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
-        raise ConfigError(f"{key!r} must be a finite number > 0, got {value!r}")
+def _config_real(key: str, value, allow_zero: bool = False):
+    """value, read from config key `key`, checked to be a finite number > 0
+    (>= 0 with allow_zero). JSON true/false load as Python bools, which are
+    ints; they are rejected."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (0 <= value if allow_zero else 0 < value) or not value < math.inf):
+        raise ConfigError(f"{key!r} must be a finite number {'>=' if allow_zero else '>'} 0, "
+                          f"got {value!r}")
     return value
 
 
@@ -153,12 +156,27 @@ def _load_graph(config, hasher):
 
 
 def _workload_params(config) -> WorkloadParams:
-    raw = dict(config["workload_params"])
-    for key in ("org_weight_range", "pair_weight_range", "fidelity_range"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
+    """The workload_params block as WorkloadParams, each field type-checked;
+    the ranges are [low, high] lists of numbers > 0."""
+    raw = config["workload_params"]
+    if not isinstance(raw, dict):
+        raise ConfigError(f"workload_params must be a JSON object, got {raw!r}")
+    fields = {}
+    for key, value in raw.items():
+        name = f"workload_params.{key}"
+        if key in ("num_orgs", "pairs_per_org", "hop_cap"):
+            _config_int(name, value)
+        elif key in ("org_weight_range", "pair_weight_range", "fidelity_range"):
+            if not isinstance(value, list) or len(value) != 2:
+                raise ConfigError(f"{name!r} must be a list of two numbers, got {value!r}")
+            value = tuple(_config_real(name, bound) for bound in value)
+        elif key in ("r_min", "r_max"):
+            _config_real(name, value, allow_zero=key == "r_min")
+        elif key == "random_r_max" and not isinstance(value, bool):
+            raise ConfigError(f"{name!r} must be true or false, got {value!r}")
+        fields[key] = value
     try:
-        return WorkloadParams(**raw)
+        return WorkloadParams(**fields)
     except TypeError as exc:
         raise ConfigError(f"bad workload_params: {exc}") from None
 
@@ -215,8 +233,10 @@ def _optimizer_config(config, name: str, cls):
 
 
 def _hasher(config) -> "hashlib._Hash":
+    # max_workers says how a report runs, not what it computes
     h = hashlib.sha256()
-    h.update(json.dumps(config, sort_keys=True).encode())
+    h.update(json.dumps({key: value for key, value in config.items() if key != "max_workers"},
+                        sort_keys=True).encode())
     return h
 
 
@@ -302,6 +322,8 @@ def cmd_allocate(config, out_dir):
     catalog = _load_catalog(config, hasher)
     p_max = _config_int("p_max", config.get("p_max", 3))
     source = _require(config, "source")
+    if not isinstance(source, dict):
+        raise ConfigError(f"source must be a JSON object, got {source!r}")
     if "selection" in source:
         sel_path = source["selection"]
         try:
@@ -474,8 +496,8 @@ def cmd_report(config, out_dir):
              "seconds": p.seconds, "error": p.error}
             for p in result.points
         ],
-        # path searches asked and Yen runs done: worker threads may race, so
-        # these vary between runs and stay out of every CSV
+        # path searches asked and Yen runs done; each worker process keeps its
+        # own memo, so yen_runs depends on max_workers and both stay out of every CSV
         "path_queries": finder.queries,
         "yen_runs": finder.yen_runs,
         "outputs": outputs,

@@ -5,9 +5,10 @@ search (candidate paths, a baseline / GA / RL selection, one final LP) is
 the pipeline of the CLI commands and of every sweep point. A Scenario
 bundles a topology, a workload (explicit or generation parameters), an
 optimizer choice, and one optional sweep axis. run_scenario evaluates every
-(sweep value, repetition) cell and returns an ordered result bundle stamped
-with a hash of the full configuration. Failures are recorded per point; the
-remaining points still run.
+(sweep value, repetition) cell, serially or on forked worker processes, and
+returns an ordered result bundle stamped with a hash of the full
+configuration. Failures are recorded per point; the remaining points still
+run.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace, field
 
 from .topology import NetworkGraph, save_topology
@@ -278,12 +278,76 @@ def _run_point(scenario: Scenario, axis_value, repetition: int, seed: int,
         selection=result.selection, solution=result.solution, trace=result.trace)
 
 
+def _guarded_point(scenario: Scenario, task, finder: PathFinder) -> PointResult:
+    value, rep, seed = task
+    try:
+        return _run_point(scenario, value, rep, seed, finder)
+    except Exception as exc:  # recorded, sweep continues
+        return PointResult(axis_value=value, repetition=rep, seed=seed,
+                           status="error", wegr=float("nan"), seconds=0.0,
+                           error=f"{type(exc).__name__}: {exc}")
+
+
+def _run_share(scenario: Scenario, tasks, finder: PathFinder, conn) -> None:
+    """A worker process's body: its tasks in order on its copy of finder,
+    then the points and the finder's query and Yen-run counts to conn."""
+    queries, yen_runs = finder.queries, finder.yen_runs
+    points = [_guarded_point(scenario, task, finder) for task in tasks]
+    conn.send((points, finder.queries - queries, finder.yen_runs - yen_runs))
+    conn.close()
+
+
+def _run_forked(context, scenario: Scenario, tasks, workers: int, finder: PathFinder) -> tuple:
+    """Worker w runs tasks[w::workers] on a fork of this process; the points
+    come back in task order and the workers' counts are added to finder.
+    Raises if a worker ends without sending its points; no worker outlives
+    the call. Fork, not spawn: a worker starts with this process's imports
+    and finder memo instead of importing qvpn again, and qvpn runs no
+    threads that a fork could cut off."""
+    shares = []
+    points = [None] * len(tasks)
+    try:
+        for w in range(workers):
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(target=_run_share,
+                                      args=(scenario, tasks[w::workers], finder, sender))
+            process.start()
+            # the parent's copy of the sending end must go before the next
+            # fork, or a worker that dies would leave its pipe open
+            sender.close()
+            shares.append((process, receiver))
+        for w, (process, receiver) in enumerate(shares):
+            try:
+                share, queries, yen_runs = receiver.recv()
+            except EOFError:
+                process.join()
+                raise RuntimeError(f"sweep worker {w} exited with code {process.exitcode} "
+                                   "before sending its points") from None
+            points[w::workers] = share
+            finder.queries += queries
+            finder.yen_runs += yen_runs
+    except BaseException:
+        for process, _ in shares:
+            process.terminate()
+        raise
+    finally:
+        for process, receiver in shares:
+            receiver.close()
+            process.join()
+    return tuple(points)
+
+
 def run_scenario(scenario: Scenario, max_workers: int = 1,
                  finder: PathFinder | None = None) -> ScenarioResult:
     """Evaluate every sweep point x repetition; errors are recorded per point.
 
-    All points and worker threads share one PathFinder of the scenario's
-    graph: finder when given, else a fresh one.
+    Points are searched through finder when given, else a fresh PathFinder
+    of the scenario's graph. With max_workers > 1, min(max_workers, points)
+    processes forked from this one share the points out statically; each
+    searches on its own copy of finder, whose counts then take in theirs.
+    Every point is a pure function of (scenario, axis value, seed), so the
+    results do not depend on max_workers; without the fork start method the
+    points run serially.
     """
     if finder is None:
         finder = PathFinder(scenario.graph)
@@ -292,20 +356,15 @@ def run_scenario(scenario: Scenario, max_workers: int = 1,
     tasks = [(value, rep, scenario.seeds[rep])
              for value in axis_values for rep in range(scenario.repetitions)]
 
-    def guarded(task):
-        value, rep, seed = task
-        try:
-            return _run_point(scenario, value, rep, seed, finder)
-        except Exception as exc:  # recorded, sweep continues
-            return PointResult(axis_value=value, repetition=rep, seed=seed,
-                               status="error", wegr=float("nan"), seconds=0.0,
-                               error=f"{type(exc).__name__}: {exc}")
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            points = tuple(pool.map(guarded, tasks))
-    else:
-        points = tuple(guarded(t) for t in tasks)
+    workers = min(max_workers, len(tasks))
+    points = None
+    if workers > 1:
+        import multiprocessing  # here, so that serial runs do not pay for the import
+        if "fork" in multiprocessing.get_all_start_methods():
+            points = _run_forked(multiprocessing.get_context("fork"), scenario, tasks,
+                                 workers, finder)
+    if points is None:
+        points = tuple(_guarded_point(scenario, task, finder) for task in tasks)
     return ScenarioResult(scenario=scenario, config_hash=config_hash, points=points)
 
 

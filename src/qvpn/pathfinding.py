@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -108,13 +107,17 @@ def _dijkstra(adjacency, src, dst, banned_nodes, banned_first_hops):
 
 
 def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
-                   scheme: WeightScheme, pair_key: tuple | None = None, *, table=None):
+                   scheme: WeightScheme, pair_key: tuple | None = None, *, table=None,
+                   built: dict | None = None):
     """Up to k loopless shortest paths in nondecreasing total weight.
 
     Returns an empty list when src and dst are disconnected. pair_key tags
     the produced CandidatePaths (defaults to an anonymous pair). table: the
     graph's SchemeTable for scheme, when the caller keeps one; built here
-    otherwise.
+    otherwise. built: a dict from node tuple to CandidatePath that the
+    caller keeps across searches; a ranked path found there is returned as
+    it is, and each path built here is added to it. Its paths must carry
+    this call's pair_key.
 
     The first j paths do not depend on k: the search accepts paths in rank
     order and k only says when to stop. PathFinder's memo relies on this.
@@ -171,7 +174,15 @@ def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
         _, nodes, deviation = heapq.heappop(candidates)
         accepted.append(nodes)
 
-    return [path_from_nodes(graph, pair_key, nodes) for nodes in accepted]
+    if built is None:
+        return [path_from_nodes(graph, pair_key, nodes) for nodes in accepted]
+    paths = []
+    for nodes in accepted:
+        path = built.get(nodes)
+        if path is None:
+            path = built[nodes] = path_from_nodes(graph, pair_key, nodes)
+        paths.append(path)
+    return paths
 
 
 class PathFinder:
@@ -184,15 +195,15 @@ class PathFinder:
     answered from that list when it is long enough or exhausted, since Yen's
     first j paths for any k >= j are its paths for j; otherwise it runs
     yen_k_shortest again with the larger k. The finder also keeps each path
-    Yen built, by node tuple, and candidate_paths copies its link fields
-    instead of walking its links again.
+    Yen built, by node tuple: a search that finds a known path takes it from
+    there, and candidate_paths copies its link fields, so each path's links
+    are walked once per finder.
 
-    Threads may share a finder. The searches run outside the lock, so two
-    threads that miss on one key at once both search it. Every answer is a
-    pure function of (graph, src, dst, scheme, k), so that repeats work and
-    never changes a result. queries counts calls and yen_runs the searches
-    run; the latter can vary between threaded runs, so both belong in the
-    manifest only.
+    queries counts calls and yen_runs the searches run. Every answer is a
+    pure function of (graph, src, dst, scheme, k), so neither count changes
+    a result; both belong in the manifest only. A finder is not safe to
+    share between threads; run_scenario's worker processes each search on
+    their own copy.
     """
 
     def __init__(self, graph: NetworkGraph):
@@ -202,28 +213,21 @@ class PathFinder:
         self._tables = {scheme: SchemeTable.build(graph, scheme) for scheme in WeightScheme}
         self._memo = {}  # (src, dst, scheme) -> (node tuples, exhausted)
         self._built = {}  # node tuple -> CandidatePath as Yen built it
-        self._lock = threading.Lock()
 
     def paths(self, src: str, dst: str, k: int, scheme: WeightScheme) -> tuple:
         """Node tuples of up to k shortest src-dst paths under scheme, in rank order."""
         if k < 1:
             raise ValueError("k must be >= 1")
         key = (src, dst, scheme)
-        with self._lock:
-            self.queries += 1
-            known = self._memo.get(key)
-            if known is not None and (len(known[0]) >= k or known[1]):
-                return known[0][:k]
-            self.yen_runs += 1
-        built = yen_k_shortest(self.graph, src, dst, k, scheme, table=self._tables[scheme])
+        self.queries += 1
+        known = self._memo.get(key)
+        if known is not None and (len(known[0]) >= k or known[1]):
+            return known[0][:k]
+        self.yen_runs += 1
+        built = yen_k_shortest(self.graph, src, dst, k, scheme, table=self._tables[scheme],
+                               built=self._built)
         found = tuple(p.nodes for p in built)
-        exhausted = len(found) < k  # then found is every path there is
-        with self._lock:
-            for p in built:
-                self._built.setdefault(p.nodes, p)
-            known = self._memo.get(key)  # another thread may have stored a longer list
-            if known is None or len(found) > len(known[0]) or exhausted:
-                self._memo[key] = (found, exhausted)
+        self._memo[key] = (found, len(found) < k)  # exhausted: found is every path there is
         return found
 
     def candidate_paths(self, node_tuples, pair_key) -> list:
@@ -232,8 +236,7 @@ class PathFinder:
         Link keys, hop count and bottleneck are copied from the path Yen
         built, so each path's links are walked once per finder.
         """
-        with self._lock:
-            built = [self._built[nodes] for nodes in node_tuples]
+        built = [self._built[nodes] for nodes in node_tuples]
         return [CandidatePath(pair_key, p.nodes, p.link_keys, p.hop_count, p.bottleneck_capacity)
                 for p in built]
 

@@ -323,6 +323,32 @@ def test_report_manifest_counts_path_searches(tmp_path):
     for name in manifest["outputs"]:
         assert "yen_runs" not in (out / name).read_text()
         assert "path_queries" not in (out / name).read_text()
+    # two workers, one repetition each: each runs its own first point's 6 searches
+    cfg = _config(tmp_path, "report2.json", _base(topo, wlf),
+                  optimizer="baseline-hop", repetitions=2,
+                  sweep={"axis": "p_max", "values": [1, 2]}, max_workers=2)
+    assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "out2")]) == 0
+    manifest = _manifest(tmp_path / "out2")
+    assert (manifest["path_queries"], manifest["yen_runs"]) == (32, 12)
+
+
+def test_report_outputs_do_not_depend_on_max_workers(tmp_path):
+    # worker processes change how the sweep runs, not one byte of its CSVs
+    topo, wlf = _triangle_files(tmp_path)
+    outputs = []
+    for workers in (1, 2, 3):
+        cfg = _config(tmp_path, f"report{workers}.json", _base(topo, wlf),
+                      optimizer="ga", ga={"population_size": 4, "generations": 2},
+                      repetitions=2, sweep={"axis": "p_max", "values": [1, 2]},
+                      max_workers=workers)
+        out = tmp_path / f"out{workers}"
+        assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = _manifest(out)
+        outputs.append((manifest["config_hash"],
+                        {name: (out / name).read_bytes() for name in manifest["outputs"]}))
+    assert len(outputs[0][1]) == 4
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
 
 
 def test_report_error_text_with_commas_fits_the_csv(tmp_path):
@@ -528,6 +554,35 @@ def test_real_config_keys_exit_2(tmp_path, capsys):
                            ("allocate", {"source": {"baseline": "hop", "threshold": 1}})):
         cfg = _config(tmp_path, "real.json", _base(topo, wlf), **extra)
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def test_workload_params_and_source_types_exit_2(tmp_path, capsys):
+    topo, wlf = _triangle_files(tmp_path)
+    out = tmp_path / "out"
+
+    def rc(command, name, base, **extra):
+        cfg = _config(tmp_path, name, base, **extra)
+        return main([command, "--config", str(cfg), "--out", str(out)])
+
+    valid = {"num_orgs": 1, "pairs_per_org": 1, "r_min": 0, "r_max": 100,
+             "fidelity_range": [0.8, 0.9], "org_weight_range": [1, 2],
+             "random_r_max": True}
+    assert rc("paths", "wl.json", _base(topo), workload_params=valid) == 0
+    capsys.readouterr()
+    bad = [{"r_min": "x"}, {"r_min": -1.0}, {"r_max": 0}, {"r_max": None},
+           {"fidelity_range": [0.9]}, {"fidelity_range": "0.8-0.9"},
+           {"pair_weight_range": [0.3, True]}, {"org_weight_range": [0.1, float("nan")]},
+           {"num_orgs": True}, {"pairs_per_org": 1.0}, {"hop_cap": 0},
+           {"random_r_max": 1}, {"num_org": 1}]
+    for params in bad:
+        for command in ("paths", "report"):
+            assert rc(command, "wl.json", _base(topo),
+                      workload_params=dict(valid, **params)) == 2, (command, params)
+            assert "config error" in capsys.readouterr().err
+    assert rc("paths", "wl.json", _base(topo), workload_params=[1, 1]) == 2
+    for source in (["baseline"], "baseline", None):
+        assert rc("allocate", "src.json", _base(topo, wlf), source=source) == 2, source
+        assert "config error" in capsys.readouterr().err
 
 
 def test_unparseable_config_exits_2(tmp_path, capsys):

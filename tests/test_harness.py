@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import signal
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 
 from qvpn.allocation_lp import build_problem, solve
 from qvpn.fixtures import TOPOLOGY_10, bundled_topology
-from qvpn import pathfinding
+from qvpn import harness, pathfinding
 from qvpn.ga_optimizer import GaConfig
 from qvpn.harness import (
     DegenerateVarianceError,
@@ -157,34 +160,41 @@ def test_run_scenario_baseline_p_max_sweep(triangle, one_pair_workload):
         result.point(9)
 
 
-def test_run_scenario_repeatable_and_threaded(triangle, one_pair_workload):
+def test_run_scenario_repeatable_across_worker_counts(triangle, one_pair_workload):
     sc = _scenario(triangle, one_pair_workload, optimizer="baseline-inv-egr",
-                   sweep_axis="p_max", sweep_values=(1, 2))
+                   sweep_axis="p_max", sweep_values=(1, 2, 3))
     serial = run_scenario(sc)
     again = run_scenario(sc)
-    threaded = run_scenario(sc, max_workers=2)
     assert [p.wegr for p in serial.points] == [p.wegr for p in again.points]
-    assert [p.wegr for p in serial.points] == [p.wegr for p in threaded.points]
-    assert serial.config_hash == again.config_hash == threaded.config_hash
     assert serial.points[0].selection == again.points[0].selection
+    for workers in (2, 3):
+        forked = run_scenario(sc, max_workers=workers)
+        assert [p.wegr for p in forked.points] == [p.wegr for p in serial.points]
+        assert [p.selection for p in forked.points] == [p.selection for p in serial.points]
+        assert forked.config_hash == serial.config_hash
+    # more workers than points: one process per point
+    assert [p.wegr for p in run_scenario(sc, max_workers=8).points] == \
+        [p.wegr for p in serial.points]
 
 
-def test_run_scenario_ga_threaded_matches_serial():
-    # two GA points solve their LPs on two threads at once
+def test_run_scenario_ga_workers_match_serial():
+    # GA points solve their LPs in two and three worker processes at once
     net10 = bundled_topology(TOPOLOGY_10)
-    sc = Scenario(name="ga-threads", graph=net10,
+    sc = Scenario(name="ga-workers", graph=net10,
                   workload_params=WorkloadParams(num_orgs=2, pairs_per_org=4, r_min=0.0),
                   optimizer="ga", ga_config=GaConfig(population_size=8, generations=4),
-                  sweep_axis="p_max", sweep_values=(2, 3),
+                  sweep_axis="p_max", sweep_values=(1, 2, 3),
                   catalog=tuple(default_strategy_catalog(4)))
     serial = run_scenario(sc, max_workers=1)
-    threaded = run_scenario(sc, max_workers=2)
     assert all(p.status == "optimal" for p in serial.points)
-    for a, b in zip(serial.points, threaded.points):
-        assert a.wegr == b.wegr
-        assert a.trace.best_fitness == b.trace.best_fitness
-        assert a.trace.mean_fitness == b.trace.mean_fitness
-        assert save_selection(a.selection) == save_selection(b.selection)
+    for workers in (2, 3):
+        forked = run_scenario(sc, max_workers=workers)
+        for a, b in zip(serial.points, forked.points, strict=True):
+            assert a.wegr == b.wegr
+            assert a.trace.best_fitness == b.trace.best_fitness
+            assert a.trace.mean_fitness == b.trace.mean_fitness
+            assert a.trace.lp_solves == b.trace.lp_solves
+            assert save_selection(a.selection) == save_selection(b.selection)
 
 
 def _point_view(point):
@@ -192,17 +202,19 @@ def _point_view(point):
             save_selection(point.selection))
 
 
+def _share_scenario(net50):
+    return Scenario(name="share", graph=net50,
+                    workload_params=WorkloadParams(num_orgs=3, pairs_per_org=4, r_min=0.0),
+                    optimizer="baseline-inv-egr", sweep_axis="pairs_per_org",
+                    sweep_values=(4, 8, 12), repetitions=2, seeds=(3, 4),
+                    catalog=tuple(default_strategy_catalog(4)))
+
+
 def test_shared_path_finder_changes_no_point():
-    # one finder shared by every point and both threads, one shared serially,
-    # and a fresh finder per point must give the same sweep
+    # one finder shared by every point (serially, or copied into two or
+    # three worker processes) and a fresh finder per point give one sweep
     net50 = bundled_topology()
-    sc = Scenario(name="share", graph=net50,
-                  workload_params=WorkloadParams(num_orgs=3, pairs_per_org=4, r_min=0.0),
-                  optimizer="baseline-inv-egr", sweep_axis="pairs_per_org",
-                  sweep_values=(4, 8, 12), repetitions=2, seeds=(3, 4),
-                  catalog=tuple(default_strategy_catalog(4)))
-    finder = PathFinder(net50)
-    threaded = run_scenario(sc, max_workers=2, finder=finder)
+    sc = _share_scenario(net50)
     serial = run_scenario(sc, max_workers=1)
     fresh = [run_scenario(replace(sc, sweep_values=(p.axis_value,), repetitions=1,
                                   seeds=(p.seed,))).points[0]
@@ -210,9 +222,69 @@ def test_shared_path_finder_changes_no_point():
     want = [_point_view(p) for p in fresh]
     assert all(p.status == "optimal" for p in fresh)
     assert [_point_view(p) for p in serial.points] == want
-    assert [_point_view(p) for p in threaded.points] == want
-    # later points reuse earlier searches: pairs_per_org=4 pairs recur at 8 and 12
-    assert finder.yen_runs < finder.queries
+    for workers in (2, 3):
+        finder = PathFinder(net50)
+        forked = run_scenario(sc, max_workers=workers, finder=finder)
+        assert [_point_view(p) for p in forked.points] == want
+        # the workers' counts reach the caller's finder; later points reuse
+        # earlier searches (pairs_per_org=4 pairs recur at 8 and 12)
+        assert 0 < finder.yen_runs < finder.queries
+
+
+def test_forked_run_counts_are_repeatable():
+    # the points are shared out statically, so each worker asks the same
+    # queries of its memo in every run
+    net50 = bundled_topology()
+    sc = _share_scenario(net50)
+    counts = []
+    for _ in range(2):
+        finder = PathFinder(net50)
+        run_scenario(sc, max_workers=2, finder=finder)
+        counts.append((finder.queries, finder.yen_runs))
+    assert counts[0] == counts[1]
+    serial = PathFinder(net50)
+    run_scenario(sc, finder=serial)
+    assert counts[0][0] == serial.queries  # every query is counted once
+
+
+def test_no_worker_outlives_run_scenario(triangle, one_pair_workload):
+    sc = _scenario(triangle, one_pair_workload, optimizer="baseline-hop",
+                   sweep_axis="strategy_count", sweep_values=(1, 2, 50))
+    result = run_scenario(sc, max_workers=2)
+    assert [p.status for p in result.points] == ["optimal", "optimal", "error"]
+    assert "strategy count 50" in result.points[2].error
+    assert multiprocessing.active_children() == []
+
+
+def test_a_dead_worker_fails_the_run(triangle, one_pair_workload, monkeypatch):
+    # a worker that exits without sending its points must fail the sweep,
+    # not hang it or return a sweep with points missing
+    parent = os.getpid()
+    real = harness._run_point
+
+    def dies_in_child(scenario, axis_value, *args):
+        if os.getpid() != parent and axis_value == 3:  # the last of three workers
+            os._exit(3)
+        return real(scenario, axis_value, *args)
+
+    monkeypatch.setattr(harness, "_run_point", dies_in_child)
+    sc = _scenario(triangle, one_pair_workload, optimizer="baseline-hop",
+                   sweep_axis="p_max", sweep_values=(1, 2, 3))
+
+    def hung(signum, frame):
+        raise TimeoutError("run_scenario still waiting 60 s after a worker died")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            run_scenario(sc, max_workers=3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
+    # serially the same points run in this process and succeed
+    assert [p.status for p in run_scenario(sc).points] == ["optimal"] * 3
 
 
 def test_traced_yen_sees_every_finder_run(monkeypatch):

@@ -1,11 +1,10 @@
 import heapq
 import math
-import sys
-import threading
 
 import numpy as np
 import pytest
 
+from qvpn import pathfinding
 from qvpn.fixtures import TOPOLOGY_10, bundled_topology
 from qvpn.oracles import enumerate_simple_paths
 from qvpn.pathfinding import (
@@ -284,45 +283,47 @@ def test_path_finder_argument_errors(triangle):
         build_candidate_set(_grid_graph(), pair, k=2, finder=finder)
 
 
-def test_path_finder_under_thread_contention():
-    # 8 threads on 2 cores, switching every microsecond: every answer must
-    # equal a serial search, no query may go uncounted, and the memo must
-    # end up holding each key's longest list
+def test_path_finder_memo_consistency(monkeypatch):
+    # queries in random order over keys and k: every answer must equal a
+    # fresh search, every query is counted, the memo ends up holding each
+    # key's longest list, and each distinct path is built once
     g = bundled_topology(TOPOLOGY_10)
     ids = sorted(n.id for n in g.user_nodes())
     keys = [(a, b, scheme) for a in ids[:4] for b in ids[4:8] for scheme in WeightScheme]
     want = {key: [p.nodes for p in yen_k_shortest(g, key[0], key[1], 6, key[2])]
             for key in keys}
     queries = [(key, k) for key in keys for k in range(1, 7)]
+    builds = []
+    real = pathfinding.path_from_nodes
+
+    def counting(graph, pair_key, nodes):
+        builds.append(nodes)
+        return real(graph, pair_key, nodes)
+
+    monkeypatch.setattr(pathfinding, "path_from_nodes", counting)
     finder = PathFinder(g)
-    errors = []
-
-    def worker(seed):
-        try:
-            for i in np.random.default_rng(seed).permutation(len(queries)):
-                (src, dst, scheme), k = queries[i]
-                if list(finder.paths(src, dst, k, scheme)) != want[(src, dst, scheme)][:k]:
-                    errors.append((src, dst, scheme, k))
-        except Exception as exc:  # reported by the assertion below
-            errors.append(exc)
-
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
-    assert finder.queries == 8 * len(queries)
+    rng = np.random.default_rng(8)
+    for i in np.concatenate([rng.permutation(len(queries)) for _ in range(3)]):
+        (src, dst, scheme), k = queries[i]
+        assert list(finder.paths(src, dst, k, scheme)) == want[(src, dst, scheme)][:k]
+    assert finder.queries == 3 * len(queries)
+    assert len(builds) == len(set(builds))
+    assert set(builds) == {nodes for paths in want.values() for nodes in paths}
     runs = finder.yen_runs
     for src, dst, scheme in keys:
         finder.paths(src, dst, 6, scheme)
     assert finder.yen_runs == runs
+
+
+def test_yen_reuses_the_paths_it_is_given():
+    g = _grid_graph()
+    built = {}
+    short = yen_k_shortest(g, "g00", "g12", 3, WeightScheme.HOP, built=built)
+    assert set(built) == {p.nodes for p in short}
+    longer = yen_k_shortest(g, "g00", "g12", 5, WeightScheme.HOP, built=built)
+    assert longer[:3] == short and all(a is b for a, b in zip(longer, short))
+    assert set(built) == {p.nodes for p in longer}
+    assert longer == yen_k_shortest(g, "g00", "g12", 5, WeightScheme.HOP)
 
 
 def test_shared_finder_gives_the_same_candidates_and_baselines():
