@@ -13,23 +13,55 @@ selections into LPs in compressed sparse column (CSC) form. solve_lp hands
 those arrays to the HiGHS binding bundled with scipy, with the options
 linprog(method="highs") sets; where that private binding is missing it
 falls back to linprog itself.
+
+The binding is loaded from its file, so importing this module never runs
+the scipy.optimize package __init__, which takes longer than the rest of
+importing qvpn; linprog is imported only when the fallback solves.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
-import threading
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+import scipy
 
 from .quantum_math import DEFAULT_NOISE, NoiseParams, path_overhead_per_link
 
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError:  # older scipy: solve through linprog
-    _highs = None
+
+def _load_extension(name, folder):
+    """Load the compiled module name from its file in folder (the last
+    part of name plus an extension suffix) and register it in sys.modules
+    under name; None when folder holds no such file or it fails to load."""
+    stem = name.rpartition(".")[2]
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(folder, stem + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        return None
+    spec = importlib.util.spec_from_file_location(name, path)
+    try:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    except (ImportError, OSError):
+        sys.modules.pop(name, None)
+        return None
+    return module
+
+
+# scipy's private HiGHS binding. A copy scipy.optimize already imported is
+# reused, so a process never holds two; any other layout of scipy's files
+# leaves None, and solve_lp falls back to linprog.
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+_highs = sys.modules.get(_HIGHS_MODULE) or _load_extension(
+    _HIGHS_MODULE, os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy"))
 
 SOLVER_TOL = 1e-7
 # linprog's post-solve check: sqrt(tol) * 10 at its default tol of 1e-9
@@ -311,15 +343,15 @@ def lp_backend() -> str:
     return "linprog" if _highs is None else "highs"
 
 
-_thread = threading.local()
+_solver = None
 
 
-def _thread_highs():
-    """This thread's HiGHS instance, cleared of any previous solution and
-    basis: threads never share one, and no solve is warm-started. Its
+def _highs_solver():
+    """The process's HiGHS instance, created on first use and cleared of
+    any previous solution and basis, so no solve is warm-started. Its
     options are the ones linprog(method="highs") sets, at our tolerances."""
-    highs = getattr(_thread, "highs", None)
-    if highs is None:
+    global _solver
+    if _solver is None:
         options = _highs.HighsOptions()
         options.presolve = "on"
         options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -331,15 +363,15 @@ def _thread_highs():
         highs = _highs._Highs()
         if highs.passOptions(options) == _highs.HighsStatus.kError:
             raise SolverError("HiGHS rejected the solver options")
-        _thread.highs = highs
-    highs.clearSolver()
-    return highs
+        _solver = highs
+    _solver.clearSolver()
+    return _solver
 
 
 def _solve_highs(lp: LinearProgram):
     n, m = len(lp.objective), len(lp.row_bounds)
     inf = _highs.kHighsInf
-    highs = _thread_highs()
+    highs = _highs_solver()
     model_status = _highs.HighsModelStatus
     # the column-wise LP as arrays: costs, column bounds, row bounds, CSC
     # matrix, and integrality 0 (continuous) for every column
@@ -370,6 +402,8 @@ def _solve_highs(lp: LinearProgram):
 
 
 def _solve_linprog(lp: LinearProgram):
+    from scipy.optimize import linprog
+
     n = len(lp.objective)
     res = linprog(
         c=-lp.objective,

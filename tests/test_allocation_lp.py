@@ -1,4 +1,12 @@
+import importlib.machinery
+import json
 import math
+import os
+import pickle
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -423,6 +431,119 @@ def test_routes_give_the_same_ga_trace(monkeypatch):
     assert direct.best_fitness == fallback.best_fitness
     assert direct.mean_fitness == fallback.mean_fitness
     assert direct.best_genome == fallback.best_genome
+
+
+def _fresh_python(code, cwd):
+    """Run code in a new interpreter importing qvpn from this source tree;
+    return the JSON its last output line holds."""
+    env = dict(os.environ, PYTHONPATH=str(Path(allocation_lp.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_solve_and_config_error_leave_scipy_optimize_unloaded(tmp_path):
+    if allocation_lp._highs is None:
+        pytest.skip("this scipy has no bundled HiGHS binding")
+    result = _fresh_python("""
+        import json, sys
+        import qvpn
+        from qvpn import allocation_lp
+        from qvpn.cli import main
+        from qvpn.fixtures import TOPOLOGY_10, bundled_topology, fixture_text
+        from qvpn.pathfinding import build_candidate_sets
+        from qvpn.quantum_math import default_strategy_catalog
+        from qvpn.workload import WorkloadParams, generate_workload
+
+        graph = bundled_topology(TOPOLOGY_10)
+        wl = generate_workload(graph, WorkloadParams(num_orgs=2, pairs_per_org=3, r_min=0.0), 1)
+        strategy = default_strategy_catalog()[0]
+        selection = {key: [(paths[0], strategy)]
+                     for key, paths in build_candidate_sets(graph, wl, k=2).items() if paths}
+        solution = allocation_lp.solve(allocation_lp.build_problem(graph, wl, selection))
+        with open("net.topo", "w") as f:
+            f.write(fixture_text(TOPOLOGY_10))
+        with open("ga.json", "w") as f:
+            json.dump({"version": 1, "seed": 0, "topology": "net.topo",
+                       "workload_params": {"num_orgs": 1, "pairs_per_org": 2},
+                       "ga": {"population_size": 0}}, f)
+        code = main(["ga", "--config", "ga.json", "--out", "out"])
+        print(json.dumps({"status": solution.status, "wegr": solution.wegr, "code": code,
+                          "backend": allocation_lp.lp_backend(),
+                          "loaded": sorted(m for m in sys.modules if m.startswith("scipy.optimize"))}))
+        """, tmp_path)
+    assert result["status"] == "optimal" and result["wegr"] > 0
+    assert result["code"] == 2
+    assert result["backend"] == "highs"
+    # the binding (and the submodules it registers) is all of scipy.optimize that loaded
+    assert result["loaded"]
+    assert all(name.startswith("scipy.optimize._highspy._core") for name in result["loaded"])
+
+
+def test_binding_imported_by_scipy_optimize_first_is_reused(tmp_path):
+    if allocation_lp._highs is None:
+        pytest.skip("this scipy has no bundled HiGHS binding")
+    result = _fresh_python("""
+        import json
+        from scipy.optimize._highspy import _core
+        from qvpn import allocation_lp
+        print(json.dumps({"same": allocation_lp._highs is _core,
+                          "backend": allocation_lp.lp_backend()}))
+        """, tmp_path)
+    assert result == {"same": True, "backend": "highs"}
+
+
+def test_linprog_imported_after_qvpn_still_solves(tmp_path):
+    if allocation_lp._highs is None:
+        pytest.skip("this scipy has no bundled HiGHS binding")
+    result = _fresh_python("""
+        import json, sys
+        from qvpn import allocation_lp
+        from qvpn.allocation_lp import LinearProgram, solve_lp
+        direct = solve_lp(LinearProgram.from_dense([1.0, 2.0], [[1.0, 1.0]], [4.0]))
+        from scipy.optimize import linprog
+        res = linprog([-1.0, -2.0], A_ub=[[1.0, 1.0]], b_ub=[4.0], method="highs")
+        print(json.dumps({"direct": direct[1].tolist(), "status": int(res.status),
+                          "x": res.x.tolist(),
+                          "same": allocation_lp._highs is sys.modules[allocation_lp._HIGHS_MODULE]}))
+        """, tmp_path)
+    assert result == {"direct": [0.0, 4.0], "status": 0, "x": [0.0, 4.0], "same": True}
+
+
+def test_unloadable_binding_falls_back_to_linprog_with_the_same_bits(tmp_path):
+    if allocation_lp._highs is None:
+        pytest.skip("this scipy has no bundled HiGHS binding")
+    rng = np.random.default_rng(77)
+    lps = [_random_bounded_lp(rng) for _ in range(40)]
+    (tmp_path / "lps.pkl").write_bytes(pickle.dumps(lps))
+    # scipy.__file__ names a folder without the binding before qvpn loads it
+    result = _fresh_python("""
+        import json, pickle
+        import scipy
+        scipy.__file__ = "missing/scipy/__init__.py"
+        from qvpn.allocation_lp import lp_backend, solve_lp
+        with open("lps.pkl", "rb") as f:
+            lps = pickle.load(f)
+        solved = [solve_lp(lp) for lp in lps]
+        print(json.dumps({"backend": lp_backend(),
+                          "solved": [[s, None if x is None else x.tobytes().hex()]
+                                     for s, x in solved]}))
+        """, tmp_path)
+    assert result["backend"] == "linprog"
+    direct = [solve_lp(lp) for lp in lps]
+    assert {s for s, _ in direct} == {"optimal", "infeasible"}
+    assert result["solved"] == [[s, None if x is None else x.tobytes().hex()]
+                                for s, x in direct]
+
+
+def test_loader_returns_none_for_a_missing_or_broken_file(tmp_path):
+    name = "qvpn_test_missing._core"
+    assert allocation_lp._load_extension(name, str(tmp_path)) is None
+    suffix = importlib.machinery.EXTENSION_SUFFIXES[0]
+    (tmp_path / ("_core" + suffix)).write_bytes(b"not a shared object")
+    assert allocation_lp._load_extension(name, str(tmp_path)) is None
+    assert name not in sys.modules
 
 
 def test_unbounded_lp_raises_solver_error(lp_route):
