@@ -304,6 +304,11 @@ def _run_forked(context, scenario: Scenario, tasks, workers: int, finder: PathFi
     the call. Fork, not spawn: a worker starts with this process's imports
     and finder memo instead of importing qvpn again, and qvpn runs no
     threads that a fork could cut off."""
+    # numpy loads these on first use (np.random.default_rng, and np.unique's
+    # masked-array check): load them here once, not again in every worker
+    import numpy.ma  # noqa: F401
+    import numpy.random  # noqa: F401
+
     shares = []
     points = [None] * len(tasks)
     try:
