@@ -13,14 +13,6 @@ with b(s) the running mean of rewards observed at s (updated with r_t before
 the advantage is formed). Gradients are computed by hand-written reverse-mode
 differentiation; gradient_check validates them against central finite
 differences and is part of the test gate.
-
-Cost model: the state is a fixed one-hot encoding of the pair list, so the
-first layer reads only its nonzero inputs. forward gathers those columns of
-W0, backward returns the first layer's weight gradient over just those
-columns, and apply_update scatter-adds it back, so an epoch costs
-O(hidden x active inputs + output_dim) rather than O(hidden x input_dim).
-Softmax, entropy and surrogate gradients run over all pair blocks at once;
-only the per-block sampler loops in Python, on lists.
 """
 
 from __future__ import annotations
@@ -91,17 +83,14 @@ class RlProblem:
             start = end
         self.output_dim = start
         self.num_pairs = len(self.pair_order)
-        self.input_dim = self.num_pairs * self.num_pairs
+        self.input_dim = self.num_pairs
 
     def state_key(self):
         return tuple(self.pair_order)
 
     def encode_state(self) -> np.ndarray:
-        """Fixed one-hot block per pair slot (identity pattern for the static list)."""
-        x = np.zeros(self.input_dim)
-        for i in range(self.num_pairs):
-            x[i * self.num_pairs + i] = 1.0
-        return x
+        """The static pair list as one input of 1.0 per pair slot."""
+        return np.ones(self.input_dim)
 
     def per_pair_quota(self, R=None):
         """How many paths each pair samples; R caps the total, round-robin."""
@@ -139,16 +128,16 @@ class _BlockLayout:
     entry to the sum of the rest, which moves the last bit.
     """
 
-    def __init__(self, block_slices):
+    def __init__(self, block_slices, width):
         bounds = np.array(block_slices, dtype=np.intp).reshape(-1, 2)
         self.starts = bounds[:, 0]
         self.lengths = bounds[:, 1] - self.starts
-        if np.any(self.lengths < 1) or np.any(
-                self.starts != np.cumsum(self.lengths) - self.lengths):
-            raise ValueError("block slices must tile the logits in order, none empty")
+        if (np.any(self.lengths < 1) or self.lengths.sum() != width
+                or np.any(self.starts != np.cumsum(self.lengths) - self.lengths)):
+            raise ValueError(f"block slices must tile the {width} logits in order, none empty")
         self.groups = []
         for length in np.unique(self.lengths):
-            blocks = np.flatnonzero(self.lengths == length)
+            blocks = np.nonzero(self.lengths == length)[0]
             self.groups.append((blocks, self.starts[blocks, None] + np.arange(length)))
 
     def _reduce(self, values, reduce):
@@ -173,43 +162,53 @@ class PolicyNetwork:
 
     def __init__(self, weights, biases, block_slices):
         self.weights = [np.asarray(w, dtype=float) for w in weights]
+        # Column-major: BLAS then sums W0 @ h in the order that fixed the RL
+        # traces and selections; a row-major W0 moves the last bit of most units.
+        self.weights[0] = np.asfortranarray(self.weights[0])
         self.biases = [np.asarray(b, dtype=float) for b in biases]
+        shapes = [w.shape for w in self.weights] + [b.shape for b in self.biases]
+        widths = [self.weights[0].shape[-1], *(b.size for b in self.biases)]
+        if shapes != [*zip(widths[1:], widths), *((n,) for n in widths[1:])]:
+            raise ValueError(f"layer shapes do not chain: {shapes}")
         self.block_slices = list(block_slices)
-        self.blocks = _BlockLayout(self.block_slices)
+        self.blocks = _BlockLayout(self.block_slices, widths[-1])
 
     @classmethod
     def init(cls, problem: RlProblem, hidden=(128,), seed=0):
+        """Normal weights of variance 2 / (fan_in + fan_out), zero biases.
+
+        The first layer draws P*P normals per row, at the scale of a P*P-input
+        layer, and keeps columns i*P + i. So it, and the random stream of the
+        later layers, are as they were when the state was one-hot over P*P
+        inputs, and the RL traces and selections keep their bits.
+        """
         rng = np.random.default_rng([seed, 0xC0FFEE])
+        pairs = problem.num_pairs
         dims = [problem.input_dim, *hidden, problem.output_dim]
-        weights, biases = [], []
-        for fan_in, fan_out in zip(dims, dims[1:]):
+        scale = np.sqrt(2.0 / (pairs * pairs + dims[1]))
+        # copy each row's kept columns, so its P*P draws are freed at once
+        weights = [np.array([rng.normal(0.0, scale, size=pairs * pairs)[::pairs + 1].copy()
+                             for _ in range(dims[1])]).reshape(dims[1], dims[0])]
+        for fan_in, fan_out in zip(dims[1:], dims[2:]):
             scale = np.sqrt(2.0 / (fan_in + fan_out))
             weights.append(rng.normal(0.0, scale, size=(fan_out, fan_in)))
-            biases.append(np.zeros(fan_out))
-        return cls(weights, biases, problem.block_slices)
+        return cls(weights, [np.zeros(n) for n in dims[1:]], problem.block_slices)
 
     def num_parameters(self):
         return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
     def forward(self, x):
-        """Returns (logits, cache) where cache holds activations for backprop.
-
-        The first layer reads only the columns of W0 at nonzero inputs; the
-        cache's first entry holds their indices.
-        """
-        x = np.asarray(x, dtype=float)
-        columns = np.flatnonzero(x)
-        h = x[columns]
+        """Returns (logits, cache) where cache holds activations for backprop."""
+        h = np.asarray(x, dtype=float)
         hs = [h]
         zs = []
-        weights = [self.weights[0][:, columns], *self.weights[1:]]
-        for W, b in zip(weights[:-1], self.biases[:-1]):
+        for W, b in zip(self.weights[:-1], self.biases[:-1]):
             z = W @ h + b
             zs.append(z)
             h = np.where(z > 0, z, LEAKY_SLOPE * z)
             hs.append(h)
-        logits = weights[-1] @ h + self.biases[-1]
-        return logits, (columns, hs, zs)
+        logits = self.weights[-1] @ h + self.biases[-1]
+        return logits, (hs, zs)
 
     def block_probs(self, logits):
         """Per-pair softmax, each block summing to 1."""
@@ -219,14 +218,11 @@ class PolicyNetwork:
     def backward(self, dlogits, cache, out=None):
         """Gradient of a scalar surrogate wrt all parameters, given dL/dlogits.
 
-        The first layer's weight gradient is the compact (fan_out, columns)
-        block over the input columns forward read (the cache's first entry);
-        it is zero at every other column.
-        out: optional arrays of the gradients' shapes that receive the weight
+        out: optional arrays of the weights' shapes that receive the weight
         gradients, so a training loop reuses one buffer per layer instead of
         allocating a fresh outer product per sample.
         """
-        _, hs, zs = cache
+        hs, zs = cache
         if out is None:
             out = [None] * len(self.weights)
         grads_w = [None] * len(self.weights)
@@ -241,28 +237,20 @@ class PolicyNetwork:
             grads_b[layer] = delta.copy()
         return grads_w, grads_b
 
-    def apply_update(self, grads_w, grads_b, scale, columns=None):
+    def apply_update(self, grads_w, grads_b, scale):
         """Add scale * gradient to every parameter. The gradients are scaled
-        in place, so no parameter-sized temporary is allocated.
-
-        columns: the input columns a compact first-layer gradient covers, as
-        in backward; None when grads_w[0] has the shape of W0.
-        """
+        in place, so no parameter-sized temporary is allocated."""
         for g in [*grads_w, *grads_b]:
             np.multiply(g, scale, out=g)
-        self.weights[0][:, slice(None) if columns is None else columns] += grads_w[0]
-        for W, g in zip(self.weights[1:], grads_w[1:]):
+        for W, g in zip(self.weights, grads_w):
             W += g
         for b, g in zip(self.biases, grads_b):
             b += g
-        self.check_finite(columns)
+        self.check_finite()
 
-    def check_finite(self, columns=None):
-        """Raise DivergenceError if a parameter is NaN or infinite. columns
-        limits the scan of W0 to those columns (the ones a compact update
-        changed); every other layer and every bias is always scanned."""
-        first = self.weights[0] if columns is None else self.weights[0][:, columns]
-        for W in [first, *self.weights[1:]]:
+    def check_finite(self):
+        """Raise DivergenceError if a parameter is NaN or infinite."""
+        for W in self.weights:
             if not np.all(np.isfinite(W)):
                 raise DivergenceError("policy weights diverged to non-finite values")
         for b in self.biases:
@@ -387,21 +375,17 @@ def train(policy: PolicyNetwork, problem: RlProblem, config: TrainConfig, enviro
     environment(selection) -> W-EGR reward. Returns (policy, reward_trace,
     baseline_table) with one mean-reward entry per epoch.
     """
-    # updates scan only the columns they change, so scan everything once here
+    # a loaded policy can hold non-finite weights; name them before any reward
     policy.check_finite()
     baseline = BaselineTable()
     state = problem.state_key()
     trace = []
-    # The state is fixed, so every sample's first-layer gradient covers the
-    # same input columns. Gradient buffers live for the whole run: allocating
-    # and freeing large arrays per sample lets the allocator's reuse of those
-    # blocks, and so the peak memory, depend on unrelated small allocations.
-    columns = np.flatnonzero(problem.encode_state())
-    shapes = [(policy.weights[0].shape[0], columns.size),
-              *(w.shape for w in policy.weights[1:])]
-    grads_w = [np.zeros(shape) for shape in shapes]
+    # Gradient buffers live for the whole run: allocating and freeing large
+    # arrays per sample lets the allocator's reuse of those blocks, and so
+    # the peak memory, depend on unrelated small allocations.
+    grads_w = [np.zeros_like(w) for w in policy.weights]
     grads_b = [np.zeros_like(b) for b in policy.biases]
-    sample_w = [np.empty(shape) for shape in shapes]
+    sample_w = [np.empty_like(w) for w in policy.weights]
     for epoch in range(config.epochs):
         for acc in grads_w + grads_b:
             acc.fill(0.0)
@@ -420,7 +404,7 @@ def train(policy: PolicyNetwork, problem: RlProblem, config: TrainConfig, enviro
             for acc, g in zip(grads_b, gb):
                 acc += g
             rewards.append(reward)
-        policy.apply_update(grads_w, grads_b, config.lr_at(epoch), columns)
+        policy.apply_update(grads_w, grads_b, config.lr_at(epoch))
         trace.append(float(np.mean(rewards)))
     return policy, trace, baseline
 
@@ -475,33 +459,33 @@ def gradient_check(policy: PolicyNetwork, problem: RlProblem, actions,
     probs = policy.block_probs(logits)
     dlogits = _surrogate_dlogits(policy, problem, probs, actions, advantage, beta)
     grads_w, grads_b = policy.backward(dlogits, cache)
-    first = np.zeros_like(policy.weights[0])
-    first[:, cache[0]] = grads_w[0]
 
-    analytic = np.concatenate([g.ravel() for g in [first, *grads_w[1:], *grads_b]])
-    params = policy.weights + policy.biases
+    analytic = np.concatenate([g.ravel() for g in [*grads_w, *grads_b]])
     fd = np.empty_like(analytic)
     idx = 0
-    for arr in params:
-        flat = arr.ravel()
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
+    # perturb in place by index: ravel() of a column-major W0 is a copy
+    for arr in policy.weights + policy.biases:
+        for j in np.ndindex(arr.shape):
+            orig = arr[j]
+            arr[j] = orig + step
             up = surrogate_value(policy, problem, actions, advantage, beta)
-            flat[j] = orig - step
+            arr[j] = orig - step
             down = surrogate_value(policy, problem, actions, advantage, beta)
-            flat[j] = orig
+            arr[j] = orig
             fd[idx] = (up - down) / (2.0 * step)
             idx += 1
     scale = max(np.max(np.abs(fd)), 1e-8)
     return float(np.max(np.abs(analytic - fd)) / scale)
 
 
-# Checkpoint format (little-endian): magic "QVPNPOL1", uint32 array count,
-# then per array uint32 ndim, uint32 dims..., float64 payload. Arrays are
-# W0, b0, W1, b1, ... followed by one extra array holding the block slices
-# as a flat (start, end) int-valued float array.
-_MAGIC = b"QVPNPOL1"
+# Checkpoint format (little-endian): magic "QVPNPOL2", uint32 array count,
+# then per array uint32 ndim, uint32 dims..., float64 payload (row-major).
+# Arrays are W0, b0, W1, b1, ... followed by one extra array holding the
+# block slices as a flat (start, end) int-valued float array. With P block
+# slices, W0 is P columns wide. "QVPNPOL1" files have the same layout with a
+# P*P-wide W0, of which the state read only columns i*P + i.
+_MAGIC = b"QVPNPOL2"
+_MAGIC_V1 = b"QVPNPOL1"
 
 
 def save_policy(policy: PolicyNetwork) -> bytes:
@@ -519,7 +503,8 @@ def save_policy(policy: PolicyNetwork) -> bytes:
 
 
 def load_policy(blob: bytes) -> PolicyNetwork:
-    if blob[:8] != _MAGIC:
+    magic = blob[:8]
+    if magic not in (_MAGIC, _MAGIC_V1):
         raise ValueError("not a policy checkpoint (bad magic)")
     offset = 8
     arrays = []
@@ -535,13 +520,18 @@ def load_policy(blob: bytes) -> PolicyNetwork:
             arr = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(shape)
             offset += 8 * n
             arrays.append(arr.astype(float))
+        if offset != len(blob):
+            raise ValueError(f"{len(blob) - offset} bytes after the last array")
+        if len(arrays) < 3 or len(arrays) % 2 == 0:
+            raise ValueError("unexpected array count")
+        block_slices = [(int(start), int(end)) for start, end in arrays[-1].reshape(-1, 2)]
+        weights = arrays[:-1:2]
+        pairs = len(block_slices)
+        width = pairs * pairs if magic == _MAGIC_V1 else pairs
+        if weights[0].shape[1:] != (width,):
+            raise ValueError(f"first layer {weights[0].shape} is not {width} inputs wide")
+        if magic == _MAGIC_V1:
+            weights[0] = weights[0][:, ::pairs + 1]
+        return PolicyNetwork(weights, arrays[1:-1:2], block_slices)
     except (struct.error, ValueError) as exc:
         raise ValueError(f"corrupt checkpoint: {exc}") from None
-    if len(arrays) < 3 or len(arrays) % 2 == 0:
-        raise ValueError("corrupt checkpoint: unexpected array count")
-    slices_flat = arrays[-1]
-    block_slices = [(int(slices_flat[i]), int(slices_flat[i + 1]))
-                    for i in range(0, len(slices_flat), 2)]
-    weights = arrays[:-1:2]
-    biases = arrays[1:-1:2]
-    return PolicyNetwork(weights, biases, block_slices)

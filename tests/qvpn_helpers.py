@@ -1,9 +1,37 @@
 """Helpers shared by the tests under tests/ (a unique module name, so no
 other directory's conftest shadows it)."""
 
+import struct
+
+import numpy as np
+
 from qvpn.workload import UserPair
 
 
 def make_pair(org_id, a, b, weight=0.5, threshold=0.7, r_min=0.0, r_max=1e9):
     return UserPair(org_id, (a, b), weight=weight, fidelity_threshold=threshold,
                     r_min=r_min, r_max=r_max)
+
+
+def one_hot_init(problem, hidden, seed):
+    """The policy weights as PolicyNetwork.init drew them when the state was
+    one-hot over P*P inputs: W0 is P*P wide and the state read columns i*P + i."""
+    rng = np.random.default_rng([seed, 0xC0FFEE])
+    dims = [problem.num_pairs ** 2, *hidden, problem.output_dim]
+    return [rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)), size=(fan_out, fan_in))
+            for fan_in, fan_out in zip(dims, dims[1:])]
+
+
+def policy_blob(*arrays, magic=b"QVPNPOL2"):
+    """A policy checkpoint holding arrays in the given order."""
+    out = magic + struct.pack("<I", len(arrays))
+    for arr in arrays:
+        a = np.asarray(arr, dtype="<f8")
+        out += struct.pack(f"<{a.ndim + 1}I", a.ndim, *a.shape) + a.tobytes()
+    return out
+
+
+def policy_blob_v1(weights, biases, block_slices):
+    """A QVPNPOL1 checkpoint: the QVPNPOL2 layout with a P*P-wide W0."""
+    arrays = [a for wb in zip(weights, biases) for a in wb]
+    return policy_blob(*arrays, [v for se in block_slices for v in se], magic=b"QVPNPOL1")

@@ -8,12 +8,16 @@ import pytest
 
 from qvpn import ga_optimizer as ga
 from qvpn import rl_optimizer as rl
+from qvpn.allocation_lp import LpCompiler
 from qvpn.cli import _fmt, main
 from qvpn.harness import Scenario, load_selection, run_scenario, save_selection
+from qvpn.pathfinding import build_candidate_sets
 from qvpn.quantum_math import default_strategy_catalog
 from qvpn.rl_optimizer import load_policy
 from qvpn.topology import NetworkGraph, NodeSpec, load_topology, make_link, save_topology
 from qvpn.workload import Organization, UserPair, Workload, load_workload, save_workload
+
+from qvpn_helpers import one_hot_init, policy_blob_v1
 
 
 def _triangle_graph():
@@ -265,6 +269,23 @@ def test_rl_outputs_and_policy_checkpoint(tmp_path):
     assert policy.num_parameters() > 0
     assert blob == (out2 / "policy.bin").read_bytes()
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
+
+    # the reloaded policy picks the selection the run wrote
+    graph, workload = load_topology(topo.read_text()), load_workload(wlf.read_text())
+    problem = rl.RlProblem(workload, build_candidate_sets(graph, workload, k=5),
+                           default_strategy_catalog()[0], p_max=1)
+    selection = rl.greedy_selection(policy, problem)
+    assert save_selection(selection) == (out1 / "selection.txt").read_text()
+
+    # the untrained policy as a QVPNPOL1 file (a one-hot state over P*P
+    # inputs) trains to the run's trace and policy.bin
+    fresh = rl.PolicyNetwork.init(problem, hidden=(8,), seed=0)
+    v1 = load_policy(policy_blob_v1(one_hot_init(problem, (8,), seed=0), fresh.biases,
+                                    problem.block_slices))
+    _, trace, _ = rl.train(v1, problem, rl.TrainConfig(epochs=5, batch_size=2, seed=0),
+                           rl.cached_reward(LpCompiler(graph, workload, p_max=1)))
+    assert trace == [float(row[1]) for row in rows]
+    assert rl.save_policy(v1) == blob
 
 
 def test_report_sweep_fairness_and_rerun(tmp_path):

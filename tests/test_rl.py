@@ -1,4 +1,3 @@
-import struct
 import tracemalloc
 from types import SimpleNamespace
 
@@ -30,7 +29,7 @@ from qvpn.rl_optimizer import (
 from qvpn.topology import NetworkGraph, NodeSpec, make_link
 from qvpn.workload import Organization, Workload, WorkloadParams, generate_workload
 
-from qvpn_helpers import make_pair
+from qvpn_helpers import make_pair, one_hot_init, policy_blob, policy_blob_v1
 
 EASY = DistillationStrategy(0.8)
 
@@ -80,11 +79,9 @@ def test_problem_layout(triangle):
     assert prob.num_pairs == 3
     assert prob.block_slices == [(0, 2), (2, 3), (3, 5)]
     assert prob.output_dim == 5
-    assert prob.input_dim == 9
+    assert prob.input_dim == 3
     assert prob.state_key() == tuple(prob.pair_order)
-    x = prob.encode_state()
-    assert x.shape == (9,)
-    assert x.reshape(3, 3) == pytest.approx(np.eye(3))
+    assert np.array_equal(prob.encode_state(), np.ones(3))
 
 
 def test_problem_skips_pairs_without_candidates(triangle):
@@ -114,9 +111,13 @@ def test_policy_init_shapes_and_determinism(triangle):
     prob = _multi_problem(triangle)
     a = PolicyNetwork.init(prob, hidden=(6,), seed=4)
     b = PolicyNetwork.init(prob, hidden=(6,), seed=4)
-    assert [w.shape for w in a.weights] == [(6, 9), (5, 6)]
+    assert [w.shape for w in a.weights] == [(6, 3), (5, 6)]
     assert [v.shape for v in a.biases] == [(6,), (5,)]
-    assert a.num_parameters() == 54 + 6 + 30 + 5
+    assert a.num_parameters() == 18 + 6 + 30 + 5
+    # the weights the one-hot state over P*P inputs read, bit for bit
+    full = one_hot_init(prob, (6,), seed=4)
+    assert np.array_equal(a.weights[0], full[0][:, ::4])
+    assert np.array_equal(a.weights[1], full[1])
     assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
     assert all(np.array_equal(x, y) for x, y in zip(a.biases, b.biases))
     assert all(np.all(v == 0) for v in a.biases)
@@ -190,8 +191,10 @@ def test_gradients_match_finite_differences(triangle):
     # hand-written backprop against central differences, with and without entropy
     prob = _multi_problem(triangle)
     rng = np.random.default_rng(60)
-    for seed in (0, 1, 2):
+    for seed, order in ((0, "C"), (1, "C"), (2, "C"), (3, "F")):
         policy = PolicyNetwork.init(prob, hidden=(6,), seed=seed)
+        # the check must perturb column-major weights in place too
+        policy.weights = [np.asarray(w, order=order) for w in policy.weights]
         actions, _, _ = sample_action(policy, prob, rng)
         advantage = float(rng.normal(0.0, 5.0))
         for beta in (0.0, 0.1):
@@ -214,7 +217,7 @@ def test_backward_into_buffers_matches_fresh_arrays(triangle):
     actions, probs, cache = sample_action(policy, prob, np.random.default_rng(3))
     dlogits = probs - 0.5
     fresh_w, fresh_b = policy.backward(dlogits, cache)
-    out = [np.full_like(g, np.nan) for g in fresh_w]  # compact first layer
+    out = [np.full_like(g, np.nan) for g in fresh_w]
     into_w, into_b = policy.backward(dlogits, cache, out=out)
     for f, i, o in zip(fresh_w, into_w, out):
         assert i is o
@@ -235,15 +238,6 @@ def test_apply_update_matches_scaled_sum(triangle):
     for got, want in zip(policy.weights + policy.biases, expect_w + expect_b):
         assert np.array_equal(got, want)
 
-    # a compact first-layer gradient lands on its columns only
-    columns = np.array([1, 4, 8])
-    grads_w = [rng.normal(size=(6, 3)), rng.normal(size=(5, 6))]
-    grads_b = [np.zeros(6), np.zeros(5)]
-    expect = policy.weights[0].copy()
-    expect[:, columns] += 0.3 * grads_w[0]
-    policy.apply_update(grads_w, grads_b, 0.3, columns)
-    assert np.array_equal(policy.weights[0], expect)
-
 
 def test_apply_update_detects_divergence(triangle):
     prob = _multi_problem(triangle)
@@ -254,46 +248,46 @@ def test_apply_update_detects_divergence(triangle):
         policy.apply_update(grads_w, grads_b, 10.0)
 
 
-def _compact_grads(policy, columns):
-    grads_w = [np.zeros((policy.weights[0].shape[0], columns.size)),
-               *(np.zeros_like(w) for w in policy.weights[1:])]
-    return grads_w, [np.zeros_like(b) for b in policy.biases]
+def _update_with_one_entry(prob, layer, index, value):
+    policy = PolicyNetwork.init(prob, hidden=(6,), seed=0)
+    grads_w = [np.zeros_like(w) for w in policy.weights]
+    grads_b = [np.zeros_like(b) for b in policy.biases]
+    grads_w[layer][index] = value
+    policy.apply_update(grads_w, grads_b, 0.1)
 
 
 def test_compact_update_detects_divergence_in_active_columns(triangle):
+    # W0 holds only the columns the state reads, so every column is active
     prob = _multi_problem(triangle)
-    policy = PolicyNetwork.init(prob, hidden=(6,), seed=0)
-    columns = np.flatnonzero(prob.encode_state())
-    grads_w, grads_b = _compact_grads(policy, columns)
-    grads_w[0][2, 1] = np.nan
-    with pytest.raises(DivergenceError, match="weights"):
-        policy.apply_update(grads_w, grads_b, 0.1, columns)
+    for index in ((2, 1), (0, 0), (5, prob.input_dim - 1)):
+        with pytest.raises(DivergenceError, match="weights"):
+            _update_with_one_entry(prob, 0, index, np.nan)
 
 
 def test_dense_update_detects_divergence_in_any_column(triangle):
+    # one non-finite gradient entry anywhere in any layer
     prob = _multi_problem(triangle)
-    policy = PolicyNetwork.init(prob, hidden=(6,), seed=0)
-    inactive = np.flatnonzero(prob.encode_state() == 0)
-    grads_w = [np.zeros_like(w) for w in policy.weights]
-    grads_b = [np.zeros_like(b) for b in policy.biases]
-    grads_w[0][0, inactive[-1]] = np.inf
-    with pytest.raises(DivergenceError, match="weights"):
-        policy.apply_update(grads_w, grads_b, 0.1)
+    for layer, index, value in ((0, (0, 2), np.inf), (1, (4, 5), -np.inf),
+                                (1, (0, 0), np.nan)):
+        with pytest.raises(DivergenceError, match="weights"):
+            _update_with_one_entry(prob, layer, index, value)
 
 
 def test_train_rejects_non_finite_policy_before_first_epoch(triangle):
-    # updates scan only the first-layer columns they touch, so a non-finite
-    # weight in a column the state never reads (a bad loaded policy.bin)
-    # must be caught when training starts
     prob = _multi_problem(triangle)
     policy = PolicyNetwork.init(prob, hidden=(6,), seed=0)
-    inactive = np.flatnonzero(prob.encode_state() == 0)
-    policy.weights[0][3, inactive[0]] = np.nan
-    policy = load_policy(save_policy(policy))
-    assert np.all(np.isfinite(policy.forward(prob.encode_state())[0]))
+    # a QVPNPOL1 file's columns the one-hot state never read are dropped
+    wide = one_hot_init(prob, (6,), seed=0)
+    wide[0][3, 1] = np.nan
+    loaded = load_policy(policy_blob_v1(wide, policy.biases, prob.block_slices))
+    assert np.array_equal(loaded.weights[0], policy.weights[0])
+    # a non-finite weight the state does read (a bad loaded policy.bin) is
+    # named before any reward is computed
+    wide[0][3, 4] = np.nan
+    loaded = load_policy(policy_blob_v1(wide, policy.biases, prob.block_slices))
     calls = []
     with pytest.raises(DivergenceError, match="weights"):
-        train(policy, prob, TrainConfig(epochs=1, batch_size=1),
+        train(loaded, prob, TrainConfig(epochs=1, batch_size=1),
               lambda selection: calls.append(selection) or 1.0)
     assert calls == []
 
@@ -444,15 +438,28 @@ def test_checkpoint_round_trip(triangle):
 def test_checkpoint_rejects_bad_blobs():
     with pytest.raises(ValueError, match="magic"):
         load_policy(b"NOTMAGIC" + b"\x00" * 32)
-    prob_blob = save_policy(PolicyNetwork([np.zeros((2, 2))], [np.zeros(2)], [(0, 2)]))
-    with pytest.raises(ValueError, match="corrupt"):
-        load_policy(prob_blob[:-12])
-    # even array count cannot be (W, b)* + slices
-    bad = b"QVPNPOL1" + struct.pack("<I", 2)
-    for _ in range(2):
-        bad += struct.pack("<I", 1) + struct.pack("<1I", 1) + struct.pack("<d", 0.0)
+    w0, b0, w1, b1 = np.zeros((6, 2)), np.zeros(6), np.zeros((5, 6)), np.zeros(5)
+    slices = [0, 3, 3, 5]
+    good = policy_blob(w0, b0, w1, b1, slices)
+    assert load_policy(good).num_parameters() == 12 + 6 + 30 + 5
+    v1 = load_policy(policy_blob(np.zeros((6, 4)), b0, w1, b1, slices, magic=b"QVPNPOL1"))
+    assert v1.weights[0].shape == (6, 2)
+    bad = {
+        "truncated": good[:-12],
+        "trailing bytes": good + b"\x00",
+        "array count": policy_blob(b0, b1),  # even: cannot be (W, b)* + slices
+        "layers do not chain": policy_blob(w0, b0, np.zeros((5, 7)), b1, slices),
+        "bias length": policy_blob(w0, np.zeros(4), w1, b1, slices),
+        "slices short of the output": policy_blob(w0, b0, w1, b1, [0, 2, 2, 4]),
+        "odd slice count": policy_blob(w0, b0, w1, b1, [0, 3, 5]),
+        "W0 not P wide": policy_blob(np.zeros((6, 4)), b0, w1, b1, slices),
+        "v1 W0 not P*P wide": policy_blob(w0, b0, w1, b1, slices, magic=b"QVPNPOL1"),
+    }
+    for name, blob in bad.items():
+        with pytest.raises(ValueError, match="corrupt checkpoint"):
+            load_policy(blob)
     with pytest.raises(ValueError, match="array count"):
-        load_policy(bad)
+        load_policy(bad["array count"])
 
 
 def test_cached_reward_solves_each_selection_once(triangle, one_pair_workload):
@@ -645,14 +652,14 @@ def test_gradient_check_sparse_first_layer(triangle, hidden, state):
     prob = _multi_problem(triangle, p_max=1)
     rng = np.random.default_rng(12)
     x = {"one-hot": prob.encode_state(),
-         "valued": np.array([1.5, 0.0, 0.3, 0.0, -0.7, 0.0, 0.0, 0.0, 2.0]),
+         "valued": np.array([1.5, 0.0, -0.7]),
          "dense": rng.normal(size=prob.input_dim)}[state]
     prob.encode_state = lambda: x.copy()
     for seed in (0, 1, 2):
         policy = PolicyNetwork.init(prob, hidden=hidden, seed=seed)
         actions, probs, cache = sample_action(policy, prob, rng)
         grads_w, _ = policy.backward(probs, cache)
-        assert grads_w[0].shape == (policy.weights[0].shape[0], np.count_nonzero(x))
+        assert grads_w[0].shape == policy.weights[0].shape
         advantage = float(rng.normal(0.0, 5.0))
         for beta in (0.0, 0.1):
             assert gradient_check(policy, prob, actions, advantage, beta) < 1e-4
@@ -660,12 +667,17 @@ def test_gradient_check_sparse_first_layer(triangle, hidden, state):
 
 def test_train_epoch_allocates_nothing_parameter_sized():
     graph = bundled_topology()
-    wl = generate_workload(graph, WorkloadParams(num_orgs=3, pairs_per_org=20, r_min=0.0),
+    wl = generate_workload(graph, WorkloadParams(num_orgs=3, pairs_per_org=50, r_min=0.0),
                            seed=1)
     prob = RlProblem(wl, build_candidate_sets(graph, wl, k=3), EASY, p_max=3)
-    assert prob.num_pairs >= 40
     policy = PolicyNetwork.init(prob, seed=1)
+    # W0 is (hidden x P). Every np.outer(..., out=) allocates a fixed ufunc
+    # buffer of two bufsize doubles, so a W0-sized temporary only shows once
+    # W0 is larger than that buffer.
     limit = policy.weights[0].nbytes
+    assert limit > 2 * 8 * np.getbufsize()
+    # a first layer over a one-hot state of P*P inputs
+    one_hot_w0 = limit * prob.num_pairs
     cfg = TrainConfig(epochs=3, batch_size=2, seed=1)
     calls = [0]
     marks = {}
@@ -687,5 +699,5 @@ def test_train_epoch_allocates_nothing_parameter_sized():
         tracemalloc.stop()
     # no per-sample or per-epoch temporary the size of W0 ...
     assert peak - marks["epoch_start"] < limit
-    # ... and no gradient buffer of that size for the whole run
-    assert max(marks["first_peak"], peak) - start < limit
+    # ... and nothing the size of a one-hot first layer for the whole run
+    assert max(marks["first_peak"], peak) - start < one_hot_w0
