@@ -1,8 +1,10 @@
 """Experiment orchestration: the search pipeline, scenario sweeps, fairness
 statistics, Pearson r.
 
-search (candidate paths, a baseline / GA / RL selection, one final LP) is
-the pipeline of the CLI commands and of every sweep point. A Scenario
+search (path searches, a baseline / GA / RL selection, one final LP) is
+the pipeline of the CLI commands and of every sweep point: the GA and RL
+search the candidate union of all three weight schemes, and a greedy
+baseline only the top p_max paths of its own scheme. A Scenario
 bundles a topology, a workload (explicit or generation parameters), an
 optimizer choice, and one optional sweep axis. run_scenario evaluates every
 (sweep value, repetition) cell, serially or on forked worker processes, and
@@ -71,6 +73,12 @@ OPTIMIZERS = (*_BASELINE_SCHEMES, "ga", "rl")
 SWEEP_AXES = ("p_max", "strategy_count", "pairs_per_org", "k", "r_max")
 
 
+def _check_count(name: str, value) -> None:
+    """Raise ValueError naming `name` unless value is an integer >= 1 (bools refused)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     name: str
@@ -91,6 +99,8 @@ class Scenario:
     baseline_threshold: float = 0.992  # greedy baselines distill links to (nearest of) this
 
     def __post_init__(self):
+        _check_count("k", self.k)
+        _check_count("p_max", self.p_max)
         if (self.workload is None) == (self.workload_params is None):
             raise ValueError("exactly one of workload / workload_params must be set")
         if self.optimizer not in OPTIMIZERS:
@@ -109,6 +119,9 @@ class Scenario:
                 raise ValueError(f"unknown sweep axis {self.sweep_axis!r}, expected one of {SWEEP_AXES}")
             if not self.sweep_values:
                 raise ValueError("sweep_axis set but sweep_values empty")
+            if self.sweep_axis in ("k", "p_max"):
+                for value in self.sweep_values:
+                    _check_count(f"{self.sweep_axis} sweep value", value)
             for a, b in zip(self.sweep_values, self.sweep_values[1:]):
                 if not a < b:
                     raise ValueError(f"sweep values must be strictly increasing, got {a} before {b}")
@@ -203,20 +216,34 @@ def search(graph: NetworkGraph, workload: Workload, optimizer: str, seed: int, *
            baseline_threshold: float = 0.992, ga_config: ga.GaConfig | None = None,
            rl_config: rl.TrainConfig | None = None, hidden=(128,),
            finder: PathFinder | None = None) -> SearchResult:
-    """Candidate paths, one selection search, one final LP solve.
+    """Path searches, one selection search, one final LP solve.
 
-    optimizer is one of OPTIMIZERS; the GA starts from the three baselines.
-    seed replaces the seed of ga_config / rl_config (defaults when None) and
-    seeds the RL policy of layer widths `hidden`. Every path query goes to
-    finder (a fresh PathFinder when None). The final solve raises on solver
-    failure.
+    optimizer is one of OPTIMIZERS. The GA and RL choose among each pair's
+    candidates, the union of Yen's k shortest paths under all three weight
+    schemes; the GA starts from the three baselines. A baseline with
+    k >= p_max searches only the top p_max paths of its own scheme, which
+    are the paths it picks, so k does not change its result. With
+    k < p_max it checks its picks against the k-path union and fails on
+    the first pick missing from it. seed replaces the seed of ga_config /
+    rl_config (defaults when None) and seeds the RL policy of layer widths
+    `hidden`. Every path query goes to finder (a fresh PathFinder when
+    None). Raises ValueError before any search when k or p_max is not an
+    integer >= 1; the final solve raises on solver failure.
     """
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}, expected one of {OPTIMIZERS}")
+    _check_count("k", k)
+    _check_count("p_max", p_max)
     catalog = tuple(catalog)
     if finder is None:
         finder = PathFinder(graph)
-    candidates = build_candidate_sets(graph, workload, k=k, finder=finder)
+    scheme = _BASELINE_SCHEMES.get(optimizer)
+    # below p_max, the k-path union decides which baseline picks go missing
+    if scheme is not None and k >= p_max:
+        candidates = build_candidate_sets(graph, workload, k=p_max, schemes=(scheme,),
+                                          finder=finder)
+    else:
+        candidates = build_candidate_sets(graph, workload, k=k, finder=finder)
 
     start = time.perf_counter()
     trace = policy = None
@@ -246,7 +273,7 @@ def search(graph: NetworkGraph, workload: Workload, optimizer: str, seed: int, *
             selection = problem.decode(trace.best_genome)
             lp_solves = trace.lp_solves
         else:
-            selection = baseline(_BASELINE_SCHEMES[optimizer])
+            selection = baseline(scheme)
     seconds = time.perf_counter() - start
 
     solution = solve(build_problem(graph, workload, selection, noise=noise, p_max=p_max))

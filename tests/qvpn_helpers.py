@@ -5,7 +5,8 @@ import struct
 
 import numpy as np
 
-from qvpn.workload import UserPair
+from qvpn.topology import NetworkGraph, NodeSpec, make_link
+from qvpn.workload import Organization, UserPair, Workload
 
 
 def make_pair(org_id, a, b, weight=0.5, threshold=0.7, r_min=0.0, r_max=1e9):
@@ -35,3 +36,16 @@ def policy_blob_v1(weights, biases, block_slices):
     """A QVPNPOL1 checkpoint: the QVPNPOL2 layout with a P*P-wide W0."""
     arrays = [a for wb in zip(weights, biases) for a in wb]
     return policy_blob(*arrays, [v for se in block_slices for v in se], magic=b"QVPNPOL1")
+
+
+def dead_link_case():
+    """A triangle A-B-C plus a user node D whose one link, C-D, is 25,000 km
+    long: its capacity underflows to 0, so only the hop scheme reaches D.
+    Returns (graph, workload of the pairs (A, B) and (A, D))."""
+    nodes = (NodeSpec("A"), NodeSpec("B"), NodeSpec("C", is_repeater=True), NodeSpec("D"))
+    links = (make_link("A", "B", 10.0), make_link("A", "C", 10.0), make_link("C", "B", 10.0),
+             make_link("C", "D", 25_000.0))
+    graph = NetworkGraph(nodes=nodes, links=links)
+    assert graph.link_by_key[("C", "D")].capacity_eprps == 0.0
+    pairs = (make_pair("org0", "A", "B"), make_pair("org0", "A", "D"))
+    return graph, Workload(organizations=(Organization("org0", 1.0),), user_pairs=pairs, seed=0)

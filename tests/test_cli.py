@@ -8,16 +8,21 @@ import pytest
 
 from qvpn import ga_optimizer as ga
 from qvpn import rl_optimizer as rl
-from qvpn.allocation_lp import LpCompiler
-from qvpn.cli import _fmt, main
+from qvpn.allocation_lp import LpCompiler, build_problem, solve
+from qvpn.cli import _fmt, _rates_outputs, main
 from qvpn.harness import Scenario, load_selection, run_scenario, save_selection
-from qvpn.pathfinding import build_candidate_sets
+from qvpn.pathfinding import (
+    WeightScheme,
+    baseline_selection,
+    build_candidate_sets,
+    nearest_strategy_index,
+)
 from qvpn.quantum_math import default_strategy_catalog
 from qvpn.rl_optimizer import load_policy
 from qvpn.topology import NetworkGraph, NodeSpec, load_topology, make_link, save_topology
 from qvpn.workload import Organization, UserPair, Workload, load_workload, save_workload
 
-from qvpn_helpers import one_hot_init, policy_blob_v1
+from qvpn_helpers import dead_link_case, one_hot_init, policy_blob_v1
 
 
 def _triangle_graph():
@@ -330,8 +335,9 @@ def test_report_sweep_fairness_and_rerun(tmp_path):
 
 
 def test_report_manifest_counts_path_searches(tmp_path):
-    # 4 points x 2 pairs: 3 candidate queries and 1 baseline query each, all
-    # answered by 6 Yen runs at the first point (serial, so the counts are exact)
+    # 4 points x 2 pairs: 1 candidate query (hop at p_max) and 1 baseline query
+    # each. Serially (so the counts are exact) Yen runs once per pair for
+    # p_max=1 and again for p_max=2; the second repetition reuses them
     topo, wlf = _triangle_files(tmp_path)
     cfg = _config(tmp_path, "report.json", _base(topo, wlf),
                   optimizer="baseline-hop", repetitions=2,
@@ -339,18 +345,18 @@ def test_report_manifest_counts_path_searches(tmp_path):
     out = tmp_path / "out"
     assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
     manifest = _manifest(out)
-    assert manifest["path_queries"] == 32
-    assert manifest["yen_runs"] == 6
+    assert manifest["path_queries"] == 16
+    assert manifest["yen_runs"] == 4
     for name in manifest["outputs"]:
         assert "yen_runs" not in (out / name).read_text()
         assert "path_queries" not in (out / name).read_text()
-    # two workers, one repetition each: each runs its own first point's 6 searches
+    # two workers, one repetition each: each runs both p_max values' 4 searches
     cfg = _config(tmp_path, "report2.json", _base(topo, wlf),
                   optimizer="baseline-hop", repetitions=2,
                   sweep={"axis": "p_max", "values": [1, 2]}, max_workers=2)
     assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "out2")]) == 0
     manifest = _manifest(tmp_path / "out2")
-    assert (manifest["path_queries"], manifest["yen_runs"]) == (32, 12)
+    assert (manifest["path_queries"], manifest["yen_runs"]) == (16, 8)
 
 
 def test_report_outputs_do_not_depend_on_max_workers(tmp_path):
@@ -389,6 +395,35 @@ def test_report_error_text_with_commas_fits_the_csv(tmp_path):
     assert rows[0][3] == "error"
     assert rows[0][5] == error.replace(",", ";")
     assert rows[1][5] == ""
+
+
+def test_allocate_dead_link_pair_writes_the_same_csvs(tmp_path):
+    # D's only link has capacity 0, so an inv-egr baseline now leaves the
+    # pair (A, D) out of its selection, where the three-scheme candidate union
+    # kept it with no paths; rates.csv and pairs.csv keep every byte
+    graph, workload = dead_link_case()
+    topo, wlf = tmp_path / "dead.topo", tmp_path / "dead.workload"
+    topo.write_text(save_topology(graph))
+    wlf.write_text(save_workload(workload))
+    config = dict(_base(topo, wlf), source={"baseline": "inv-egr"})
+    cfg = _config(tmp_path, "allocate.json", config)
+    out = tmp_path / "out"
+    assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 0
+
+    graph, workload = load_topology(topo.read_text()), load_workload(wlf.read_text())
+    catalog = default_strategy_catalog()
+    candidates = build_candidate_sets(graph, workload, k=5)
+    selection = baseline_selection(graph, workload, candidates, WeightScheme.INV_EGR, p_max=3,
+                                   strategy_index=nearest_strategy_index(catalog, 0.992),
+                                   catalog=catalog)
+    assert selection[("org0", "A", "D")] == []
+    union = tmp_path / "union"
+    union.mkdir()
+    solution = solve(build_problem(graph, workload, selection, p_max=3))
+    assert _rates_outputs(union, config, workload, selection, solution,
+                          _manifest(out)["config_hash"]) == ["rates.csv", "pairs.csv"]
+    for name in ("rates.csv", "pairs.csv"):
+        assert (out / name).read_bytes() == (union / name).read_bytes()
 
 
 def test_report_rejects_hidden(tmp_path, capsys):
@@ -543,6 +578,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     for key in ("repetitions", "max_workers"):
         for value in ("2", 0, False):
             assert rc("report", "int.json", _base(topo, wlf), **{key: value}) == 2
+    # and so do the values of a k or p_max sweep, for every optimizer: a 0 on
+    # the p_max axis used to fail as "k must be >= 1" (baseline), as a numpy
+    # reshape error (ga), or to give an empty "optimal" point (rl)
+    for optimizer, block in (("baseline-hop", {}), ("ga", {"ga": {"generations": 2}}),
+                             ("rl", {"rl": {"epochs": 2}})):
+        for axis, values in (("p_max", [0, 1]), ("k", [0, 2]), ("p_max", [1, 2.5]),
+                             ("k", [True, 2])):
+            assert rc("report", "sweepint.json", _base(topo, wlf), optimizer=optimizer,
+                      sweep={"axis": axis, "values": values}, **block) == 2, (optimizer, axis)
     for hidden in (128, [0], [True], ["8"]):
         assert rc("rl", "hidden.json", _base(topo, wlf), hidden=hidden) == 2
 

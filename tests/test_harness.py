@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import re
 import signal
 from dataclasses import astuple, replace
 
@@ -23,13 +24,20 @@ from qvpn.harness import (
     scenario_hash,
     search,
 )
-from qvpn.pathfinding import PathFinder, build_candidate_sets, path_from_nodes
+from qvpn.pathfinding import (
+    BASELINE_SCHEMES,
+    PathFinder,
+    baseline_selection,
+    build_candidate_sets,
+    nearest_strategy_index,
+    path_from_nodes,
+)
 from qvpn.quantum_math import DistillationStrategy, default_strategy_catalog
 from qvpn.rl_optimizer import TrainConfig
 from qvpn.topology import NetworkGraph, NodeSpec
-from qvpn.workload import Organization, UserPair, Workload, WorkloadParams
+from qvpn.workload import Organization, UserPair, Workload, WorkloadParams, generate_workload
 
-from qvpn_helpers import make_pair
+from qvpn_helpers import dead_link_case, make_pair
 
 
 # ---------------------------------------------------------------- pearson
@@ -104,6 +112,21 @@ def test_scenario_validation(triangle, one_pair_workload):
         _scenario(triangle, wl, sweep_axis="p_max")
     with pytest.raises(ValueError, match="workload_params"):
         _scenario(triangle, wl, sweep_axis="pairs_per_org", sweep_values=(2, 4))
+    # k and p_max, and their sweep values, must be integers >= 1
+    for kw, text in (
+        ({"k": 0}, "k must be an integer >= 1, got 0"),
+        ({"p_max": 0}, "p_max must be an integer >= 1, got 0"),
+        ({"p_max": True}, "p_max must be an integer >= 1, got True"),
+        ({"k": 2.0}, "k must be an integer >= 1, got 2.0"),
+        ({"sweep_axis": "p_max", "sweep_values": (0, 1)},
+         "p_max sweep value must be an integer >= 1, got 0"),
+        ({"sweep_axis": "k", "sweep_values": (-1, 2)},
+         "k sweep value must be an integer >= 1, got -1"),
+        ({"sweep_axis": "k", "sweep_values": (1, 2.5)},
+         "k sweep value must be an integer >= 1, got 2.5"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            _scenario(triangle, wl, **kw)
 
 
 def test_scenario_hash_stability_and_sensitivity(triangle, one_pair_workload):
@@ -310,8 +333,12 @@ def test_traced_yen_sees_every_finder_run(monkeypatch):
     assert 0 < finder.yen_runs < finder.queries
     assert len(calls) == finder.yen_runs
     workload = point_workload(sc, 8, 0)
+    runs = finder.yen_runs
     shared = build_candidate_sets(net50, workload, k=sc.k, finder=finder)
-    assert len(calls) == finder.yen_runs  # answered from the memo
+    # the hop baseline searched its own scheme to p_max only, so the
+    # three-scheme union at k runs new searches, and the trace sees each one
+    assert finder.yen_runs > runs
+    assert len(calls) == finder.yen_runs
     fresh = build_candidate_sets(net50, workload, k=sc.k)
     assert shared.keys() == fresh.keys()
     for key, paths in shared.items():
@@ -396,9 +423,12 @@ def test_search_serves_every_optimizer_from_one_finder(triangle, one_pair_worklo
                   rl_config=TrainConfig(epochs=2, batch_size=2))
     results = {name: search(triangle, one_pair_workload, name, 5, **common)
                for name in ("baseline-hop", "ga", "rl")}
-    # per search 3 candidate queries, plus one per baseline: 1 (hop), 3 (ga), 0 (rl)
-    assert finder.queries == (3 + 1) + (3 + 3) + 3
-    assert finder.yen_runs == 3
+    # baseline-hop: 1 candidate query (hop at p_max=2) and 1 baseline query;
+    # ga: 3 candidate queries at k=3 and 3 baseline queries; rl: 3 candidate
+    # queries. Yen runs: hop at 2, hop again at 3 (2 < 3 paths, not known to be
+    # all), inv-egr and inv-egr-sq at 3; the rl queries are answered from the memo
+    assert finder.queries == (1 + 1) + (3 + 3) + 3
+    assert finder.yen_runs == 4
     base, ga_run, rl_run = results.values()
     assert base.trace is None and base.policy is None and base.lp_solves == 0
     assert ga_run.lp_solves == ga_run.trace.lp_solves > 0
@@ -412,6 +442,127 @@ def test_search_serves_every_optimizer_from_one_finder(triangle, one_pair_worklo
                                                       result.selection, p_max=2))
     with pytest.raises(ValueError, match="unknown optimizer"):
         search(triangle, one_pair_workload, "baseline-shortest", 0, **common)
+
+
+@pytest.mark.parametrize("optimizer", ["baseline-hop", "ga", "rl"])
+def test_search_rejects_k_or_p_max_below_one(triangle, one_pair_workload, optimizer):
+    # a p_max of 0 used to fail as "k must be >= 1" (baseline) or as a numpy
+    # reshape error (ga), or to return an empty "optimal" selection (rl)
+    finder = PathFinder(triangle)
+    common = dict(catalog=default_strategy_catalog(), finder=finder, hidden=(4,),
+                  ga_config=GaConfig(population_size=6, generations=2),
+                  rl_config=TrainConfig(epochs=2, batch_size=2))
+    for name, k, p_max in (("k", 0, 2), ("p_max", 3, 0), ("p_max", 3, -1), ("k", 2.0, 2),
+                           ("p_max", 3, True)):
+        bad = k if name == "k" else p_max
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer >= 1, got {re.escape(repr(bad))}$"):
+            search(triangle, one_pair_workload, optimizer, 0, k=k, p_max=p_max, **common)
+    assert finder.queries == 0  # raised before any search
+
+
+BASELINES = ("baseline-hop", "baseline-inv-egr", "baseline-inv-egr-sq")
+
+
+def _union_baseline(graph, workload, optimizer, k, p_max, catalog, finder):
+    """A baseline's picks looked up in the three-scheme k-path union, then
+    solved: the route search took for every baseline before it searched only
+    the baseline's own scheme."""
+    candidates = build_candidate_sets(graph, workload, k=k, finder=finder)
+    selection = baseline_selection(
+        graph, workload, candidates, BASELINE_SCHEMES[optimizer.removeprefix("baseline-")],
+        p_max=p_max, strategy_index=nearest_strategy_index(catalog, 0.992), catalog=catalog,
+        finder=finder)
+    return selection, solve(build_problem(graph, workload, selection, p_max=p_max))
+
+
+def _lp_view(problem):
+    lp = problem.lp
+    return (problem.variables, problem.pair_keys, lp.row_labels,
+            *(a.tobytes() for a in (lp.objective, lp.indptr, lp.indices, lp.data,
+                                    lp.row_bounds)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_baseline_search_matches_the_union_route(seed):
+    net50 = bundled_topology()
+    workload = generate_workload(
+        net50, WorkloadParams(num_orgs=3, pairs_per_org=4, r_min=0.0), seed)
+    catalog = tuple(default_strategy_catalog(4))
+    finder, union_finder = PathFinder(net50), PathFinder(net50)
+    outcomes = []
+    for optimizer in BASELINES:
+        for k in (1, 2, 3, 5):
+            for p_max in (1, 2, 3):
+                args = (net50, workload, optimizer)
+                try:
+                    want_selection, want = _union_baseline(*args, k, p_max, catalog,
+                                                           union_finder)
+                except ValueError as exc:
+                    # k < p_max: a pick outside the k-path union fails the point
+                    with pytest.raises(ValueError) as raised:
+                        search(*args, seed, k=k, p_max=p_max, catalog=catalog, finder=finder)
+                    assert str(raised.value) == str(exc)
+                    outcomes.append("error")
+                    continue
+                got = search(*args, seed, k=k, p_max=p_max, catalog=catalog, finder=finder)
+                assert got.selection == want_selection
+                assert save_selection(got.selection) == save_selection(want_selection)
+                assert got.solution.status == want.status == "optimal"
+                assert got.solution.wegr.hex() == want.wegr.hex()
+                assert got.solution.rates == want.rates
+                outcomes.append(got.solution.status)
+    assert "error" in outcomes and "optimal" in outcomes
+
+
+def test_baseline_search_runs_yen_for_its_own_scheme_only(monkeypatch):
+    calls = []
+    real = pathfinding.yen_k_shortest
+
+    def counting(graph, src, dst, k, scheme, *args, **kwargs):
+        calls.append((scheme, k))
+        return real(graph, src, dst, k, scheme, *args, **kwargs)
+
+    monkeypatch.setattr(pathfinding, "yen_k_shortest", counting)
+    net50 = bundled_topology()
+    workload = generate_workload(
+        net50, WorkloadParams(num_orgs=3, pairs_per_org=4, r_min=0.0), 0)
+    endpoints = {pair.endpoints for pair in workload.user_pairs}
+    catalog = tuple(default_strategy_catalog(4))
+    for optimizer in BASELINES:
+        scheme = BASELINE_SCHEMES[optimizer.removeprefix("baseline-")]
+        for k, p_max in ((3, 3), (5, 2), (8, 1)):
+            calls.clear()
+            search(net50, workload, optimizer, 0, k=k, p_max=p_max, catalog=catalog)
+            # one run per endpoint pair, on a fresh finder: own scheme, p_max paths
+            assert calls == [(scheme, p_max)] * len(endpoints)
+
+
+def test_dead_link_pair_leaves_a_capacity_baseline_selection():
+    # only the hop scheme reaches D: the three-scheme union held hop paths
+    # for (A, D), so a capacity-weighted baseline kept the pair with no paths;
+    # now it searches its own scheme, finds none, and leaves the pair out.
+    # The LP, the selection text and the solution are the same either way.
+    graph, workload = dead_link_case()
+    dead = ("org0", "A", "D")
+    catalog = tuple(default_strategy_catalog(4))
+    for optimizer in BASELINES:
+        want_selection, want = _union_baseline(graph, workload, optimizer, 5, 3, catalog,
+                                               PathFinder(graph))
+        got = search(graph, workload, optimizer, 0, k=5, p_max=3, catalog=catalog)
+        if optimizer == "baseline-hop":
+            assert got.selection == want_selection
+            assert [p.nodes for p, _ in got.selection[dead]] == [("A", "C", "D"),
+                                                                  ("A", "B", "C", "D")]
+        else:
+            assert want_selection[dead] == []
+            assert dead not in got.selection
+            assert {**got.selection, dead: []} == want_selection
+        assert save_selection(got.selection) == save_selection(want_selection)
+        assert _lp_view(build_problem(graph, workload, got.selection, p_max=3)) == \
+            _lp_view(build_problem(graph, workload, want_selection, p_max=3))
+        assert got.solution == want
+        assert want.status == "optimal" and want.wegr > 0
 
 
 # ---------------------------------------------------------------- fairness
