@@ -474,10 +474,14 @@ def wegr_of_selection(graph, workload, selection, noise: NoiseParams = DEFAULT_N
     selection is a {pair_key: [(CandidatePath, DistillationStrategy), ...]}
     dict, or an integer array of ids from the compiler's column pool. A
     search passes the LpCompiler it built on the same graph, workload, noise
-    and p_max, so its column pool carries over between calls.
+    and p_max, so its column pool carries over between calls; a compiler
+    built on any other instance raises ValueError.
     """
     if compiler is None:
         compiler = LpCompiler(graph, workload, noise, p_max)
+    elif not (compiler.graph is graph and compiler.workload is workload
+              and compiler.noise == noise and compiler.p_max == p_max):
+        raise ValueError("compiler was built for a different graph, workload, noise or p_max")
     if not isinstance(selection, np.ndarray):
         selection = compiler.column_ids(selection)
     lp = compiler.gather(selection)

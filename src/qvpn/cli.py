@@ -386,7 +386,8 @@ def cmd_ga(config, out_dir):
         "wegr": trace.best_wegr,
         "lp_solves": result.lp_solves,
         "generations": ga_config.generations,
-        "seconds": trace.seconds,
+        "seconds": result.seconds,
+        "generation_seconds": trace.seconds,
         "outputs": outputs,
     }
 

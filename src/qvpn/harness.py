@@ -542,7 +542,7 @@ def load_selection(source: str, graph: NetworkGraph):
             pair_key = (org, a, b)
             if not nodes or nodes[0] != a or nodes[-1] != b:
                 raise ValueError("path must run from the pair's first endpoint to its second")
-            path = path_from_nodes(graph, pair_key, nodes)
+            path = path_from_nodes(graph, nodes)
         except (ValueError, IndexError, KeyError) as exc:
             raise ValueError(f"selection line {lineno}: {exc}") from None
         selection.setdefault(pair_key, []).append((path, strategy))

@@ -35,14 +35,15 @@ class WeightScheme(Enum):
 
 @dataclass(frozen=True)
 class CandidatePath:
-    pair_key: tuple  # (org_id, endpoint_a, endpoint_b) of the owning pair
-    nodes: tuple  # node-id sequence, nodes[0], nodes[-1] = pair endpoints
+    """A loopless path of the graph. It names no pair: every pair on its
+    endpoints may use it, and a selection's key says which one does."""
+    nodes: tuple  # node-id sequence from one endpoint to the other
     link_keys: tuple  # canonical link keys in path order
     hop_count: int
     bottleneck_capacity: float
 
 
-def path_from_nodes(graph, pair_key, nodes):
+def path_from_nodes(graph, nodes):
     """Build a CandidatePath from an explicit node sequence (links must exist)."""
     links = []
     bottleneck = math.inf
@@ -51,7 +52,6 @@ def path_from_nodes(graph, pair_key, nodes):
         bottleneck = min(bottleneck, graph.link_by_key[key].capacity_eprps)
         links.append(key)
     return CandidatePath(
-        pair_key=pair_key,
         nodes=tuple(nodes),
         link_keys=tuple(links),
         hop_count=len(links),
@@ -107,17 +107,14 @@ def _dijkstra(adjacency, src, dst, banned_nodes, banned_first_hops):
 
 
 def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
-                   scheme: WeightScheme, pair_key: tuple | None = None, *, table=None,
-                   built: dict | None = None):
+                   scheme: WeightScheme, *, table=None, built: dict | None = None):
     """Up to k loopless shortest paths in nondecreasing total weight.
 
-    Returns an empty list when src and dst are disconnected. pair_key tags
-    the produced CandidatePaths (defaults to an anonymous pair). table: the
+    Returns an empty list when src and dst are disconnected. table: the
     graph's SchemeTable for scheme, when the caller keeps one; built here
     otherwise. built: a dict from node tuple to CandidatePath that the
     caller keeps across searches; a ranked path found there is returned as
-    it is, and each path built here is added to it. Its paths must carry
-    this call's pair_key.
+    it is, and each path built here is added to it.
 
     The first j paths do not depend on k: the search accepts paths in rank
     order and k only says when to stop. PathFinder's memo relies on this.
@@ -136,8 +133,6 @@ def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
     for nid in (src, dst):
         if nid not in graph.node_by_id:
             raise ValueError(f"unknown node {nid!r}")
-    if pair_key is None:
-        pair_key = ("-", src, dst)
     if table is None:
         table = SchemeTable.build(graph, scheme)
     weights, adjacency = table
@@ -175,12 +170,12 @@ def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
         accepted.append(nodes)
 
     if built is None:
-        return [path_from_nodes(graph, pair_key, nodes) for nodes in accepted]
+        built = {}
     paths = []
     for nodes in accepted:
         path = built.get(nodes)
         if path is None:
-            path = built[nodes] = path_from_nodes(graph, pair_key, nodes)
+            path = built[nodes] = path_from_nodes(graph, nodes)
         paths.append(path)
     return paths
 
@@ -190,14 +185,14 @@ class PathFinder:
 
     The caller owns the finder and shares it wherever the same graph is
     searched again (one per CLI command or scenario). For each key the memo
-    keeps the longest ranked list of node tuples computed so far and whether
-    it is exhausted (Yen found fewer paths than asked). A query for k is
+    keeps the longest ranked list of paths computed so far and whether it
+    is exhausted (Yen found fewer paths than asked). A query for k is
     answered from that list when it is long enough or exhausted, since Yen's
     first j paths for any k >= j are its paths for j; otherwise it runs
     yen_k_shortest again with the larger k. The finder also keeps each path
-    Yen built, by node tuple: a search that finds a known path takes it from
-    there, and candidate_paths copies its link fields, so each path's links
-    are walked once per finder.
+    Yen built, by node tuple, and a search that finds a known path takes it
+    from there. So the finder builds one CandidatePath per node tuple, and
+    every pair, scheme and query that finds that path gets the same object.
 
     queries counts calls and yen_runs the searches run. Every answer is a
     pure function of (graph, src, dst, scheme, k), so neither count changes
@@ -211,11 +206,11 @@ class PathFinder:
         self.queries = 0
         self.yen_runs = 0
         self._tables = {scheme: SchemeTable.build(graph, scheme) for scheme in WeightScheme}
-        self._memo = {}  # (src, dst, scheme) -> (node tuples, exhausted)
+        self._memo = {}  # (src, dst, scheme) -> (CandidatePaths, exhausted)
         self._built = {}  # node tuple -> CandidatePath as Yen built it
 
     def paths(self, src: str, dst: str, k: int, scheme: WeightScheme) -> tuple:
-        """Node tuples of up to k shortest src-dst paths under scheme, in rank order."""
+        """Up to k shortest src-dst CandidatePaths under scheme, in rank order."""
         if k < 1:
             raise ValueError("k must be >= 1")
         key = (src, dst, scheme)
@@ -224,21 +219,10 @@ class PathFinder:
         if known is not None and (len(known[0]) >= k or known[1]):
             return known[0][:k]
         self.yen_runs += 1
-        built = yen_k_shortest(self.graph, src, dst, k, scheme, table=self._tables[scheme],
-                               built=self._built)
-        found = tuple(p.nodes for p in built)
+        found = tuple(yen_k_shortest(self.graph, src, dst, k, scheme,
+                                     table=self._tables[scheme], built=self._built))
         self._memo[key] = (found, len(found) < k)  # exhausted: found is every path there is
         return found
-
-    def candidate_paths(self, node_tuples, pair_key) -> list:
-        """CandidatePaths of pair_key for node tuples that paths() returned.
-
-        Link keys, hop count and bottleneck are copied from the path Yen
-        built, so each path's links are walked once per finder.
-        """
-        built = [self._built[nodes] for nodes in node_tuples]
-        return [CandidatePath(pair_key, p.nodes, p.link_keys, p.hop_count, p.bottleneck_capacity)
-                for p in built]
 
 
 def _finder_for(graph, finder):
@@ -264,15 +248,18 @@ def build_candidate_set(graph: NetworkGraph, user_pair, k: int = 5,
     """Deduplicated union of per-scheme k-shortest paths for one user pair.
 
     Order is stable: scheme order, then rank within scheme; duplicates keep
-    their first occurrence. At most len(schemes)*k entries. finder: a
-    PathFinder of graph to share; a fresh one is used when absent.
+    their first occurrence. At most len(schemes)*k entries, each the
+    finder's own CandidatePath, shared with every other pair on the same
+    endpoints. finder: a PathFinder of graph to share; a fresh one is used
+    when absent.
     """
     finder = _finder_for(graph, finder)
     src, dst = user_pair.endpoints
-    unique = {}  # node tuple -> None, in first-occurrence order
+    unique = {}  # node tuple -> CandidatePath, in first-occurrence order
     for scheme in schemes:
-        unique.update(dict.fromkeys(finder.paths(src, dst, k, scheme)))
-    return finder.candidate_paths(unique, user_pair.key)
+        for path in finder.paths(src, dst, k, scheme):
+            unique.setdefault(path.nodes, path)
+    return list(unique.values())
 
 
 def build_candidate_sets(graph, workload, k=5, schemes=DEFAULT_SCHEMES, *, finder=None):
@@ -290,28 +277,29 @@ def baseline_selection(graph, workload, candidates, scheme: WeightScheme,
 
     candidates must have been built with the scheme included and k >= p_max,
     so every baseline path is locatable in the pair's candidate list. Pass
-    the finder that built them to reuse its searches.
+    the finder that built them to reuse its searches. Raises ValueError
+    before any search when catalog is None or has no entry strategy_index.
     Returns {pair_key: [(CandidatePath, DistillationStrategy), ...]}.
     """
+    if catalog is None:
+        raise ValueError("baseline_selection needs the strategy catalog")
+    if not 0 <= strategy_index < len(catalog):
+        raise ValueError(f"strategy_index {strategy_index} outside the strategy catalog "
+                         f"of {len(catalog)} entries")
+    strategy = catalog[strategy_index]
     finder = _finder_for(graph, finder)
     selection = {}
     for pair in workload.user_pairs:
         cands = candidates.get(pair.key, [])
         if not cands:
             continue
-        by_nodes = {p.nodes: p for p in cands}
-        picks = []
-        for nodes in finder.paths(pair.endpoints[0], pair.endpoints[1], p_max, scheme):
-            hit = by_nodes.get(nodes)
-            if hit is None:
-                raise ValueError(
-                    f"baseline path for pair {pair.key} missing from its candidate set; "
-                    "build candidates with this scheme and k >= p_max"
-                )
-            picks.append(hit)
-        if catalog is None:
-            raise ValueError("baseline_selection needs the strategy catalog")
-        strategy = catalog[strategy_index]
+        known = {p.nodes for p in cands}
+        picks = finder.paths(pair.endpoints[0], pair.endpoints[1], p_max, scheme)
+        if any(p.nodes not in known for p in picks):
+            raise ValueError(
+                f"baseline path for pair {pair.key} missing from its candidate set; "
+                "build candidates with this scheme and k >= p_max"
+            )
         selection[pair.key] = [(p, strategy) for p in picks]
     return selection
 

@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -112,7 +113,7 @@ def test_problem_rejects_too_many_paths(triangle, one_pair_workload):
 
 
 def test_problem_rejects_endpoint_mismatch(triangle, one_pair_workload):
-    stray = path_from_nodes(triangle, ("org0", "A", "C"), ("A", "C"))
+    stray = path_from_nodes(triangle, ("A", "C"))
     pair = one_pair_workload.user_pairs[0]
     with pytest.raises(ValueError, match="endpoints"):
         build_problem(triangle, one_pair_workload, {pair.key: [(stray, EASY)]})
@@ -196,7 +197,7 @@ def test_shared_link_prefers_heavier_weight(triangle):
     pb = make_pair("org0", "B", "C", weight=0.1)
     wl = one_org(pa, pb)
     direct = build_candidate_set(triangle, pa, k=1)[0]
-    detour = path_from_nodes(triangle, pb.key, ("B", "A", "C"))
+    detour = path_from_nodes(triangle, ("B", "A", "C"))
     sel = {pa.key: [(direct, EASY)], pb.key: [(detour, EASY)]}
     sol = solve(build_problem(triangle, wl, sel))
     assert sol.status == "optimal"
@@ -257,6 +258,25 @@ def test_wegr_of_selection_matches_solve(triangle, one_pair_workload):
     direct = wegr_of_selection(triangle, one_pair_workload, sel)
     via_solve = solve(build_problem(triangle, one_pair_workload, sel)).wegr
     assert direct == via_solve
+
+
+def test_wegr_of_selection_refuses_another_instances_compiler():
+    # two net10 workloads with the same pair keys; b doubles every pair weight
+    g = bundled_topology(TOPOLOGY_10)
+    wa = generate_workload(g, WorkloadParams(num_orgs=3, pairs_per_org=10), 0)
+    wb = Workload(organizations=wa.organizations, seed=wa.seed,
+                  user_pairs=tuple(replace(p, weight=2 * p.weight) for p in wa.user_pairs))
+    sel = {p.key: [(build_candidate_set(g, p, k=1)[0], DistillationStrategy(0.95))]
+           for p in wa.user_pairs}
+    want = wegr_of_selection(g, wb, sel, p_max=3)
+    assert want == 2 * wegr_of_selection(g, wa, sel, p_max=3) > 0
+    assert wegr_of_selection(g, wb, sel, p_max=3, compiler=LpCompiler(g, wb)) == want
+    for compiler, p_max in ((LpCompiler(g, wa), 3), (LpCompiler(g, wa), 1),
+                            (LpCompiler(g, wb), 1),
+                            (LpCompiler(g, wb, NoiseParams(swap_success_prob=0.5)), 3),
+                            (LpCompiler(bundled_topology(TOPOLOGY_10), wb), 3)):
+        with pytest.raises(ValueError, match="compiler was built for a different"):
+            wegr_of_selection(g, wb, sel, p_max=p_max, compiler=compiler)
 
 
 def _random_small_problem(rng):

@@ -217,6 +217,9 @@ def test_ga_outputs_then_allocate_from_selection(tmp_path):
 
     manifest = _manifest(ga_out)
     assert manifest["generations"] == 3
+    # seconds is the whole search, as in rl's manifest; generation 0 is timed too
+    assert isinstance(manifest["seconds"], float)
+    assert len(manifest["generation_seconds"]) == 3 + 1
     assert manifest["lp_solves"] > 0
     assert manifest["status"] == "optimal"
     _, header, rows = _csv_rows(ga_out / "trace.csv")
@@ -264,6 +267,7 @@ def test_rl_outputs_and_policy_checkpoint(tmp_path):
 
     manifest = _manifest(out1)
     assert manifest["epochs"] == 5
+    assert isinstance(manifest["seconds"], float)
     assert manifest["lp_solves"] >= 1
     _, header, rows = _csv_rows(out1 / "trace.csv")
     assert header == ["epoch", "mean_reward"]

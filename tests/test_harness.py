@@ -344,7 +344,7 @@ def test_traced_yen_sees_every_finder_run(monkeypatch):
     for key, paths in shared.items():
         assert [astuple(p) for p in paths] == [astuple(p) for p in fresh[key]]
         assert [astuple(p) for p in paths] == \
-            [astuple(path_from_nodes(net50, key, p.nodes)) for p in paths]
+            [astuple(path_from_nodes(net50, p.nodes)) for p in paths]
 
 
 def test_k_below_p_max_still_errors_with_a_warm_finder():
@@ -579,8 +579,8 @@ def test_fairness_report_structure(triangle):
     p1 = make_pair("org0", "A", "B", weight=0.5)
     p2 = make_pair("org0", "A", "C", weight=0.6, r_max=100.0)
     wl = Workload(organizations=(org,), user_pairs=(p1, p2), seed=0)
-    sel = {p1.key: [(path_from_nodes(triangle, p1.key, ("A", "B")), EASY)],
-           p2.key: [(path_from_nodes(triangle, p2.key, ("A", "C")), EASY)]}
+    sel = {p1.key: [(path_from_nodes(triangle, ("A", "B")), EASY)],
+           p2.key: [(path_from_nodes(triangle, ("A", "C")), EASY)]}
     sol = _solved(triangle, wl, sel)
     rep = fairness_report(sol, wl, sel)
 
@@ -606,7 +606,7 @@ def test_fairness_org_sums_match_solution(triangle):
     p2 = make_pair("orgB", "A", "C", weight=0.4)
     p3 = make_pair("orgB", "B", "C", weight=0.6)
     wl = Workload(organizations=orgs, user_pairs=(p1, p2, p3), seed=0)
-    sel = {p.key: [(path_from_nodes(triangle, p.key, p.endpoints), EASY)]
+    sel = {p.key: [(path_from_nodes(triangle, p.endpoints), EASY)]
            for p in (p1, p2, p3)}
     sol = _solved(triangle, wl, sel)
     rep = fairness_report(sol, wl, sel)
@@ -624,7 +624,7 @@ def test_fairness_counts_zero_rate_pairs(triangle):
     p2 = make_pair("org0", "A", "C", weight=0.6)
     p3 = make_pair("org0", "B", "C", weight=0.4, r_max=0.0)  # pinned to zero
     wl = Workload(organizations=(org,), user_pairs=(p1, p2, p3), seed=0)
-    sel = {p.key: [(path_from_nodes(triangle, p.key, p.endpoints), EASY)]
+    sel = {p.key: [(path_from_nodes(triangle, p.endpoints), EASY)]
            for p in (p1, p2, p3)}
     rep = fairness_report(_solved(triangle, wl, sel), wl, sel)
     assert rep.zero_rate_pairs == 1
@@ -636,7 +636,7 @@ def test_fairness_counts_zero_rate_pairs(triangle):
 
 def test_fairness_needs_two_active_pairs(triangle, one_pair_workload):
     pair = one_pair_workload.user_pairs[0]
-    sel = {pair.key: [(path_from_nodes(triangle, pair.key, ("A", "B")), EASY)]}
+    sel = {pair.key: [(path_from_nodes(triangle, ("A", "B")), EASY)]}
     sol = _solved(triangle, one_pair_workload, sel)
     with pytest.raises(DegenerateVarianceError, match="at least 2"):
         fairness_report(sol, one_pair_workload, sel)
@@ -646,7 +646,7 @@ def test_fairness_rejects_non_optimal(triangle):
     pair = make_pair("org0", "A", "B", r_min=1e8)  # far above link capacity
     wl = Workload(organizations=(Organization("org0", 1.0),),
                   user_pairs=(pair,), seed=0)
-    sel = {pair.key: [(path_from_nodes(triangle, pair.key, ("A", "B")), EASY)]}
+    sel = {pair.key: [(path_from_nodes(triangle, ("A", "B")), EASY)]}
     sol = _solved(triangle, wl, sel)
     assert sol.status == "infeasible"
     with pytest.raises(ValueError, match="optimal"):
@@ -658,7 +658,7 @@ def test_fairness_rejects_selection_mismatch(triangle):
     p1 = make_pair("org0", "A", "B")
     p2 = make_pair("org0", "A", "C")
     wl = Workload(organizations=(org,), user_pairs=(p1, p2), seed=0)
-    sel = {p.key: [(path_from_nodes(triangle, p.key, p.endpoints), EASY)]
+    sel = {p.key: [(path_from_nodes(triangle, p.endpoints), EASY)]
            for p in (p1, p2)}
     sol = _solved(triangle, wl, sel)
     with pytest.raises(ValueError, match="absent from selection"):
@@ -671,9 +671,9 @@ def test_selection_save_load_round_trip(triangle):
     k1 = ("org0", "A", "B")
     k2 = ("org0", "A", "C")
     sel = {
-        k1: [(path_from_nodes(triangle, k1, ("A", "B")), DistillationStrategy(0.9)),
-             (path_from_nodes(triangle, k1, ("A", "C", "B")), DistillationStrategy(0.85, 7))],
-        k2: [(path_from_nodes(triangle, k2, ("A", "C")), EASY)],
+        k1: [(path_from_nodes(triangle, ("A", "B")), DistillationStrategy(0.9)),
+             (path_from_nodes(triangle, ("A", "C", "B")), DistillationStrategy(0.85, 7))],
+        k2: [(path_from_nodes(triangle, ("A", "C")), EASY)],
     }
     text = save_selection(sel)
     assert text.startswith("qvpn-selection v1\n")

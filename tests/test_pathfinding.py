@@ -251,12 +251,12 @@ def test_path_finder_serves_prefixes_from_its_memo():
     g = _grid_graph()
     finder = PathFinder(g)
     want = [p.nodes for p in yen_k_shortest(g, "g00", "g12", 4, WeightScheme.HOP)]
-    assert list(finder.paths("g00", "g12", 4, WeightScheme.HOP)) == want
-    assert list(finder.paths("g00", "g12", 2, WeightScheme.HOP)) == want[:2]
+    assert [p.nodes for p in finder.paths("g00", "g12", 4, WeightScheme.HOP)] == want
+    assert [p.nodes for p in finder.paths("g00", "g12", 2, WeightScheme.HOP)] == want[:2]
     assert (finder.queries, finder.yen_runs) == (2, 1)
     # a longer query runs Yen again; the other direction and scheme are new keys
     longer = finder.paths("g00", "g12", 5, WeightScheme.HOP)
-    assert list(longer[:4]) == want
+    assert [p.nodes for p in longer[:4]] == want
     finder.paths("g12", "g00", 2, WeightScheme.HOP)
     finder.paths("g00", "g12", 2, WeightScheme.INV_EGR)
     assert (finder.queries, finder.yen_runs) == (5, 4)
@@ -264,10 +264,11 @@ def test_path_finder_serves_prefixes_from_its_memo():
 
 def test_path_finder_remembers_exhausted_searches(triangle):
     finder = PathFinder(triangle)
-    assert finder.paths("A", "B", 10, WeightScheme.HOP) == (("A", "B"), ("A", "C", "B"))
+    both = [("A", "B"), ("A", "C", "B")]
+    assert [p.nodes for p in finder.paths("A", "B", 10, WeightScheme.HOP)] == both
     # the graph has only two A-B paths, so no k needs a new search
-    assert finder.paths("A", "B", 50, WeightScheme.HOP) == (("A", "B"), ("A", "C", "B"))
-    assert finder.paths("A", "B", 1, WeightScheme.HOP) == (("A", "B"),)
+    assert [p.nodes for p in finder.paths("A", "B", 50, WeightScheme.HOP)] == both
+    assert [p.nodes for p in finder.paths("A", "B", 1, WeightScheme.HOP)] == both[:1]
     assert finder.yen_runs == 1
 
 
@@ -296,16 +297,17 @@ def test_path_finder_memo_consistency(monkeypatch):
     builds = []
     real = pathfinding.path_from_nodes
 
-    def counting(graph, pair_key, nodes):
+    def counting(graph, nodes):
         builds.append(nodes)
-        return real(graph, pair_key, nodes)
+        return real(graph, nodes)
 
     monkeypatch.setattr(pathfinding, "path_from_nodes", counting)
     finder = PathFinder(g)
     rng = np.random.default_rng(8)
     for i in np.concatenate([rng.permutation(len(queries)) for _ in range(3)]):
         (src, dst, scheme), k = queries[i]
-        assert list(finder.paths(src, dst, k, scheme)) == want[(src, dst, scheme)][:k]
+        assert [p.nodes for p in finder.paths(src, dst, k, scheme)] == \
+            want[(src, dst, scheme)][:k]
     assert finder.queries == 3 * len(queries)
     assert len(builds) == len(set(builds))
     assert set(builds) == {nodes for paths in want.values() for nodes in paths}
@@ -346,13 +348,12 @@ def test_shared_finder_gives_the_same_candidates_and_baselines():
 
 
 def test_path_from_nodes_fields(triangle):
-    p = path_from_nodes(triangle, ("o", "A", "B"), ("A", "C", "B"))
-    assert p.pair_key == ("o", "A", "B")
+    p = path_from_nodes(triangle, ("A", "C", "B"))
     assert p.link_keys == (("A", "C"), ("B", "C"))
     assert p.hop_count == 2
     assert p.bottleneck_capacity == pytest.approx(link_capacity(10.0, 0.2, 0.2, 1e-6))
     with pytest.raises(KeyError):
-        path_from_nodes(triangle, ("o", "B", "C"), ("B", "A", "X"))
+        path_from_nodes(triangle, ("B", "A", "X"))
 
 
 def test_candidate_set_dedup_and_order(triangle):
@@ -360,8 +361,21 @@ def test_candidate_set_dedup_and_order(triangle):
     cands = build_candidate_set(triangle, pair, k=5)
     # all three schemes rank the same two paths here, so the union is just 2
     assert [c.nodes for c in cands] == [("A", "B"), ("A", "C", "B")]
-    assert all(c.pair_key == pair.key for c in cands)
     assert len({c.link_keys for c in cands}) == len(cands)
+
+
+def test_pairs_on_the_same_endpoints_share_path_objects():
+    g = _grid_graph()
+    orgs = (Organization("org0", 1.0), Organization("org1", 2.0))
+    pairs = (make_pair("org0", "g00", "g12"), make_pair("org1", "g00", "g12"),
+             make_pair("org1", "g01", "g10"))
+    wl = Workload(organizations=orgs, user_pairs=pairs, seed=0)
+    finder = PathFinder(g)
+    sets = build_candidate_sets(g, wl, k=4, finder=finder)
+    assert len(sets[pairs[0].key]) > 1
+    assert all(a is b for a, b in zip(sets[pairs[0].key], sets[pairs[1].key], strict=True))
+    memo = {id(p) for found, _ in finder._memo.values() for p in found}
+    assert all(id(p) in memo for paths in sets.values() for p in paths)
 
 
 def test_candidate_set_size_bound():
@@ -412,8 +426,16 @@ def test_baseline_selection_requires_covering_candidates():
 
 def test_baseline_selection_needs_catalog(triangle, one_pair_workload):
     cands = build_candidate_sets(triangle, one_pair_workload, k=3)
-    with pytest.raises(ValueError, match="catalog"):
-        baseline_selection(triangle, one_pair_workload, cands, WeightScheme.HOP)
+    catalog = default_strategy_catalog()
+    # the catalog is checked before any search, and also when no pair has candidates
+    for given, strategies, index in ((cands, None, 0), ({}, None, 0),
+                                     (cands, catalog, len(catalog)),
+                                     ({}, catalog, len(catalog)), (cands, catalog, -1)):
+        finder = PathFinder(triangle)
+        with pytest.raises(ValueError, match="catalog"):
+            baseline_selection(triangle, one_pair_workload, given, WeightScheme.HOP,
+                               strategy_index=index, catalog=strategies, finder=finder)
+        assert finder.queries == 0
 
 
 def test_baseline_selection_skips_uncovered_pairs(triangle):
