@@ -385,6 +385,8 @@ def cmd_ga(config, out_dir):
         "status": result.solution.status,
         "wegr": trace.best_wegr,
         "lp_solves": result.lp_solves,
+        "fitness_calls": trace.fitness_calls,  # the cache hit rate is 1 - lp_solves / this
+        "fitness_helper": trace.fitness_helper,
         "generations": ga_config.generations,
         "seconds": result.seconds,
         "generation_seconds": trace.seconds,

@@ -6,13 +6,18 @@ selection through the allocation LP; infeasible selections score 0 so the
 search can walk out of infeasible regions. Fitness never decodes: each gene
 is an id in the compiler's column pool, and the LP is gathered from it.
 Random streams are derived per (seed, generation, slot), so results do not
-depend on evaluation order.
+depend on evaluation order. Where the process may use two CPUs and fork,
+evolve solves every other LP miss of a generation on one forked helper
+process; each LP is a pure function of its pool ids, so the trace does not
+change.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from numbers import Integral
 
@@ -77,6 +82,8 @@ class GaTrace:
     best_genome: Genome | None = None
     best_wegr: float = 0.0
     lp_solves: int = 0
+    fitness_calls: int = 0  # genomes scored, cache hits included
+    fitness_helper: bool = False  # a forked helper solved every other miss
 
 
 def dynamic_schedule(generation: int, total: int, config: GaConfig = GaConfig()):
@@ -163,22 +170,51 @@ class GaProblem:
             first[:, j] = (paths[:, :j] != paths[:, j:j + 1]).all(axis=1)
         return (self._slot_base + paths * len(self.catalog) + strats)[first]
 
-    def fitness(self, genome: Genome) -> float:
+    def _keyed(self, genome: Genome):
+        """(cache key, pool ids) of a genome. Each pair's ids lie in their
+        own range, so one sort orders every pair's set: permuted slots share
+        a key, and so do repeated paths."""
         ids = self._column_ids(genome)
-        # each pair's ids lie in their own range, so one sort orders every
-        # pair's set: permuted slots share a key, and so do repeated paths
-        key = np.sort(ids).tobytes()
+        return np.sort(ids).tobytes(), ids
+
+    def score(self, ids) -> float:
+        """W-EGR of the selection with these pool ids, solved uncached."""
+        return wegr_of_selection(self.graph, self.workload, ids, self.noise, self.p_max,
+                                 compiler=self.compiler)
+
+    def fitness(self, genome: Genome) -> float:
+        key, ids = self._keyed(genome)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         try:
-            value = wegr_of_selection(self.graph, self.workload, ids, self.noise, self.p_max,
-                                      compiler=self.compiler)
+            value = self.score(ids)
         except SolverError as exc:
-            raise SolverError(f"{exc} (while scoring genome {genome.genes})") from exc
+            raise _scoring_error(exc, genome) from exc
         self.lp_solves += 1
         self._cache[key] = value
         return value
+
+    def fitnesses(self, genomes, solve_batch) -> list:
+        """fitness of every genome, with the distinct misses among them, in
+        first-appearance order, scored by one call of solve_batch(a list of
+        pool-id arrays), which returns a W-EGR or the exception raised for
+        each. The cache and lp_solves take the results in miss order, and the
+        first exception is raised as fitness would raise it."""
+        keyed = [self._keyed(genome) for genome in genomes]
+        misses = {}
+        for (key, ids), genome in zip(keyed, genomes):
+            if key not in self._cache and key not in misses:
+                misses[key] = (ids, genome)
+        results = solve_batch([ids for ids, _ in misses.values()])
+        for (key, (_, genome)), result in zip(misses.items(), results):
+            if isinstance(result, SolverError):
+                raise _scoring_error(result, genome) from result
+            if isinstance(result, BaseException):
+                raise result
+            self.lp_solves += 1
+            self._cache[key] = result
+        return [self._cache[key] for key, _ in keyed]
 
     def encode_selection(self, selection) -> Genome:
         """Inverse of decode for seeding: pad unused slots by repeating the
@@ -202,6 +238,10 @@ class GaProblem:
                 slots.append(slots[0])
             genes.extend(slots)
         return Genome(tuple(genes))
+
+
+def _scoring_error(exc: SolverError, genome: Genome) -> SolverError:
+    return SolverError(f"{exc} (while scoring genome {genome.genes})")
 
 
 def random_genome(problem: GaProblem, rng) -> Genome:
@@ -266,25 +306,84 @@ def _mutate(genes, slot_paths, num_strats, rng, prob):
     return tuple(out)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _solve_each(problem: GaProblem, id_lists) -> list:
+    """problem.score of each pool-id array, or the exception it raised."""
+    results = []
+    for ids in id_lists:
+        try:
+            results.append(problem.score(ids))
+        except Exception as exc:  # reported in miss order by GaProblem.fitnesses
+            results.append(exc)
+    return results
+
+
+def _serve_misses(problem: GaProblem, conn) -> None:
+    """The fitness helper's body: solves each list of pool-id arrays it
+    receives on its fork-inherited problem, until it receives None."""
+    for id_lists in iter(conn.recv, None):
+        conn.send(_solve_each(problem, id_lists))
+
+
+def _solve_split(problem: GaProblem, helper, id_lists) -> list:
+    """_solve_each of id_lists, with every other array sent to the helper."""
+    helper.send(id_lists[1::2])
+    results = [None] * len(id_lists)
+    results[0::2] = _solve_each(problem, id_lists[0::2])
+    results[1::2] = helper.recv()
+    return results
+
+
 def evolve(population, config: GaConfig, problem: GaProblem) -> GaTrace:
     """Run the generational loop; returns the trace (one row per generation,
-    including the initial population as generation 0)."""
+    including the initial population as generation 0).
+
+    With at least two usable CPUs and the fork start method, in a process
+    that is not itself a multiprocessing child, evolve forks one helper
+    process for its run. Each generation the helper solves every other
+    distinct cache miss, in first-appearance order, and this process the
+    rest. The trace is the same on either route."""
+    length = problem.genome_length()
+    for genome in population:
+        if len(genome.genes) != length:
+            raise ValueError("genome length does not match the problem encoding")
+    if _usable_cpus() >= 2:
+        from . import forking  # here, so that serial runs do not import multiprocessing
+        if forking.can_fork():
+            with forking.Forks() as forks:
+                helper = forks.start("GA fitness helper", _serve_misses, problem)
+                solve = partial(_solve_split, problem, helper)
+                trace = _generations(population, config, problem,
+                                     lambda pop: problem.fitnesses(pop, solve))
+                helper.send(None)
+            trace.fitness_helper = True
+            return trace
+    return _generations(population, config, problem,
+                        lambda pop: [problem.fitness(g) for g in pop])
+
+
+def _generations(population, config: GaConfig, problem: GaProblem, score) -> GaTrace:
+    """evolve's loop, with score(genomes) -> their fitnesses."""
     trace = GaTrace()
     pop = list(population)
     length = problem.genome_length()
     slot_paths = [problem.gene_space(slot)[0] for slot in range(length)]
     num_strats = len(problem.catalog)
-    for genome in pop:
-        if len(genome.genes) != length:
-            raise ValueError("genome length does not match the problem encoding")
 
     def record(fitnesses, elapsed):
         trace.best_fitness.append(max(fitnesses))
         trace.mean_fitness.append(float(np.mean(fitnesses)))
         trace.seconds.append(elapsed)
+        trace.fitness_calls += len(fitnesses)
 
     t0 = time.perf_counter()
-    fitnesses = [problem.fitness(g) for g in pop]
+    fitnesses = score(pop)
     record(fitnesses, time.perf_counter() - t0)
 
     for gen in range(1, config.generations + 1):
@@ -306,7 +405,7 @@ def evolve(population, config: GaConfig, problem: GaProblem) -> GaTrace:
                 child = p1.genes
             next_pop.append(Genome(_mutate(child, slot_paths, num_strats, rng, mut_prob)))
         pop = next_pop
-        fitnesses = [problem.fitness(g) for g in pop]
+        fitnesses = score(pop)
         record(fitnesses, time.perf_counter() - t0)
 
     best_idx = max(range(len(pop)), key=lambda i: (fitnesses[i], -i))

@@ -324,48 +324,25 @@ def _run_share(scenario: Scenario, tasks, finder: PathFinder, conn) -> None:
     conn.close()
 
 
-def _run_forked(context, scenario: Scenario, tasks, workers: int, finder: PathFinder) -> tuple:
-    """Worker w runs tasks[w::workers] on a fork of this process; the points
-    come back in task order and the workers' counts are added to finder.
-    Raises if a worker ends without sending its points; no worker outlives
-    the call. Fork, not spawn: a worker starts with this process's imports
-    and finder memo instead of importing qvpn again, and qvpn runs no
-    threads that a fork could cut off."""
+def _run_forked(scenario: Scenario, tasks, workers: int, finder: PathFinder) -> tuple:
+    """Worker w runs tasks[w::workers] on a fork of this process (see
+    forking.Forks); the points come back in task order and the workers'
+    counts are added to finder. Raises if a worker ends without sending its
+    points; no worker outlives the call."""
     # numpy loads these on first use (np.random.default_rng, and np.unique's
     # masked-array check): load them here once, not again in every worker
     import numpy.ma  # noqa: F401
     import numpy.random  # noqa: F401
+    from .forking import Forks
 
-    shares = []
     points = [None] * len(tasks)
-    try:
-        for w in range(workers):
-            receiver, sender = context.Pipe(duplex=False)
-            process = context.Process(target=_run_share,
-                                      args=(scenario, tasks[w::workers], finder, sender))
-            process.start()
-            # the parent's copy of the sending end must go before the next
-            # fork, or a worker that dies would leave its pipe open
-            sender.close()
-            shares.append((process, receiver))
-        for w, (process, receiver) in enumerate(shares):
-            try:
-                share, queries, yen_runs = receiver.recv()
-            except EOFError:
-                process.join()
-                raise RuntimeError(f"sweep worker {w} exited with code {process.exitcode} "
-                                   "before sending its points") from None
-            points[w::workers] = share
+    with Forks() as forks:
+        shares = [forks.start(f"sweep worker {w}", _run_share, scenario, tasks[w::workers], finder)
+                  for w in range(workers)]
+        for w, worker in enumerate(shares):
+            points[w::workers], queries, yen_runs = worker.recv()
             finder.queries += queries
             finder.yen_runs += yen_runs
-    except BaseException:
-        for process, _ in shares:
-            process.terminate()
-        raise
-    finally:
-        for process, receiver in shares:
-            receiver.close()
-            process.join()
     return tuple(points)
 
 
@@ -378,8 +355,9 @@ def run_scenario(scenario: Scenario, max_workers: int = 1,
     processes forked from this one share the points out statically; each
     searches on its own copy of finder, whose counts then take in theirs.
     Every point is a pure function of (scenario, axis value, seed), so the
-    results do not depend on max_workers; without the fork start method the
-    points run serially.
+    results do not depend on max_workers. Without the fork start method,
+    or in a process that is itself a multiprocessing child, the points run
+    serially.
     """
     if finder is None:
         finder = PathFinder(scenario.graph)
@@ -391,10 +369,9 @@ def run_scenario(scenario: Scenario, max_workers: int = 1,
     workers = min(max_workers, len(tasks))
     points = None
     if workers > 1:
-        import multiprocessing  # here, so that serial runs do not pay for the import
-        if "fork" in multiprocessing.get_all_start_methods():
-            points = _run_forked(multiprocessing.get_context("fork"), scenario, tasks,
-                                 workers, finder)
+        from . import forking  # here, so that serial runs do not import multiprocessing
+        if forking.can_fork():
+            points = _run_forked(scenario, tasks, workers, finder)
     if points is None:
         points = tuple(_guarded_point(scenario, task, finder) for task in tasks)
     return ScenarioResult(scenario=scenario, config_hash=config_hash, points=points)

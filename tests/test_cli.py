@@ -220,7 +220,8 @@ def test_ga_outputs_then_allocate_from_selection(tmp_path):
     # seconds is the whole search, as in rl's manifest; generation 0 is timed too
     assert isinstance(manifest["seconds"], float)
     assert len(manifest["generation_seconds"]) == 3 + 1
-    assert manifest["lp_solves"] > 0
+    assert 0 < manifest["lp_solves"] < manifest["fitness_calls"] == 8 * (3 + 1)
+    assert isinstance(manifest["fitness_helper"], bool)
     assert manifest["status"] == "optimal"
     _, header, rows = _csv_rows(ga_out / "trace.csv")
     assert header == ["generation", "best_wegr", "mean_fitness"]

@@ -1,11 +1,14 @@
+import multiprocessing
+import os
 import re
+import signal
 
 import numpy as np
 import pytest
 
-from qvpn import allocation_lp, ga_optimizer
-from qvpn.allocation_lp import LpCompiler, wegr_of_selection
-from qvpn.fixtures import bundled_topology
+from qvpn import allocation_lp, forking, ga_optimizer
+from qvpn.allocation_lp import LpCompiler, SolverError, wegr_of_selection
+from qvpn.fixtures import TOPOLOGY_10, bundled_topology
 from qvpn.ga_optimizer import (
     GaConfig,
     GaProblem,
@@ -415,7 +418,9 @@ def test_traced_lp_solves_see_every_miss(monkeypatch, tri_problem):
     # a trace counts LP solves by wrapping the module attribute
     # ga_optimizer.wegr_of_selection and fitness calls by wrapping
     # GaProblem.fitness, so every miss must go through the one and every
-    # scored genome through the other
+    # scored genome through the other. Wrappers see only this process, so
+    # the run takes the one-CPU route, which forks no fitness helper
+    monkeypatch.setattr(ga_optimizer, "_usable_cpus", lambda: 1)
     lp_calls, fitness_calls = [], []
     real_wegr = ga_optimizer.wegr_of_selection
     real_fitness = GaProblem.fitness
@@ -435,3 +440,162 @@ def test_traced_lp_solves_see_every_miss(monkeypatch, tri_problem):
     assert len(fitness_calls) == cfg.population_size * (cfg.generations + 1)
     assert len(lp_calls) == trace.lp_solves == tri_problem.lp_solves
     assert 0 < trace.lp_solves < len(fitness_calls)  # hits happen, and are not counted
+    assert not trace.fitness_helper
+
+
+# ------------------------------------------------ the forked fitness helper
+
+needs_fork = pytest.mark.skipif(not forking.can_fork(), reason="this process cannot fork")
+
+
+def _run_on(monkeypatch, cpus, problem, config, population=None):
+    """evolve on the route that cpus usable CPUs select; the helper route is
+    taken wherever the platform can fork."""
+    monkeypatch.setattr(ga_optimizer, "_usable_cpus", lambda: cpus)
+    if population is None:
+        population = initialize_population(problem, config)
+    trace = evolve(population, config, problem)
+    assert multiprocessing.active_children() == []
+    return trace
+
+
+def _trace_view(trace):
+    return (trace.best_fitness, trace.mean_fitness, trace.best_genome, trace.best_wegr,
+            trace.lp_solves, trace.fitness_calls)
+
+
+def _fresh(problem):
+    return GaProblem(problem.graph, problem.workload, problem.candidates, problem.catalog,
+                     noise=problem.noise, p_max=problem.p_max)
+
+
+@needs_fork
+@pytest.mark.parametrize("mode", ["dynamic", "static"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_helper_gives_the_serial_trace(monkeypatch, net50_problem, mode, seed):
+    config = (GaConfig(population_size=12, generations=5, seed=seed) if mode == "dynamic"
+              else GaConfig.static_mode(population_size=12, generations=5, seed=seed))
+    serial = _run_on(monkeypatch, 1, _fresh(net50_problem), config)
+    helped = _run_on(monkeypatch, 2, _fresh(net50_problem), config)
+    assert not serial.fitness_helper and helped.fitness_helper
+    assert _trace_view(helped) == _trace_view(serial)
+    assert helped.fitness_calls == config.population_size * (config.generations + 1)
+
+
+@needs_fork
+def test_helper_gives_the_serial_trace_with_repeated_children(monkeypatch, tri_problem):
+    # the triangle's gene space is small, so children repeat within and
+    # across generations; the initial population repeats genomes outright
+    rng = np.random.default_rng(5)
+    distinct = [random_genome(tri_problem, rng) for _ in range(4)]
+    population = [distinct[i % 4] for i in range(10)]
+    for config in (GaConfig(population_size=10, generations=8, seed=2),
+                   GaConfig.static_mode(population_size=10, generations=8, seed=2)):
+        serial = _run_on(monkeypatch, 1, _fresh(tri_problem), config, population)
+        helped = _run_on(monkeypatch, 2, _fresh(tri_problem), config, population)
+        assert helped.fitness_helper
+        assert _trace_view(helped) == _trace_view(serial)
+        assert 0 < helped.lp_solves < helped.fitness_calls / 2
+
+
+@needs_fork
+def test_helper_scores_infeasible_lps_zero(monkeypatch):
+    # with R_min > 0 a third of random selections are infeasible
+    net10 = bundled_topology(TOPOLOGY_10)
+    wl = generate_workload(net10, WorkloadParams(num_orgs=2, pairs_per_org=3, r_min=100.0), 0)
+    problem = GaProblem(net10, wl, build_candidate_sets(net10, wl, k=3),
+                        default_strategy_catalog(4), p_max=2)
+    config = GaConfig(population_size=16, generations=4, seed=3)
+    serial = _run_on(monkeypatch, 1, _fresh(problem), config)
+    replies = []
+    real_recv = forking.Child.recv
+
+    def recording(self):
+        replies.extend(reply := real_recv(self))
+        return reply
+
+    monkeypatch.setattr(forking.Child, "recv", recording)
+    helped = _run_on(monkeypatch, 2, _fresh(problem), config)
+    assert _trace_view(helped) == _trace_view(serial)
+    assert 0.0 in replies and max(replies) > 0.0  # the helper solved both kinds
+    assert min(helped.mean_fitness) < max(helped.best_fitness)
+
+
+@needs_fork
+def test_helper_forked_after_solves_gives_the_serial_trace(monkeypatch, net50_problem):
+    # the parent's HiGHS instance and column pool are in use before the fork
+    config = GaConfig(population_size=12, generations=4, seed=1)
+    traces = []
+    for cpus in (1, 2):
+        problem = _fresh(net50_problem)
+        rng = np.random.default_rng(11)
+        early = [problem.fitness(random_genome(problem, rng)) for _ in range(6)]
+        assert problem.lp_solves == 6 and min(early) > 0
+        traces.append(_run_on(monkeypatch, cpus, problem, config))
+    assert traces[1].fitness_helper
+    assert _trace_view(traces[1]) == _trace_view(traces[0])
+
+
+def test_one_cpu_or_no_fork_starts_no_process(monkeypatch, tri_problem):
+    starts = []
+    monkeypatch.setattr(forking.Forks, "start", lambda *args: starts.append(args))
+    config = GaConfig(population_size=6, generations=2, seed=0)
+    assert not _run_on(monkeypatch, 1, _fresh(tri_problem), config).fitness_helper
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert not _run_on(monkeypatch, 2, _fresh(tri_problem), config).fitness_helper
+    assert starts == []
+
+
+def _fail_in_helper(monkeypatch, fail):
+    """Make every LP the helper solves call fail(); this process's LPs solve."""
+    parent = os.getpid()
+    real = ga_optimizer.wegr_of_selection
+
+    def failing(*args, **kwargs):
+        if os.getpid() != parent:
+            fail()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ga_optimizer, "wegr_of_selection", failing)
+
+
+@needs_fork
+def test_a_solver_error_in_the_helper_reaches_the_caller(monkeypatch, net50_problem):
+    def fail():
+        raise SolverError("LP solve failed: HiGHS model status Time limit reached")
+
+    _fail_in_helper(monkeypatch, fail)
+    config = GaConfig(population_size=8, generations=2, seed=0)
+    population = initialize_population(net50_problem, config)
+    with pytest.raises(SolverError, match="Time limit") as info:
+        _run_on(monkeypatch, 2, net50_problem, config, population)
+    # the helper takes the second distinct miss: the second random genome
+    assert str(info.value).endswith(f"(while scoring genome {population[1].genes})")
+    assert multiprocessing.active_children() == []
+
+
+def _serve_once_then_exit(problem, conn):
+    conn.send(ga_optimizer._solve_each(problem, conn.recv()))
+    os._exit(5)
+
+
+@needs_fork
+@pytest.mark.parametrize("death, code", [("mid-batch", 7), ("between batches", 5)])
+def test_a_dead_helper_fails_the_run(monkeypatch, net50_problem, death, code):
+    if death == "mid-batch":
+        _fail_in_helper(monkeypatch, lambda: os._exit(7))
+    else:  # the next send or receive finds the pipe closed
+        monkeypatch.setattr(ga_optimizer, "_serve_misses", _serve_once_then_exit)
+
+    def hung(signum, frame):
+        raise TimeoutError("evolve still waiting 60 s after its helper died")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(RuntimeError, match=f"helper exited with code {code}"):
+            _run_on(monkeypatch, 2, net50_problem, GaConfig(population_size=8, generations=2))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []

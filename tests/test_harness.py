@@ -10,7 +10,7 @@ import pytest
 
 from qvpn.allocation_lp import build_problem, solve
 from qvpn.fixtures import TOPOLOGY_10, bundled_topology
-from qvpn import harness, pathfinding
+from qvpn import forking, ga_optimizer, harness, pathfinding
 from qvpn.ga_optimizer import GaConfig
 from qvpn.harness import (
     DegenerateVarianceError,
@@ -308,6 +308,44 @@ def test_a_dead_worker_fails_the_run(triangle, one_pair_workload, monkeypatch):
     assert multiprocessing.active_children() == []
     # serially the same points run in this process and succeed
     assert [p.status for p in run_scenario(sc).points] == ["optimal"] * 3
+
+
+def test_ga_sweep_points_match_across_worker_counts(monkeypatch):
+    # a GA point forks its fitness helper when run in this process, and
+    # scores serially inside a sweep worker: no helper starts there
+    parent = os.getpid()
+    started = []
+    real_start = forking.Forks.start
+
+    def start(self, name, *args):
+        if os.getpid() != parent:
+            raise AssertionError(f"{name} started inside a sweep worker")
+        started.append(name)
+        return real_start(self, name, *args)
+
+    monkeypatch.setattr(forking.Forks, "start", start)
+    # the helper route even where this machine has one CPU
+    monkeypatch.setattr(ga_optimizer, "_usable_cpus", lambda: 2)
+    sc = Scenario(name="ga", graph=bundled_topology(TOPOLOGY_10),
+                  workload_params=WorkloadParams(num_orgs=2, pairs_per_org=2, r_min=0.0),
+                  optimizer="ga", ga_config=GaConfig(population_size=8, generations=3),
+                  sweep_axis="pairs_per_org", sweep_values=(2, 3), repetitions=2,
+                  seeds=(0, 1), catalog=tuple(default_strategy_catalog(4)))
+
+    def view(point):
+        trace = point.trace
+        return (_point_view(point), trace.best_fitness, trace.mean_fitness, trace.lp_solves)
+
+    serial = run_scenario(sc, max_workers=1)
+    assert started == ["GA fitness helper"] * 4
+    assert all(p.status == "optimal" and p.trace.fitness_helper for p in serial.points)
+    started.clear()
+    forked = run_scenario(sc, max_workers=2)
+    assert started == ["sweep worker 0", "sweep worker 1"]
+    assert [p.error for p in forked.points] == [None] * 4
+    assert not any(p.trace.fitness_helper for p in forked.points)
+    assert [view(p) for p in forked.points] == [view(p) for p in serial.points]
+    assert multiprocessing.active_children() == []
 
 
 def test_traced_yen_sees_every_finder_run(monkeypatch):
