@@ -232,6 +232,17 @@ def _optimizer_config(config, name: str, cls):
         raise ConfigError(f"bad {name} block: {exc}") from None
 
 
+def _seeded_ga_config(config):
+    """The config's `ga` block (None when absent or empty) for a GA that
+    `search` seeds with every greedy baseline, so the population must hold
+    them all."""
+    ga_config = _optimizer_config(config, "ga", ga.GaConfig)
+    if ga_config is not None and ga_config.population_size < len(BASELINE_SCHEMES):
+        raise ConfigError(f"bad ga block: population_size {ga_config.population_size} "
+                          f"cannot hold the {len(BASELINE_SCHEMES)} seeded greedy baselines")
+    return ga_config
+
+
 def _hasher(config) -> "hashlib._Hash":
     # max_workers says how a report runs, not what it computes
     h = hashlib.sha256()
@@ -359,7 +370,7 @@ def cmd_ga(config, out_dir):
     graph = _load_graph(config, hasher)
     workload = _load_workload(config, graph, hasher)
     catalog = _load_catalog(config, hasher)
-    ga_config = _optimizer_config(config, "ga", ga.GaConfig) or ga.GaConfig()
+    ga_config = _seeded_ga_config(config) or ga.GaConfig()
     k, p_max = _config_int("k", config.get("k", 5)), _config_int("p_max", config.get("p_max", 3))
     threshold = _config_real("baseline_threshold", config.get("baseline_threshold", 0.992))
     config_hash = hasher.hexdigest()
@@ -390,6 +401,7 @@ def cmd_ga(config, out_dir):
         "generations": ga_config.generations,
         "seconds": result.seconds,
         "generation_seconds": trace.seconds,
+        "breed_seconds": trace.breed_seconds,
         "outputs": outputs,
     }
 
@@ -449,7 +461,8 @@ def cmd_report(config, out_dir):
     if "hidden" in config:
         raise ConfigError("report trains the default (128,) policy; "
                           "\"hidden\" is read by `qvpn rl` only")
-    ga_config = _optimizer_config(config, "ga", ga.GaConfig)
+    ga_config = (_seeded_ga_config(config) if config.get("optimizer") == "ga"
+                 else _optimizer_config(config, "ga", ga.GaConfig))
     rl_config = _optimizer_config(config, "rl", rl.TrainConfig)
     try:
         scenario = Scenario(

@@ -6,10 +6,12 @@ selection through the allocation LP; infeasible selections score 0 so the
 search can walk out of infeasible regions. Fitness never decodes: each gene
 is an id in the compiler's column pool, and the LP is gathered from it.
 Random streams are derived per (seed, generation, slot), so results do not
-depend on evaluation order. Where the process may use two CPUs and fork,
-evolve solves every other LP miss of a generation on one forked helper
-process; each LP is a pure function of its pool ids, so the trace does not
-change.
+depend on evaluation order. evolve holds a generation as one (population,
+pairs, p_max, 2) integer array and breeds all of its children at once,
+reading each child's stream as numpy's Generator would read it (see
+_Streams). Where the process may use two CPUs and fork, evolve solves
+every other LP miss of a generation on one forked helper process; each LP
+is a pure function of its pool ids, so the trace does not change.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from numbers import Integral
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,6 +82,9 @@ class GaTrace:
     best_fitness: list = field(default_factory=list)  # per generation, incl. initial
     mean_fitness: list = field(default_factory=list)
     seconds: list = field(default_factory=list)
+    # the part of seconds spent building the generation's children (none in
+    # generation 0) and, on the fitness-helper route, keying the generation
+    breed_seconds: list = field(default_factory=list)
     best_genome: Genome | None = None
     best_wegr: float = 0.0
     lp_solves: int = 0
@@ -149,72 +155,74 @@ class GaProblem:
         """Genome -> {pair_key: [(path, strategy), ...]}; duplicate path
         indices within a pair keep their first occurrence."""
         selection = {k: [] for k in self.pair_order}
-        for column in self._column_ids(genome).tolist():
+        for column in self._keyed(self._gene_array([genome])).ids(0).tolist():
             pair_key, path, strategy = self.compiler.choice(column)
             selection[pair_key].append((path, strategy))
         return selection
 
-    def _column_ids(self, genome: Genome) -> np.ndarray:
-        """Pool ids of the genome's first occurrence of each path per pair,
-        in pair order and then slot order."""
-        genes = np.fromiter(chain.from_iterable(genome.genes), dtype=np.intp,
-                            count=2 * len(genome.genes)).reshape(-1, self.p_max, 2)
+    def _gene_array(self, genomes) -> np.ndarray:
+        """The (len(genomes), pairs, p_max, 2) gene array of Genomes, each
+        checked against the problem encoding and the gene space."""
+        length = self.genome_length()
+        for genome in genomes:
+            if len(genome.genes) != length:
+                raise ValueError("genome length does not match the problem encoding")
+        flat = chain.from_iterable(chain.from_iterable(g.genes for g in genomes))
+        genes = np.fromiter(flat, dtype=np.intp, count=2 * length * len(genomes))
+        genes = genes.reshape(len(genomes), *self._slot_limit.shape, 2)
         paths, strats = genes[..., 0], genes[..., 1]
-        if paths.shape != self._slot_limit.shape:
-            raise ValueError("genome length does not match the problem encoding")
-        if not ((0 <= paths) & (paths < self._slot_limit)
-                & (0 <= strats) & (strats < len(self.catalog))).all():
-            raise ValueError(f"gene outside the gene space in {genome.genes}")
+        valid = ((0 <= paths) & (paths < self._slot_limit)
+                 & (0 <= strats) & (strats < len(self.catalog)))
+        bad = np.flatnonzero(~valid.reshape(len(genomes), -1).all(axis=1))
+        if bad.size:
+            raise ValueError(f"gene outside the gene space in {genomes[bad[0]].genes}")
+        return genes
+
+    def _keyed(self, genes: np.ndarray) -> "_Keyed":
+        """Pool ids and cache keys of a (n, pairs, p_max, 2) gene array.
+
+        A genome's LP takes the ids of each pair's first occurrence of each
+        path, in pair order and then slot order. Its cache key is the bytes
+        of its ids sorted within each pair, a repeated path's slot reading
+        -1: permuted slots share a key, and so do repeated paths."""
+        paths, strats = genes[..., 0], genes[..., 1]
         first = np.ones(paths.shape, dtype=bool)
         for j in range(1, self.p_max):
-            first[:, j] = (paths[:, :j] != paths[:, j:j + 1]).all(axis=1)
-        return (self._slot_base + paths * len(self.catalog) + strats)[first]
-
-    def _keyed(self, genome: Genome):
-        """(cache key, pool ids) of a genome. Each pair's ids lie in their
-        own range, so one sort orders every pair's set: permuted slots share
-        a key, and so do repeated paths."""
-        ids = self._column_ids(genome)
-        return np.sort(ids).tobytes(), ids
+            first[..., j] = (paths[..., :j] != paths[..., j:j + 1]).all(axis=-1)
+        columns = self._slot_base + paths * len(self.catalog) + strats
+        rows = np.sort(np.where(first, columns, -1), axis=-1).reshape(len(genes), -1)
+        return _Keyed(genes, columns, first, [row.tobytes() for row in rows])
 
     def score(self, ids) -> float:
         """W-EGR of the selection with these pool ids, solved uncached."""
         return wegr_of_selection(self.graph, self.workload, ids, self.noise, self.p_max,
                                  compiler=self.compiler)
 
-    def fitness(self, genome: Genome) -> float:
-        key, ids = self._keyed(genome)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        try:
-            value = self.score(ids)
-        except SolverError as exc:
-            raise _scoring_error(exc, genome) from exc
-        self.lp_solves += 1
-        self._cache[key] = value
-        return value
+    def fitness(self, genome) -> float:
+        """Cached W-EGR of one genome: a Genome, or its (pairs, p_max, 2)
+        gene array."""
+        genes = self._gene_array([genome]) if isinstance(genome, Genome) else genome[None]
+        return self.fitnesses(self._keyed(genes), partial(_solve_each, self))[0]
 
-    def fitnesses(self, genomes, solve_batch) -> list:
-        """fitness of every genome, with the distinct misses among them, in
-        first-appearance order, scored by one call of solve_batch(a list of
-        pool-id arrays), which returns a W-EGR or the exception raised for
-        each. The cache and lp_solves take the results in miss order, and the
-        first exception is raised as fitness would raise it."""
-        keyed = [self._keyed(genome) for genome in genomes]
+    def fitnesses(self, keyed: "_Keyed", solve_batch) -> list:
+        """fitness of every keyed genome, with the distinct misses among
+        them, in first-appearance order, scored by one call of
+        solve_batch(a list of pool-id arrays), which returns a W-EGR or the
+        exception raised for each. The cache and lp_solves take the results
+        in miss order, and the first exception is raised."""
         misses = {}
-        for (key, ids), genome in zip(keyed, genomes):
+        for i, key in enumerate(keyed.keys):
             if key not in self._cache and key not in misses:
-                misses[key] = (ids, genome)
-        results = solve_batch([ids for ids, _ in misses.values()])
-        for (key, (_, genome)), result in zip(misses.items(), results):
+                misses[key] = i
+        results = solve_batch([keyed.ids(i) for i in misses.values()])
+        for (key, i), result in zip(misses.items(), results):
             if isinstance(result, SolverError):
-                raise _scoring_error(result, genome) from result
+                raise _scoring_error(result, _genome_of(keyed.genes[i])) from result
             if isinstance(result, BaseException):
                 raise result
             self.lp_solves += 1
             self._cache[key] = result
-        return [self._cache[key] for key, _ in keyed]
+        return [self._cache[key] for key in keyed.keys]
 
     def encode_selection(self, selection) -> Genome:
         """Inverse of decode for seeding: pad unused slots by repeating the
@@ -238,6 +246,23 @@ class GaProblem:
                 slots.append(slots[0])
             genes.extend(slots)
         return Genome(tuple(genes))
+
+
+class _Keyed(NamedTuple):
+    """GaProblem._keyed of a gene array."""
+    genes: np.ndarray  # (n, pairs, p_max, 2)
+    columns: np.ndarray  # (n, pairs, p_max) pool id of each slot
+    first: np.ndarray  # (n, pairs, p_max) the slot holds its path's first occurrence
+    keys: list  # the cache key of each genome
+
+    def ids(self, i) -> np.ndarray:
+        """Genome i's LP pool ids, in pair order and then slot order."""
+        return self.columns[i][self.first[i]]
+
+
+def _genome_of(genes: np.ndarray) -> Genome:
+    """The Genome of one genome's gene array, in Python ints."""
+    return Genome(tuple(map(tuple, genes.reshape(-1, 2).tolist())))
 
 
 def _scoring_error(exc: SolverError, genome: Genome) -> SolverError:
@@ -273,14 +298,6 @@ def _schedule_for(config: GaConfig, generation: int):
     return dynamic_schedule(generation, max(config.generations, 1), config)
 
 
-def _pick_parent(rng, pool, weights):
-    """One parent from the pool: proportional to weights (normalized, or
-    None for a uniform pick)."""
-    if weights is not None:
-        return pool[rng.choice(len(pool), p=weights)]
-    return pool[rng.integers(len(pool))]
-
-
 def _pool_weights(pool, fitnesses, proportional):
     """Fitness-proportional pick weights over the pool, None when the pick
     is uniform (static mode, or no positive total)."""
@@ -292,18 +309,141 @@ def _pool_weights(pool, fitnesses, proportional):
     return None
 
 
-def _mutate(genes, slot_paths, num_strats, rng, prob):
-    random, integers = rng.random, rng.integers
-    out = list(genes)
-    for slot, n_paths in enumerate(slot_paths):
-        if random() < prob:
-            path_idx, strat_idx = out[slot]
-            if random() < 0.5:
-                path_idx = int(integers(n_paths))
-            else:
-                strat_idx = int(integers(num_strats))
-            out[slot] = (path_idx, strat_idx)
-    return tuple(out)
+class _Streams:
+    """One random stream per row, read in step over all rows as numpy's
+    Generator reads its bit generator, for the draws breeding makes.
+
+    Row r is the PCG64 of seeds[r], so default_rng(seeds[r]) would draw the
+    same values: random() is (w >> 11) * 2**-53 of the next 64-bit word w.
+    integers(n), for 2 <= n < 2**32, takes 32-bit halves by Lemire's
+    method, rejections included: the low half of a fresh word, then that
+    word's high half at the next such draw, whatever doubles come between.
+    integers(1) draws nothing.
+
+    Each row starts with width + 1 words: width must cover the caller's
+    draws but for Lemire rejections, and the spare word lets a row that
+    holds a half index its next word. A rejection reads one half more, so
+    each one draws every row one more word. A read past the words raises
+    IndexError."""
+
+    def __init__(self, seeds, width: int):
+        self._bitgens = [np.random.PCG64(seed) for seed in seeds]
+        self._words = np.empty((len(seeds), width + 1), dtype=np.uint64)
+        for row, bitgen in zip(self._words, self._bitgens):
+            row[:] = bitgen.random_raw(width + 1)
+        self._doubles = (self._words >> 11) * 2.0 ** -53
+        self._below = None  # (p, flat positions of the doubles below p)
+        self.pos = np.zeros(len(seeds), dtype=np.intp)  # each row's next unread word
+        self._held = np.zeros(len(seeds), dtype=bool)  # a high half is waiting
+        self._high = np.zeros(len(seeds), dtype=np.uint64)
+
+    def _widen(self) -> None:
+        """Draw every row one more word."""
+        more = np.stack([bg.random_raw(1) for bg in self._bitgens])
+        self._words = np.hstack((self._words, more))
+        self._doubles = (self._words >> 11) * 2.0 ** -53
+        self._below = None
+
+    def doubles(self, rows) -> np.ndarray:
+        """random() of each row."""
+        pos = self.pos[rows]
+        self.pos[rows] = pos + 1
+        return self._doubles[rows, pos]
+
+    def _halves(self, rows) -> np.ndarray:
+        """The next 32-bit half of each row, as uint64."""
+        held, pos = self._held[rows], self.pos[rows]
+        word = self._words[rows, pos]
+        out = np.where(held, self._high[rows], word & 0xFFFFFFFF)
+        self._high[rows] = word >> 32
+        self._held[rows] = ~held
+        self.pos[rows] = pos + ~held
+        return out
+
+    def integers(self, rows, n) -> np.ndarray:
+        """integers(n) of each row, for bounds n (one, or one per row) in
+        [1, 2**32)."""
+        n = np.asarray(n, dtype=np.uint64)
+        if n.ndim == 0:
+            n = np.full(len(rows), n)
+        out = np.zeros(len(rows), dtype=np.intp)
+        todo = np.flatnonzero(n > 1)
+        while todo.size:
+            bound = n[todo]
+            m = self._halves(rows[todo]) * bound
+            out[todo] = m >> 32
+            # Lemire: reject while the low half is below 2**32 mod n
+            todo = todo[(m & 0xFFFFFFFF) < (2 ** 32 - bound) % bound]
+            for _ in range(todo.size):
+                self._widen()
+        return out
+
+    def count_until_below(self, rows, p: float, limit) -> np.ndarray:
+        """Read each row's doubles until one is below p, at most limit[i]
+        for row i; the number read before that one, or limit[i] when none
+        is."""
+        width = self._words.shape[1]
+        if self._below is None or self._below[0] != p:
+            # a final sentinel past every row, so each search finds a position
+            below = np.append(np.flatnonzero(self._doubles < p), self._doubles.size)
+            self._below = p, below
+        below = self._below[1]
+        pos = self.pos[rows]
+        if (pos + limit > width).any():
+            raise IndexError("a stream read past its words")
+        # the next position below p in row-major order; one in a later row
+        # lies at least limit ahead
+        at = rows * width + pos
+        count = np.minimum(below[np.searchsorted(below, at)] - at, limit)
+        self.pos[rows] = pos + count + (count < limit)
+        return count
+
+
+def _breed(seeds, genes, pool, weights, cross_prob, mut_prob,
+           slot_paths, num_strats) -> np.ndarray:
+    """The children bred from a (population, pairs, p_max, 2) gene array, one
+    per seed, on the flat list of slots. Each draws from the stream of its
+    seed, in this order: two parents from the pool (a double each,
+    searched in the normalised cumulative weights as Generator.choice
+    searches; or integers(len(pool)) each when weights is None), the
+    crossover coin, the cut integers(1, slots) when the coin falls below
+    cross_prob and there are two slots or more, and then for each slot in
+    turn a mutation coin and, when it falls below mut_prob, a coin for the
+    path side (below 0.5) or strategy side and integers(n) of that side's
+    n choices."""
+    length = len(slot_paths)
+    # the most words a child can read: 3 + 2 * length doubles and
+    # 3 + length halves
+    streams = _Streams(seeds, 3 + 2 * length + (length + 4) // 2)
+    rows = np.arange(len(seeds))
+    pool = np.asarray(pool, dtype=np.intp)
+    if weights is not None:
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        picks = [cdf.searchsorted(streams.doubles(rows), side="right") for _ in range(2)]
+    else:
+        picks = [streams.integers(rows, len(pool)) for _ in range(2)]
+    coin = streams.doubles(rows)
+    cut = np.full(len(rows), length)
+    if length > 1:
+        crossing = rows[coin < cross_prob]
+        cut[crossing] = 1 + streams.integers(crossing, length - 1)
+    # each child slot's parent: the first pick before the cut, the second after
+    before = np.arange(length) < cut[:, None]
+    parent = pool[np.where(before, picks[0][:, None], picks[1][:, None])]
+    children = genes.reshape(len(genes), length, 2)[parent, np.arange(length)]
+    slot = np.zeros(len(rows), dtype=np.intp)
+    live = rows
+    while live.size:
+        at = slot[live] + streams.count_until_below(live, mut_prob, length - slot[live])
+        hit = at < length
+        live, at = live[hit], at[hit]
+        on_path = streams.doubles(live) < 0.5
+        bound = np.where(on_path, slot_paths[at], num_strats)
+        children[live, at, np.where(on_path, 0, 1)] = streams.integers(live, bound)
+        slot[live] = at + 1
+        live = live[at + 1 < length]
+    return children.reshape(len(rows), *genes.shape[1:])
 
 
 def _usable_cpus() -> int:
@@ -341,76 +481,70 @@ def _solve_split(problem: GaProblem, helper, id_lists) -> list:
 
 
 def evolve(population, config: GaConfig, problem: GaProblem) -> GaTrace:
-    """Run the generational loop; returns the trace (one row per generation,
-    including the initial population as generation 0).
+    """Run the generational loop on a population of config.population_size
+    Genomes; returns the trace (one row per generation, including the
+    initial population as generation 0).
 
     With at least two usable CPUs and the fork start method, in a process
     that is not itself a multiprocessing child, evolve forks one helper
     process for its run. Each generation the helper solves every other
     distinct cache miss, in first-appearance order, and this process the
     rest. The trace is the same on either route."""
-    length = problem.genome_length()
-    for genome in population:
-        if len(genome.genes) != length:
-            raise ValueError("genome length does not match the problem encoding")
+    if len(population) != config.population_size:
+        raise ValueError(f"population of {len(population)} genomes, but "
+                         f"population_size is {config.population_size}")
+    genes = problem._gene_array(population)
     if _usable_cpus() >= 2:
         from . import forking  # here, so that serial runs do not import multiprocessing
         if forking.can_fork():
             with forking.Forks() as forks:
                 helper = forks.start("GA fitness helper", _serve_misses, problem)
-                solve = partial(_solve_split, problem, helper)
-                trace = _generations(population, config, problem,
-                                     lambda pop: problem.fitnesses(pop, solve))
+                trace = _generations(genes, config, problem,
+                                     partial(_solve_split, problem, helper))
                 helper.send(None)
             trace.fitness_helper = True
             return trace
-    return _generations(population, config, problem,
-                        lambda pop: [problem.fitness(g) for g in pop])
+    return _generations(genes, config, problem, None)
 
 
-def _generations(population, config: GaConfig, problem: GaProblem, score) -> GaTrace:
-    """evolve's loop, with score(genomes) -> their fitnesses."""
+def _generations(genes, config: GaConfig, problem: GaProblem, solve_batch) -> GaTrace:
+    """evolve's loop from the initial gene array. With solve_batch, each
+    generation is keyed as one batch and scored by problem.fitnesses;
+    without, genome by genome through problem.fitness."""
     trace = GaTrace()
-    pop = list(population)
-    length = problem.genome_length()
-    slot_paths = [problem.gene_space(slot)[0] for slot in range(length)]
+    slot_paths = problem._slot_limit.ravel()
     num_strats = len(problem.catalog)
+    children = config.population_size - config.elitism_count
 
-    def record(fitnesses, elapsed):
+    def score(genes, t0):
+        if solve_batch is None:
+            trace.breed_seconds.append(time.perf_counter() - t0)
+            fitnesses = [problem.fitness(row) for row in genes]
+        else:
+            keyed = problem._keyed(genes)
+            trace.breed_seconds.append(time.perf_counter() - t0)
+            fitnesses = problem.fitnesses(keyed, solve_batch)
         trace.best_fitness.append(max(fitnesses))
         trace.mean_fitness.append(float(np.mean(fitnesses)))
-        trace.seconds.append(elapsed)
+        trace.seconds.append(time.perf_counter() - t0)
         trace.fitness_calls += len(fitnesses)
+        return fitnesses
 
-    t0 = time.perf_counter()
-    fitnesses = score(pop)
-    record(fitnesses, time.perf_counter() - t0)
-
+    fitnesses = score(genes, time.perf_counter())
     for gen in range(1, config.generations + 1):
         t0 = time.perf_counter()
         pool_frac, mut_prob, cross_prob = _schedule_for(config, gen - 1)
-        order = sorted(range(len(pop)), key=lambda i: (-fitnesses[i], i))
-        pool = order[:max(1, int(np.ceil(pool_frac * len(pop))))]
+        order = sorted(range(len(genes)), key=lambda i: (-fitnesses[i], i))
+        pool = order[:max(1, int(np.ceil(pool_frac * len(genes))))]
         weights = _pool_weights(pool, fitnesses, config.mode == "dynamic")
+        seeds = [[config.seed, gen, slot] for slot in range(children)]
+        bred = _breed(seeds, genes, pool, weights, cross_prob, mut_prob, slot_paths, num_strats)
+        genes = np.concatenate((genes[order[:config.elitism_count]], bred))
+        fitnesses = score(genes, t0)
 
-        next_pop = [pop[i] for i in order[: config.elitism_count]]
-        for slot in range(config.population_size - config.elitism_count):
-            rng = np.random.default_rng([config.seed, gen, slot])
-            p1 = pop[_pick_parent(rng, pool, weights)]
-            p2 = pop[_pick_parent(rng, pool, weights)]
-            if rng.random() < cross_prob and length > 1:
-                cut = int(rng.integers(1, length))
-                child = p1.genes[:cut] + p2.genes[cut:]
-            else:
-                child = p1.genes
-            next_pop.append(Genome(_mutate(child, slot_paths, num_strats, rng, mut_prob)))
-        pop = next_pop
-        fitnesses = score(pop)
-        record(fitnesses, time.perf_counter() - t0)
-
-    best_idx = max(range(len(pop)), key=lambda i: (fitnesses[i], -i))
+    best_idx = max(range(len(genes)), key=lambda i: (fitnesses[i], -i))
     # elitism guarantees the final population contains the best-ever genome
-    trace.best_genome = pop[best_idx]
+    trace.best_genome = _genome_of(genes[best_idx])
     trace.best_wegr = fitnesses[best_idx]
     trace.lp_solves = problem.lp_solves
     return trace

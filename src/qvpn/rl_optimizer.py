@@ -157,6 +157,20 @@ class _BlockLayout:
         return np.repeat(per_block, self.lengths)
 
 
+def _outer(a, b, out):
+    """np.outer(a, b), written into out when given. np.outer(..., out=)
+    allocates a 128 KiB ufunc buffer per call for its broadcast operands; a
+    one-term matrix product has the same elementwise products and writes
+    straight into a C-ordered out, or into the transpose of an F-ordered one."""
+    if out is None:
+        return np.outer(a, b)
+    if out.flags.c_contiguous:
+        np.dot(a[:, None], b[None, :], out=out)
+    else:
+        np.dot(b[:, None], a[None, :], out=out.T)
+    return out
+
+
 class PolicyNetwork:
     """Feed-forward logits over candidate paths; weights in float64."""
 
@@ -228,12 +242,12 @@ class PolicyNetwork:
         grads_w = [None] * len(self.weights)
         grads_b = [None] * len(self.biases)
         delta = dlogits
-        grads_w[-1] = np.outer(delta, hs[-1], out=out[-1])
+        grads_w[-1] = _outer(delta, hs[-1], out[-1])
         grads_b[-1] = delta.copy()
         for layer in range(len(self.weights) - 2, -1, -1):
             delta = self.weights[layer + 1].T @ delta
             delta = delta * np.where(zs[layer] > 0, 1.0, LEAKY_SLOPE)
-            grads_w[layer] = np.outer(delta, hs[layer], out=out[layer])
+            grads_w[layer] = _outer(delta, hs[layer], out[layer])
             grads_b[layer] = delta.copy()
         return grads_w, grads_b
 

@@ -220,6 +220,10 @@ def test_ga_outputs_then_allocate_from_selection(tmp_path):
     # seconds is the whole search, as in rl's manifest; generation 0 is timed too
     assert isinstance(manifest["seconds"], float)
     assert len(manifest["generation_seconds"]) == 3 + 1
+    # breeding and keying are part of each generation's time
+    assert len(manifest["breed_seconds"]) == 3 + 1
+    assert all(0 <= b <= g for b, g in zip(manifest["breed_seconds"],
+                                            manifest["generation_seconds"]))
     assert 0 < manifest["lp_solves"] < manifest["fitness_calls"] == 8 * (3 + 1)
     assert isinstance(manifest["fitness_helper"], bool)
     assert manifest["status"] == "optimal"
@@ -547,6 +551,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
                   ga={"population_size": 0}) == 2
         assert rc(command, "gafield.json", _base(topo, wlf), optimizer="ga",
                   ga={"populaton_size": 8}) == 2
+        # the GA is seeded with the three greedy baselines
+        assert rc(command, "gatwo.json", _base(topo, wlf), optimizer="ga",
+                  ga={"population_size": 2}) == 2
     for command in ("rl", "report"):
         assert rc(command, "rllr.json", _base(topo, wlf), optimizer="rl",
                   rl={"learning_rate": -1}) == 2

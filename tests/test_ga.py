@@ -221,6 +221,8 @@ def test_evolve_trace_shape_and_monotone_best(tri_problem):
     assert len(trace.best_fitness) == 11  # generation 0 plus 10
     assert len(trace.mean_fitness) == 11
     assert len(trace.seconds) == 11
+    assert len(trace.breed_seconds) == 11
+    assert all(0 <= b <= s for b, s in zip(trace.breed_seconds, trace.seconds))
     # elitism: the best never degrades
     for a, b in zip(trace.best_fitness, trace.best_fitness[1:]):
         assert b >= a
@@ -246,6 +248,15 @@ def test_evolve_rejects_wrong_genome_length(tri_problem):
         evolve([Genome(((0, 0),))] * 4, cfg, tri_problem)
 
 
+@pytest.mark.parametrize("size", [0, 3, 11])
+def test_evolve_rejects_a_population_of_another_size(tri_problem, size):
+    cfg = GaConfig(population_size=10, generations=1)
+    population = initialize_population(tri_problem, GaConfig(population_size=11))[:size]
+    with pytest.raises(ValueError, match=f"population of {size} genomes, but "
+                                         "population_size is 10"):
+        evolve(population, cfg, tri_problem)
+
+
 def test_static_and_dynamic_both_search(tri_problem, triangle):
     results = {}
     for cfg in (GaConfig(population_size=8, generations=5, seed=2),
@@ -267,6 +278,14 @@ def test_pairs_without_candidates_are_skipped(triangle):
     prob = GaProblem(triangle, wl, cands, default_strategy_catalog(2), p_max=2)
     assert prob.pair_order == [pairs[0].key]
     assert prob.genome_length() == 2
+    # with no candidates at all the genome is empty, and every generation
+    # scores the one empty selection
+    cands[pairs[0].key] = []
+    prob = GaProblem(triangle, wl, cands, default_strategy_catalog(2), p_max=2)
+    cfg = GaConfig(population_size=4, generations=3)
+    trace = evolve(initialize_population(prob, cfg), cfg, prob)
+    assert trace.best_genome == Genome(())
+    assert (trace.lp_solves, trace.fitness_calls) == (1, 16)
 
 
 # ------------------------------------------------ fitness through the column pool

@@ -226,6 +226,24 @@ def test_backward_into_buffers_matches_fresh_arrays(triangle):
         assert np.array_equal(f, i)
 
 
+def test_backward_into_buffers_allocates_no_ufunc_buffer(triangle):
+    # np.outer(..., out=) took a 128 KiB ufunc buffer per layer per call
+    prob = _multi_problem(triangle)
+    policy = PolicyNetwork.init(prob, hidden=(128, 64), seed=3)
+    actions, probs, cache = sample_action(policy, prob, np.random.default_rng(3))
+    dlogits = probs - 0.5
+    out = [np.empty_like(w) for w in policy.weights]
+    assert not out[0].flags.c_contiguous  # W0's buffer is column-major
+    policy.backward(dlogits, cache, out=out)
+    tracemalloc.start()
+    try:
+        policy.backward(dlogits, cache, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8192
+
+
 def test_apply_update_matches_scaled_sum(triangle):
     prob = _multi_problem(triangle)
     policy = PolicyNetwork.init(prob, hidden=(6,), seed=4)
