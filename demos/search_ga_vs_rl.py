@@ -5,7 +5,7 @@ single strategy and take the shortest paths; the GA searches the joint
 space of path subsets and per-path distillation strategies; the policy
 gradient learns a path distribution for one shared strategy.
 
-Expected runtime: about half a minute, dominated by the GA's LP calls.
+Expected runtime: a few seconds, most of it the GA's LP calls.
 """
 
 import time
@@ -33,12 +33,12 @@ def main():
 
     results = {}
     baseline_selections = []
+    compiler = LpCompiler(graph, workload, p_max=P_MAX)
     for scheme in (WeightScheme.HOP, WeightScheme.INV_EGR, WeightScheme.INV_EGR_SQ):
         sel = baseline_selection(graph, workload, candidates, scheme,
                                  p_max=P_MAX, strategy_index=idx, catalog=catalog)
         baseline_selections.append(sel)
-        results[f"baseline-{scheme.value}"] = wegr_of_selection(
-            graph, workload, sel, p_max=P_MAX)
+        results[f"baseline-{scheme.value}"] = wegr_of_selection(compiler, sel)
 
     t0 = time.perf_counter()
     problem = ga.GaProblem(graph, workload, candidates, catalog, p_max=P_MAX)
@@ -55,12 +55,12 @@ def main():
     t0 = time.perf_counter()
     rl_problem = rl.RlProblem(workload, candidates, catalog[idx], p_max=P_MAX)
     policy = rl.PolicyNetwork.init(rl_problem, hidden=(32,), seed=SEED)
-    environment = rl.cached_reward(LpCompiler(graph, workload, p_max=P_MAX))
+    environment = rl.cached_reward(compiler)
     # default learning rate is scaled for raw W-EGR rewards in the thousands
     rl_config = rl.TrainConfig(epochs=150, batch_size=6, seed=SEED)
     rl.train(policy, rl_problem, rl_config, environment)
     greedy = rl.greedy_selection(policy, rl_problem)
-    results["rl"] = wegr_of_selection(graph, workload, greedy, p_max=P_MAX)
+    results["rl"] = wegr_of_selection(compiler, greedy)
     print(f"RL: {len(environment.cache)} distinct selections scored in "
           f"{time.perf_counter() - t0:.1f}s")
 

@@ -9,7 +9,8 @@ time; an unsatisfiable R_min row then makes the whole problem infeasible,
 which reports as W-EGR 0.
 
 An LpCompiler is built once per (graph, workload, noise, p_max) and turns
-selections into LPs in compressed sparse column (CSC) form. solve_lp hands
+selections into LPs in compressed sparse column (CSC) form; it is the
+instance that wegr_of_selection scores a selection on. solve_lp hands
 those arrays to the HiGHS binding bundled with scipy, with the options
 linprog(method="highs") sets; where that private binding is missing it
 falls back to linprog itself.
@@ -141,7 +142,10 @@ class LpCompiler:
     each (pair, path links, strategy) choice the next integer id and does no
     column math; the first gather that asks for an id computes its column
     into flat arrays that grow by doubling. gather turns an id array into an
-    LP with one numpy gather; compile is column_ids plus gather.
+    LP with one numpy gather. Every LP takes that one route: compile is
+    column_ids plus gather, for a solve; wegr_of_selection gathers and
+    solves for a search's W-EGR. A search holds one compiler and makes
+    both calls through it, so no column is computed twice.
     """
 
     def __init__(self, graph, workload, noise: NoiseParams = DEFAULT_NOISE, p_max: int = 3):
@@ -212,9 +216,12 @@ class LpCompiler:
         """(pair key, path, strategy) of a pool id: the choice that got it."""
         return self._choices[column]
 
-    def _kept(self, selection):
-        """The selection's choices as (pair key, path, strategy), in order,
-        each pair keeping the first occurrence of a repeated path."""
+    def column_ids(self, selection) -> np.ndarray:
+        """Pool ids of a {pair_key: [(CandidatePath, DistillationStrategy), ...]}
+        selection's choices, in order, each pair keeping the first
+        occurrence of a repeated path. Raises ValueError on an unknown pair,
+        more than p_max paths in a pair, or mismatched endpoints."""
+        ids = []
         for pair_key, choices in selection.items():
             if pair_key not in self._pairs:
                 raise ValueError(f"selection references unknown pair {pair_key}")
@@ -225,13 +232,8 @@ class LpCompiler:
             for path, strategy in choices:
                 if path.link_keys not in seen_paths:
                     seen_paths.add(path.link_keys)
-                    yield pair_key, path, strategy
-
-    def column_ids(self, selection) -> np.ndarray:
-        """Pool ids of a {pair_key: [(CandidatePath, DistillationStrategy), ...]}
-        selection's kept choices, in order. Raises ValueError on an unknown
-        pair, more than p_max paths in a pair, or mismatched endpoints."""
-        return np.array([self.column_id(*c) for c in self._kept(selection)], dtype=np.intp)
+                    ids.append(self.column_id(pair_key, path, strategy))
+        return np.array(ids, dtype=np.intp)
 
     def _column(self, pair_key, path, strategy):
         """(row codes, coefficients, objective weight) of one choice; a
@@ -302,15 +304,12 @@ class LpCompiler:
         )
 
     def compile(self, selection) -> AllocationProblem:
-        """The LP of one selection, as column_ids takes it; its variables
-        hold the selection's own path objects. Raises as column_ids does."""
-        # one walk: the kept choices give the ids and then the variables
-        kept = list(self._kept(selection))
-        ids = np.array([self.column_id(*c) for c in kept], dtype=np.intp)
+        """The LP of one selection: gather of its column_ids. Its variables
+        are the pool's choices of the kept columns. Raises as column_ids does."""
+        ids = self.column_ids(selection)
         lp = self.gather(ids)
-        feasible = (self._count[ids] > 0).tolist()
         return AllocationProblem(
-            variables=tuple(c for c, ok in zip(kept, feasible) if ok),
+            variables=tuple(self._choices[i] for i in ids[self._count[ids] > 0].tolist()),
             lp=lp,
             pair_keys=self._pair_keys,
             swap_success_prob=self.noise.swap_success_prob,
@@ -424,31 +423,27 @@ def _solve_linprog(lp: LinearProgram):
 def solve_lp(lp: LinearProgram):
     """Solve the raw interface problem. Returns ("optimal", x) or ("infeasible", None).
 
-    Raises ValueError on a non-finite coefficient or bound, and SolverError
-    on any other outcome (unbounded, numerical failure, or a reported
-    optimum that fails the post-solve feasibility check).
+    An LP without columns is feasible exactly when every row bound is >= 0;
+    its solution is empty. Raises ValueError on a non-finite coefficient or
+    bound, and SolverError on any other outcome (unbounded, numerical
+    failure, or a reported optimum that fails the post-solve feasibility
+    check).
     """
     for name in ("objective", "data", "row_bounds"):
         if not np.isfinite(getattr(lp, name)).all():
             raise ValueError(f"LP {name} must be finite")
+    if len(lp.objective) == 0:
+        if (lp.row_bounds < 0).any():
+            return "infeasible", None
+        return "optimal", np.zeros(0)
     if _highs is None:
         return _solve_linprog(lp)
     return _solve_highs(lp)
 
 
-def _solve_columns(lp: LinearProgram):
-    """solve_lp, extended to an LP without columns: that one is feasible
-    iff it has no R_min row, and its solution is empty."""
-    if len(lp.objective) == 0:
-        if any(kind == "rmin" for kind, _ in lp.row_labels):
-            return "infeasible", None
-        return "optimal", np.zeros(0)
-    return solve_lp(lp)
-
-
 def solve(problem: AllocationProblem) -> AllocationSolution:
     """Solve to optimality or report infeasibility (wegr 0 by convention)."""
-    status, x = _solve_columns(problem.lp)
+    status, x = solve_lp(problem.lp)
     if status == "infeasible":
         return AllocationSolution(
             status="infeasible",
@@ -466,24 +461,17 @@ def solve(problem: AllocationProblem) -> AllocationSolution:
     return AllocationSolution("optimal", rates, wegr, true_egr)
 
 
-def wegr_of_selection(graph, workload, selection, noise: NoiseParams = DEFAULT_NOISE,
-                      p_max: int = 3, compiler: LpCompiler | None = None) -> float:
-    """W-EGR of a selection: gather + solve; 0 on infeasible. Propagates
-    solver failures.
+def wegr_of_selection(compiler: LpCompiler, selection) -> float:
+    """W-EGR of a selection on the compiler's instance: gather + solve_lp;
+    0 on infeasible. Propagates solver failures.
 
     selection is a {pair_key: [(CandidatePath, DistillationStrategy), ...]}
     dict, or an integer array of ids from the compiler's column pool. A
-    search passes the LpCompiler it built on the same graph, workload, noise
-    and p_max, so its column pool carries over between calls; a compiler
-    built on any other instance raises ValueError.
+    search passes the LpCompiler it holds, so its column pool carries over
+    between calls.
     """
-    if compiler is None:
-        compiler = LpCompiler(graph, workload, noise, p_max)
-    elif not (compiler.graph is graph and compiler.workload is workload
-              and compiler.noise == noise and compiler.p_max == p_max):
-        raise ValueError("compiler was built for a different graph, workload, noise or p_max")
     if not isinstance(selection, np.ndarray):
         selection = compiler.column_ids(selection)
     lp = compiler.gather(selection)
-    status, x = _solve_columns(lp)
+    status, x = solve_lp(lp)
     return 0.0 if status == "infeasible" else float(lp.objective @ x)

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
-from numbers import Integral
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -62,8 +62,8 @@ class GaConfig:
         for name in ("mutation_start", "mutation_end", "crossover_start",
                      "crossover_end", "pool_start", "pool_end"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0,1], got {v}")
+            if isinstance(v, bool) or not isinstance(v, Real) or not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must be a number in [0,1], got {v!r}")
         if not self.elitism_count < self.population_size:
             raise ValueError("need 1 <= elitism_count < population_size")
 
@@ -83,7 +83,7 @@ class GaTrace:
     mean_fitness: list = field(default_factory=list)
     seconds: list = field(default_factory=list)
     # the part of seconds spent building the generation's children (none in
-    # generation 0) and, on the fitness-helper route, keying the generation
+    # generation 0) and keying the generation
     breed_seconds: list = field(default_factory=list)
     best_genome: Genome | None = None
     best_wegr: float = 0.0
@@ -195,8 +195,7 @@ class GaProblem:
 
     def score(self, ids) -> float:
         """W-EGR of the selection with these pool ids, solved uncached."""
-        return wegr_of_selection(self.graph, self.workload, ids, self.noise, self.p_max,
-                                 compiler=self.compiler)
+        return wegr_of_selection(self.compiler, ids)
 
     def fitness(self, genome) -> float:
         """Cached W-EGR of one genome: a Genome, or its (pairs, p_max, 2)
@@ -483,13 +482,15 @@ def _solve_split(problem: GaProblem, helper, id_lists) -> list:
 def evolve(population, config: GaConfig, problem: GaProblem) -> GaTrace:
     """Run the generational loop on a population of config.population_size
     Genomes; returns the trace (one row per generation, including the
-    initial population as generation 0).
+    initial population as generation 0). Each generation is keyed at once
+    and its distinct cache misses, in first-appearance order, are solved
+    and cached in that order.
 
     With at least two usable CPUs and the fork start method, in a process
     that is not itself a multiprocessing child, evolve forks one helper
     process for its run. Each generation the helper solves every other
-    distinct cache miss, in first-appearance order, and this process the
-    rest. The trace is the same on either route."""
+    miss and this process the rest; elsewhere this process solves them
+    all. The trace is the same on either route."""
     if len(population) != config.population_size:
         raise ValueError(f"population of {len(population)} genomes, but "
                          f"population_size is {config.population_size}")
@@ -504,26 +505,22 @@ def evolve(population, config: GaConfig, problem: GaProblem) -> GaTrace:
                 helper.send(None)
             trace.fitness_helper = True
             return trace
-    return _generations(genes, config, problem, None)
+    return _generations(genes, config, problem, partial(_solve_each, problem))
 
 
 def _generations(genes, config: GaConfig, problem: GaProblem, solve_batch) -> GaTrace:
-    """evolve's loop from the initial gene array. With solve_batch, each
-    generation is keyed as one batch and scored by problem.fitnesses;
-    without, genome by genome through problem.fitness."""
+    """evolve's loop from the initial gene array. Each generation is keyed
+    as one batch and scored by problem.fitnesses, its distinct misses
+    solved by solve_batch."""
     trace = GaTrace()
     slot_paths = problem._slot_limit.ravel()
     num_strats = len(problem.catalog)
     children = config.population_size - config.elitism_count
 
     def score(genes, t0):
-        if solve_batch is None:
-            trace.breed_seconds.append(time.perf_counter() - t0)
-            fitnesses = [problem.fitness(row) for row in genes]
-        else:
-            keyed = problem._keyed(genes)
-            trace.breed_seconds.append(time.perf_counter() - t0)
-            fitnesses = problem.fitnesses(keyed, solve_batch)
+        keyed = problem._keyed(genes)
+        trace.breed_seconds.append(time.perf_counter() - t0)
+        fitnesses = problem.fitnesses(keyed, solve_batch)
         trace.best_fitness.append(max(fitnesses))
         trace.mean_fitness.append(float(np.mean(fitnesses)))
         trace.seconds.append(time.perf_counter() - t0)

@@ -36,7 +36,9 @@ from .pathfinding import (
     path_from_nodes,
 )
 from .workload import Workload, WorkloadParams, generate_workload, save_workload
-from .allocation_lp import LpCompiler, build_problem, solve
+# perfbench/layers.py wraps harness.build_problem until the bench calls
+# search (ROADMAP item 3); search itself solves through its own compiler
+from .allocation_lp import LpCompiler, build_problem, solve  # noqa: F401
 from . import ga_optimizer as ga
 from . import rl_optimizer as rl
 
@@ -227,8 +229,10 @@ def search(graph: NetworkGraph, workload: Workload, optimizer: str, seed: int, *
     the first pick missing from it. seed replaces the seed of ga_config /
     rl_config (defaults when None) and seeds the RL policy of layer widths
     `hidden`. Every path query goes to finder (a fresh PathFinder when
-    None). Raises ValueError before any search when k or p_max is not an
-    integer >= 1; the final solve raises on solver failure.
+    None). The search builds one LpCompiler (the GA's, the RL reward's or
+    the baseline's), and the final solve compiles through it too. Raises
+    ValueError before any search when k or p_max is not an integer >= 1;
+    the final solve raises on solver failure.
     """
     if optimizer not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {optimizer!r}, expected one of {OPTIMIZERS}")
@@ -250,7 +254,8 @@ def search(graph: NetworkGraph, workload: Workload, optimizer: str, seed: int, *
     lp_solves = 0
     if optimizer == "rl":
         problem = rl.RlProblem(workload, candidates, catalog[0], p_max=p_max)
-        environment = rl.cached_reward(LpCompiler(graph, workload, noise, p_max))
+        compiler = LpCompiler(graph, workload, noise, p_max)
+        environment = rl.cached_reward(compiler)
         policy = rl.PolicyNetwork.init(problem, hidden=hidden, seed=seed)
         config = replace(rl_config or rl.TrainConfig(), seed=seed)
         _, trace, _ = rl.train(policy, problem, config, environment)
@@ -272,11 +277,13 @@ def search(graph: NetworkGraph, workload: Workload, optimizer: str, seed: int, *
             trace = ga.evolve(population, config, problem)
             selection = problem.decode(trace.best_genome)
             lp_solves = trace.lp_solves
+            compiler = problem.compiler
         else:
             selection = baseline(scheme)
+            compiler = LpCompiler(graph, workload, noise, p_max)
     seconds = time.perf_counter() - start
 
-    solution = solve(build_problem(graph, workload, selection, noise=noise, p_max=p_max))
+    solution = solve(compiler.compile(selection))
     return SearchResult(selection=selection, solution=solution, trace=trace,
                         lp_solves=lp_solves, seconds=seconds, policy=policy)
 

@@ -17,11 +17,12 @@ differences and is part of the test gate.
 
 from __future__ import annotations
 
+import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -56,10 +57,14 @@ class TrainConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, Integral) or v < low:
                 raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
-        if self.entropy_beta < 0:
-            raise ValueError("entropy beta must be nonnegative")
+        # real fields are finite ints or floats; JSON also loads NaN and Infinity
+        for name, positive in (("learning_rate", True), ("lr_decay", True),
+                               ("lr_floor", False), ("entropy_beta", False)):
+            v = getattr(self, name)
+            if (isinstance(v, bool) or not isinstance(v, Real)
+                    or not (0 < v if positive else 0 <= v) or not v < math.inf):
+                raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, "
+                                 f"got {v!r}")
 
     def lr_at(self, epoch: int) -> float:
         decayed = self.learning_rate * self.lr_decay ** (epoch // self.lr_decay_every)
@@ -436,9 +441,7 @@ def cached_reward(compiler):
         ids = compiler.column_ids(selection)
         key = np.sort(ids).tobytes()
         if key not in cache:
-            cache[key] = allocation_lp.wegr_of_selection(
-                compiler.graph, compiler.workload, ids, compiler.noise, compiler.p_max,
-                compiler=compiler)
+            cache[key] = allocation_lp.wegr_of_selection(compiler, ids)
         return cache[key]
 
     environment.cache = cache

@@ -12,7 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from qvpn.allocation_lp import LinearProgram, build_problem, solve, solve_lp, wegr_of_selection
+from qvpn.allocation_lp import (LinearProgram, LpCompiler, build_problem, solve, solve_lp,
+                                wegr_of_selection)
 from qvpn.cli import main
 from qvpn.fixtures import TOPOLOGY_10, TOPOLOGY_50, bundled_topology
 from qvpn.harness import fairness_report, pearson
@@ -173,8 +174,8 @@ def test_06_ga_dominates_every_baseline():
         workload = generate_workload(net10, params, seed)
         candidates = build_candidate_sets(net10, workload, k=5)
         baselines = _seeded_baselines(net10, workload, candidates, catalog, p_max=3)
-        base_wegrs = [wegr_of_selection(net10, workload, sel, p_max=3)
-                      for sel in baselines]
+        compiler = LpCompiler(net10, workload, p_max=3)
+        base_wegrs = [wegr_of_selection(compiler, sel) for sel in baselines]
         problem = ga.GaProblem(net10, workload, candidates, catalog, p_max=3)
         config = ga.GaConfig(population_size=50, generations=200, seed=seed)
         population = ga.initialize_population(problem, config, seed_heuristics=baselines)

@@ -570,6 +570,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
                   {"lr_decay_every": 0}, {"paths_per_state": 0}):
         for command in ("rl", "report"):
             assert rc(command, "rlint.json", _base(topo, wlf), optimizer="rl", rl=block) == 2
+    # real fields of the ga / rl blocks: bools, and JSON's NaN and Infinity
+    nan, inf = float("nan"), float("inf")
+    for block in ({"mutation_start": True}, {"crossover_end": nan}, {"pool_start": inf}):
+        for command in ("ga", "report"):
+            assert rc(command, "gareal.json", _base(topo, wlf), optimizer="ga", ga=block) == 2
+    for block in ({"learning_rate": nan}, {"learning_rate": True}, {"entropy_beta": nan},
+                  {"lr_floor": inf}, {"lr_decay": -1}):
+        for command in ("rl", "report"):
+            assert rc(command, "rlreal.json", _base(topo, wlf), optimizer="rl", rl=block) == 2
 
     # integer fields: bools, strings and values below the minimum
     commands = ("capacity", "paths", "allocate", "ga", "rl", "report")

@@ -51,6 +51,13 @@ def test_config_validation():
                         ("elitism_count", True), ("seed", 1.5)):
         with pytest.raises(ValueError, match=name):
             GaConfig(**{name: value})
+    # probabilities reject bools, NaN, infinities and strings
+    for name, value in (("mutation_start", True), ("mutation_end", float("nan")),
+                        ("crossover_start", float("inf")), ("crossover_end", False),
+                        ("pool_start", "0.5"), ("pool_end", -0.1)):
+        with pytest.raises(ValueError, match=name):
+            GaConfig(**{name: value})
+    assert GaConfig(mutation_start=1, pool_end=0).mutation_start == 1
     assert GaConfig(generations=0).generations == 0
     assert GaConfig(generations=np.int64(3), seed=np.int64(2)).generations == 3
 
@@ -156,8 +163,8 @@ def test_repeated_catalog_strategies_are_rejected(triangle, tri_problem):
 
 def test_fitness_matches_lp_and_caches(tri_problem):
     g = Genome(((0, 0), (1, 1), (0, 2), (0, 2)))
-    want = wegr_of_selection(tri_problem.graph, tri_problem.workload,
-                             tri_problem.decode(g), p_max=2)
+    want = wegr_of_selection(LpCompiler(tri_problem.graph, tri_problem.workload, p_max=2),
+                             tri_problem.decode(g))
     before = tri_problem.lp_solves
     assert tri_problem.fitness(g) == want
     assert tri_problem.lp_solves == before + 1
@@ -234,7 +241,7 @@ def test_evolve_trace_shape_and_monotone_best(tri_problem):
 def test_evolve_improves_on_seeded_heuristic(triangle, tri_problem):
     sel = baseline_selection(triangle, tri_problem.workload, tri_problem.candidates,
                              WeightScheme.HOP, p_max=2, catalog=tri_problem.catalog)
-    heur_fit = wegr_of_selection(triangle, tri_problem.workload, sel, p_max=2)
+    heur_fit = wegr_of_selection(LpCompiler(triangle, tri_problem.workload, p_max=2), sel)
     cfg = GaConfig(population_size=10, generations=8, seed=5)
     pop = initialize_population(tri_problem, cfg, seed_heuristics=(sel,))
     trace = evolve(pop, cfg, tri_problem)
@@ -330,9 +337,9 @@ def _scored_lps(monkeypatch, problem):
     lps = []
     real = ga_optimizer.wegr_of_selection
 
-    def recording(graph, workload, selection, *args, **kwargs):
-        lps.append(kwargs["compiler"].gather(selection))
-        return real(graph, workload, selection, *args, **kwargs)
+    def recording(compiler, selection):
+        lps.append(compiler.gather(selection))
+        return real(compiler, selection)
 
     monkeypatch.setattr(ga_optimizer, "wegr_of_selection", recording)
     return lps
@@ -372,9 +379,7 @@ def test_pool_lp_equals_compile_of_decode(monkeypatch, net50_problem):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (trial, name)
         assert got.row_labels == want.row_labels
-        assert value == wegr_of_selection(problem.graph, problem.workload,
-                                          problem.decode(genome), problem.noise,
-                                          problem.p_max, compiler=reference)
+        assert value == wegr_of_selection(reference, problem.decode(genome))
     assert forced_duplicates > 300 and forced_infeasible > 300
 
 
@@ -435,30 +440,23 @@ def test_genes_outside_the_gene_space_are_rejected(tri_problem):
 
 def test_traced_lp_solves_see_every_miss(monkeypatch, tri_problem):
     # a trace counts LP solves by wrapping the module attribute
-    # ga_optimizer.wegr_of_selection and fitness calls by wrapping
-    # GaProblem.fitness, so every miss must go through the one and every
-    # scored genome through the other. Wrappers see only this process, so
-    # the run takes the one-CPU route, which forks no fitness helper
+    # ga_optimizer.wegr_of_selection, so every miss must go through it.
+    # Wrappers see only this process, so the run takes the one-CPU route,
+    # which forks no fitness helper
     monkeypatch.setattr(ga_optimizer, "_usable_cpus", lambda: 1)
-    lp_calls, fitness_calls = [], []
+    lp_calls = []
     real_wegr = ga_optimizer.wegr_of_selection
-    real_fitness = GaProblem.fitness
 
-    def counting_wegr(*args, **kwargs):
-        lp_calls.append(args[2])
-        return real_wegr(*args, **kwargs)
-
-    def counting_fitness(self, genome):
-        fitness_calls.append(genome)
-        return real_fitness(self, genome)
+    def counting_wegr(compiler, selection):
+        lp_calls.append(selection)
+        return real_wegr(compiler, selection)
 
     monkeypatch.setattr(ga_optimizer, "wegr_of_selection", counting_wegr)
-    monkeypatch.setattr(GaProblem, "fitness", counting_fitness)
     cfg = GaConfig(population_size=12, generations=6, seed=4)
     trace = evolve(initialize_population(tri_problem, cfg), cfg, tri_problem)
-    assert len(fitness_calls) == cfg.population_size * (cfg.generations + 1)
+    assert trace.fitness_calls == cfg.population_size * (cfg.generations + 1)
     assert len(lp_calls) == trace.lp_solves == tri_problem.lp_solves
-    assert 0 < trace.lp_solves < len(fitness_calls)  # hits happen, and are not counted
+    assert 0 < trace.lp_solves < trace.fitness_calls  # hits happen, and are not counted
     assert not trace.fitness_helper
 
 
@@ -570,10 +568,10 @@ def _fail_in_helper(monkeypatch, fail):
     parent = os.getpid()
     real = ga_optimizer.wegr_of_selection
 
-    def failing(*args, **kwargs):
+    def failing(compiler, selection):
         if os.getpid() != parent:
             fail()
-        return real(*args, **kwargs)
+        return real(compiler, selection)
 
     monkeypatch.setattr(ga_optimizer, "wegr_of_selection", failing)
 

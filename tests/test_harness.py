@@ -8,11 +8,12 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from qvpn.allocation_lp import build_problem, solve
+from qvpn.allocation_lp import LpCompiler, build_problem, solve
 from qvpn.fixtures import TOPOLOGY_10, bundled_topology
 from qvpn import forking, ga_optimizer, harness, pathfinding
 from qvpn.ga_optimizer import GaConfig
 from qvpn.harness import (
+    OPTIMIZERS,
     DegenerateVarianceError,
     Scenario,
     fairness_report,
@@ -480,6 +481,28 @@ def test_search_serves_every_optimizer_from_one_finder(triangle, one_pair_worklo
                                                       result.selection, p_max=2))
     with pytest.raises(ValueError, match="unknown optimizer"):
         search(triangle, one_pair_workload, "baseline-shortest", 0, **common)
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+def test_search_builds_one_compiler(monkeypatch, triangle, one_pair_workload, optimizer):
+    # the final solve goes through the compiler the search already holds:
+    # the GA's, the RL reward's, or a baseline's one
+    built = []
+    real_init = LpCompiler.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LpCompiler, "__init__", counting_init)
+    result = search(triangle, one_pair_workload, optimizer, 5, k=3, p_max=2,
+                    catalog=default_strategy_catalog(), hidden=(4,),
+                    ga_config=GaConfig(population_size=6, generations=2),
+                    rl_config=TrainConfig(epochs=2, batch_size=2))
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert result.solution == solve(build_problem(triangle, one_pair_workload,
+                                                  result.selection, p_max=2))
 
 
 @pytest.mark.parametrize("optimizer", ["baseline-hop", "ga", "rl"])

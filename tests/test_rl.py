@@ -59,6 +59,16 @@ def test_train_config_validation():
                         ("paths_per_state", True), ("seed", 1.5)):
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
+    # real fields reject bools, NaN, infinities and values outside their range
+    nan, inf = float("nan"), float("inf")
+    for name, value in (("learning_rate", nan), ("learning_rate", True), ("learning_rate", inf),
+                        ("learning_rate", "0.1"), ("lr_decay", -1), ("lr_decay", 0.0),
+                        ("lr_decay", nan), ("lr_floor", inf), ("lr_floor", -1e-4),
+                        ("lr_floor", False), ("entropy_beta", nan), ("entropy_beta", -inf),
+                        ("entropy_beta", True)):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+    assert TrainConfig(lr_floor=0, entropy_beta=0, learning_rate=1).learning_rate == 1
     assert TrainConfig(epochs=0, paths_per_state=None).epochs == 0
     assert TrainConfig(epochs=np.int64(2), paths_per_state=np.int64(4)).paths_per_state == 4
 
