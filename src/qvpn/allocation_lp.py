@@ -141,8 +141,9 @@ class LpCompiler:
     Columns live in a pool, one id space for every search. column_id gives
     each (pair, path links, strategy) choice the next integer id and does no
     column math; the first gather that asks for an id computes its column
-    into flat arrays that grow by doubling. gather turns an id array into an
-    LP with one numpy gather. Every LP takes that one route: compile is
+    into flat arrays that grow by doubling; fill computes a whole id array's
+    missing columns ahead of use. gather turns an id array into an LP with
+    one numpy gather. Every LP takes that one route: compile is
     column_ids plus gather, for a solve; wegr_of_selection gathers and
     solves for a search's W-EGR. A search holds one compiler and makes
     both calls through it, so no column is computed twice.
@@ -267,9 +268,10 @@ class LpCompiler:
         self._weight[ids] = weights
         self._entries = end
 
-    def gather(self, ids) -> LinearProgram:
-        """The LP of pool columns ids (an integer array), in that order, with
-        infeasible columns dropped."""
+    def fill(self, ids) -> None:
+        """Compute every column among pool ids (an integer array) that is
+        not computed yet. gather fills the ids it is given, so a column is
+        computed on first use unless an earlier fill covered it."""
         ids = np.asarray(ids, dtype=np.intp)
         size = len(self._choices)
         if size > len(self._count):
@@ -279,6 +281,12 @@ class LpCompiler:
         new = ids[self._count[ids] < 0]
         if new.size:
             self._fill(np.unique(new))
+
+    def gather(self, ids) -> LinearProgram:
+        """The LP of pool columns ids (an integer array), in that order, with
+        infeasible columns dropped."""
+        ids = np.asarray(ids, dtype=np.intp)
+        self.fill(ids)
         ids = ids[self._count[ids] > 0]
         count = self._count[ids]
         indptr = np.zeros(len(ids) + 1, dtype=np.int32)

@@ -28,7 +28,7 @@ from .quantum_math import (
     load_strategy_catalog,
 )
 from .pathfinding import BASELINE_SCHEMES, PathFinder, build_candidate_sets
-from .workload import WorkloadParams, generate_workload, load_workload
+from .workload import WorkloadError, WorkloadParams, generate_workload, load_workload
 from .allocation_lp import build_problem, lp_backend, solve
 from . import ga_optimizer as ga
 from . import rl_optimizer as rl
@@ -187,7 +187,11 @@ def _workload_source(config, hasher):
     if has_file == ("workload_params" in config):
         raise ConfigError("config needs exactly one of \"workload\" / \"workload_params\"")
     if has_file:
-        return load_workload(_read_ref(config, "workload", hasher)), None
+        text = _read_ref(config, "workload", hasher)
+        try:
+            return load_workload(text), None
+        except WorkloadError as exc:
+            raise ConfigError(f"bad workload file: {exc}") from None
     params = _workload_params(config)
     hasher.update(f"\n--workload_params--\n{params!r}".encode())
     return None, params
@@ -400,6 +404,7 @@ def cmd_ga(config, out_dir):
         "fitness_helper": trace.fitness_helper,
         "generations": ga_config.generations,
         "seconds": result.seconds,
+        "pool_fill_seconds": trace.pool_fill_seconds,  # part of seconds, before generation 0
         "generation_seconds": trace.seconds,
         "breed_seconds": trace.breed_seconds,
         "outputs": outputs,

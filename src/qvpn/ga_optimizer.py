@@ -10,8 +10,9 @@ depend on evaluation order. evolve holds a generation as one (population,
 pairs, p_max, 2) integer array and breeds all of its children at once,
 reading each child's stream as numpy's Generator would read it (see
 _Streams). Where the process may use two CPUs and fork, evolve solves
-every other LP miss of a generation on one forked helper process; each LP
-is a pure function of its pool ids, so the trace does not change.
+every other LP miss of a generation on one forked helper process, which
+inherits the column pool evolve fills before generation 0; each LP is a
+pure function of its pool ids, so the trace does not change.
 """
 
 from __future__ import annotations
@@ -90,6 +91,8 @@ class GaTrace:
     lp_solves: int = 0
     fitness_calls: int = 0  # genomes scored, cache hits included
     fitness_helper: bool = False  # a forked helper solved every other miss
+    # computing the layout's columns before generation 0, in no generation's seconds
+    pool_fill_seconds: float = 0.0
 
 
 def dynamic_schedule(generation: int, total: int, config: GaConfig = GaConfig()):
@@ -123,6 +126,8 @@ class GaProblem:
         self.graph = graph
         self.workload = workload
         self.catalog = list(catalog)
+        if not self.catalog:
+            raise ValueError("the strategy catalog is empty")
         self.noise = noise
         self.p_max = p_max
         # pairs with empty candidate sets are excluded up front; their R_min
@@ -269,6 +274,9 @@ def _scoring_error(exc: SolverError, genome: Genome) -> SolverError:
 
 
 def random_genome(problem: GaProblem, rng) -> Genome:
+    """A uniform random genome: per slot, integers(paths) then
+    integers(strategies) of rng. initialize_population draws the same genes
+    through _Streams."""
     genes = []
     for slot in range(problem.genome_length()):
         n_paths, n_strats = problem.gene_space(slot)
@@ -284,11 +292,23 @@ def initialize_population(problem: GaProblem, config: GaConfig, seed_heuristics=
             f"population size {config.population_size} below the "
             f"{len(heur)} injected heuristics"
         )
-    population = list(heur)
-    for i in range(config.population_size - len(heur)):
-        rng = np.random.default_rng([config.seed, 0, i])
-        population.append(random_genome(problem, rng))
-    return population
+    seeds = [[config.seed, 0, i] for i in range(config.population_size - len(heur))]
+    genes = _random_genes(seeds, problem._slot_paths, len(problem.catalog))
+    return heur + [_genome_of(g) for g in genes]
+
+
+def _random_genes(seeds, slot_paths, num_strats) -> np.ndarray:
+    """The (len(seeds), slots, 2) genes random_genome draws from
+    default_rng(seed) for each seed, on slots with slot_paths[i] paths and
+    num_strats strategies each: slot by slot, the path then the strategy."""
+    # two halves per slot, one word, but for Lemire rejections
+    streams = _Streams(seeds, len(slot_paths))
+    rows = np.arange(len(seeds))
+    genes = np.empty((len(seeds), len(slot_paths), 2), dtype=np.intp)
+    for slot, n_paths in enumerate(slot_paths):
+        genes[:, slot, 0] = streams.integers(rows, n_paths)
+        genes[:, slot, 1] = streams.integers(rows, num_strats)
+    return genes
 
 
 def _schedule_for(config: GaConfig, generation: int):
@@ -490,11 +510,19 @@ def evolve(population, config: GaConfig, problem: GaProblem) -> GaTrace:
     that is not itself a multiprocessing child, evolve forks one helper
     process for its run. Each generation the helper solves every other
     miss and this process the rest; elsewhere this process solves them
-    all. The trace is the same on either route."""
+    all. The trace is the same on either route.
+
+    Before generation 0, and before any fork, evolve computes the column of
+    every gene in the problem's layout, so neither process computes one
+    during the generations."""
     if len(population) != config.population_size:
         raise ValueError(f"population of {len(population)} genomes, but "
                          f"population_size is {config.population_size}")
     genes = problem._gene_array(population)
+    start = time.perf_counter()
+    problem.compiler.fill(np.arange(problem._layout_size))
+    fill_seconds = time.perf_counter() - start
+    trace = None
     if _usable_cpus() >= 2:
         from . import forking  # here, so that serial runs do not import multiprocessing
         if forking.can_fork():
@@ -504,8 +532,10 @@ def evolve(population, config: GaConfig, problem: GaProblem) -> GaTrace:
                                      partial(_solve_split, problem, helper))
                 helper.send(None)
             trace.fitness_helper = True
-            return trace
-    return _generations(genes, config, problem, partial(_solve_each, problem))
+    if trace is None:
+        trace = _generations(genes, config, problem, partial(_solve_each, problem))
+    trace.pool_fill_seconds = fill_seconds
+    return trace
 
 
 def _generations(genes, config: GaConfig, problem: GaProblem, solve_batch) -> GaTrace:

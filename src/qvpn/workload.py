@@ -54,6 +54,10 @@ class UserPair:
             raise WorkloadError(
                 f"pair {a!r}-{b!r}: need 0 <= R_min <= R_max, got {self.r_min}, {self.r_max}"
             )
+        # an infinite R_max leaves a pair unbounded; an infinite R_min row
+        # could never be met, and no LP takes a non-finite bound
+        if not math.isfinite(self.r_min):
+            raise WorkloadError(f"pair {a!r}-{b!r}: R_min must be finite, got {self.r_min}")
 
     @property
     def key(self):

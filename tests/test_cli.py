@@ -220,6 +220,8 @@ def test_ga_outputs_then_allocate_from_selection(tmp_path):
     # seconds is the whole search, as in rl's manifest; generation 0 is timed too
     assert isinstance(manifest["seconds"], float)
     assert len(manifest["generation_seconds"]) == 3 + 1
+    # the layout's columns are computed once, inside seconds, before generation 0
+    assert 0 < manifest["pool_fill_seconds"] < manifest["seconds"]
     # breeding and keying are part of each generation's time
     assert len(manifest["breed_seconds"]) == 3 + 1
     assert all(0 <= b <= g for b, g in zip(manifest["breed_seconds"],
@@ -677,6 +679,19 @@ def test_unparseable_config_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_infinite_r_min_workload_exits_2(tmp_path, capsys):
+    # no LP can hold an R_min row of inf; the workload file is refused on load
+    topo, _ = _triangle_files(tmp_path)
+    wlf = tmp_path / "inf.workload"
+    wlf.write_text("qvpn-workload v1\norg org1 1.0\npair org1 A B 0.5 0.7 inf inf\n")
+    cfg = _config(tmp_path, "alloc.json", _base(topo, wlf), source={"baseline": "hop"})
+    out = tmp_path / "out"
+    assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "R_min must be finite" in err
+    assert not (out / "manifest.json").exists()
 
 
 def test_runtime_failure_exits_1(tmp_path, capsys):

@@ -154,6 +154,11 @@ def test_encode_selection_rejects_picks_outside_the_problem(triangle, tri_proble
         prob.encode_selection({pair_key: [(outside, prob.catalog[0])]})
 
 
+def test_an_empty_catalog_is_rejected(triangle, tri_problem):
+    with pytest.raises(ValueError, match="catalog is empty"):
+        GaProblem(triangle, tri_problem.workload, tri_problem.candidates, [], p_max=2)
+
+
 def test_repeated_catalog_strategies_are_rejected(triangle, tri_problem):
     # a repeated choice would share a pool id, and gene arithmetic would skew
     catalog = tri_problem.catalog + tri_problem.catalog[:1]
@@ -616,3 +621,63 @@ def test_a_dead_helper_fails_the_run(monkeypatch, net50_problem, death, code):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert multiprocessing.active_children() == []
+
+
+# ------------------------------------------------ the pool filled before generation 0
+
+_LP_FIELDS = ("objective", "indptr", "indices", "data", "row_bounds")
+
+
+def test_a_filled_pool_gathers_the_lazy_pools_lps(net50_problem):
+    # fill computes columns in another order than lazy gathers do, so they
+    # sit elsewhere in the flat arrays; every gathered LP must be the same
+    size = net50_problem._layout_size
+    filled, lazy = _fresh(net50_problem).compiler, _fresh(net50_problem).compiler
+    filled.fill(np.arange(size))
+    assert (filled._count[:size] >= 0).all()
+    infeasible = np.flatnonzero(filled._count[:size] == 0)
+    assert infeasible.size >= 10
+
+    def no_fill(ids):
+        raise AssertionError(f"a filled pool computed {len(ids)} columns")
+
+    filled._fill = no_fill
+    rng = np.random.default_rng(23)
+    for trial in range(200):
+        ids = rng.permutation(size)[:int(rng.integers(0, 120))]
+        if trial % 3 == 0:  # infeasible columns mixed in
+            ids = rng.permutation(np.union1d(ids, rng.choice(infeasible, 6, replace=False)))
+        want, got = lazy.gather(ids), filled.gather(ids)
+        for name in _LP_FIELDS:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (trial, name)
+        assert got.row_labels == want.row_labels
+    # the lazy pool computed only what its gathers asked for
+    assert 0 < (lazy._count[:size] >= 0).sum() < size
+
+
+def _computed_during_a_generation(compiler, ids):
+    raise RuntimeError(f"a generation computed {len(ids)} columns")
+
+
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
+def test_no_column_is_computed_during_the_generations(monkeypatch, net50_problem, cpus):
+    # evolve's first fill covers the layout. After it, computing a column
+    # raises, in this process and in a helper forked later; a raise in the
+    # helper comes back as that miss's result and fails the run
+    problem = _fresh(net50_problem)
+    config = GaConfig(population_size=12, generations=5, seed=3)
+    population = initialize_population(problem, config)
+    fills = []
+    real_fill = LpCompiler.fill
+
+    def fill_then_forbid(compiler, ids):
+        fills.append(len(ids))
+        real_fill(compiler, ids)
+        monkeypatch.setattr(LpCompiler, "_fill", _computed_during_a_generation)
+
+    monkeypatch.setattr(LpCompiler, "fill", fill_then_forbid)
+    trace = _run_on(monkeypatch, cpus, problem, config, population)
+    assert trace.fitness_helper == (cpus == 2)
+    assert fills[0] == problem._layout_size
+    assert trace.lp_solves > config.generations and trace.pool_fill_seconds > 0

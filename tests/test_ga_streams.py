@@ -8,10 +8,15 @@ import numpy as np
 import pytest
 
 from qvpn import harness
-from qvpn.fixtures import bundled_topology
-from qvpn.ga_optimizer import GaConfig, _breed, _genome_of, _pool_weights, _Streams
+from qvpn.fixtures import TOPOLOGY_10, bundled_topology
+from qvpn.ga_optimizer import (GaConfig, GaProblem, _breed, _genome_of, _pool_weights,
+                               _random_genes, _Streams, initialize_population,
+                               random_genome)
+from qvpn.pathfinding import WeightScheme, baseline_selection, build_candidate_sets
 from qvpn.quantum_math import default_strategy_catalog
-from qvpn.workload import WorkloadParams, generate_workload
+from qvpn.workload import Organization, Workload, WorkloadParams, generate_workload
+
+from qvpn_helpers import make_pair
 
 
 # ------------------------------------------------ the scalar reference
@@ -151,6 +156,54 @@ def test_stream_count_until_below_matches_scalar_coins():
             while want < lim and not reference[r].random() < p:
                 want += 1
             assert count == want
+
+
+# ------------------------------------------------ the initial population
+
+
+def _instance(net, triangle):
+    """(graph, workload) of the triangle, net10 or net50 problem."""
+    if net == "triangle":
+        pairs = (make_pair("org0", "A", "B"), make_pair("org0", "A", "C", weight=0.4))
+        return triangle, Workload((Organization("org0", 1.0),), pairs, seed=0)
+    graph = bundled_topology(TOPOLOGY_10) if net == "net10" else bundled_topology()
+    pairs_per_org = 3 if net == "net10" else 10
+    params = WorkloadParams(num_orgs=3, pairs_per_org=pairs_per_org, r_min=0.0)
+    return graph, generate_workload(graph, params, 1)
+
+
+@pytest.mark.parametrize("net", ["triangle", "net10", "net50"])
+@pytest.mark.parametrize("bound", [3, 5, 7])
+def test_initial_population_draws_the_random_genome_genes(triangle, net, bound):
+    # bound paths per pair at most, and bound strategies: integers(n) of
+    # an n that is not a power of two can reject a 32-bit half
+    graph, wl = _instance(net, triangle)
+    candidates = build_candidate_sets(graph, wl, k=bound)
+    problem = GaProblem(graph, wl, candidates, default_strategy_catalog(bound), p_max=3)
+    assert bound in problem._slot_paths or net == "triangle"
+    heuristic = baseline_selection(graph, wl, candidates, WeightScheme.HOP, p_max=3,
+                                   strategy_index=0, catalog=problem.catalog)
+    for seed, heuristics in ((bound, ()), (11, (heuristic,))):
+        config = GaConfig(population_size=40, seed=seed)
+        want = [problem.encode_selection(h) for h in heuristics]
+        want += [random_genome(problem, np.random.default_rng([seed, 0, i]))
+                 for i in range(config.population_size - len(heuristics))]
+        got = initialize_population(problem, config, seed_heuristics=heuristics)
+        assert got == want
+        assert all(type(i) is int for genome in got for gene in genome.genes for i in gene)
+
+
+def test_random_genes_replay_generator_with_lemire_rejections():
+    # bounds this large reject about half of the 32-bit halves drawn, and a
+    # slot with one path draws nothing
+    slot_paths = [1, 2 ** 31 + 1, 7, 3 * 2 ** 30, 1, 5, 2 ** 32 - 1]
+    num_strats = 2 ** 31 + 1
+    seeds = [[4, 0, i] for i in range(30)]
+    genes = _random_genes(seeds, slot_paths, num_strats)
+    for seed, row in zip(seeds, genes.tolist()):
+        rng = np.random.default_rng(seed)
+        assert row == [[rng.integers(n), rng.integers(num_strats)] for n in slot_paths]
+    assert _random_genes([], slot_paths, num_strats).shape == (0, len(slot_paths), 2)
 
 
 # ------------------------------------------------ GA bits on one net50 instance

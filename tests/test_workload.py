@@ -144,6 +144,19 @@ def test_duplicate_pair_keys_are_rejected():
     assert len({p.key for p in wl.user_pairs}) == 3
 
 
+def test_infinite_r_min_is_rejected():
+    # an R_min row of inf fails every LP with a column for the pair
+    doc = "qvpn-workload v1\norg org1 1.0\n"
+    with pytest.raises(WorkloadError, match="R_min must be finite"):
+        load_workload(doc + "pair org1 A B 0.5 0.7 inf inf\n")
+    with pytest.raises(WorkloadError, match="R_min"):
+        UserPair("org1", ("A", "B"), weight=0.5, fidelity_threshold=0.7,
+                 r_min=math.inf, r_max=math.inf)
+    # an unbounded R_max stays legal: the pair gets no R_max row
+    wl = load_workload(doc + "pair org1 A B 0.5 0.7 1.0 inf\n")
+    assert wl.user_pairs[0].r_max == math.inf
+
+
 def test_load_ignores_comments_and_blanks():
     doc = """
 # demand sheet
