@@ -73,6 +73,7 @@ from .rl_optimizer import (
     BaselineTable,
     DivergenceError,
     PolicyNetwork,
+    QuotaError,
     RlProblem,
     TrainConfig,
     train,

@@ -155,31 +155,34 @@ class LpCompiler:
         self.noise = noise
         self.p_max = p_max
         org_weight = {o.id: o.weight for o in workload.organizations}
-        self._pairs = {p.key: p for p in workload.user_pairs}
-        self._pair_weight = {p.key: org_weight[p.org_id] * p.weight
-                             for p in workload.user_pairs}
-        self._pair_keys = tuple(p.key for p in workload.user_pairs)
+        keys = [p.key for p in workload.user_pairs]  # a property: read each once
+        self._pairs = dict(zip(keys, workload.user_pairs))
+        self._pair_keys = tuple(keys)
         self._link_keys = sorted(graph.link_by_key)
-        self._link_row = {lk: i for i, lk in enumerate(self._link_keys)}
+        # link key -> (capacity row, base fidelity)
+        self._links = {lk: (i, graph.link_by_key[lk].base_fidelity)
+                       for i, lk in enumerate(self._link_keys)}
         self._cap_labels = [("cap", lk) for lk in self._link_keys]
         self._capacity = np.array([graph.link_by_key[lk].capacity_eprps
                                    for lk in self._link_keys], dtype=float)
         # pair rows are coded after the link rows: num_links + position among pair rows
         num_links = len(self._link_keys)
-        self._pair_rows = {}  # pair key -> ([row code, ...], [coefficient, ...])
+        # pair key -> (fidelity threshold, weight, [row code, ...], [coefficient, ...])
+        self._pair_rows = {}
         bounds, labels = [], []
-        for pair in workload.user_pairs:
-            codes, coeffs = self._pair_rows.setdefault(pair.key, ([], []))
+        for key, pair in zip(keys, workload.user_pairs):
+            _, _, codes, coeffs = self._pair_rows.setdefault(
+                key, (pair.fidelity_threshold, org_weight[pair.org_id] * pair.weight, [], []))
             if pair.r_min > 0:
                 codes.append(num_links + len(bounds))
                 coeffs.append(-1.0)
                 bounds.append(-pair.r_min)
-                labels.append(("rmin", pair.key))
+                labels.append(("rmin", key))
             if math.isfinite(pair.r_max):
                 codes.append(num_links + len(bounds))
                 coeffs.append(1.0)
                 bounds.append(pair.r_max)
-                labels.append(("rmax", pair.key))
+                labels.append(("rmax", key))
         self._pair_bounds = np.array(bounds, dtype=float)
         self._pair_labels = tuple(labels)
         # the column pool: (pair key, path links, strategy) -> id, the choice
@@ -199,13 +202,18 @@ class LpCompiler:
         """Pool id of one (path, strategy) choice for a pair, assigning the
         next id on first use. Raises ValueError if the path's endpoints
         mismatch the pair; the pool is then left as it was."""
+        return self._id_of(self._pairs[pair_key], pair_key, path, strategy)
+
+    def _id_of(self, pair, pair_key, path, strategy) -> int:
+        """column_id for the workload's pair of key pair_key: one hash of
+        the choice, whether its id is new or not."""
         key = (pair_key, path.link_keys, strategy)
-        column = self._ids.get(key)
-        if column is None:
-            ends, endpoints = (path.nodes[0], path.nodes[-1]), self._pairs[pair_key].endpoints
-            if ends != endpoints and ends[::-1] != endpoints:
+        column = self._ids.setdefault(key, len(self._choices))
+        if column == len(self._choices):
+            ends = (path.nodes[0], path.nodes[-1])
+            if ends != pair.endpoints and ends[::-1] != pair.endpoints:
+                del self._ids[key]
                 raise ValueError(f"path endpoints {ends} do not match pair {pair_key}")
-            column = self._ids[key] = len(self._choices)
             self._choices.append((pair_key, path, strategy))
         return column
 
@@ -224,45 +232,62 @@ class LpCompiler:
         more than p_max paths in a pair, or mismatched endpoints."""
         ids = []
         for pair_key, choices in selection.items():
-            if pair_key not in self._pairs:
+            pair = self._pairs.get(pair_key)
+            if pair is None:
                 raise ValueError(f"selection references unknown pair {pair_key}")
             if len(choices) > self.p_max:
                 raise ValueError(
                     f"pair {pair_key} selects {len(choices)} paths, cap is {self.p_max}")
-            seen_paths = set()
+            seen = []  # at most p_max link tuples
             for path, strategy in choices:
-                if path.link_keys not in seen_paths:
-                    seen_paths.add(path.link_keys)
-                    ids.append(self.column_id(pair_key, path, strategy))
+                if path.link_keys not in seen:
+                    seen.append(path.link_keys)
+                    ids.append(self._id_of(pair, pair_key, path, strategy))
         return np.array(ids, dtype=np.intp)
 
-    def _column(self, pair_key, path, strategy):
-        """(row codes, coefficients, objective weight) of one choice; a
-        choice with an infeasible distillation stage has no entries."""
-        pair = self._pairs[pair_key]
-        overhead = {}
-        for lk in path.link_keys:
-            res = path_overhead_per_link(self.graph.link_by_key[lk].base_fidelity,
-                                         path.hop_count, strategy,
-                                         pair.fidelity_threshold, self.noise)
-            if not res.feasible:
-                return [], [], 0.0
-            overhead[self._link_row[lk]] = res.overhead
-        rows = sorted(overhead)
-        pair_codes, pair_coeffs = self._pair_rows[pair_key]
-        return (rows + pair_codes, [overhead[r] for r in rows] + pair_coeffs,
-                self._pair_weight[pair_key]
-                * self.noise.swap_success_prob ** (path.hop_count - 1))
-
     def _fill(self, ids):
-        """Compute the columns of ids (distinct, none computed yet) into the pool."""
-        codes, coeffs, weights = zip(*(self._column(*self._choices[i]) for i in ids.tolist()))
-        count = np.array([len(c) for c in codes], dtype=np.intp)
-        start, end = self._entries, self._entries + int(count.sum())
+        """Compute the columns of ids (distinct, none computed yet) into the
+        pool. A column has the capacity rows of its links, ascending, then
+        its pair's rows; a choice with an infeasible distillation stage has
+        no entries. path_overhead_per_link gives each link's overhead; the
+        links of a column differ only in base fidelity, so each column asks
+        it once per distinct fidelity, not once per link."""
+        links, pair_rows, noise = self._links, self._pair_rows, self.noise
+        q = noise.swap_success_prob
+        codes, coeffs, count, weights = [], [], [], []
+        for column in ids.tolist():
+            pair_key, path, strategy = self._choices[column]
+            threshold, weight, pair_codes, pair_coeffs = pair_rows[pair_key]
+            hops = path.hop_count
+            overhead = {}  # capacity row -> g
+            at_fidelity = {}  # base fidelity -> g
+            for lk in path.link_keys:
+                row, fidelity = links[lk]
+                g = at_fidelity.get(fidelity)
+                if g is None:
+                    res = path_overhead_per_link(fidelity, hops, strategy, threshold, noise)
+                    if not res.feasible:
+                        overhead = None
+                        break
+                    g = at_fidelity[fidelity] = res.overhead
+                overhead[row] = g
+            if overhead is None:
+                count.append(0)
+                weights.append(0.0)
+                continue
+            rows = sorted(overhead)
+            codes += rows
+            codes += pair_codes
+            coeffs += [overhead[r] for r in rows]
+            coeffs += pair_coeffs
+            count.append(len(rows) + len(pair_codes))
+            weights.append(weight * q ** (hops - 1))
+        count = np.array(count, dtype=np.intp)
+        start, end = self._entries, self._entries + len(codes)
         self._codes = _grown(self._codes, end)
         self._coeffs = _grown(self._coeffs, end)
-        self._codes[start:end] = [c for col in codes for c in col]
-        self._coeffs[start:end] = [v for col in coeffs for v in col]
+        self._codes[start:end] = codes
+        self._coeffs[start:end] = coeffs
         self._first[ids] = start + np.cumsum(count) - count
         self._count[ids] = count
         self._weight[ids] = weights

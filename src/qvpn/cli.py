@@ -424,8 +424,11 @@ def cmd_rl(config, out_dir):
     hidden = tuple(_config_int("hidden", width) for width in hidden)
     config_hash = hasher.hexdigest()
 
-    result = search(graph, workload, "rl", config["seed"], k=k, p_max=p_max, catalog=catalog,
-                    rl_config=rl_config, hidden=hidden)
+    try:
+        result = search(graph, workload, "rl", config["seed"], k=k, p_max=p_max,
+                        catalog=catalog, rl_config=rl_config, hidden=hidden)
+    except rl.QuotaError as exc:  # the pair count is known only after the path search
+        raise ConfigError(f"bad rl block: {exc}") from None
     outputs = [_write_csv(out_dir, "trace.csv", ("epoch", "mean_reward"),
                           list(zip(range(len(result.trace)), result.trace)), config_hash)]
     (out_dir / "selection.txt").write_text(save_selection(result.selection))

@@ -36,6 +36,11 @@ class DivergenceError(RuntimeError):
     """A policy weight became non-finite during training."""
 
 
+class QuotaError(ValueError):
+    """paths_per_state (R) is below the number of pairs, so some pair
+    would sample no path."""
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-4
@@ -89,6 +94,8 @@ class RlProblem:
         self.output_dim = start
         self.num_pairs = len(self.pair_order)
         self.input_dim = self.num_pairs
+        # the (path, strategy) choice of each global candidate index
+        self._choices = [(path, strategy) for k in self.pair_order for path in self.candidates[k]]
 
     def state_key(self):
         return tuple(self.pair_order)
@@ -98,12 +105,14 @@ class RlProblem:
         return np.ones(self.input_dim)
 
     def per_pair_quota(self, R=None):
-        """How many paths each pair samples; R caps the total, round-robin."""
+        """How many paths each pair samples; R caps the total, round-robin.
+        Raises QuotaError when R is below the number of pairs."""
         quotas = [min(self.p_max, len(self.candidates[k])) for k in self.pair_order]
         if R is None or R >= sum(quotas):
             return quotas
         if R < self.num_pairs:
-            raise ValueError(f"R={R} cannot give every pair a path ({self.num_pairs} pairs)")
+            raise QuotaError(f"paths_per_state {R} cannot give every pair a path "
+                             f"({self.num_pairs} pairs)")
         out = [0] * self.num_pairs
         remaining = R
         level = 0
@@ -117,11 +126,8 @@ class RlProblem:
 
     def selection_from_actions(self, actions):
         """actions: {pair_key: [global candidate indices]} -> selection dict."""
-        selection = {}
-        for i, k in enumerate(self.pair_order):
-            start, _ = self.block_slices[i]
-            selection[k] = [(self.candidates[k][a - start], self.strategy) for a in actions[k]]
-        return selection
+        choices = self._choices
+        return {k: [choices[a] for a in actions[k]] for k in self.pair_order}
 
 
 class _BlockLayout:
@@ -296,64 +302,122 @@ class BaselineTable:
         return self.totals[key] / self.counts[key]
 
 
+class EpochPolicy:
+    """The policy's work for one epoch, in which neither the policy nor its
+    state changes: one forward pass and block softmax, the draw vector and
+    each sampled block's first-round CDF, and the sample-independent parts
+    of the surrogate gradient. Every sample of the epoch reads them.
+
+    quotas: per_pair_quota's list. Raises DivergenceError when the softmax
+    is not finite.
+    """
+
+    def __init__(self, policy: PolicyNetwork, problem: RlProblem, quotas, beta=0.0):
+        logits, self.cache = policy.forward(problem.encode_state())
+        self.probs = probs = policy.block_probs(logits)
+        if not np.all(np.isfinite(probs)):
+            raise DivergenceError(
+                "policy produced non-finite action probabilities; "
+                "lower the learning rate or rescale rewards")
+        blocks = policy.blocks
+        # A saturated softmax can underflow to fewer nonzero entries than the
+        # quota; such a block draws from floored probabilities, so zero-mass
+        # entries stay reachable and the quota can still be filled.
+        starved = blocks.sum(probs != 0) < quotas
+        floored = np.maximum(probs, PROB_FLOOR)
+        floored /= blocks.spread(blocks.sum(floored))
+        draw = np.where(blocks.spread(starved), floored, probs)
+        self.pair_order = problem.pair_order
+        self.sampler = _BlockSampler(draw, problem.block_slices, quotas)
+        # every sample picks quota paths per pair, so picks * probs is fixed
+        self.expected = blocks.spread(quotas) * probs
+        self.entropy_term = _entropy_dlogits(blocks, probs, beta) if beta > 0 else None
+
+    def sample(self, rng):
+        """{pair_key: sorted global indices}, one draw of rng's stream."""
+        return dict(zip(self.pair_order, map(sorted, self.sampler.sample(rng))))
+
+    def dlogits(self, actions, advantage):
+        """dL/dlogits of one sample's actions at this epoch's policy."""
+        chosen = [a for k in self.pair_order for a in actions[k]]
+        return _sample_dlogits(chosen, self.expected, advantage, self.entropy_term)
+
+
+class _BlockSampler:
+    """Samples every block of a draw vector without replacement, each block
+    consuming rng as rng.choice(n, r, replace=False, p=p) would.
+
+    Generator.choice, per block: each round draws one uniform per missing
+    pick, zeroes the entries already found, inverts the renormalized
+    cumulative sum and keeps the first occurrence of each new index. Zeroed
+    entries cannot be drawn again, since their cdf step is empty. Here the
+    first round's cdf is formed once, and a sample takes its uniforms in
+    stream order from pooled rng.random calls, each sized to the remaining
+    minimum need (the rounds still owed): rng.random(n) yields the doubles
+    of n single draws, and nothing is drawn that a block does not use.
+    """
+
+    def __init__(self, draw, block_slices, quotas):
+        self._fixed = []  # per block: its indices when it takes them all, else None
+        self._sampled = []  # (block, start, r, first-round cdf, draw list)
+        for i, ((start, end), r) in enumerate(zip(block_slices, quotas)):
+            if r >= end - start:
+                self._fixed.append(list(range(start, end)))
+            else:
+                p = draw[start:end].tolist()
+                self._fixed.append(None)
+                self._sampled.append((i, start, r, _cdf(p), p))
+        self._need = sum(r for _, _, r, _, _ in self._sampled)
+
+    def sample(self, rng):
+        """Per block, its global indices in the order Generator.choice
+        returns them."""
+        picks = self._fixed.copy()
+        need = self._need  # first-round uniforms of the blocks not begun
+        pool = rng.random(need).tolist() if need else []
+        at = 0
+        for i, start, r, cdf, p in self._sampled:
+            need -= r
+            found = []
+            while True:
+                missing = r - len(found)
+                if at + missing > len(pool):
+                    pool = pool[at:] + rng.random(at + missing - len(pool) + need).tolist()
+                    at = 0
+                for u in pool[at:at + missing]:
+                    j = bisect_right(cdf, u)
+                    if j not in found:
+                        found.append(j)
+                at += missing
+                if len(found) == r:
+                    break
+                rest = p.copy()
+                for j in found:
+                    rest[j] = 0.0
+                cdf = _cdf(rest)
+            picks[i] = [start + j for j in found]
+        return picks
+
+
+def _cdf(p):
+    """The normalized cumulative sum of a list of floats, as Generator.choice
+    forms it (a running sum, then one division by the total)."""
+    cdf = list(accumulate(p))
+    total = cdf[-1]
+    return [c / total for c in cdf]
+
+
 def sample_action(policy: PolicyNetwork, problem: RlProblem, rng, R=None):
     """Sample per-pair paths without replacement under the factorized policy.
 
     Returns (actions, probs, cache) where actions maps pair_key to global
     logit indices. The log-probability uses the factorized approximation
     (independent draws, no renormalization). Each block consumes rng as
-    rng.choice(n, r, replace=False, p=p) would.
+    rng.choice(n, r, replace=False, p=p) would. One EpochPolicy sample;
+    train builds the EpochPolicy once per epoch instead.
     """
-    x = problem.encode_state()
-    logits, cache = policy.forward(x)
-    probs = policy.block_probs(logits)
-    if not np.all(np.isfinite(probs)):
-        raise DivergenceError(
-            "policy produced non-finite action probabilities; "
-            "lower the learning rate or rescale rewards")
-    quotas = problem.per_pair_quota(R)
-    blocks = policy.blocks
-    # A saturated softmax can underflow to fewer nonzero entries than the
-    # quota; such a block draws from floored probabilities, so zero-mass
-    # entries stay reachable and the quota can still be filled.
-    starved = blocks.sum(probs != 0) < quotas
-    floored = np.maximum(probs, PROB_FLOOR)
-    floored /= blocks.spread(blocks.sum(floored))
-    draw = np.where(blocks.spread(starved), floored, probs).tolist()
-    actions = {}
-    for k, (start, end), r in zip(problem.pair_order, problem.block_slices, quotas):
-        if r >= end - start:
-            actions[k] = list(range(start, end))
-        else:
-            chosen = _choice_without_replacement(rng, draw[start:end], r)
-            actions[k] = [start + c for c in sorted(chosen)]
-    return actions, probs, cache
-
-
-def _choice_without_replacement(rng, p, size):
-    """rng.choice(len(p), size, replace=False, p=p) on a list of floats.
-
-    Draws the same uniforms and returns the same indices as numpy's
-    Generator.choice: each round draws one uniform per missing pick, zeroes
-    the entries already found, inverts the renormalized cumulative sum and
-    keeps the first occurrence of each new index. Zeroed entries cannot be
-    drawn again, since their cdf step is empty. Without numpy's per-call
-    validation and unique/sort this costs a few microseconds per block.
-    """
-    p = list(p)
-    found = []
-    while len(found) < size:
-        draws = rng.random(size - len(found)).tolist()
-        for j in found:
-            p[j] = 0.0
-        cdf = list(accumulate(p))
-        total = cdf[-1]
-        cdf = [c / total for c in cdf]
-        for u in draws:
-            j = bisect_right(cdf, u)
-            if j not in found:
-                found.append(j)
-    return found
+    epoch = EpochPolicy(policy, problem, problem.per_pair_quota(R))
+    return epoch.sample(rng), epoch.probs, epoch.cache
 
 
 def _log_probs(probs):
@@ -365,17 +429,28 @@ def _chosen(problem, actions):
     return [a for k in problem.pair_order for a in actions[k]]
 
 
+def _entropy_dlogits(blocks, probs, beta):
+    """dL/dlogits of the entropy bonus beta * H, per pair block."""
+    logp = _log_probs(probs)
+    entropy = -blocks.sum(probs * logp)
+    return beta * (-probs * (logp + blocks.spread(entropy)))
+
+
+def _sample_dlogits(chosen, expected, advantage, entropy_term):
+    """(counts of chosen - expected) * advantage + entropy_term (None: 0)."""
+    d = np.bincount(chosen, minlength=expected.size) - expected
+    d *= advantage
+    if entropy_term is not None:
+        d += entropy_term
+    return d
+
+
 def _surrogate_dlogits(policy, problem, probs, actions, advantage, beta):
     """dL/dlogits for L = sum log pi(a)*(advantage) + beta*H, per pair block."""
     blocks = policy.blocks
     picks = blocks.spread([len(actions[k]) for k in problem.pair_order])
-    d = np.bincount(_chosen(problem, actions), minlength=probs.size) - picks * probs
-    d *= advantage
-    if beta > 0:
-        logp = _log_probs(probs)
-        entropy = -blocks.sum(probs * logp)
-        d += beta * (-probs * (logp + blocks.spread(entropy)))
-    return d
+    return _sample_dlogits(_chosen(problem, actions), picks * probs, advantage,
+                           _entropy_dlogits(blocks, probs, beta) if beta > 0 else None)
 
 
 def surrogate_value(policy, problem, actions, advantage, beta):
@@ -392,10 +467,13 @@ def train(policy: PolicyNetwork, problem: RlProblem, config: TrainConfig, enviro
     """REINFORCE loop; mutates the policy in place.
 
     environment(selection) -> W-EGR reward. Returns (policy, reward_trace,
-    baseline_table) with one mean-reward entry per epoch.
+    baseline_table) with one mean-reward entry per epoch. Raises QuotaError
+    before the first epoch when config.paths_per_state is below the number
+    of pairs.
     """
     # a loaded policy can hold non-finite weights; name them before any reward
     policy.check_finite()
+    quotas = problem.per_pair_quota(config.paths_per_state)
     baseline = BaselineTable()
     state = problem.state_key()
     trace = []
@@ -408,16 +486,15 @@ def train(policy: PolicyNetwork, problem: RlProblem, config: TrainConfig, enviro
     for epoch in range(config.epochs):
         for acc in grads_w + grads_b:
             acc.fill(0.0)
+        current = EpochPolicy(policy, problem, quotas, config.entropy_beta)
         rewards = []
         for b_idx in range(config.batch_size):
-            rng = np.random.default_rng([config.seed, epoch, b_idx])
-            actions, probs, cache = sample_action(policy, problem, rng, config.paths_per_state)
+            actions = current.sample(np.random.default_rng([config.seed, epoch, b_idx]))
             reward = environment(problem.selection_from_actions(actions))
             baseline.update(state, reward)
             advantage = reward - baseline.value(state)
-            dlogits = _surrogate_dlogits(policy, problem, probs, actions,
-                                         advantage, config.entropy_beta)
-            gw, gb = policy.backward(dlogits, cache, out=sample_w)
+            gw, gb = policy.backward(current.dlogits(actions, advantage), current.cache,
+                                     out=sample_w)
             for acc, g in zip(grads_w, gw):
                 acc += g
             for acc, g in zip(grads_b, gb):

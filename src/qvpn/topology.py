@@ -72,6 +72,17 @@ class NetworkGraph:
             adj[nid].sort(key=lambda pair: pair[0])
         return adj
 
+    @cached_property
+    def user_pair_hops(self):
+        """((a, b, min hops), ...) over user node ids a < b, b reachable from
+        a, ordered by a then b: one BFS per user node, once per graph."""
+        users = sorted(n.id for n in self.user_nodes())
+        table = []
+        for i, a in enumerate(users):
+            dist = min_hop_distances(self, a)
+            table.extend((a, b, dist[b]) for b in users[i + 1:] if b in dist)
+        return tuple(table)
+
     def user_nodes(self):
         """Nodes eligible as user-pair endpoints (not inserted repeaters)."""
         return [n for n in self.nodes if not n.is_repeater]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .topology import NetworkGraph, min_hop_distances
+from .topology import NetworkGraph
 
 
 class WorkloadError(ValueError):
@@ -114,13 +114,7 @@ def generate_workload(graph: NetworkGraph, params: WorkloadParams, seed: int) ->
     cannot supply pairs_per_org qualifying pairs.
     """
     rng = np.random.default_rng(seed)
-    users = sorted(n.id for n in graph.user_nodes())
-    qualifying = []
-    for i, a in enumerate(users):
-        dist = min_hop_distances(graph, a)
-        for b in users[i + 1:]:
-            if 0 < dist.get(b, math.inf) <= params.hop_cap:
-                qualifying.append((a, b))
+    qualifying = [(a, b) for a, b, hops in graph.user_pair_hops if 0 < hops <= params.hop_cap]
     if len(qualifying) < params.pairs_per_org:
         raise WorkloadError(
             f"graph supplies only {len(qualifying)} pairs within hop cap "

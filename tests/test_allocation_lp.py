@@ -387,6 +387,89 @@ def test_compiled_lp_does_not_depend_on_memo_state():
             assert lp.row_labels == cold.row_labels
 
 
+def _reference_lp(graph, workload, selection, noise, p_max):
+    """The LP of a selection, one column at a time: every link's overhead
+    straight from path_overhead_per_link, rows and bounds from the graph and
+    the workload, assembled densely."""
+    org_weight = {o.id: o.weight for o in workload.organizations}
+    pairs = {p.key: p for p in workload.user_pairs}
+    link_keys = sorted(graph.link_by_key)
+    objective, columns = [], []  # columns: {link key: overhead}, pair key
+    for pair_key, choices in selection.items():
+        assert len(choices) <= p_max
+        pair = pairs[pair_key]
+        kept = []
+        for path, strategy in choices:
+            if path.link_keys in kept:
+                continue
+            kept.append(path.link_keys)
+            results = {lk: path_overhead_per_link(graph.link_by_key[lk].base_fidelity,
+                                                  path.hop_count, strategy,
+                                                  pair.fidelity_threshold, noise)
+                       for lk in path.link_keys}
+            if all(res.feasible for res in results.values()):
+                columns.append(({lk: res.overhead for lk, res in results.items()}, pair_key))
+                objective.append(org_weight[pair.org_id] * pair.weight
+                                 * noise.swap_success_prob ** (path.hop_count - 1))
+    touched = [lk for lk in link_keys if any(lk in col for col, _ in columns)]
+    rows = [[col.get(lk, 0.0) for col, _ in columns] for lk in touched]
+    bounds = [graph.link_by_key[lk].capacity_eprps for lk in touched]
+    labels = [("cap", lk) for lk in touched]
+    for pair in workload.user_pairs:
+        for kind, bound, sign in (("rmin", -pair.r_min, -1.0), ("rmax", pair.r_max, 1.0)):
+            if (kind == "rmin" and pair.r_min > 0) or (kind == "rmax" and math.isfinite(bound)):
+                rows.append([sign if key == pair.key else 0.0 for _, key in columns])
+                bounds.append(bound)
+                labels.append((kind, pair.key))
+    return LinearProgram.from_dense(objective, rows, bounds, labels)
+
+
+def test_build_problem_matches_per_column_reference():
+    net50 = bundled_topology()
+    rng = np.random.default_rng(20)
+    # the same topology with three link fidelities, so a column's links differ
+    mixed = NetworkGraph(nodes=net50.nodes, links=tuple(
+        make_link(*l.endpoints, l.length_km, l.multiplex, alpha=float(rng.choice([0.1, 0.15, 0.2])))
+        for l in net50.links))
+    catalog = [*default_strategy_catalog(), DistillationStrategy(0.998, max_rounds=1)]
+    noise = NoiseParams(two_qubit_gate_fidelity=0.99, swap_success_prob=0.9)
+    kept = columns = 0
+    for graph in (net50, mixed):
+        for seed in range(4):
+            params = WorkloadParams(num_orgs=3, pairs_per_org=8, r_min=(0.0, 2.0)[seed % 2],
+                                    random_r_max=seed >= 2)
+            wl = generate_workload(graph, params, seed)
+            cands = build_candidate_sets(graph, wl, k=5)
+            selection = {}
+            for key, paths in cands.items():
+                picks = [paths[i] for i in rng.permutation(len(paths))[:3]]
+                if len(picks) >= 2 and rng.random() < 0.3:  # a repeated path
+                    picks[1] = picks[0]
+                if rng.random() < 0.3:  # the same path walked the other way
+                    picks[-1] = path_from_nodes(graph, picks[-1].nodes[::-1])
+                selection[key] = [(p, catalog[rng.integers(len(catalog))]) for p in picks]
+            got = build_problem(graph, wl, selection, noise, p_max=3)
+            want = _reference_lp(graph, wl, selection, noise, p_max=3)
+            for name in ("objective", "indptr", "indices", "data", "row_bounds"):
+                a, b = getattr(got.lp, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (seed, name)
+            assert got.lp.row_labels == want.row_labels
+            columns += len(got.lp.objective)
+            kept += sum(len({p.link_keys for p, _ in c}) for c in selection.values())
+    assert columns < kept  # some choices had no feasible column
+
+    compiler = LpCompiler(net50, wl, noise, p_max=3)
+    key, paths = next((k, v) for k, v in cands.items() if len(v) >= 4)
+    with pytest.raises(ValueError, match="unknown pair"):
+        compiler.column_ids({("org9", *key[1:]): [(paths[0], catalog[0])]})
+    with pytest.raises(ValueError, match="cap is 3"):
+        compiler.column_ids({key: [(p, catalog[0]) for p in paths[:4]]})
+    other = next(v[0] for k, v in cands.items() if set(k[1:]) != set(key[1:]))
+    with pytest.raises(ValueError, match="endpoints"):
+        compiler.column_ids({key: [(other, catalog[0])]})
+    assert compiler.find_id(key, other, catalog[0]) is None
+
+
 def test_csc_layout_and_dense_view():
     rng = np.random.default_rng(5)
     for _ in range(10):

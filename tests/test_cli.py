@@ -694,6 +694,25 @@ def test_infinite_r_min_workload_exits_2(tmp_path, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_rl_paths_per_state_below_pair_count_exits_2(tmp_path, capsys):
+    # two pairs cannot each sample a path from one path per state; report
+    # records the same failure as an error point
+    topo, wlf = _triangle_files(tmp_path)
+    cfg = _config(tmp_path, "rl.json", _base(topo, wlf),
+                  rl={"epochs": 2, "batch_size": 2, "paths_per_state": 1})
+    out = tmp_path / "out"
+    assert main(["rl", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "paths_per_state 1" in err and "(2 pairs)" in err
+    assert not (out / "manifest.json").exists()
+    cfg = _config(tmp_path, "report.json", _base(topo, wlf), optimizer="rl",
+                  rl={"epochs": 2, "batch_size": 2, "paths_per_state": 1})
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    point = _manifest(out)["points"][0]
+    assert point["status"] == "error"
+    assert point["error"].startswith("QuotaError: paths_per_state 1")
+
+
 def test_runtime_failure_exits_1(tmp_path, capsys):
     # workload parses fine but names a node the graph lacks
     topo, _ = _triangle_files(tmp_path)

@@ -4,8 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from qvpn import rl_optimizer
 from qvpn.allocation_lp import LpCompiler, build_problem, solve
-from qvpn.fixtures import bundled_topology
+from qvpn.fixtures import TOPOLOGY_10, bundled_topology
 from qvpn.pathfinding import build_candidate_sets
 from qvpn.quantum_math import DistillationStrategy
 from qvpn.rl_optimizer import (
@@ -16,7 +17,7 @@ from qvpn.rl_optimizer import (
     PolicyNetwork,
     RlProblem,
     TrainConfig,
-    _choice_without_replacement,
+    _BlockSampler,
     _surrogate_dlogits,
     cached_reward,
     gradient_check,
@@ -627,51 +628,121 @@ def _floored(p):
     return p / p.sum()
 
 
+def _replay_block(kind, n, rng):
+    """A draw block of n entries: flat, sparse, or a saturated softmax."""
+    if kind == 0:
+        return rng.dirichlet(np.ones(n))
+    if kind == 1:
+        return rng.dirichlet(np.full(n, 0.05))
+    logits = np.where(rng.random(n) < 0.3, rng.normal(size=n), -800.0)
+    logits[rng.integers(n)] = 0.0
+    return _floored(_reference_block_probs(logits, [(0, n)]))
+
+
 def test_sampler_replays_generator_choice():
-    """The list sampler returns Generator.choice's indices and leaves the
+    """The block sampler returns Generator.choice's indices and leaves the
     generator in the same state, on flat, sparse and floor-saturated blocks."""
     rng = np.random.default_rng(2024)
     for case in range(10_500):
         kind = case % 3
         n = 2 + (case // 3) % 10
         r = int(rng.integers(1, n))
-        if kind == 0:
-            p = rng.dirichlet(np.ones(n))
-        elif kind == 1:
-            p = rng.dirichlet(np.full(n, 0.05))
-            if np.count_nonzero(p) < r:
-                p = _floored(p)
-        else:
-            logits = np.where(rng.random(n) < 0.3, rng.normal(size=n), -800.0)
-            logits[rng.integers(n)] = 0.0
-            p = _floored(_reference_block_probs(logits, [(0, n)]))
+        p = _replay_block(kind, n, rng)
+        if kind == 1 and np.count_nonzero(p) < r:
+            p = _floored(p)
         want_rng = np.random.default_rng([case, 11])
         got_rng = np.random.default_rng([case, 11])
         want = want_rng.choice(n, size=r, replace=False, p=p).tolist()
-        assert _choice_without_replacement(got_rng, p.tolist(), r) == want, (case, r, p)
+        assert _BlockSampler(p, [(0, n)], [r]).sample(got_rng) == [want], (case, r, p)
         assert got_rng.random() == want_rng.random(), case
     # a draw equal to a cdf step goes right, as searchsorted(side="right") does
     u = np.random.default_rng(5).random()
     p = np.array([u, 1.0 - u])
     want = np.random.default_rng(5).choice(2, size=1, replace=False, p=p).tolist()
-    assert _choice_without_replacement(np.random.default_rng(5), p.tolist(), 1) == want == [1]
+    assert _BlockSampler(p, [(0, 2)], [1]).sample(np.random.default_rng(5)) == [want] == [[1]]
 
 
-@pytest.mark.parametrize("learning_rate, beta", [(1e-3, 0.1), (200.0, 0.0)])
-def test_train_matches_dense_reference(learning_rate, beta):
+def test_sampler_replays_generator_choice_over_whole_samples():
+    """A sample of many blocks, whose pooled draws run dry and refill when
+    blocks need repeat rounds, returns block-by-block Generator.choice's
+    indices and leaves the generator where that loop leaves it."""
+    rng = np.random.default_rng(77)
+    repeats = 0
+    for case in range(1_500):
+        lengths = rng.integers(1, 9, size=int(rng.integers(1, 13)))
+        blocks, slices, quotas = [], [], []
+        for n in lengths.tolist():
+            start = slices[-1][1] if slices else 0
+            p = _replay_block(int(rng.integers(3)), n, rng) if n > 1 else np.ones(1)
+            r = int(rng.integers(1, n + 1))  # r == n takes the whole block, drawing nothing
+            if np.count_nonzero(p) < r:
+                p = _floored(p)
+            blocks.append(p)
+            slices.append((start, start + n))
+            quotas.append(r)
+        want_rng = np.random.default_rng([case, 12])
+        want = []
+        for p, (start, end), r in zip(blocks, slices, quotas):
+            if r >= end - start:
+                want.append(list(range(start, end)))
+            else:
+                picks = want_rng.choice(end - start, size=r, replace=False, p=p)
+                want.append([start + int(j) for j in picks])
+        got_rng = np.random.default_rng([case, 12])
+        sampler = _BlockSampler(np.concatenate(blocks), slices, quotas)
+        assert sampler.sample(got_rng) == want, case
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state, case
+        # did a block need a repeat round, drawing past the first rounds?
+        first_rounds = np.random.default_rng([case, 12])
+        first_rounds.random(sum(r for r, (start, end) in zip(quotas, slices) if r < end - start))
+        repeats += first_rounds.bit_generator.state != want_rng.bit_generator.state
+    assert repeats > 100
+
+
+def _net10_problem():
+    """Eight pairs on the bundled 10-node topology, up to five candidates
+    each, four picks per pair: most samples need repeat rounds."""
+    graph = bundled_topology(TOPOLOGY_10)
+    wl = generate_workload(graph, WorkloadParams(num_orgs=2, pairs_per_org=4, hop_cap=4,
+                                                 r_min=0.0), seed=3)
+    return RlProblem(wl, build_candidate_sets(graph, wl, k=5), EASY, p_max=4)
+
+
+@pytest.mark.parametrize("problem, learning_rate, beta, paths_per_state", [
+    pytest.param(_square_problem, 1e-3, 0.1, None, id="0.001-0.1"),
+    pytest.param(_square_problem, 200.0, 0.0, None, id="200.0-0.0"),
+    pytest.param(_square_problem, 1e-3, 0.1, 4, id="0.001-0.1-paths_per_state4"),
+    pytest.param(_net10_problem, 1e-3, 0.1, None, id="net10-0.001-0.1"),
+    pytest.param(_net10_problem, 200.0, 0.1, 20, id="net10-200.0-0.1-paths_per_state20")])
+def test_train_matches_dense_reference(monkeypatch, problem, learning_rate, beta,
+                                       paths_per_state):
     # the small step never saturates the softmax; the large one saturates it
     # in the first update, so later samples take the floor path
-    prob = _square_problem()
+    prob = problem()
     cfg = TrainConfig(learning_rate=learning_rate, epochs=12, batch_size=3,
-                      entropy_beta=beta, seed=4)
+                      entropy_beta=beta, paths_per_state=paths_per_state, seed=4)
     env = lambda sel: float(_count_hops(sel)) ** 2
     policy = PolicyNetwork.init(prob, hidden=(6,), seed=4)
     reference = policy.copy()
+    cdfs = [0]
+    first_round_cdf = rl_optimizer._cdf
+
+    def counted_cdf(p):
+        cdfs[0] += 1
+        return first_round_cdf(p)
+
+    monkeypatch.setattr(rl_optimizer, "_cdf", counted_cdf)
     _, trace, _ = train(policy, prob, cfg, env)
     assert trace == _reference_train(reference, prob, cfg, env)
     for got, want in zip(policy.weights + policy.biases,
                          reference.weights + reference.biases):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    sampled = sum(r < end - start for r, (start, end)
+                  in zip(prob.per_pair_quota(paths_per_state), prob.block_slices))
+    if problem is _net10_problem:
+        assert prob.num_pairs == 8 and sampled >= 4
+        # one first-round cdf per sampled block and epoch; the rest are repeat rounds
+        assert cdfs[0] > cfg.epochs * sampled + 20
 
 
 @pytest.mark.parametrize("hidden", [(), (5,)])

@@ -75,6 +75,52 @@ def test_generation_respects_hop_cap(net10):
         assert dist[p.endpoints[1]] <= 2
 
 
+def _reference_generate(graph, params, seed):
+    """generate_workload with a BFS from every user node on each call."""
+    rng = np.random.default_rng(seed)
+    users = sorted(n.id for n in graph.user_nodes())
+    qualifying = []
+    for i, a in enumerate(users):
+        dist = min_hop_distances(graph, a)
+        for b in users[i + 1:]:
+            if 0 < dist.get(b, math.inf) <= params.hop_cap:
+                qualifying.append((a, b))
+    if len(qualifying) < params.pairs_per_org:
+        raise WorkloadError("too few qualifying pairs")
+    orgs = [Organization(f"org{k + 1}", float(rng.uniform(*params.org_weight_range)))
+            for k in range(params.num_orgs)]
+    pairs = []
+    for org in orgs:
+        for idx in sorted(rng.permutation(len(qualifying))[: params.pairs_per_org]):
+            r_max = params.r_max
+            if params.random_r_max:
+                r_max = float(rng.uniform(10.0, params.r_max))
+            pairs.append(UserPair(org.id, qualifying[idx],
+                                  float(rng.uniform(*params.pair_weight_range)),
+                                  float(rng.uniform(*params.fidelity_range)),
+                                  params.r_min, r_max))
+    return Workload(organizations=tuple(orgs), user_pairs=tuple(pairs), seed=seed)
+
+
+def test_generation_matches_per_call_bfs(net10):
+    net50 = bundled_topology()
+    for graph in (net10, net50):
+        for hop_cap in (0, 1, 2, 3, 4, 7, 30):
+            for seed in range(3):
+                params = WorkloadParams(num_orgs=2, pairs_per_org=4, hop_cap=hop_cap,
+                                        random_r_max=seed == 2)
+                try:
+                    want = _reference_generate(graph, params, seed)
+                except WorkloadError:
+                    with pytest.raises(WorkloadError, match="only"):
+                        generate_workload(graph, params, seed)
+                    continue
+                assert generate_workload(graph, params, seed) == want, (hop_cap, seed)
+    # the table is derived once per graph and is immutable
+    assert net50.user_pair_hops is net50.user_pair_hops
+    assert isinstance(net50.user_pair_hops, tuple)
+
+
 def test_generation_no_duplicate_pairs_within_org(net10):
     for seed in range(6):
         wl = generate_workload(net10, SMALL, seed=seed)
