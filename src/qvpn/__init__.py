@@ -1,6 +1,7 @@
 """qVPN resource management: joint path + distillation-strategy selection and
 rate allocation for organizations sharing a quantum network."""
 
+from .checks import InputError
 from .topology import (
     NodeSpec,
     LinkSpec,

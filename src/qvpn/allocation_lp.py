@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
+from .checks import check_int
 from .quantum_math import DEFAULT_NOISE, NoiseParams, path_overhead_per_link
 
 
@@ -153,7 +154,7 @@ class LpCompiler:
         self.graph = graph
         self.workload = workload
         self.noise = noise
-        self.p_max = p_max
+        self.p_max = check_int("p_max", p_max)
         org_weight = {o.id: o.weight for o in workload.organizations}
         keys = [p.key for p in workload.user_pairs]  # a property: read each once
         self._pairs = dict(zip(keys, workload.user_pairs))

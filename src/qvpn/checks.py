@@ -1,0 +1,42 @@
+"""The two rules that guard every input number, and the error they raise.
+
+An input number is either an integer with a minimum or a real in a range.
+Every type or entry point that takes one checks it here, so each rule is
+written once. The CLI reports an InputError as a config error (exit 2).
+"""
+
+from __future__ import annotations
+
+import math
+from numbers import Integral, Real
+
+
+class InputError(ValueError):
+    """An input value breaks a rule of the type or function that takes it."""
+
+
+def _is_number(value, kind) -> bool:
+    # JSON true/false load as bools, which are ints; no input number is a bool
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def check_int(name: str, value, low: int = 1, error=InputError):
+    """value, if it is an integer >= low; else error naming `name`."""
+    if not (_is_number(value, Integral) and value >= low):
+        raise error(f"{name} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def check_real(name: str, value, low=0, high=math.inf, *, open_low=False, open_high=True,
+               error=InputError):
+    """value, if it is a real from low to high, each bound closed unless
+    open; NaN never is. Else error naming `name`. The default high, an
+    open inf, makes the rule "a finite number"."""
+    if not (_is_number(value, Real) and (low < value if open_low else low <= value)
+            and (value < high if open_high else value <= high)):
+        if high == math.inf and open_high:
+            rule = f"a finite number {'>' if open_low else '>='} {low}"
+        else:
+            rule = f"a number in {'(' if open_low else '['}{low}, {high}{')' if open_high else ']'}"
+        raise error(f"{name} must be {rule}, got {value!r}")
+    return value

@@ -8,6 +8,8 @@ All randomness derives from the top-level seed. Outputs are CSV files
 (floats printed with repr for byte-stable reruns) plus a machine-readable
 manifest.json; wall-clock timings live in the manifest only, never in CSV.
 Pass "emit_plots": true to also write gnuplot scripts next to the CSVs.
+The library types check every value they take; the CLI checks the JSON
+shape and reports any InputError as a config error (exit 2).
 """
 
 from __future__ import annotations
@@ -22,13 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .checks import InputError, check_int
 from .topology import load_topology, engineer_repeaters
-from .quantum_math import (
-    default_strategy_catalog,
-    load_strategy_catalog,
-)
-from .pathfinding import BASELINE_SCHEMES, PathFinder, build_candidate_sets
-from .workload import WorkloadError, WorkloadParams, generate_workload, load_workload
+from .quantum_math import catalog_prefix, default_strategy_catalog, load_strategy_catalog
+from .pathfinding import PathFinder, build_candidate_sets
+from .workload import WorkloadParams, generate_workload, load_workload
 from .allocation_lp import build_problem, lp_backend, solve
 from . import ga_optimizer as ga
 from . import rl_optimizer as rl
@@ -44,8 +44,10 @@ from .harness import (
 )
 
 
-class ConfigError(ValueError):
-    """Malformed or incomplete CLI configuration document."""
+class ConfigError(InputError):
+    """A config document of the wrong JSON shape: an object or a list where
+    none belongs, a missing key, a file that cannot be read. The library
+    types check every number and value in it."""
 
 
 def _fmt(value) -> str:
@@ -102,26 +104,15 @@ def _load_config(path: str) -> dict:
         raise ConfigError("config must be a JSON object")
     if config.get("version") != 1:
         raise ConfigError(f"unsupported config version {config.get('version')!r}, expected 1")
-    _config_int("seed", config.get("seed"), low=0)
+    check_int("seed", config.get("seed"), low=0)  # every command's, so no library type's
+    _config_bool(config, "emit_plots", False)
     return config
 
 
-def _config_int(key: str, value, low: int = 1) -> int:
-    """value, read from config key `key`, checked to be an integer >= low.
-    JSON true/false load as Python bools, which are ints; they are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ConfigError(f"{key!r} must be an integer >= {low}, got {value!r}")
-    return value
-
-
-def _config_real(key: str, value, allow_zero: bool = False):
-    """value, read from config key `key`, checked to be a finite number > 0
-    (>= 0 with allow_zero). JSON true/false load as Python bools, which are
-    ints; they are rejected."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not (0 <= value if allow_zero else 0 < value) or not value < math.inf):
-        raise ConfigError(f"{key!r} must be a finite number {'>=' if allow_zero else '>'} 0, "
-                          f"got {value!r}")
+def _config_bool(config: dict, key: str, default: bool) -> bool:
+    value = config.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key!r} must be true or false, got {value!r}")
     return value
 
 
@@ -131,54 +122,43 @@ def _require(config: dict, key: str):
     return config[key]
 
 
-def _read_ref(config: dict, key: str, hasher) -> str:
+def _load_ref(config: dict, key: str, hasher, parse, *args):
+    """parse(text, *args) of the file that config key `key` names, its
+    text added to the hash; a rule the file breaks is reported with its path."""
     path = _require(config, key)
+    if not isinstance(path, str):
+        raise ConfigError(f"{key} must be a file path, got {path!r}")
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read {key} file {path!r}: {exc}") from None
     hasher.update(f"\n--{key}--\n".encode())
     hasher.update(text.encode())
-    return text
+    try:
+        return parse(text, *args)
+    except InputError as exc:
+        raise InputError(f"{key} file {path!r}: {exc}") from None
+
+
+def _block(config: dict, key: str, cls):
+    """cls(**the config's `key` object); an unknown field is a config error."""
+    raw = config[key]
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{key} block must be a JSON object, got {raw!r}")
+    try:
+        return cls(**raw)
+    except TypeError as exc:
+        raise ConfigError(f"bad {key} block: {exc}") from None
 
 
 def _load_graph(config, hasher):
-    graph = load_topology(_read_ref(config, "topology", hasher))
+    graph = _load_ref(config, "topology", hasher, load_topology)
     eng = config.get("engineer")
     if eng is not None:
         if not isinstance(eng, dict):
             raise ConfigError(f"engineer block must be a JSON object, got {eng!r}")
-        threshold_km = _config_real("engineer.threshold_km", eng.get("threshold_km"))
-        spacing_km = _config_real("engineer.spacing_km", eng.get("spacing_km"))
-        graph = engineer_repeaters(graph, threshold_km=float(threshold_km),
-                                   spacing_km=float(spacing_km))
+        graph = engineer_repeaters(graph, eng.get("threshold_km"), eng.get("spacing_km"))
     return graph
-
-
-def _workload_params(config) -> WorkloadParams:
-    """The workload_params block as WorkloadParams, each field type-checked;
-    the ranges are [low, high] lists of numbers > 0."""
-    raw = config["workload_params"]
-    if not isinstance(raw, dict):
-        raise ConfigError(f"workload_params must be a JSON object, got {raw!r}")
-    fields = {}
-    for key, value in raw.items():
-        name = f"workload_params.{key}"
-        if key in ("num_orgs", "pairs_per_org", "hop_cap"):
-            _config_int(name, value)
-        elif key in ("org_weight_range", "pair_weight_range", "fidelity_range"):
-            if not isinstance(value, list) or len(value) != 2:
-                raise ConfigError(f"{name!r} must be a list of two numbers, got {value!r}")
-            value = tuple(_config_real(name, bound) for bound in value)
-        elif key in ("r_min", "r_max"):
-            _config_real(name, value, allow_zero=key == "r_min")
-        elif key == "random_r_max" and not isinstance(value, bool):
-            raise ConfigError(f"{name!r} must be true or false, got {value!r}")
-        fields[key] = value
-    try:
-        return WorkloadParams(**fields)
-    except TypeError as exc:
-        raise ConfigError(f"bad workload_params: {exc}") from None
 
 
 def _workload_source(config, hasher):
@@ -187,12 +167,8 @@ def _workload_source(config, hasher):
     if has_file == ("workload_params" in config):
         raise ConfigError("config needs exactly one of \"workload\" / \"workload_params\"")
     if has_file:
-        text = _read_ref(config, "workload", hasher)
-        try:
-            return load_workload(text), None
-        except WorkloadError as exc:
-            raise ConfigError(f"bad workload file: {exc}") from None
-    params = _workload_params(config)
+        return _load_ref(config, "workload", hasher, load_workload), None
+    params = _block(config, "workload_params", WorkloadParams)
     hasher.update(f"\n--workload_params--\n{params!r}".encode())
     return None, params
 
@@ -203,48 +179,21 @@ def _load_workload(config, graph, hasher):
 
 
 def _load_catalog(config, hasher):
-    if "strategies" in config:
-        text = _read_ref(config, "strategies", hasher)
-        try:
-            catalog = load_strategy_catalog(text)
-        except ValueError as exc:
-            raise ConfigError(f"bad strategies file: {exc}") from None
-    else:
-        catalog = default_strategy_catalog()
+    catalog = (_load_ref(config, "strategies", hasher, load_strategy_catalog)
+               if "strategies" in config else default_strategy_catalog())
     count = config.get("strategy_count")
-    if count is not None:
-        if _config_int("strategy_count", count) > len(catalog):
-            raise ConfigError(f"strategy_count {count} outside catalog of {len(catalog)}")
-        catalog = catalog[:count]
-    return tuple(catalog)
+    return tuple(catalog if count is None else catalog_prefix(catalog, count))
 
 
 def _optimizer_config(config, name: str, cls):
     """The config's `name` block as a cls (GaConfig / TrainConfig), None when
     absent or empty. The top-level seed seeds the search, so the block may
     not carry its own."""
-    raw = config.get(name) or {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{name} block must be a JSON object")
-    if "seed" in raw:
-        raise ConfigError(f"{name} block may not carry its own seed; use the top-level seed")
-    if not raw:
+    if not config.get(name):
         return None
-    try:
-        return cls(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {name} block: {exc}") from None
-
-
-def _seeded_ga_config(config):
-    """The config's `ga` block (None when absent or empty) for a GA that
-    `search` seeds with every greedy baseline, so the population must hold
-    them all."""
-    ga_config = _optimizer_config(config, "ga", ga.GaConfig)
-    if ga_config is not None and ga_config.population_size < len(BASELINE_SCHEMES):
-        raise ConfigError(f"bad ga block: population_size {ga_config.population_size} "
-                          f"cannot hold the {len(BASELINE_SCHEMES)} seeded greedy baselines")
-    return ga_config
+    if isinstance(config[name], dict) and "seed" in config[name]:
+        raise ConfigError(f"{name} block may not carry its own seed; use the top-level seed")
+    return _block(config, name, cls)
 
 
 def _hasher(config) -> "hashlib._Hash":
@@ -311,7 +260,7 @@ def cmd_paths(config, out_dir):
     graph = _load_graph(config, hasher)
     workload = _load_workload(config, graph, hasher)
     config_hash = hasher.hexdigest()
-    k = _config_int("k", config.get("k", 5))
+    k = config.get("k", 5)
     candidates = build_candidate_sets(graph, workload, k=k)
     rows = []
     for pair in workload.user_pairs:
@@ -335,27 +284,17 @@ def cmd_allocate(config, out_dir):
     graph = _load_graph(config, hasher)
     workload = _load_workload(config, graph, hasher)
     catalog = _load_catalog(config, hasher)
-    p_max = _config_int("p_max", config.get("p_max", 3))
+    p_max = config.get("p_max", 3)
     source = _require(config, "source")
     if not isinstance(source, dict):
         raise ConfigError(f"source must be a JSON object, got {source!r}")
     if "selection" in source:
-        sel_path = source["selection"]
-        try:
-            text = Path(sel_path).read_text()
-        except OSError as exc:
-            raise ConfigError(f"cannot read selection file {sel_path!r}: {exc}") from None
-        hasher.update(b"\n--selection--\n" + text.encode())
-        selection = load_selection(text, graph)
+        selection = _load_ref(source, "selection", hasher, load_selection, graph)
         solution = solve(build_problem(graph, workload, selection, p_max=p_max))
     elif "baseline" in source:
-        if source["baseline"] not in BASELINE_SCHEMES:
-            raise ConfigError(f"unknown baseline {source['baseline']!r}, "
-                              f"expected one of {sorted(BASELINE_SCHEMES)}")
-        threshold = _config_real("threshold", source.get("threshold", 0.992))
         result = search(graph, workload, f"baseline-{source['baseline']}", config["seed"],
-                        k=_config_int("k", config.get("k", 5)), p_max=p_max,
-                        catalog=catalog, baseline_threshold=threshold)
+                        k=config.get("k", 5), p_max=p_max, catalog=catalog,
+                        baseline_threshold=source.get("threshold", 0.992))
         selection, solution = result.selection, result.solution
     else:
         raise ConfigError("source must contain \"selection\" (file) or \"baseline\" (scheme)")
@@ -374,13 +313,13 @@ def cmd_ga(config, out_dir):
     graph = _load_graph(config, hasher)
     workload = _load_workload(config, graph, hasher)
     catalog = _load_catalog(config, hasher)
-    ga_config = _seeded_ga_config(config) or ga.GaConfig()
-    k, p_max = _config_int("k", config.get("k", 5)), _config_int("p_max", config.get("p_max", 3))
-    threshold = _config_real("baseline_threshold", config.get("baseline_threshold", 0.992))
+    ga_config = _optimizer_config(config, "ga", ga.GaConfig) or ga.GaConfig()
     config_hash = hasher.hexdigest()
 
-    result = search(graph, workload, "ga", config["seed"], k=k, p_max=p_max, catalog=catalog,
-                    baseline_threshold=threshold, ga_config=ga_config)
+    result = search(graph, workload, "ga", config["seed"], k=config.get("k", 5),
+                    p_max=config.get("p_max", 3), catalog=catalog,
+                    baseline_threshold=config.get("baseline_threshold", 0.992),
+                    ga_config=ga_config)
     trace = result.trace
     trace_rows = list(zip(range(len(trace.best_fitness)), trace.best_fitness,
                           trace.mean_fitness))
@@ -417,18 +356,14 @@ def cmd_rl(config, out_dir):
     workload = _load_workload(config, graph, hasher)
     catalog = _load_catalog(config, hasher)
     rl_config = _optimizer_config(config, "rl", rl.TrainConfig) or rl.TrainConfig()
-    k, p_max = _config_int("k", config.get("k", 5)), _config_int("p_max", config.get("p_max", 3))
     hidden = config.get("hidden", [128])
     if not isinstance(hidden, list):
         raise ConfigError(f"'hidden' must be a list of layer widths, got {hidden!r}")
-    hidden = tuple(_config_int("hidden", width) for width in hidden)
     config_hash = hasher.hexdigest()
 
-    try:
-        result = search(graph, workload, "rl", config["seed"], k=k, p_max=p_max,
-                        catalog=catalog, rl_config=rl_config, hidden=hidden)
-    except rl.QuotaError as exc:  # the pair count is known only after the path search
-        raise ConfigError(f"bad rl block: {exc}") from None
+    result = search(graph, workload, "rl", config["seed"], k=config.get("k", 5),
+                    p_max=config.get("p_max", 3), catalog=catalog, rl_config=rl_config,
+                    hidden=tuple(hidden))
     outputs = [_write_csv(out_dir, "trace.csv", ("epoch", "mean_reward"),
                           list(zip(range(len(result.trace)), result.trace)), config_hash)]
     (out_dir / "selection.txt").write_text(save_selection(result.selection))
@@ -457,45 +392,41 @@ def cmd_report(config, out_dir):
     catalog = _load_catalog(config, hasher)
     workload, params = _workload_source(config, hasher)
     sweep = config.get("sweep") or {}
-    repetitions = _config_int("repetitions", config.get("repetitions", 1))
-    seeds = config.get("seeds", list(range(config["seed"], config["seed"] + repetitions)))
-    if not isinstance(seeds, list):
-        raise ConfigError(f"'seeds' must be a list of integers, got {seeds!r}")
-    seeds = tuple(_config_int("seeds", seed, low=0) for seed in seeds)
-    max_workers = _config_int("max_workers", config.get("max_workers", 1))
-    k, p_max = _config_int("k", config.get("k", 5)), _config_int("p_max", config.get("p_max", 3))
-    threshold = _config_real("baseline_threshold", config.get("baseline_threshold", 0.992))
-
+    if not isinstance(sweep, dict) or not isinstance(sweep.get("values", []), list):
+        raise ConfigError(f"sweep must be an object with a list of values, got {sweep!r}")
+    repetitions = config.get("repetitions", 1)
+    if "seeds" in config:
+        seeds = config["seeds"]
+        if not isinstance(seeds, list):
+            raise ConfigError(f"'seeds' must be a list of integers, got {seeds!r}")
+    else:  # one per repetition from the top-level seed; Scenario refuses a bad count
+        seeds = range(config["seed"], config["seed"] + repetitions) \
+            if isinstance(repetitions, int) else ()
     if "hidden" in config:
         raise ConfigError("report trains the default (128,) policy; "
                           "\"hidden\" is read by `qvpn rl` only")
-    ga_config = (_seeded_ga_config(config) if config.get("optimizer") == "ga"
-                 else _optimizer_config(config, "ga", ga.GaConfig))
-    rl_config = _optimizer_config(config, "rl", rl.TrainConfig)
-    try:
-        scenario = Scenario(
-            name=config.get("name", "report"),
-            graph=graph,
-            workload=workload,
-            workload_params=params,
-            optimizer=config.get("optimizer", "baseline-hop"),
-            ga_config=ga_config,
-            rl_config=rl_config,
-            sweep_axis=sweep.get("axis"),
-            sweep_values=tuple(sweep.get("values", ())),
-            repetitions=repetitions,
-            seeds=seeds,
-            k=k,
-            p_max=p_max,
-            catalog=catalog,
-            baseline_threshold=threshold,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scenario: {exc}") from None
+    fairness = _config_bool(config, "fairness", True)
+    scenario = Scenario(
+        name=config.get("name", "report"),
+        graph=graph,
+        workload=workload,
+        workload_params=params,
+        optimizer=config.get("optimizer", "baseline-hop"),
+        ga_config=_optimizer_config(config, "ga", ga.GaConfig),
+        rl_config=_optimizer_config(config, "rl", rl.TrainConfig),
+        sweep_axis=sweep.get("axis"),
+        sweep_values=tuple(sweep.get("values", ())),
+        repetitions=repetitions,
+        seeds=tuple(seeds),
+        k=config.get("k", 5),
+        p_max=config.get("p_max", 3),
+        catalog=catalog,
+        baseline_threshold=config.get("baseline_threshold", 0.992),
+    )
     config_hash = hasher.hexdigest()
 
     finder = PathFinder(graph)
-    result = run_scenario(scenario, max_workers=max_workers, finder=finder)
+    result = run_scenario(scenario, max_workers=config.get("max_workers", 1), finder=finder)
     # a CSV cell holds no commas or newlines; the manifest keeps the full error
     sweep_rows = [
         (p.axis_value if p.axis_value is not None else "", p.repetition, p.seed,
@@ -527,7 +458,7 @@ def cmd_report(config, out_dir):
         "outputs": outputs,
     }
 
-    if config.get("fairness", True):
+    if fairness:
         final = result.points[-1]
         if final.status == "optimal":
             try:
@@ -600,18 +531,13 @@ def main(argv=None) -> int:
         p.add_argument("--out", required=True, help="output directory (created if missing)")
     args = parser.parse_args(argv)
 
-    try:
-        config = _load_config(args.config)
-    except ConfigError as exc:
-        print(f"qvpn: config error: {exc}", file=sys.stderr)
-        return 2
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     start = time.perf_counter()
     try:
+        config = _load_config(args.config)
+        out_dir.mkdir(parents=True, exist_ok=True)
         manifest = _COMMANDS[args.command](config, out_dir)
-    except ConfigError as exc:
+    except InputError as exc:  # a rule that the config or a file it names breaks
         print(f"qvpn: config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -22,12 +22,12 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
-from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
 
 from .allocation_lp import LpCompiler, SolverError, wegr_of_selection
+from .checks import InputError, check_int, check_real
 from .quantum_math import DEFAULT_NOISE
 
 
@@ -52,21 +52,16 @@ class GaConfig:
     pool_end: float = 0.2
 
     def __post_init__(self):
-        # JSON true/false load as bools, which are ints; they are rejected
         for name, low in (("population_size", 2), ("generations", 0),
                           ("elitism_count", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Integral) or v < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
+            check_int(name, getattr(self, name), low)
         if self.mode not in ("dynamic", "static"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise InputError(f"unknown mode {self.mode!r}")
         for name in ("mutation_start", "mutation_end", "crossover_start",
                      "crossover_end", "pool_start", "pool_end"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Real) or not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be a number in [0,1], got {v!r}")
+            check_real(name, getattr(self, name), 0, 1, open_high=False)
         if not self.elitism_count < self.population_size:
-            raise ValueError("need 1 <= elitism_count < population_size")
+            raise InputError("need 1 <= elitism_count < population_size")
 
     @classmethod
     def static_mode(cls, **overrides):

@@ -20,11 +20,13 @@ import math
 import time
 from dataclasses import dataclass, replace, field
 
+from .checks import InputError, check_int, check_real
 from .topology import NetworkGraph, save_topology
 from .quantum_math import (
     DEFAULT_NOISE,
     DistillationStrategy,
     NoiseParams,
+    catalog_prefix,
     default_strategy_catalog,
 )
 from .pathfinding import (
@@ -75,10 +77,20 @@ OPTIMIZERS = (*_BASELINE_SCHEMES, "ga", "rl")
 SWEEP_AXES = ("p_max", "strategy_count", "pairs_per_org", "k", "r_max")
 
 
-def _check_count(name: str, value) -> None:
-    """Raise ValueError naming `name` unless value is an integer >= 1 (bools refused)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def _check_search(optimizer, k, p_max, catalog, baseline_threshold, ga_config) -> None:
+    """Raise InputError unless search can take these arguments. The GA
+    population must hold the greedy baselines that search seeds it with."""
+    if optimizer not in OPTIMIZERS:
+        raise InputError(f"unknown optimizer {optimizer!r}, expected one of {OPTIMIZERS}")
+    check_int("k", k)
+    check_int("p_max", p_max)
+    if not catalog:
+        raise InputError("the strategy catalog is empty")
+    check_real("baseline_threshold", baseline_threshold, open_low=True)
+    if optimizer == "ga" and ga_config is not None \
+            and ga_config.population_size < len(_BASELINE_SCHEMES):
+        raise InputError(f"population_size {ga_config.population_size} cannot hold the "
+                         f"{len(_BASELINE_SCHEMES)} seeded greedy baselines")
 
 
 @dataclass(frozen=True)
@@ -101,34 +113,36 @@ class Scenario:
     baseline_threshold: float = 0.992  # greedy baselines distill links to (nearest of) this
 
     def __post_init__(self):
-        _check_count("k", self.k)
-        _check_count("p_max", self.p_max)
+        _check_search(self.optimizer, self.k, self.p_max, self.catalog,
+                      self.baseline_threshold, self.ga_config)
         if (self.workload is None) == (self.workload_params is None):
-            raise ValueError("exactly one of workload / workload_params must be set")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZERS}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+            raise InputError("exactly one of workload / workload_params must be set")
+        check_int("repetitions", self.repetitions)
+        for seed in self.seeds:
+            check_int("seeds", seed, low=0)
         if len(self.seeds) != self.repetitions:
-            raise ValueError(f"need {self.repetitions} seeds, got {len(self.seeds)}")
+            raise InputError(f"need {self.repetitions} seeds, got {len(self.seeds)}")
         if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("repetition seeds must be distinct")
+            raise InputError("repetition seeds must be distinct")
         if self.sweep_axis is None:
             if self.sweep_values:
-                raise ValueError("sweep_values given without a sweep_axis")
+                raise InputError("sweep_values given without a sweep_axis")
         else:
             if self.sweep_axis not in SWEEP_AXES:
-                raise ValueError(f"unknown sweep axis {self.sweep_axis!r}, expected one of {SWEEP_AXES}")
+                raise InputError(f"unknown sweep axis {self.sweep_axis!r}, expected one of {SWEEP_AXES}")
             if not self.sweep_values:
-                raise ValueError("sweep_axis set but sweep_values empty")
-            if self.sweep_axis in ("k", "p_max"):
-                for value in self.sweep_values:
-                    _check_count(f"{self.sweep_axis} sweep value", value)
+                raise InputError("sweep_axis set but sweep_values empty")
+            name = f"{self.sweep_axis} sweep value"
+            for value in self.sweep_values:
+                if self.sweep_axis == "r_max":  # R_max may be inf, as a UserPair's may
+                    check_real(name, value, open_low=True, open_high=False)
+                else:
+                    check_int(name, value)
             for a, b in zip(self.sweep_values, self.sweep_values[1:]):
                 if not a < b:
-                    raise ValueError(f"sweep values must be strictly increasing, got {a} before {b}")
+                    raise InputError(f"sweep values must be strictly increasing, got {a} before {b}")
             if self.sweep_axis == "pairs_per_org" and self.workload_params is None:
-                raise ValueError("pairs_per_org sweep needs workload_params, not a fixed workload")
+                raise InputError("pairs_per_org sweep needs workload_params, not a fixed workload")
 
 
 @dataclass(frozen=True)
@@ -231,14 +245,13 @@ def search(graph: NetworkGraph, workload: Workload, optimizer: str, seed: int, *
     `hidden`. Every path query goes to finder (a fresh PathFinder when
     None). The search builds one LpCompiler (the GA's, the RL reward's or
     the baseline's), and the final solve compiles through it too. Raises
-    ValueError before any search when k or p_max is not an integer >= 1;
-    the final solve raises on solver failure.
+    InputError before any search when an argument breaks its rule (k and
+    p_max integers >= 1, a non-empty catalog, a finite baseline_threshold
+    > 0, a GA population that holds the baselines); the final solve
+    raises on solver failure.
     """
-    if optimizer not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {optimizer!r}, expected one of {OPTIMIZERS}")
-    _check_count("k", k)
-    _check_count("p_max", p_max)
     catalog = tuple(catalog)
+    _check_search(optimizer, k, p_max, catalog, baseline_threshold, ga_config)
     if finder is None:
         finder = PathFinder(graph)
     scheme = _BASELINE_SCHEMES.get(optimizer)
@@ -293,12 +306,8 @@ def _run_point(scenario: Scenario, axis_value, repetition: int, seed: int,
     start = time.perf_counter()
     p_max = axis_value if scenario.sweep_axis == "p_max" else scenario.p_max
     k = axis_value if scenario.sweep_axis == "k" else scenario.k
-    if scenario.sweep_axis == "strategy_count":
-        if not 1 <= axis_value <= len(scenario.catalog):
-            raise ValueError(f"strategy count {axis_value} outside catalog of {len(scenario.catalog)}")
-        catalog = scenario.catalog[:axis_value]
-    else:
-        catalog = scenario.catalog
+    catalog = (catalog_prefix(scenario.catalog, axis_value)
+               if scenario.sweep_axis == "strategy_count" else scenario.catalog)
 
     result = search(scenario.graph, point_workload(scenario, axis_value, seed),
                     scenario.optimizer, seed, k=k, p_max=p_max, catalog=catalog,
@@ -366,6 +375,7 @@ def run_scenario(scenario: Scenario, max_workers: int = 1,
     or in a process that is itself a multiprocessing child, the points run
     serially.
     """
+    check_int("max_workers", max_workers)
     if finder is None:
         finder = PathFinder(scenario.graph)
     config_hash = scenario_hash(scenario)
@@ -504,10 +514,12 @@ def save_selection(selection) -> str:
 
 
 def load_selection(source: str, graph: NetworkGraph):
-    """Parse a selection document against a graph; round-trips save_selection."""
+    """Parse a selection document against a graph; round-trips save_selection.
+    Raises InputError on a line that breaks the format or names no path of
+    the graph."""
     lines = source.splitlines()
     if not lines or lines[0].strip() != SELECTION_HEADER:
-        raise ValueError(f"missing selection header {SELECTION_HEADER!r}")
+        raise InputError(f"missing selection header {SELECTION_HEADER!r}")
     selection = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         text = raw.split("#", 1)[0].strip()
@@ -528,6 +540,6 @@ def load_selection(source: str, graph: NetworkGraph):
                 raise ValueError("path must run from the pair's first endpoint to its second")
             path = path_from_nodes(graph, nodes)
         except (ValueError, IndexError, KeyError) as exc:
-            raise ValueError(f"selection line {lineno}: {exc}") from None
+            raise InputError(f"selection line {lineno}: {exc}") from None
         selection.setdefault(pair_key, []).append((path, strategy))
     return selection

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+from .checks import check_int
 from .topology import NetworkGraph
 
 
@@ -263,7 +264,9 @@ def build_candidate_set(graph: NetworkGraph, user_pair, k: int = 5,
 
 
 def build_candidate_sets(graph, workload, k=5, schemes=DEFAULT_SCHEMES, *, finder=None):
-    """Candidate sets for every pair in the workload; pairs may map to []."""
+    """Candidate sets for every pair in the workload; pairs may map to [].
+    Raises InputError unless k is an integer >= 1."""
+    check_int("k", k)
     finder = _finder_for(graph, finder)
     return {pair.key: build_candidate_set(graph, pair, k, schemes, finder=finder)
             for pair in workload.user_pairs}

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .checks import InputError, check_int, check_real
+
 # Absolute tolerance for all fidelity threshold comparisons.
 FIDELITY_ATOL = 1e-9
 
@@ -51,9 +53,7 @@ class NoiseParams:
 
     def __post_init__(self):
         for name in ("two_qubit_gate_fidelity", "measurement_fidelity", "swap_success_prob"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must lie in (0,1], got {v}")
+            check_real(name, getattr(self, name), 0, 1, open_low=True, open_high=False)
 
 
 DEFAULT_NOISE = NoiseParams()
@@ -65,10 +65,8 @@ class DistillationStrategy:
     max_rounds: int = DEFAULT_MAX_ROUNDS
 
     def __post_init__(self):
-        if not 0.25 < self.link_threshold < 1.0:
-            raise ValueError(f"link threshold must lie in (0.25,1), got {self.link_threshold}")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be positive")
+        check_real("link threshold", self.link_threshold, 0.25, 1, open_low=True)
+        check_int("max_rounds", self.max_rounds)
 
 
 @dataclass(frozen=True)
@@ -196,9 +194,7 @@ def path_overhead_per_link(link_fidelity: float, path_length_links: int,
 def default_strategy_catalog(count: int = 16, low: float = 0.8, high: float = 0.998,
                              max_rounds: int = DEFAULT_MAX_ROUNDS):
     """Uniformly spaced link-threshold catalog, sorted ascending."""
-    if count < 1:
-        raise ValueError("catalog needs at least one strategy")
-    if count == 1:
+    if check_int("count", count) == 1:
         return [DistillationStrategy(low, max_rounds)]
     step = (high - low) / (count - 1)
     return [DistillationStrategy(low + i * step, max_rounds) for i in range(count)]
@@ -214,12 +210,20 @@ def load_strategy_catalog(source: str, max_rounds: int = DEFAULT_MAX_ROUNDS):
         try:
             thresholds.append(float(text))
         except ValueError:
-            raise ValueError(f"line {lineno}: bad threshold {text!r}") from None
+            raise InputError(f"line {lineno}: bad threshold {text!r}") from None
     if not thresholds:
-        raise ValueError("strategy catalog is empty")
+        raise InputError("strategy catalog is empty")
     if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
-        raise ValueError("strategy catalog must be strictly ascending by threshold")
+        raise InputError("strategy catalog must be strictly ascending by threshold")
     return [DistillationStrategy(t, max_rounds) for t in thresholds]
+
+
+def catalog_prefix(catalog, count):
+    """The first count strategies of a catalog; InputError unless count is
+    an integer from 1 to the catalog's size."""
+    if check_int("strategy_count", count) > len(catalog):
+        raise InputError(f"strategy count {count} outside catalog of {len(catalog)}")
+    return catalog[:count]
 
 
 def save_strategy_catalog(catalog) -> str:

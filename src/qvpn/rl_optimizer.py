@@ -17,16 +17,15 @@ differences and is part of the test gate.
 
 from __future__ import annotations
 
-import math
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from numbers import Integral, Real
 
 import numpy as np
 
 from . import allocation_lp
+from .checks import InputError, check_int, check_real
 
 LEAKY_SLOPE = 0.01
 PROB_FLOOR = 1e-12  # only applied when a softmax block underflows to zeros
@@ -36,7 +35,7 @@ class DivergenceError(RuntimeError):
     """A policy weight became non-finite during training."""
 
 
-class QuotaError(ValueError):
+class QuotaError(InputError):
     """paths_per_state (R) is below the number of pairs, so some pair
     would sample no path."""
 
@@ -54,22 +53,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # JSON true/false load as bools, which are ints; they are rejected
         minimums = [("lr_decay_every", 1), ("batch_size", 1), ("epochs", 0), ("seed", 0)]
         if self.paths_per_state is not None:  # None: no cap
             minimums.append(("paths_per_state", 1))
         for name, low in minimums:
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Integral) or v < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
-        # real fields are finite ints or floats; JSON also loads NaN and Infinity
+            check_int(name, getattr(self, name), low)
         for name, positive in (("learning_rate", True), ("lr_decay", True),
                                ("lr_floor", False), ("entropy_beta", False)):
-            v = getattr(self, name)
-            if (isinstance(v, bool) or not isinstance(v, Real)
-                    or not (0 < v if positive else 0 <= v) or not v < math.inf):
-                raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, "
-                                 f"got {v!r}")
+            check_real(name, getattr(self, name), open_low=positive)
 
     def lr_at(self, epoch: int) -> float:
         decayed = self.learning_rate * self.lr_decay ** (epoch // self.lr_decay_every)
@@ -207,6 +198,8 @@ class PolicyNetwork:
         later layers, are as they were when the state was one-hot over P*P
         inputs, and the RL traces and selections keep their bits.
         """
+        for width in hidden:
+            check_int("hidden", width)
         rng = np.random.default_rng([seed, 0xC0FFEE])
         pairs = problem.num_pairs
         dims = [problem.input_dim, *hidden, problem.output_dim]
@@ -463,14 +456,26 @@ def surrogate_value(policy, problem, actions, advantage, beta):
     return float(total)
 
 
+def _check_fits(policy: PolicyNetwork, problem: RlProblem):
+    """InputError unless policy's logit blocks are problem's: a policy made
+    for another workload would score the wrong pairs' paths."""
+    if policy.block_slices != problem.block_slices:
+        raise InputError(
+            f"the policy's logit blocks are not the problem's: {len(policy.block_slices)} "
+            f"blocks over {policy.blocks.lengths.sum()} paths, against {problem.num_pairs} "
+            f"over {problem.output_dim}")
+
+
 def train(policy: PolicyNetwork, problem: RlProblem, config: TrainConfig, environment):
     """REINFORCE loop; mutates the policy in place.
 
     environment(selection) -> W-EGR reward. Returns (policy, reward_trace,
-    baseline_table) with one mean-reward entry per epoch. Raises QuotaError
-    before the first epoch when config.paths_per_state is below the number
-    of pairs.
+    baseline_table) with one mean-reward entry per epoch. Raises
+    InputError before the first epoch when the policy was made for other
+    logit blocks, and QuotaError when config.paths_per_state is below the
+    number of pairs.
     """
+    _check_fits(policy, problem)
     # a loaded policy can hold non-finite weights; name them before any reward
     policy.check_finite()
     quotas = problem.per_pair_quota(config.paths_per_state)
@@ -527,6 +532,7 @@ def cached_reward(compiler):
 
 def greedy_selection(policy: PolicyNetwork, problem: RlProblem):
     """Inference: per pair, take the top-p_max paths by probability."""
+    _check_fits(policy, problem)
     logits, _ = policy.forward(problem.encode_state())
     probs = policy.block_probs(logits)
     actions = {}

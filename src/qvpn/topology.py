@@ -12,13 +12,15 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from .checks import InputError, check_int, check_real
+
 # Section-IV style defaults used when a topology file omits the param lines.
 DEFAULT_REPETITION_TIME_S = 1e-6
 DEFAULT_ATTENUATION_DB_PER_KM = 0.2
 DEFAULT_ALPHA = 0.2
 
 
-class TopologyError(ValueError):
+class TopologyError(InputError):
     """Malformed or inconsistent topology document."""
 
 
@@ -92,18 +94,13 @@ def link_capacity(length_km, alpha, beta_db_per_km, repetition_time_s, multiplex
     """EPR generation rate of one link in pairs/second.
 
     Rate = multiplex * (2 * 10^(-0.1*beta*d) * alpha) / T. Zero length is
-    allowed (eta = 1); everything else must be positive.
+    allowed (eta = 1); everything else must be positive, and all finite.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    if repetition_time_s <= 0.0:
-        raise ValueError(f"repetition time must be positive, got {repetition_time_s}")
-    if length_km < 0.0:
-        raise ValueError(f"length must be nonnegative, got {length_km}")
-    if beta_db_per_km <= 0.0:
-        raise ValueError(f"attenuation must be positive, got {beta_db_per_km}")
-    if multiplex < 1:
-        raise ValueError(f"multiplex must be >= 1, got {multiplex}")
+    check_real("alpha", alpha, 0, 1, open_low=True)
+    check_real("repetition time", repetition_time_s, open_low=True)
+    check_real("length_km", length_km)
+    check_real("attenuation", beta_db_per_km, open_low=True)
+    check_int("multiplex", multiplex)
     eta = 10.0 ** (-0.1 * beta_db_per_km * length_km)
     # multiplex scales last so an m-fold link is exactly m times the single rate
     return multiplex * ((2.0 * eta * alpha) / repetition_time_s)
@@ -148,9 +145,9 @@ def load_topology(source: str) -> NetworkGraph:
         if kind == "param":
             if len(parts) != 3 or parts[1] not in ("T", "beta"):
                 raise TopologyError(f"line {lineno}: bad param line {text!r}")
-            value = _parse_float(parts[2], lineno, parts[1])
-            if value <= 0:
-                raise TopologyError(f"line {lineno}: param {parts[1]} must be positive")
+            value = check_real(f"line {lineno}: param {parts[1]}",
+                               _parse_float(parts[2], lineno, parts[1]), open_low=True,
+                               error=TopologyError)
             if parts[1] == "T":
                 T = value
             else:
@@ -195,19 +192,13 @@ def load_topology(source: str) -> NetworkGraph:
             if nid not in seen:
                 raise TopologyError(f"line {lineno}: link references undeclared node {nid!r}")
         length = _parse_float(parts[2], lineno, "length_km")
-        if length < 0:
-            raise TopologyError(f"line {lineno}: negative length on link {a!r}-{b!r}")
         multiplex = 1
         alpha = DEFAULT_ALPHA
         for opt in parts[3:]:
             if opt.startswith("multiplex="):
                 multiplex = _parse_int(opt.split("=", 1)[1], lineno, "multiplex")
-                if multiplex < 1:
-                    raise TopologyError(f"line {lineno}: multiplex must be >= 1")
             elif opt.startswith("alpha="):
                 alpha = _parse_float(opt.split("=", 1)[1], lineno, "alpha")
-                if not 0.0 < alpha < 1.0:
-                    raise TopologyError(f"line {lineno}: alpha must lie in (0,1)")
             else:
                 raise TopologyError(f"line {lineno}: unknown link option {opt!r}")
         key = (a, b) if a <= b else (b, a)
@@ -216,7 +207,10 @@ def load_topology(source: str) -> NetworkGraph:
                 f"line {lineno}: duplicate link {a!r}-{b!r} (use multiplex= for parallel capacity)"
             )
         link_keys.add(key)
-        links.append(make_link(a, b, length, multiplex, alpha, beta, T))
+        try:  # make_link checks the link's numbers
+            links.append(make_link(a, b, length, multiplex, alpha, beta, T))
+        except InputError as exc:
+            raise TopologyError(f"line {lineno}: link {a!r}-{b!r}: {exc}") from None
 
     return NetworkGraph(
         nodes=tuple(nodes),
@@ -256,8 +250,8 @@ def engineer_repeaters(graph: NetworkGraph, threshold_km: float, spacing_km: flo
     last; capacities are recomputed per segment. Idempotent: inserted node
     ids are deterministic functions of the original endpoints.
     """
-    if threshold_km <= 0 or spacing_km <= 0:
-        raise ValueError("threshold and spacing must be positive")
+    check_real("threshold_km", threshold_km, open_low=True)
+    spacing_km = float(check_real("spacing_km", spacing_km, open_low=True))  # JSON may give an int
     T = graph.repetition_time_s
     beta = graph.attenuation_db_per_km
     nodes = list(graph.nodes)

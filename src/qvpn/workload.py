@@ -8,15 +8,15 @@ configured ranges, and fixed or uniformly drawn rate bounds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import InputError, check_int, check_real
 from .topology import NetworkGraph
 
 
-class WorkloadError(ValueError):
+class WorkloadError(InputError):
     """Malformed or inconsistent workload document."""
 
 
@@ -26,8 +26,7 @@ class Organization:
     weight: float  # w_k
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise WorkloadError(f"org {self.id!r}: weight must be positive, got {self.weight}")
+        check_real(f"org {self.id!r}: weight", self.weight, open_low=True, error=WorkloadError)
 
 
 @dataclass(frozen=True)
@@ -43,21 +42,16 @@ class UserPair:
         a, b = self.endpoints
         if a == b:
             raise WorkloadError(f"pair in org {self.org_id!r}: endpoints must differ, got {a!r}")
-        if self.weight <= 0:
-            raise WorkloadError(f"pair {a!r}-{b!r}: weight must be positive")
-        if not 0.25 < self.fidelity_threshold < 1.0:
-            raise WorkloadError(
-                f"pair {a!r}-{b!r}: fidelity threshold must lie in (0.25,1), "
-                f"got {self.fidelity_threshold}"
-            )
-        if not 0 <= self.r_min <= self.r_max:
-            raise WorkloadError(
-                f"pair {a!r}-{b!r}: need 0 <= R_min <= R_max, got {self.r_min}, {self.r_max}"
-            )
+        where = f"pair {a!r}-{b!r}:"
+        check_real(f"{where} weight", self.weight, open_low=True, error=WorkloadError)
+        check_real(f"{where} fidelity threshold", self.fidelity_threshold, 0.25, 1,
+                   open_low=True, error=WorkloadError)
         # an infinite R_max leaves a pair unbounded; an infinite R_min row
         # could never be met, and no LP takes a non-finite bound
-        if not math.isfinite(self.r_min):
-            raise WorkloadError(f"pair {a!r}-{b!r}: R_min must be finite, got {self.r_min}")
+        check_real(f"{where} R_min", self.r_min, error=WorkloadError)
+        check_real(f"{where} R_max", self.r_max, open_high=False, error=WorkloadError)
+        if self.r_min > self.r_max:
+            raise WorkloadError(f"{where} need R_min <= R_max, got {self.r_min}, {self.r_max}")
 
     @property
     def key(self):
@@ -75,6 +69,21 @@ class WorkloadParams:
     r_min: float = 10.0
     r_max: float = 1000.0
     random_r_max: bool = False  # draw R_max ~ Unif[10, r_max] per pair
+
+    def __post_init__(self):
+        for name in ("num_orgs", "pairs_per_org", "hop_cap"):
+            check_int(name, getattr(self, name))
+        for name in ("org_weight_range", "pair_weight_range", "fidelity_range"):
+            bounds = getattr(self, name)
+            if not isinstance(bounds, (tuple, list)) or len(bounds) != 2:
+                raise InputError(f"{name} must be two numbers, got {bounds!r}")
+            # a tuple, so that a JSON list reprs (and hashes) as the default does
+            object.__setattr__(self, name, tuple(check_real(name, b, open_low=True)
+                                                 for b in bounds))
+        check_real("r_min", self.r_min)
+        check_real("r_max", self.r_max, open_low=True, open_high=False)  # inf: no R_max rows
+        if not isinstance(self.random_r_max, bool):
+            raise InputError(f"random_r_max must be true or false, got {self.random_r_max!r}")
 
 
 @dataclass(frozen=True)

@@ -671,6 +671,13 @@ def test_workload_params_and_source_types_exit_2(tmp_path, capsys):
     for source in (["baseline"], "baseline", None):
         assert rc("allocate", "src.json", _base(topo, wlf), source=source) == 2, source
         assert "config error" in capsys.readouterr().err
+    # these used to exit 1 with an AttributeError or a TypeError
+    for sweep in ([1, 2], {"axis": "k", "values": 5}):
+        assert rc("report", "sweep.json", _base(topo, wlf), sweep=sweep) == 2, sweep
+        assert "config error" in capsys.readouterr().err
+    for key in ("topology", "workload"):
+        assert rc("paths", "path.json", dict(_base(topo, wlf), **{key: 5})) == 2, key
+        assert "config error" in capsys.readouterr().err
 
 
 def test_unparseable_config_exits_2(tmp_path, capsys):
@@ -690,7 +697,7 @@ def test_infinite_r_min_workload_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "R_min must be finite" in err
+    assert "config error" in err and "R_min must be a finite number" in err
     assert not (out / "manifest.json").exists()
 
 
@@ -757,3 +764,75 @@ def test_fmt_cell_rules():
         _fmt("a,b")
     with pytest.raises(ValueError):
         _fmt("a\nb")
+
+
+def test_malformed_topology_and_selection_files_exit_2(tmp_path, capsys):
+    # both used to exit 1 ("TopologyError: ..." and "ValueError: selection line 2: ...")
+    topo, wlf = _triangle_files(tmp_path)
+    bad_topo = tmp_path / "bad.topo"
+    bad_topo.write_text("qvpn-topology v1\nnode a\nlink a b 5.0\n")
+    out = tmp_path / "out"
+    cfg = _config(tmp_path, "cap.json", _base(bad_topo))
+    assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: topology file" in err and "undeclared node 'b'" in err
+    for line in ("select org1 A B path A Z B threshold 0.9 max_rounds 20",
+                 "select org1 A B path A B threshold 0.9 max_rounds 2.5",
+                 "select org1 A B path A B threshold nan max_rounds 20"):
+        sel = tmp_path / "bad.sel"
+        sel.write_text(f"qvpn-selection v1\n{line}\n")
+        cfg = _config(tmp_path, "alloc.json", _base(topo, wlf), source={"selection": str(sel)})
+        assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2, line
+        assert "config error: selection file" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_boolean_keys_need_json_booleans(tmp_path, capsys):
+    # "false" used to write the fairness CSVs and "no" the gnuplot scripts
+    topo, wlf = _triangle_files(tmp_path)
+    for command, key, value in (("report", "fairness", "false"), ("report", "fairness", 0),
+                                ("report", "emit_plots", "no"), ("capacity", "emit_plots", 1)):
+        out = tmp_path / f"{key}-{value}"
+        cfg = _config(tmp_path, "bool.json", _base(topo, wlf), **{key: value})
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, (key, value)
+        assert f"'{key}' must be true or false" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+    out = tmp_path / "off"
+    cfg = _config(tmp_path, "bool.json", _base(topo, wlf), fairness=False, emit_plots=False)
+    assert main(["report", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "sweep.csv"]
+
+
+def test_values_the_library_refuses_exit_2(tmp_path, capsys):
+    # the CLI checks no number itself: each of these is refused by the type
+    # that takes it, and reported as a config error before any search
+    topo, wlf = _triangle_files(tmp_path)
+    params = {"num_orgs": 1, "pairs_per_org": 1}
+    out = tmp_path / "out"
+
+    def rc(command, base, **extra):
+        cfg = _config(tmp_path, "lib.json", base, **extra)
+        code = main([command, "--config", str(cfg), "--out", str(out)])
+        assert "config error" in capsys.readouterr().err, (command, extra)
+        return code
+
+    for bad in ({"num_orgs": 0}, {"pairs_per_org": 0}, {"pairs_per_org": 2.5},
+                {"num_orgs": True}, {"hop_cap": 0}):
+        for command in ("paths", "report"):
+            assert rc(command, _base(topo), workload_params=dict(params, **bad)) == 2, bad
+    for sweep in ({"axis": "pairs_per_org", "values": [0, 1]},
+                  {"axis": "r_max", "values": [-1.0, 10.0]},
+                  {"axis": "strategy_count", "values": [True, 2]}):
+        assert rc("report", _base(topo), workload_params=params, sweep=sweep) == 2, sweep
+    assert rc("report", _base(topo, wlf), seeds=[0.5]) == 2
+    for value in (float("nan"), -1, True):
+        assert rc("ga", _base(topo, wlf), baseline_threshold=value) == 2, value
+        assert rc("report", _base(topo, wlf), baseline_threshold=value) == 2, value
+    # a weight of nan used to fail at the LP ("LP objective must be finite", exit 1)
+    for lines in ("org org1 nan\npair org1 A B 0.5 0.7 0.0 10.0",
+                  "org org1 inf\npair org1 A B 0.5 0.7 0.0 10.0",
+                  "org org1 1.0\npair org1 A B nan 0.7 0.0 10.0"):
+        bad_wl = tmp_path / "bad.workload"
+        bad_wl.write_text(f"qvpn-workload v1\n{lines}\n")
+        assert rc("allocate", _base(topo, bad_wl), source={"baseline": "hop"}) == 2, lines
+    assert not (out / "manifest.json").exists()

@@ -105,10 +105,11 @@ def _reference_generate(graph, params, seed):
 def test_generation_matches_per_call_bfs(net10):
     net50 = bundled_topology()
     for graph in (net10, net50):
-        for hop_cap in (0, 1, 2, 3, 4, 7, 30):
+        for hop_cap in (1, 2, 3, 4, 7, 30):
             for seed in range(3):
-                params = WorkloadParams(num_orgs=2, pairs_per_org=4, hop_cap=hop_cap,
-                                        random_r_max=seed == 2)
+                # net10 has 14 pairs within one hop: 20 takes the "only" route there
+                params = WorkloadParams(num_orgs=2, pairs_per_org=20 if hop_cap == 1 else 4,
+                                        hop_cap=hop_cap, random_r_max=seed == 2)
                 try:
                     want = _reference_generate(graph, params, seed)
                 except WorkloadError:
@@ -193,7 +194,7 @@ def test_duplicate_pair_keys_are_rejected():
 def test_infinite_r_min_is_rejected():
     # an R_min row of inf fails every LP with a column for the pair
     doc = "qvpn-workload v1\norg org1 1.0\n"
-    with pytest.raises(WorkloadError, match="R_min must be finite"):
+    with pytest.raises(WorkloadError, match="R_min must be a finite number"):
         load_workload(doc + "pair org1 A B 0.5 0.7 inf inf\n")
     with pytest.raises(WorkloadError, match="R_min"):
         UserPair("org1", ("A", "B"), weight=0.5, fidelity_threshold=0.7,
