@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .checks import check_int
+from .checks import InputError, check_int
 from .quantum_math import DEFAULT_NOISE, NoiseParams, path_overhead_per_link
 
 
@@ -147,7 +147,8 @@ class LpCompiler:
     one numpy gather. Every LP takes that one route: compile is
     column_ids plus gather, for a solve; wegr_of_selection gathers and
     solves for a search's W-EGR. A search holds one compiler and makes
-    both calls through it, so no column is computed twice.
+    both calls through it, so no column is computed twice. non_dominated
+    compares a path's strategies by the overheads _fill writes.
     """
 
     def __init__(self, graph, workload, noise: NoiseParams = DEFAULT_NOISE, p_max: int = 3):
@@ -229,15 +230,16 @@ class LpCompiler:
     def column_ids(self, selection) -> np.ndarray:
         """Pool ids of a {pair_key: [(CandidatePath, DistillationStrategy), ...]}
         selection's choices, in order, each pair keeping the first
-        occurrence of a repeated path. Raises ValueError on an unknown pair,
-        more than p_max paths in a pair, or mismatched endpoints."""
+        occurrence of a repeated path. Raises InputError on an unknown pair
+        or more than p_max paths in a pair, and ValueError on mismatched
+        endpoints."""
         ids = []
         for pair_key, choices in selection.items():
             pair = self._pairs.get(pair_key)
             if pair is None:
-                raise ValueError(f"selection references unknown pair {pair_key}")
+                raise InputError(f"selection references unknown pair {pair_key}")
             if len(choices) > self.p_max:
-                raise ValueError(
+                raise InputError(
                     f"pair {pair_key} selects {len(choices)} paths, cap is {self.p_max}")
             seen = []  # at most p_max link tuples
             for path, strategy in choices:
@@ -246,43 +248,72 @@ class LpCompiler:
                     ids.append(self._id_of(pair, pair_key, path, strategy))
         return np.array(ids, dtype=np.intp)
 
+    def _overheads(self, threshold, path, strategy):
+        """{base fidelity: overhead g} over the distinct link fidelities of
+        path under strategy, for a pair of fidelity threshold threshold; None
+        when a distillation stage is infeasible. The links of a path differ
+        only in base fidelity, so path_overhead_per_link is asked once per
+        fidelity, not once per link. _fill writes these values into the LP,
+        and non_dominated compares them."""
+        hops, links = path.hop_count, self._links
+        overheads = {}
+        for lk in path.link_keys:
+            fidelity = links[lk][1]
+            if fidelity not in overheads:
+                res = path_overhead_per_link(fidelity, hops, strategy, threshold, self.noise)
+                if not res.feasible:
+                    return None
+                overheads[fidelity] = res.overhead
+        return overheads
+
+    def non_dominated(self, pair_key, path, strategies) -> list:
+        """For each of strategies on pair_key's path, the index of its
+        stand-in: the first non-dominated strategy whose overhead is no
+        larger on every link, None when the path has no feasible strategy.
+        A feasible strategy dominates every infeasible one, and one whose
+        overheads are no smaller on every link and larger on one or at a
+        higher index. Only the overheads of a column depend on its
+        strategy, so swapping a column for its stand-in never lowers a
+        selection's W-EGR nor makes it infeasible."""
+        threshold = self._pair_rows[pair_key][0]
+        table = [self._overheads(threshold, path, s) for s in strategies]
+        width = len({self._links[lk][1] for lk in path.link_keys})
+        # one row per strategy, one overhead per fidelity; inf where infeasible
+        g = np.array([[math.inf] * width if t is None else list(t.values())
+                      for t in table]).reshape(len(table), width)
+        feasible = np.array([t is not None for t in table])
+        # no_larger[a, b]: a's overheads are <= b's on every link
+        no_larger = (g[:, None, :] <= g[None, :, :]).all(axis=-1)
+        order = np.arange(len(table))
+        beats = feasible[:, None] & no_larger & (~no_larger.T | (order[:, None] < order))
+        kept = feasible & ~beats.any(axis=0)
+        stands_in = no_larger & kept[:, None]
+        return [int(a) if stands_in[a, b] else None
+                for b, a in enumerate(stands_in.argmax(axis=0).tolist())]
+
     def _fill(self, ids):
         """Compute the columns of ids (distinct, none computed yet) into the
-        pool. A column has the capacity rows of its links, ascending, then
-        its pair's rows; a choice with an infeasible distillation stage has
-        no entries. path_overhead_per_link gives each link's overhead; the
-        links of a column differ only in base fidelity, so each column asks
-        it once per distinct fidelity, not once per link."""
-        links, pair_rows, noise = self._links, self._pair_rows, self.noise
-        q = noise.swap_success_prob
+        pool. A column has the capacity rows of its links, ascending, with
+        the overheads _overheads gives, then its pair's rows; a choice with
+        an infeasible distillation stage has no entries."""
+        links, pair_rows = self._links, self._pair_rows
+        q = self.noise.swap_success_prob
         codes, coeffs, count, weights = [], [], [], []
         for column in ids.tolist():
             pair_key, path, strategy = self._choices[column]
             threshold, weight, pair_codes, pair_coeffs = pair_rows[pair_key]
-            hops = path.hop_count
-            overhead = {}  # capacity row -> g
-            at_fidelity = {}  # base fidelity -> g
-            for lk in path.link_keys:
-                row, fidelity = links[lk]
-                g = at_fidelity.get(fidelity)
-                if g is None:
-                    res = path_overhead_per_link(fidelity, hops, strategy, threshold, noise)
-                    if not res.feasible:
-                        overhead = None
-                        break
-                    g = at_fidelity[fidelity] = res.overhead
-                overhead[row] = g
-            if overhead is None:
+            overheads = self._overheads(threshold, path, strategy)
+            if overheads is None:
                 count.append(0)
                 weights.append(0.0)
                 continue
-            rows = sorted(overhead)
-            codes += rows
+            rows = sorted(links[lk] for lk in path.link_keys)
+            codes += [row for row, _ in rows]
             codes += pair_codes
-            coeffs += [overhead[r] for r in rows]
+            coeffs += [overheads[fidelity] for _, fidelity in rows]
             coeffs += pair_coeffs
             count.append(len(rows) + len(pair_codes))
-            weights.append(weight * q ** (hops - 1))
+            weights.append(weight * q ** (path.hop_count - 1))
         count = np.array(count, dtype=np.intp)
         start, end = self._entries, self._entries + len(codes)
         self._codes = _grown(self._codes, end)

@@ -343,7 +343,7 @@ def cmd_ga(config, out_dir):
         "fitness_helper": trace.fitness_helper,
         "generations": ga_config.generations,
         "seconds": result.seconds,
-        "pool_fill_seconds": trace.pool_fill_seconds,  # part of seconds, before generation 0
+        "pool_fill_seconds": trace.pool_fill_seconds,  # part of seconds: GaProblem's columns
         "generation_seconds": trace.seconds,
         "breed_seconds": trace.breed_seconds,
         "outputs": outputs,

@@ -1,18 +1,21 @@
-"""Genetic search over joint (path, distillation strategy) assignments.
+"""Genetic search over path and distillation strategy assignments.
 
-A genome is a flat list of (path index, strategy index) genes, p_max slots
-per user pair in a fixed pair order. Fitness is the W-EGR of the decoded
-selection through the allocation LP; infeasible selections score 0 so the
-search can walk out of infeasible regions. Fitness never decodes: each gene
-is an id in the compiler's column pool, and the LP is gathered from it.
-Random streams are derived per (seed, generation, slot), so results do not
-depend on evaluation order. evolve holds a generation as one (population,
-pairs, p_max, 2) integer array and breeds all of its children at once,
-reading each child's stream as numpy's Generator would read it (see
-_Streams). Where the process may use two CPUs and fork, evolve solves
-every other LP miss of a generation on one forked helper process, which
-inherits the column pool evolve fills before generation 0; each LP is a
-pure function of its pool ids, so the trace does not change.
+A strategy changes only a column's per-link overheads, so on each
+candidate path only the strategies that no other dominates are worth a
+search (LpCompiler.non_dominated). A genome is a flat tuple of genes,
+p_max slots per user pair in a fixed pair order; a gene indexes its
+pair's non-dominated columns, in candidate order and then catalog order.
+Fitness is the W-EGR of the selection through the allocation LP;
+infeasible selections score 0 so the search can walk out of infeasible
+regions. Fitness never decodes: each gene is an id in the compiler's
+column pool, and the LP is gathered from it. evolve holds a generation as
+one (population, pairs, p_max) integer array and breeds all of its
+children at once from one numpy Generator per generation,
+default_rng([seed, generation]), so results do not depend on evaluation
+order. Where the process may use two CPUs and fork, evolve solves every
+other LP miss of a generation on one forked helper process, which
+inherits the column pool GaProblem fills; each LP is a pure function of
+its pool ids, so the trace does not change.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .quantum_math import DEFAULT_NOISE
 
 @dataclass(frozen=True)
 class Genome:
-    genes: tuple  # ((path_idx, strategy_idx), ...) of length num_pairs * p_max
+    genes: tuple  # one column index per slot, num_pairs * p_max of them
 
 
 @dataclass(frozen=True)
@@ -86,7 +89,7 @@ class GaTrace:
     lp_solves: int = 0
     fitness_calls: int = 0  # genomes scored, cache hits included
     fitness_helper: bool = False  # a forked helper solved every other miss
-    # computing the layout's columns before generation 0, in no generation's seconds
+    # GaProblem finding and computing its columns, in no generation's seconds
     pool_fill_seconds: float = 0.0
 
 
@@ -110,11 +113,13 @@ def dynamic_schedule(generation: int, total: int, config: GaConfig = GaConfig())
 class GaProblem:
     """Evaluation context: decode genomes, cache LP fitness by canonical selection.
 
-    The compiler's column pool numbers the whole layout at init, in pair
-    order, then candidate order, then catalog order, so the pool id of a
-    (pair, path, strategy) gene is the pair's base id plus path index times
-    the catalog size plus strategy index. fitness keeps the ids of each
-    pair's first occurrence of each path, in slot order.
+    At init the compiler's column pool numbers each pair's non-dominated
+    columns (LpCompiler.non_dominated over the catalog), in pair order,
+    then candidate order, then catalog order, and computes them; so gene g
+    of a pair is pool id pair base + g. A pair whose candidate paths have no
+    feasible strategy is left out of pair_order, as a pair without
+    candidates is; its R_min row still lives in the LP. fitness keeps the
+    ids of each pair's first occurrence of each path, in slot order.
     """
 
     def __init__(self, graph, workload, candidates, catalog, noise=DEFAULT_NOISE, p_max=3):
@@ -123,37 +128,60 @@ class GaProblem:
         self.catalog = list(catalog)
         if not self.catalog:
             raise ValueError("the strategy catalog is empty")
+        if len(set(self.catalog)) < len(self.catalog):
+            raise ValueError("catalog strategies repeat")
         self.noise = noise
         self.p_max = p_max
-        # pairs with empty candidate sets are excluded up front; their R_min
-        # rows still live in the LP and decide feasibility
-        self.pair_order = [p.key for p in workload.user_pairs if candidates.get(p.key)]
-        self.candidates = {k: list(candidates[k]) for k in self.pair_order}
         self.compiler = LpCompiler(graph, workload, noise, p_max)
         self._cache = {}
         self.lp_solves = 0
-        layout = [(k, path, strategy) for k in self.pair_order
-                  for path in self.candidates[k] for strategy in self.catalog]
-        if [self.compiler.column_id(*c) for c in layout] != list(range(len(layout))):
-            raise ValueError("candidate paths or catalog strategies repeat")
-        self._layout_size = len(layout)
-        num_paths = np.array([len(self.candidates[k]) for k in self.pair_order], dtype=np.intp)
-        # per (pair, slot): the pair's base id and its path count
-        pair_base = (np.cumsum(num_paths) - num_paths) * len(self.catalog)
-        self._slot_base = np.repeat(pair_base, p_max).reshape(-1, p_max)
-        self._slot_limit = np.repeat(num_paths, p_max).reshape(-1, p_max)
-        self._slot_paths = self._slot_limit.ravel().tolist()
+        start = time.perf_counter()
+        self.pair_order, self.candidates = [], {}
+        # pair key -> per candidate path, per catalog strategy: the gene of
+        # the strategy's stand-in, or None when the path has no feasible one
+        self._stand_ins = {}
+        column_path = []  # per pool id: its path's index among the pair's candidates
+        num_columns = []
+        for key in (p.key for p in workload.user_pairs):
+            paths = list(candidates.get(key) or ())
+            base = len(column_path)
+            stand_ins = []
+            for path_idx, path in enumerate(paths):
+                stand_in = self.compiler.non_dominated(key, path, self.catalog)
+                gene = {}  # kept strategy index -> gene
+                for s, t in enumerate(stand_in):
+                    if s == t:
+                        column = self.compiler.column_id(key, path, self.catalog[s])
+                        if column != len(column_path):
+                            raise ValueError(f"pair {key}: candidate paths repeat")
+                        gene[s] = column - base
+                        column_path.append(path_idx)
+                stand_ins.append([None if t is None else gene[t] for t in stand_in])
+            if len(column_path) > base:
+                self.pair_order.append(key)
+                self.candidates[key] = paths
+                self._stand_ins[key] = stand_ins
+                num_columns.append(len(column_path) - base)
+        self._layout_size = len(column_path)
+        self.compiler.fill(np.arange(self._layout_size))
+        # finding the non-dominated columns and computing them
+        self.fill_seconds = time.perf_counter() - start
+        self._column_path = np.array(column_path, dtype=np.intp)
+        num_columns = np.array(num_columns, dtype=np.intp)
+        # per (pair, slot): the pair's base id and its column count
+        self._slot_base = np.repeat(np.cumsum(num_columns) - num_columns, p_max).reshape(-1, p_max)
+        self._slot_limit = np.repeat(num_columns, p_max).reshape(-1, p_max)
 
     def genome_length(self):
         return len(self.pair_order) * self.p_max
 
     def gene_space(self, slot):
-        """(num paths, num strategies) valid at a given gene slot."""
-        return self._slot_paths[slot], len(self.catalog)
+        """The number of genes valid at a gene slot: its pair's columns."""
+        return int(self._slot_limit.flat[slot])
 
     def decode(self, genome: Genome):
-        """Genome -> {pair_key: [(path, strategy), ...]}; duplicate path
-        indices within a pair keep their first occurrence."""
+        """Genome -> {pair_key: [(path, strategy), ...]}; a path repeated
+        within a pair keeps its first occurrence."""
         selection = {k: [] for k in self.pair_order}
         for column in self._keyed(self._gene_array([genome])).ids(0).tolist():
             pair_key, path, strategy = self.compiler.choice(column)
@@ -161,35 +189,33 @@ class GaProblem:
         return selection
 
     def _gene_array(self, genomes) -> np.ndarray:
-        """The (len(genomes), pairs, p_max, 2) gene array of Genomes, each
+        """The (len(genomes), pairs, p_max) gene array of Genomes, each
         checked against the problem encoding and the gene space."""
         length = self.genome_length()
         for genome in genomes:
             if len(genome.genes) != length:
                 raise ValueError("genome length does not match the problem encoding")
-        flat = chain.from_iterable(chain.from_iterable(g.genes for g in genomes))
-        genes = np.fromiter(flat, dtype=np.intp, count=2 * length * len(genomes))
-        genes = genes.reshape(len(genomes), *self._slot_limit.shape, 2)
-        paths, strats = genes[..., 0], genes[..., 1]
-        valid = ((0 <= paths) & (paths < self._slot_limit)
-                 & (0 <= strats) & (strats < len(self.catalog)))
+        flat = chain.from_iterable(g.genes for g in genomes)
+        genes = np.fromiter(flat, dtype=np.intp, count=length * len(genomes))
+        genes = genes.reshape(len(genomes), *self._slot_limit.shape)
+        valid = (0 <= genes) & (genes < self._slot_limit)
         bad = np.flatnonzero(~valid.reshape(len(genomes), -1).all(axis=1))
         if bad.size:
             raise ValueError(f"gene outside the gene space in {genomes[bad[0]].genes}")
         return genes
 
     def _keyed(self, genes: np.ndarray) -> "_Keyed":
-        """Pool ids and cache keys of a (n, pairs, p_max, 2) gene array.
+        """Pool ids and cache keys of a (n, pairs, p_max) gene array.
 
         A genome's LP takes the ids of each pair's first occurrence of each
         path, in pair order and then slot order. Its cache key is the bytes
         of its ids sorted within each pair, a repeated path's slot reading
         -1: permuted slots share a key, and so do repeated paths."""
-        paths, strats = genes[..., 0], genes[..., 1]
+        columns = self._slot_base + genes
+        paths = self._column_path[columns]
         first = np.ones(paths.shape, dtype=bool)
         for j in range(1, self.p_max):
             first[..., j] = (paths[..., :j] != paths[..., j:j + 1]).all(axis=-1)
-        columns = self._slot_base + paths * len(self.catalog) + strats
         rows = np.sort(np.where(first, columns, -1), axis=-1).reshape(len(genes), -1)
         return _Keyed(genes, columns, first, [row.tobytes() for row in rows])
 
@@ -198,8 +224,8 @@ class GaProblem:
         return wegr_of_selection(self.compiler, ids)
 
     def fitness(self, genome) -> float:
-        """Cached W-EGR of one genome: a Genome, or its (pairs, p_max, 2)
-        gene array."""
+        """Cached W-EGR of one genome: a Genome, or its (pairs, p_max) gene
+        array."""
         genes = self._gene_array([genome]) if isinstance(genome, Genome) else genome[None]
         return self.fitnesses(self._keyed(genes), partial(_solve_each, self))[0]
 
@@ -224,32 +250,36 @@ class GaProblem:
         return [self._cache[key] for key in keyed.keys]
 
     def encode_selection(self, selection) -> Genome:
-        """Inverse of decode for seeding: pad unused slots by repeating the
-        first pick (duplicates collapse back out at decode time). Raises
-        ValueError naming the pair when a pick is not one of its candidate
-        paths with a catalog strategy."""
+        """Inverse of decode for seeding, up to dominance: each pick becomes
+        the gene of its stand-in (LpCompiler.non_dominated), so the seeded
+        genome scores no less than the selection. A pick on a path without
+        a feasible strategy adds no column to any LP and is left out. Unused
+        slots repeat the pair's first gene (duplicates collapse back out at
+        decode time), gene 0 when none is left. Raises ValueError naming the
+        pair when a pick is not one of its candidate paths with a catalog
+        strategy."""
+        strategy_index = {s: i for i, s in enumerate(self.catalog)}
         genes = []
-        for i, pair_key in enumerate(self.pair_order):
+        for pair_key in self.pair_order:
+            path_index = {p.link_keys: i for i, p in enumerate(self.candidates[pair_key])}
             slots = []
             for path, strategy in selection.get(pair_key, [])[: self.p_max]:
-                # the pool is keyed by pair, so a layout id is one of this pair's
-                column = self.compiler.find_id(pair_key, path, strategy)
-                if column is None or column >= self._layout_size:
+                p, s = path_index.get(path.link_keys), strategy_index.get(strategy)
+                if p is None or s is None:
                     raise ValueError(f"pair {pair_key}: path {path.nodes} with link "
                                      f"threshold {strategy.link_threshold} is not among "
                                      "its candidate paths and catalog strategies")
-                slots.append(divmod(column - int(self._slot_base[i, 0]), len(self.catalog)))
-            if not slots:
-                slots = [(0, 0)]
-            while len(slots) < self.p_max:
-                slots.append(slots[0])
-            genes.extend(slots)
+                gene = self._stand_ins[pair_key][p][s]
+                if gene is not None:
+                    slots.append(gene)
+            slots = slots or [0]
+            genes += slots + slots[:1] * (self.p_max - len(slots))
         return Genome(tuple(genes))
 
 
 class _Keyed(NamedTuple):
     """GaProblem._keyed of a gene array."""
-    genes: np.ndarray  # (n, pairs, p_max, 2)
+    genes: np.ndarray  # (n, pairs, p_max)
     columns: np.ndarray  # (n, pairs, p_max) pool id of each slot
     first: np.ndarray  # (n, pairs, p_max) the slot holds its path's first occurrence
     keys: list  # the cache key of each genome
@@ -261,49 +291,26 @@ class _Keyed(NamedTuple):
 
 def _genome_of(genes: np.ndarray) -> Genome:
     """The Genome of one genome's gene array, in Python ints."""
-    return Genome(tuple(map(tuple, genes.reshape(-1, 2).tolist())))
+    return Genome(tuple(genes.ravel().tolist()))
 
 
 def _scoring_error(exc: SolverError, genome: Genome) -> SolverError:
     return SolverError(f"{exc} (while scoring genome {genome.genes})")
 
 
-def random_genome(problem: GaProblem, rng) -> Genome:
-    """A uniform random genome: per slot, integers(paths) then
-    integers(strategies) of rng. initialize_population draws the same genes
-    through _Streams."""
-    genes = []
-    for slot in range(problem.genome_length()):
-        n_paths, n_strats = problem.gene_space(slot)
-        genes.append((int(rng.integers(n_paths)), int(rng.integers(n_strats))))
-    return Genome(tuple(genes))
-
-
 def initialize_population(problem: GaProblem, config: GaConfig, seed_heuristics=()):
-    """Population of size N: injected heuristic genomes, then uniform random."""
+    """Population of size N: injected heuristic genomes, then uniform random
+    genes from default_rng([seed, 0])."""
     heur = [problem.encode_selection(sel) for sel in seed_heuristics]
     if config.population_size < len(heur):
         raise ValueError(
             f"population size {config.population_size} below the "
             f"{len(heur)} injected heuristics"
         )
-    seeds = [[config.seed, 0, i] for i in range(config.population_size - len(heur))]
-    genes = _random_genes(seeds, problem._slot_paths, len(problem.catalog))
+    limit = problem._slot_limit
+    rng = np.random.default_rng([config.seed, 0])
+    genes = rng.integers(limit, size=(config.population_size - len(heur), *limit.shape))
     return heur + [_genome_of(g) for g in genes]
-
-
-def _random_genes(seeds, slot_paths, num_strats) -> np.ndarray:
-    """The (len(seeds), slots, 2) genes random_genome draws from
-    default_rng(seed) for each seed, on slots with slot_paths[i] paths and
-    num_strats strategies each: slot by slot, the path then the strategy."""
-    # two halves per slot, one word, but for Lemire rejections
-    streams = _Streams(seeds, len(slot_paths))
-    rows = np.arange(len(seeds))
-    genes = np.empty((len(seeds), len(slot_paths), 2), dtype=np.intp)
-    for slot, n_paths in enumerate(slot_paths):
-        genes[:, slot, 0] = streams.integers(rows, n_paths)
-        genes[:, slot, 1] = streams.integers(rows, num_strats)
-    return genes
 
 
 def _schedule_for(config: GaConfig, generation: int):
@@ -323,141 +330,30 @@ def _pool_weights(pool, fitnesses, proportional):
     return None
 
 
-class _Streams:
-    """One random stream per row, read in step over all rows as numpy's
-    Generator reads its bit generator, for the draws breeding makes.
-
-    Row r is the PCG64 of seeds[r], so default_rng(seeds[r]) would draw the
-    same values: random() is (w >> 11) * 2**-53 of the next 64-bit word w.
-    integers(n), for 2 <= n < 2**32, takes 32-bit halves by Lemire's
-    method, rejections included: the low half of a fresh word, then that
-    word's high half at the next such draw, whatever doubles come between.
-    integers(1) draws nothing.
-
-    Each row starts with width + 1 words: width must cover the caller's
-    draws but for Lemire rejections, and the spare word lets a row that
-    holds a half index its next word. A rejection reads one half more, so
-    each one draws every row one more word. A read past the words raises
-    IndexError."""
-
-    def __init__(self, seeds, width: int):
-        self._bitgens = [np.random.PCG64(seed) for seed in seeds]
-        self._words = np.empty((len(seeds), width + 1), dtype=np.uint64)
-        for row, bitgen in zip(self._words, self._bitgens):
-            row[:] = bitgen.random_raw(width + 1)
-        self._doubles = (self._words >> 11) * 2.0 ** -53
-        self._below = None  # (p, flat positions of the doubles below p)
-        self.pos = np.zeros(len(seeds), dtype=np.intp)  # each row's next unread word
-        self._held = np.zeros(len(seeds), dtype=bool)  # a high half is waiting
-        self._high = np.zeros(len(seeds), dtype=np.uint64)
-
-    def _widen(self) -> None:
-        """Draw every row one more word."""
-        more = np.stack([bg.random_raw(1) for bg in self._bitgens])
-        self._words = np.hstack((self._words, more))
-        self._doubles = (self._words >> 11) * 2.0 ** -53
-        self._below = None
-
-    def doubles(self, rows) -> np.ndarray:
-        """random() of each row."""
-        pos = self.pos[rows]
-        self.pos[rows] = pos + 1
-        return self._doubles[rows, pos]
-
-    def _halves(self, rows) -> np.ndarray:
-        """The next 32-bit half of each row, as uint64."""
-        held, pos = self._held[rows], self.pos[rows]
-        word = self._words[rows, pos]
-        out = np.where(held, self._high[rows], word & 0xFFFFFFFF)
-        self._high[rows] = word >> 32
-        self._held[rows] = ~held
-        self.pos[rows] = pos + ~held
-        return out
-
-    def integers(self, rows, n) -> np.ndarray:
-        """integers(n) of each row, for bounds n (one, or one per row) in
-        [1, 2**32)."""
-        n = np.asarray(n, dtype=np.uint64)
-        if n.ndim == 0:
-            n = np.full(len(rows), n)
-        out = np.zeros(len(rows), dtype=np.intp)
-        todo = np.flatnonzero(n > 1)
-        while todo.size:
-            bound = n[todo]
-            m = self._halves(rows[todo]) * bound
-            out[todo] = m >> 32
-            # Lemire: reject while the low half is below 2**32 mod n
-            todo = todo[(m & 0xFFFFFFFF) < (2 ** 32 - bound) % bound]
-            for _ in range(todo.size):
-                self._widen()
-        return out
-
-    def count_until_below(self, rows, p: float, limit) -> np.ndarray:
-        """Read each row's doubles until one is below p, at most limit[i]
-        for row i; the number read before that one, or limit[i] when none
-        is."""
-        width = self._words.shape[1]
-        if self._below is None or self._below[0] != p:
-            # a final sentinel past every row, so each search finds a position
-            below = np.append(np.flatnonzero(self._doubles < p), self._doubles.size)
-            self._below = p, below
-        below = self._below[1]
-        pos = self.pos[rows]
-        if (pos + limit > width).any():
-            raise IndexError("a stream read past its words")
-        # the next position below p in row-major order; one in a later row
-        # lies at least limit ahead
-        at = rows * width + pos
-        count = np.minimum(below[np.searchsorted(below, at)] - at, limit)
-        self.pos[rows] = pos + count + (count < limit)
-        return count
-
-
-def _breed(seeds, genes, pool, weights, cross_prob, mut_prob,
-           slot_paths, num_strats) -> np.ndarray:
-    """The children bred from a (population, pairs, p_max, 2) gene array, one
-    per seed, on the flat list of slots. Each draws from the stream of its
-    seed, in this order: two parents from the pool (a double each,
-    searched in the normalised cumulative weights as Generator.choice
-    searches; or integers(len(pool)) each when weights is None), the
-    crossover coin, the cut integers(1, slots) when the coin falls below
-    cross_prob and there are two slots or more, and then for each slot in
-    turn a mutation coin and, when it falls below mut_prob, a coin for the
-    path side (below 0.5) or strategy side and integers(n) of that side's
-    n choices."""
-    length = len(slot_paths)
-    # the most words a child can read: 3 + 2 * length doubles and
-    # 3 + length halves
-    streams = _Streams(seeds, 3 + 2 * length + (length + 4) // 2)
-    rows = np.arange(len(seeds))
+def _breed(rng, count, genes, pool, weights, cross_prob, mut_prob, limit) -> np.ndarray:
+    """count children bred from a (population, pairs, p_max) gene array with
+    rng, on gene slots that each hold below limit (pairs, p_max). Each child
+    takes two parents from the pool (by weights, or uniformly when None),
+    the first one's genes before a cut and the second's from it; the cut is
+    uniform in [1, slots) with probability cross_prob and there are two
+    slots or more, else past the last slot. Each slot is then redrawn
+    uniformly with probability mut_prob. Every draw is made for all
+    children at once, whatever the coins show."""
+    length = limit.size
     pool = np.asarray(pool, dtype=np.intp)
     if weights is not None:
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
-        picks = [cdf.searchsorted(streams.doubles(rows), side="right") for _ in range(2)]
+        parents = pool[rng.choice(len(pool), size=(2, count), p=weights)]
     else:
-        picks = [streams.integers(rows, len(pool)) for _ in range(2)]
-    coin = streams.doubles(rows)
-    cut = np.full(len(rows), length)
+        parents = pool[rng.integers(len(pool), size=(2, count))]
+    cut = np.full(count, length)
     if length > 1:
-        crossing = rows[coin < cross_prob]
-        cut[crossing] = 1 + streams.integers(crossing, length - 1)
-    # each child slot's parent: the first pick before the cut, the second after
-    before = np.arange(length) < cut[:, None]
-    parent = pool[np.where(before, picks[0][:, None], picks[1][:, None])]
-    children = genes.reshape(len(genes), length, 2)[parent, np.arange(length)]
-    slot = np.zeros(len(rows), dtype=np.intp)
-    live = rows
-    while live.size:
-        at = slot[live] + streams.count_until_below(live, mut_prob, length - slot[live])
-        hit = at < length
-        live, at = live[hit], at[hit]
-        on_path = streams.doubles(live) < 0.5
-        bound = np.where(on_path, slot_paths[at], num_strats)
-        children[live, at, np.where(on_path, 0, 1)] = streams.integers(live, bound)
-        slot[live] = at + 1
-        live = live[at + 1 < length]
-    return children.reshape(len(rows), *genes.shape[1:])
+        crossing = rng.random(count) < cross_prob
+        cut = np.where(crossing, rng.integers(1, length, size=count), length)
+    flat = genes.reshape(len(genes), length)
+    children = np.where(np.arange(length) < cut[:, None], flat[parents[0]], flat[parents[1]])
+    mutated = rng.random((count, length)) < mut_prob
+    children = np.where(mutated, rng.integers(limit.ravel(), size=(count, length)), children)
+    return children.reshape(count, *limit.shape)
 
 
 def _usable_cpus() -> int:
@@ -505,18 +401,13 @@ def evolve(population, config: GaConfig, problem: GaProblem) -> GaTrace:
     that is not itself a multiprocessing child, evolve forks one helper
     process for its run. Each generation the helper solves every other
     miss and this process the rest; elsewhere this process solves them
-    all. The trace is the same on either route.
-
-    Before generation 0, and before any fork, evolve computes the column of
-    every gene in the problem's layout, so neither process computes one
-    during the generations."""
+    all. The trace is the same on either route. GaProblem has computed the
+    column of every gene, so neither process computes one during the
+    generations."""
     if len(population) != config.population_size:
         raise ValueError(f"population of {len(population)} genomes, but "
                          f"population_size is {config.population_size}")
     genes = problem._gene_array(population)
-    start = time.perf_counter()
-    problem.compiler.fill(np.arange(problem._layout_size))
-    fill_seconds = time.perf_counter() - start
     trace = None
     if _usable_cpus() >= 2:
         from . import forking  # here, so that serial runs do not import multiprocessing
@@ -529,7 +420,7 @@ def evolve(population, config: GaConfig, problem: GaProblem) -> GaTrace:
             trace.fitness_helper = True
     if trace is None:
         trace = _generations(genes, config, problem, partial(_solve_each, problem))
-    trace.pool_fill_seconds = fill_seconds
+    trace.pool_fill_seconds = problem.fill_seconds
     return trace
 
 
@@ -538,8 +429,6 @@ def _generations(genes, config: GaConfig, problem: GaProblem, solve_batch) -> Ga
     as one batch and scored by problem.fitnesses, its distinct misses
     solved by solve_batch."""
     trace = GaTrace()
-    slot_paths = problem._slot_limit.ravel()
-    num_strats = len(problem.catalog)
     children = config.population_size - config.elitism_count
 
     def score(genes, t0):
@@ -559,8 +448,9 @@ def _generations(genes, config: GaConfig, problem: GaProblem, solve_batch) -> Ga
         order = sorted(range(len(genes)), key=lambda i: (-fitnesses[i], i))
         pool = order[:max(1, int(np.ceil(pool_frac * len(genes))))]
         weights = _pool_weights(pool, fitnesses, config.mode == "dynamic")
-        seeds = [[config.seed, gen, slot] for slot in range(children)]
-        bred = _breed(seeds, genes, pool, weights, cross_prob, mut_prob, slot_paths, num_strats)
+        rng = np.random.default_rng([config.seed, gen])
+        bred = _breed(rng, children, genes, pool, weights, cross_prob, mut_prob,
+                      problem._slot_limit)
         genes = np.concatenate((genes[order[:config.elitism_count]], bred))
         fitnesses = score(genes, t0)
 

@@ -111,7 +111,8 @@ def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
                    scheme: WeightScheme, *, table=None, built: dict | None = None):
     """Up to k loopless shortest paths in nondecreasing total weight.
 
-    Returns an empty list when src and dst are disconnected. table: the
+    Returns an empty list when src and dst are disconnected, and raises
+    InputError unless k is an integer >= 1. table: the
     graph's SchemeTable for scheme, when the caller keeps one; built here
     otherwise. built: a dict from node tuple to CandidatePath that the
     caller keeps across searches; a ranked path found there is returned as
@@ -129,8 +130,7 @@ def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
     """
     if src == dst:
         raise ValueError("src and dst must differ")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_int("k", k)
     for nid in (src, dst):
         if nid not in graph.node_by_id:
             raise ValueError(f"unknown node {nid!r}")
@@ -211,9 +211,9 @@ class PathFinder:
         self._built = {}  # node tuple -> CandidatePath as Yen built it
 
     def paths(self, src: str, dst: str, k: int, scheme: WeightScheme) -> tuple:
-        """Up to k shortest src-dst CandidatePaths under scheme, in rank order."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        """Up to k shortest src-dst CandidatePaths under scheme, in rank
+        order. Raises InputError unless k is an integer >= 1."""
+        check_int("k", k)
         key = (src, dst, scheme)
         self.queries += 1
         known = self._memo.get(key)

@@ -8,6 +8,18 @@ import numpy as np
 from qvpn.topology import NetworkGraph, NodeSpec, make_link
 from qvpn.workload import Organization, UserPair, Workload
 
+# the relative slack the GA oracles of conftest allow HiGHS's tolerances
+ORACLE_RTOL = 1e-9
+
+
+def three_fidelity_copy(graph, rng):
+    """graph with each link's alpha drawn from 0.1, 0.15 and 0.2 by rng, so
+    the links of a path differ in base fidelity."""
+    return NetworkGraph(nodes=graph.nodes, links=tuple(
+        make_link(*l.endpoints, l.length_km, l.multiplex,
+                  alpha=float(rng.choice([0.1, 0.15, 0.2])))
+        for l in graph.links))
+
 
 def make_pair(org_id, a, b, weight=0.5, threshold=0.7, r_min=0.0, r_max=1e9):
     return UserPair(org_id, (a, b), weight=weight, fidelity_threshold=threshold,

@@ -36,7 +36,7 @@ from qvpn.quantum_math import (
 from qvpn.topology import NetworkGraph, NodeSpec, make_link
 from qvpn.workload import Organization, UserPair, Workload, WorkloadParams, generate_workload
 
-from qvpn_helpers import make_pair
+from qvpn_helpers import make_pair, three_fidelity_copy
 from test_acceptance import _random_bounded_lp
 
 EASY = DistillationStrategy(0.8)  # base fidelity already 0.8, so g_link = 1
@@ -428,9 +428,7 @@ def test_build_problem_matches_per_column_reference():
     net50 = bundled_topology()
     rng = np.random.default_rng(20)
     # the same topology with three link fidelities, so a column's links differ
-    mixed = NetworkGraph(nodes=net50.nodes, links=tuple(
-        make_link(*l.endpoints, l.length_km, l.multiplex, alpha=float(rng.choice([0.1, 0.15, 0.2])))
-        for l in net50.links))
+    mixed = three_fidelity_copy(net50, rng)
     catalog = [*default_strategy_catalog(), DistillationStrategy(0.998, max_rounds=1)]
     noise = NoiseParams(two_qubit_gate_fidelity=0.99, swap_success_prob=0.9)
     kept = columns = 0
@@ -671,3 +669,88 @@ def test_infeasible_rmin_row_on_both_routes(lp_route, triangle):
     prob = build_problem(triangle, one_org(pair), direct_selection(triangle, one_org(pair)))
     assert solve_lp(prob.lp) == ("infeasible", None)
     assert solve(prob).status == "infeasible"
+
+
+# ------------------------------------------------ dominated strategies
+
+
+def _pairwise_stand_ins(graph, workload, pair_key, path, strategies, noise):
+    """LpCompiler.non_dominated by brute force: every link's overhead
+    straight from path_overhead_per_link, every pair of strategies compared."""
+    pair = next(p for p in workload.user_pairs if p.key == pair_key)
+    links = graph.link_by_key
+    rows = []
+    for strategy in strategies:
+        res = [path_overhead_per_link(links[lk].base_fidelity, path.hop_count, strategy,
+                                      pair.fidelity_threshold, noise)
+               for lk in path.link_keys]
+        rows.append([r.overhead for r in res] if all(r.feasible for r in res) else None)
+
+    def no_larger(a, b):  # a feasible strategy is no larger than any infeasible one
+        return rows[b] is None or all(x <= y for x, y in zip(rows[a], rows[b]))
+
+    feasible = [i for i, row in enumerate(rows) if row is not None]
+    kept = [b for b in feasible
+            if not any(a != b and no_larger(a, b) and (not no_larger(b, a) or a < b)
+                       for a in feasible)]
+    return [next((a for a in kept if no_larger(a, b)), None) for b in range(len(rows))]
+
+
+@pytest.mark.parametrize("graph_name", ["net50", "three-fidelity net50"])
+def test_non_dominated_matches_pairwise_comparison(graph_name):
+    graph = bundled_topology()
+    if graph_name != "net50":
+        graph = three_fidelity_copy(graph, np.random.default_rng(20))
+    # a strategy that gives up early, and repeats that tie with earlier ones
+    catalog = [*default_strategy_catalog(), DistillationStrategy(0.998, max_rounds=1),
+               *default_strategy_catalog()[:2]]
+    kept = []
+    for seed, noise in ((0, NoiseParams()),
+                        (1, NoiseParams(two_qubit_gate_fidelity=0.99, swap_success_prob=0.9))):
+        wl = generate_workload(graph, WorkloadParams(num_orgs=3, pairs_per_org=8, r_min=0.0),
+                               seed)
+        compiler = LpCompiler(graph, wl, noise, p_max=3)
+        for key, paths in build_candidate_sets(graph, wl, k=5).items():
+            for path in paths:
+                got = compiler.non_dominated(key, path, catalog)
+                assert got == _pairwise_stand_ins(graph, wl, key, path, catalog, noise)
+                kept.append(sum(s == t for s, t in enumerate(got)))
+    assert len(kept) > 250 and min(kept) >= 1
+    # one link fidelity orders the strategies on a path, so one is kept
+    assert (max(kept) > 1) == (graph_name != "net50")
+
+
+def test_stand_ins_never_lower_wegr():
+    # swap every pick of random selections for its stand-in, dropping picks
+    # on paths without a feasible strategy: W-EGR never falls, and a
+    # feasible selection stays feasible
+    rng = np.random.default_rng(21)
+    net50 = bundled_topology()
+    catalog = [*default_strategy_catalog(), DistillationStrategy(0.998, max_rounds=1)]
+    noise = NoiseParams(two_qubit_gate_fidelity=0.99, swap_success_prob=0.9)
+    swapped = rose = rescued = 0
+    for graph in (net50, three_fidelity_copy(net50, rng)):
+        for seed in range(4):
+            params = WorkloadParams(num_orgs=3, pairs_per_org=8, r_min=(0.0, 2.0)[seed % 2],
+                                    r_max=1e5, random_r_max=seed >= 2)
+            wl = generate_workload(graph, params, seed)
+            cands = build_candidate_sets(graph, wl, k=5)
+            compiler = LpCompiler(graph, wl, noise, p_max=2)
+            stand_ins = {(k, p.nodes): compiler.non_dominated(k, p, catalog)
+                         for k, paths in cands.items() for p in paths}
+            for _ in range(15):
+                selection, better = {}, {}
+                for key, paths in cands.items():
+                    picks = [(paths[i], int(rng.integers(len(catalog))))
+                             for i in rng.permutation(len(paths))[:2]]
+                    selection[key] = [(p, catalog[s]) for p, s in picks]
+                    better[key] = [(p, catalog[stand_ins[key, p.nodes][s]]) for p, s in picks
+                                   if stand_ins[key, p.nodes][s] is not None]
+                    swapped += sum(stand_ins[key, p.nodes][s] != s for p, s in picks)
+                before = solve(compiler.compile(selection))
+                after = solve(compiler.compile(better))
+                assert after.wegr >= before.wegr * (1 - 1e-9)
+                assert before.status == "infeasible" or after.status == "optimal"
+                rose += after.wegr > before.wegr * (1 + 1e-6)
+                rescued += before.status == "infeasible" and after.status == "optimal"
+    assert swapped > 1000 and rose > 20 and rescued > 5

@@ -206,6 +206,27 @@ def test_allocate_unknown_baseline_is_config_error(tmp_path, capsys):
     assert "shortest" in err
 
 
+def test_allocate_selection_that_breaks_the_workload_is_config_error(tmp_path, capsys):
+    # a pair the workload lacks, and more paths than p_max for one it has
+    topo, wlf = _triangle_files(tmp_path)
+    header = "qvpn-selection v1\n"
+    cases = {
+        "unknown": ("select org9 A B path A B threshold 0.9 max_rounds 8\n", 3,
+                    "selection references unknown pair ('org9', 'A', 'B')"),
+        "over_cap": ("select org1 A B path A B threshold 0.9 max_rounds 8\n"
+                     "select org1 A B path A C B threshold 0.9 max_rounds 8\n", 1,
+                     "pair ('org1', 'A', 'B') selects 2 paths, cap is 1"),
+    }
+    for name, (lines, p_max, message) in cases.items():
+        sel = tmp_path / f"{name}.sel"
+        sel.write_text(header + lines)
+        cfg = _config(tmp_path, f"{name}.json", _base(topo, wlf), p_max=p_max,
+                      source={"selection": str(sel)})
+        assert main(["allocate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err, err
+
+
 def test_ga_outputs_then_allocate_from_selection(tmp_path):
     """ga writes a selection file that allocate can replay to the same W-EGR."""
     topo, wlf = _triangle_files(tmp_path)

@@ -1,29 +1,36 @@
+import importlib
 import multiprocessing
 import os
 import re
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qvpn import allocation_lp, forking, ga_optimizer
+from qvpn import allocation_lp, forking, ga_optimizer, harness
 from qvpn.allocation_lp import LpCompiler, SolverError, wegr_of_selection
 from qvpn.fixtures import TOPOLOGY_10, bundled_topology
 from qvpn.ga_optimizer import (
     GaConfig,
     GaProblem,
     Genome,
+    _genome_of,
     dynamic_schedule,
     evolve,
     initialize_population,
-    random_genome,
 )
 from qvpn.pathfinding import WeightScheme, baseline_selection, build_candidate_sets
-from qvpn.quantum_math import (DistillationStrategy, default_strategy_catalog,
-                               path_overhead_per_link)
+from qvpn.quantum_math import DistillationStrategy, default_strategy_catalog
+from qvpn.topology import NetworkGraph, NodeSpec, make_link
 from qvpn.workload import Organization, Workload, WorkloadParams, generate_workload
 
-from qvpn_helpers import make_pair
+from qvpn_helpers import ORACLE_RTOL, make_pair, three_fidelity_copy
+
+
+def random_genome(problem, rng):
+    """A uniform random genome of the problem, one draw per slot."""
+    return _genome_of(rng.integers(problem._slot_limit))
 
 
 @pytest.fixture
@@ -34,6 +41,24 @@ def tri_problem(triangle):
     cands = build_candidate_sets(triangle, wl, k=3)
     catalog = default_strategy_catalog(4)
     return GaProblem(triangle, wl, cands, catalog, p_max=2)
+
+
+@pytest.fixture
+def mixed_problem():
+    """The triangle with three link fidelities, where the A-C-B path keeps
+    two of the four strategies: genes 0 (A-B), 1 and 2 (A-C-B) of the first
+    pair, genes 0 (A-C) and 1 (A-B-C) of the second."""
+    nodes = (NodeSpec("A"), NodeSpec("B"), NodeSpec("C", is_repeater=True))
+    links = (make_link("A", "B", 10.0, alpha=0.05), make_link("A", "C", 10.0, alpha=0.1),
+             make_link("C", "B", 10.0, alpha=0.2))
+    graph = NetworkGraph(nodes=nodes, links=links)
+    pairs = (make_pair("org0", "A", "B", threshold=0.8),
+             make_pair("org0", "A", "C", weight=0.4, threshold=0.75))
+    wl = Workload(organizations=(Organization("org0", 1.0),), user_pairs=pairs, seed=0)
+    problem = GaProblem(graph, wl, build_candidate_sets(graph, wl, k=3),
+                        default_strategy_catalog(4), p_max=2)
+    assert problem._slot_limit.tolist() == [[3, 3], [2, 2]]
+    return problem
 
 
 def test_config_validation():
@@ -95,11 +120,14 @@ def test_dynamic_schedule_midpoint_and_monotone():
         dynamic_schedule(40, 40, cfg)
 
 
-def test_genome_length_and_gene_space(tri_problem):
+def test_genome_length_and_gene_space(tri_problem, mixed_problem):
     assert tri_problem.genome_length() == 4  # 2 pairs x p_max 2
-    n_paths, n_strats = tri_problem.gene_space(0)
-    assert n_strats == 4
-    assert n_paths == len(tri_problem.candidates[tri_problem.pair_order[0]])
+    # the triangle's links share one fidelity: one column per path
+    assert tri_problem.gene_space(0) == len(tri_problem.candidates[tri_problem.pair_order[0]])
+    assert [mixed_problem.gene_space(slot) for slot in range(4)] == [3, 3, 2, 2]
+    first = [mixed_problem.compiler.choice(i) for i in range(3)]
+    assert [p.nodes for _, p, _ in first] == [("A", "B"), ("A", "C", "B"), ("A", "C", "B")]
+    assert [mixed_problem.catalog.index(s) for _, _, s in first] == [0, 0, 2]
 
 
 def test_decode_structure_fuzz(tri_problem):
@@ -118,13 +146,13 @@ def test_decode_structure_fuzz(tri_problem):
                 assert strategy in tri_problem.catalog
 
 
-def test_decode_keeps_first_duplicate(tri_problem):
-    g = Genome(((0, 1), (0, 3), (1, 0), (1, 2)))
-    sel = tri_problem.decode(g)
-    first_pair = tri_problem.pair_order[0]
-    picks = sel[first_pair]
-    assert len(picks) == 1  # same path twice
-    assert picks[0][1] is tri_problem.catalog[1]  # first strategy wins
+def test_decode_keeps_first_duplicate(mixed_problem):
+    catalog = mixed_problem.catalog
+    for genes, kept in (((2, 1), 2), ((1, 2), 0)):
+        sel = mixed_problem.decode(Genome((*genes, 0, 1)))
+        picks = sel[mixed_problem.pair_order[0]]
+        assert len(picks) == 1  # A-C-B twice
+        assert picks[0][1] is catalog[kept]  # the first column wins
 
 
 def test_encode_decode_round_trip(tri_problem):
@@ -160,14 +188,14 @@ def test_an_empty_catalog_is_rejected(triangle, tri_problem):
 
 
 def test_repeated_catalog_strategies_are_rejected(triangle, tri_problem):
-    # a repeated choice would share a pool id, and gene arithmetic would skew
+    # a repeated strategy is a mistake in the catalog
     catalog = tri_problem.catalog + tri_problem.catalog[:1]
     with pytest.raises(ValueError, match="repeat"):
         GaProblem(triangle, tri_problem.workload, tri_problem.candidates, catalog, p_max=2)
 
 
 def test_fitness_matches_lp_and_caches(tri_problem):
-    g = Genome(((0, 0), (1, 1), (0, 2), (0, 2)))
+    g = Genome((0, 1, 0, 0))
     want = wegr_of_selection(LpCompiler(tri_problem.graph, tri_problem.workload, p_max=2),
                              tri_problem.decode(g))
     before = tri_problem.lp_solves
@@ -179,9 +207,9 @@ def test_fitness_matches_lp_and_caches(tri_problem):
 
 def test_fitness_cache_keyed_by_canonical_selection(tri_problem):
     before = tri_problem.lp_solves
-    # slots reordered within the pair but same (path -> strategy) map
-    a = Genome(((0, 1), (1, 2), (0, 0), (1, 3)))
-    b = Genome(((1, 2), (0, 1), (1, 3), (0, 0)))
+    # slots reordered within the pair but the same columns
+    a = Genome((0, 1, 0, 1))
+    b = Genome((1, 0, 1, 0))
     fa = tri_problem.fitness(a)
     fb = tri_problem.fitness(b)
     assert fa == fb
@@ -257,7 +285,7 @@ def test_evolve_improves_on_seeded_heuristic(triangle, tri_problem):
 def test_evolve_rejects_wrong_genome_length(tri_problem):
     cfg = GaConfig(population_size=4, generations=1)
     with pytest.raises(ValueError, match="length"):
-        evolve([Genome(((0, 0),))] * 4, cfg, tri_problem)
+        evolve([Genome((0,))] * 4, cfg, tri_problem)
 
 
 @pytest.mark.parametrize("size", [0, 3, 11])
@@ -300,12 +328,77 @@ def test_pairs_without_candidates_are_skipped(triangle):
     assert (trace.lp_solves, trace.fitness_calls) == (1, 16)
 
 
+def test_pairs_without_a_feasible_column_are_skipped(triangle):
+    # with one distillation round at most, A-C's threshold of 0.9 is out
+    # of reach on either path, so A-C leaves pair_order, and so is A-B's
+    # threshold of 0.7 on the detour; such picks add no column to any LP
+    org = Organization("org0", 1.0)
+    pairs = (make_pair("org0", "A", "B"), make_pair("org0", "A", "C", threshold=0.9))
+    wl = Workload(organizations=(org,), user_pairs=pairs, seed=0)
+    cands = build_candidate_sets(triangle, wl, k=2)
+    prob = GaProblem(triangle, wl, cands, default_strategy_catalog(2, max_rounds=1), p_max=2)
+    assert prob.pair_order == [pairs[0].key]
+    assert prob.genome_length() == 2
+    picks = {k: [(p, prob.catalog[0]) for p in v] for k, v in cands.items()}
+    assert prob.decode(prob.encode_selection(picks)) == {pairs[0].key: picks[pairs[0].key][:1]}
+
+
+def test_encode_selection_maps_picks_to_their_stand_ins(mixed_problem):
+    # on A-C-B, strategy 2 is kept, and strategy 0 stands in for 1 and 3
+    problem = mixed_problem
+    ab, ac = problem.pair_order
+    direct, detour = problem.candidates[ab]
+    catalog = problem.catalog
+    for s, gene in ((0, 1), (1, 1), (2, 2), (3, 1)):
+        genome = problem.encode_selection({ab: [(detour, catalog[s])]})
+        assert genome.genes[:2] == (gene, gene)
+    genome = problem.encode_selection({ab: [(detour, catalog[3]), (direct, catalog[2])]})
+    assert genome.genes == (1, 0, 0, 0)  # A-C, the first gene, pads the empty pair
+
+
+def test_the_bound_oracle_checks_every_search(ga_bound_oracle, triangle, tri_problem):
+    # conftest's autouse oracle sees each evolve run, whichever way it is
+    # called, and the seeded baselines that sit in its initial population
+    sel = baseline_selection(triangle, tri_problem.workload, tri_problem.candidates,
+                             WeightScheme.HOP, p_max=2, catalog=tri_problem.catalog)
+    cfg = GaConfig(population_size=6, generations=2, seed=1)
+    evolve(initialize_population(tri_problem, cfg, seed_heuristics=(sel,)), cfg, tri_problem)
+    problem = _fresh(tri_problem)
+    evolve(initialize_population(problem, cfg), cfg, problem)
+    harness.search(triangle, tri_problem.workload, "ga", 0, k=3, p_max=2,
+                   catalog=tri_problem.catalog, ga_config=cfg)
+    assert [len(seeded) for _, _, seeded in ga_bound_oracle] == [1, 0, 3]
+    for best, bound, seeded in ga_bound_oracle:
+        assert 0 < best <= bound * (1 + ORACLE_RTOL)
+        assert all(best >= w * (1 - ORACLE_RTOL) for w in seeded)
+
+
+def test_the_layout_bound_is_the_verifiers_relaxation_bound(monkeypatch):
+    # the ga-net50 instance at seed 0: the dominated columns the layout
+    # leaves out cannot raise the LP over every candidate and strategy
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    verifier = importlib.import_module("verifier")
+    graph = bundled_topology()
+    wl = generate_workload(graph, WorkloadParams(num_orgs=3, pairs_per_org=10, r_min=0.0), 0)
+    cands = build_candidate_sets(graph, wl, k=5)
+    catalog = default_strategy_catalog()
+    problem = GaProblem(graph, wl, cands, catalog, p_max=3)
+    bound = wegr_of_selection(problem.compiler, np.arange(problem._layout_size))
+    assert problem._layout_size < len(catalog) * sum(map(len, cands.values())) / 10
+    assert bound == pytest.approx(verifier.relaxation_bound(graph, wl, cands, catalog),
+                                  rel=verifier.OBJ_RTOL)
+
+
 # ------------------------------------------------ fitness through the column pool
 
 @pytest.fixture(scope="module", params=[0, 1])
 def net50_inputs(request):
-    """A ga-net50-sized instance: its graph, workload and candidate sets."""
+    """A ga-net50-sized instance: its graph, workload and candidate sets.
+    The param is the workload seed; seed 1 runs on net50's three-fidelity
+    copy, where some paths keep more than one strategy."""
     net50 = bundled_topology()
+    if request.param == 1:
+        net50 = three_fidelity_copy(net50, np.random.default_rng(20))
     wl = generate_workload(net50, WorkloadParams(num_orgs=3, pairs_per_org=10, r_min=0.0),
                            request.param)
     return net50, wl, build_candidate_sets(net50, wl, k=5)
@@ -317,24 +410,22 @@ def net50_problem(net50_inputs):
     return GaProblem(net50, wl, cands, default_strategy_catalog(), p_max=3)
 
 
-def _feasibility(problem):
-    """feasible[pair index][path index][strategy index], from the overheads."""
-    pairs = {p.key: p for p in problem.workload.user_pairs}
-    links = problem.graph.link_by_key
-    return [[[all(path_overhead_per_link(links[lk].base_fidelity, path.hop_count, strategy,
-                                         pairs[key].fidelity_threshold).feasible
-                  for lk in path.link_keys)
-              for strategy in problem.catalog]
-             for path in problem.candidates[key]]
-            for key in problem.pair_order]
+def _mixed(graph):
+    """Whether the links of graph differ in base fidelity."""
+    return len({link.base_fidelity for link in graph.links}) > 1
 
 
-def _split_pick(feasible_pair):
-    """(path, infeasible strategy, feasible strategy) for one pair, or None."""
-    for path_idx, row in enumerate(feasible_pair):
-        if not all(row) and any(row):
-            return path_idx, row.index(False), row.index(True)
-    return None
+def _path_genes(problem):
+    """Per pair index: per candidate path index, the genes on that path."""
+    out = []
+    for i in range(len(problem.pair_order)):
+        base, limit = problem._slot_base[i, 0], problem._slot_limit[i, 0]
+        paths = problem._column_path[base:base + limit].tolist()
+        by_path = {}
+        for gene, path in enumerate(paths):
+            by_path.setdefault(path, []).append(gene)
+        out.append(by_path)
+    return out
 
 
 def _scored_lps(monkeypatch, problem):
@@ -352,28 +443,26 @@ def _scored_lps(monkeypatch, problem):
 
 def test_pool_lp_equals_compile_of_decode(monkeypatch, net50_problem):
     # the id route must hand HiGHS exactly the arrays compile(decode(g))
-    # builds, with repeated paths and infeasible first picks in the mix
+    # builds, with repeated paths in the mix, of one column or two
     problem = net50_problem
-    feasible = _feasibility(problem)
-    splits = [_split_pick(f) for f in feasible]
-    assert sum(s is not None for s in splits) >= 10
+    path_genes = _path_genes(problem)
+    two_columns = [[g for g in by_path.values() if len(g) >= 2] for by_path in path_genes]
+    assert (sum(map(len, two_columns)) >= 10) == _mixed(problem.graph)
     lps = _scored_lps(monkeypatch, problem)
     reference = LpCompiler(problem.graph, problem.workload, problem.noise, problem.p_max)
     rng = np.random.default_rng(41)
     p = problem.p_max
-    forced_duplicates = forced_infeasible = 0
+    forced_duplicates = 0
     for trial in range(300):
         genes = list(random_genome(problem, rng).genes)
-        for i, split in enumerate(splits):
-            r = rng.random()
-            if r < 0.3:  # the same path twice; the first strategy wins
-                genes[i * p + 2] = (genes[i * p][0], int(rng.integers(len(problem.catalog))))
+        for i, by_path in enumerate(path_genes):
+            if rng.random() < 0.4:  # one path twice; the first column wins
+                on_path = list(by_path.values())[int(rng.integers(len(by_path)))]
+                if two_columns[i] and rng.random() < 0.5:
+                    on_path = two_columns[i][int(rng.integers(len(two_columns[i])))]
+                genes[i * p] = int(rng.choice(on_path))
+                genes[i * p + 2] = int(rng.choice(on_path))
                 forced_duplicates += 1
-            elif r < 0.5 and split is not None:  # infeasible first, feasible second
-                path_idx, bad, good = split
-                genes[i * p] = (path_idx, bad)
-                genes[i * p + 1] = (path_idx, good)
-                forced_infeasible += 1
         genome = Genome(tuple(genes))
         before = len(lps)
         value = problem.fitness(genome)
@@ -385,12 +474,12 @@ def test_pool_lp_equals_compile_of_decode(monkeypatch, net50_problem):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (trial, name)
         assert got.row_labels == want.row_labels
         assert value == wegr_of_selection(reference, problem.decode(genome))
-    assert forced_duplicates > 300 and forced_infeasible > 300
+    assert forced_duplicates > 300
 
 
-def test_building_a_problem_does_no_column_math(monkeypatch, net50_inputs):
-    # the layout gets its pool ids at init; a column's overheads are computed
-    # the first time a gather asks for it
+def test_building_a_problem_computes_only_its_layout(monkeypatch, net50_inputs):
+    # GaProblem finds and computes its non-dominated columns at init; no
+    # fitness call computes one after that
     calls = []
     real = allocation_lp.path_overhead_per_link
 
@@ -401,17 +490,23 @@ def test_building_a_problem_does_no_column_math(monkeypatch, net50_inputs):
     monkeypatch.setattr(allocation_lp, "path_overhead_per_link", counting)
     net50, wl, cands = net50_inputs
     problem = GaProblem(net50, wl, cands, default_strategy_catalog(), p_max=3)
-    assert calls == []
+    size = problem._layout_size
+    assert calls and problem.fill_seconds > 0
+    assert len(problem.compiler._choices) == size
+    assert (problem.compiler._count[:size] > 0).all()  # every layout column is feasible
+    made = len(calls)
     problem.fitness(random_genome(problem, np.random.default_rng(0)))
-    assert calls
+    assert len(calls) == made
 
 
 def test_fitness_cache_is_keyed_on_first_picks(net50_problem):
+    # each pair's path with the most columns: its first and last gene, the
+    # same gene where the path keeps one strategy
     problem = net50_problem
-    splits = [_split_pick(f) for f in _feasibility(problem)]
-    i = next(i for i, s in enumerate(splits) if s is not None)
-    path_idx, bad, good = splits[i]
-    other = (path_idx + 1) % len(problem.candidates[problem.pair_order[i]])
+    i, on_path = max(((i, g) for i, by_path in enumerate(_path_genes(problem))
+                      for g in by_path.values()), key=lambda x: len(x[1]))
+    a, b = on_path[0], on_path[-1]
+    other = next(g for g in range(problem.gene_space(i * problem.p_max)) if g not in on_path)
     base = list(random_genome(problem, np.random.default_rng(3)).genes)
     p = problem.p_max
 
@@ -421,26 +516,27 @@ def test_fitness_cache_is_keyed_on_first_picks(net50_problem):
         return Genome(tuple(genes))
 
     before = problem.lp_solves
-    infeasible_first = problem.fitness(with_pair([(path_idx, bad), (other, 0), (path_idx, good)]))
+    a_first = problem.fitness(with_pair([a, other, b]))
     assert problem.lp_solves == before + 1
-    # permuted slots with the same first picks hit, infeasible pick and all
-    assert problem.fitness(with_pair([(other, 0), (path_idx, bad), (path_idx, good)])) \
-        == infeasible_first
-    assert problem.fitness(with_pair([(other, 0), (other, 5), (path_idx, bad)])) \
-        == infeasible_first
+    # permuted slots with the same first picks hit
+    assert problem.fitness(with_pair([other, a, b])) == a_first
+    assert problem.fitness(with_pair([other, other, a])) == a_first
     assert problem.lp_solves == before + 1
-    # the same path picked feasible first is another selection
-    problem.fitness(with_pair([(path_idx, good), (other, 0), (path_idx, bad)]))
-    assert problem.lp_solves == before + 2
+    # the same path picked with another column first is another selection
+    problem.fitness(with_pair([b, other, a]))
+    assert problem.lp_solves == before + 1 + (a != b)
+    assert (a != b) == _mixed(problem.graph)
 
 
-def test_genes_outside_the_gene_space_are_rejected(tri_problem):
-    n_paths, n_strats = tri_problem.gene_space(0)
-    for bad in ((n_paths, 0), (-1, 0), (0, n_strats), (0, -1)):
-        with pytest.raises(ValueError, match="gene space"):
-            tri_problem.fitness(Genome((bad, (0, 0), (0, 0), (0, 0))))
+def test_genes_outside_the_gene_space_are_rejected(mixed_problem):
+    for slot in range(4):
+        for bad in (mixed_problem.gene_space(slot), -1):
+            genes = [0, 0, 0, 0]
+            genes[slot] = bad
+            with pytest.raises(ValueError, match="gene space"):
+                mixed_problem.fitness(Genome(tuple(genes)))
     with pytest.raises(ValueError, match="length"):
-        tri_problem.fitness(Genome(((0, 0), (0, 0))))
+        mixed_problem.fitness(Genome((0, 0)))
 
 
 def test_traced_lp_solves_see_every_miss(monkeypatch, tri_problem):
@@ -522,9 +618,9 @@ def test_helper_gives_the_serial_trace_with_repeated_children(monkeypatch, tri_p
 
 @needs_fork
 def test_helper_scores_infeasible_lps_zero(monkeypatch):
-    # with R_min > 0 a third of random selections are infeasible
+    # with R_min 1000 about a fifth of random selections are infeasible
     net10 = bundled_topology(TOPOLOGY_10)
-    wl = generate_workload(net10, WorkloadParams(num_orgs=2, pairs_per_org=3, r_min=100.0), 0)
+    wl = generate_workload(net10, WorkloadParams(num_orgs=2, pairs_per_org=3, r_min=1000.0), 0)
     problem = GaProblem(net10, wl, build_candidate_sets(net10, wl, k=3),
                         default_strategy_catalog(4), p_max=2)
     config = GaConfig(population_size=16, generations=4, seed=3)
@@ -629,13 +725,26 @@ _LP_FIELDS = ("objective", "indptr", "indices", "data", "row_bounds")
 
 
 def test_a_filled_pool_gathers_the_lazy_pools_lps(net50_problem):
-    # fill computes columns in another order than lazy gathers do, so they
-    # sit elsewhere in the flat arrays; every gathered LP must be the same
-    size = net50_problem._layout_size
-    filled, lazy = _fresh(net50_problem).compiler, _fresh(net50_problem).compiler
-    filled.fill(np.arange(size))
-    assert (filled._count[:size] >= 0).all()
-    infeasible = np.flatnonzero(filled._count[:size] == 0)
+    # GaProblem fills its layout in one call, so its columns sit elsewhere
+    # in the flat arrays than in a pool that computes them gather by
+    # gather; every gathered LP must be the same. Infeasible choices past
+    # the layout are mixed in.
+    problem = _fresh(net50_problem)
+    size = problem._layout_size
+    filled = problem.compiler
+    lazy = LpCompiler(problem.graph, problem.workload, problem.noise, problem.p_max)
+    for column in range(size):
+        assert lazy.column_id(*filled.choice(column)) == column
+    extra = []
+    for key in problem.pair_order:
+        for path in problem.candidates[key]:
+            for strategy in problem.catalog:
+                if filled.find_id(key, path, strategy) is None:
+                    extra.append((key, path, strategy))
+    for compiler in (filled, lazy):
+        assert [compiler.column_id(*c) for c in extra] == list(range(size, size + len(extra)))
+    filled.fill(np.arange(size + len(extra)))
+    infeasible = size + np.flatnonzero(filled._count[size:] == 0)
     assert infeasible.size >= 10
 
     def no_fill(ids):
@@ -653,7 +762,7 @@ def test_a_filled_pool_gathers_the_lazy_pools_lps(net50_problem):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (trial, name)
         assert got.row_labels == want.row_labels
     # the lazy pool computed only what its gathers asked for
-    assert 0 < (lazy._count[:size] >= 0).sum() < size
+    assert 0 < (lazy._count[size:] >= 0).sum() < len(extra)
 
 
 def _computed_during_a_generation(compiler, ids):
@@ -662,22 +771,14 @@ def _computed_during_a_generation(compiler, ids):
 
 @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
 def test_no_column_is_computed_during_the_generations(monkeypatch, net50_problem, cpus):
-    # evolve's first fill covers the layout. After it, computing a column
-    # raises, in this process and in a helper forked later; a raise in the
+    # GaProblem computed its whole layout. Computing a column raises from
+    # here on, in this process and in a helper forked later; a raise in the
     # helper comes back as that miss's result and fails the run
     problem = _fresh(net50_problem)
     config = GaConfig(population_size=12, generations=5, seed=3)
     population = initialize_population(problem, config)
-    fills = []
-    real_fill = LpCompiler.fill
-
-    def fill_then_forbid(compiler, ids):
-        fills.append(len(ids))
-        real_fill(compiler, ids)
-        monkeypatch.setattr(LpCompiler, "_fill", _computed_during_a_generation)
-
-    monkeypatch.setattr(LpCompiler, "fill", fill_then_forbid)
+    monkeypatch.setattr(LpCompiler, "_fill", _computed_during_a_generation)
     trace = _run_on(monkeypatch, cpus, problem, config, population)
     assert trace.fitness_helper == (cpus == 2)
-    assert fills[0] == problem._layout_size
-    assert trace.lp_solves > config.generations and trace.pool_fill_seconds > 0
+    assert trace.lp_solves > config.generations
+    assert trace.pool_fill_seconds == problem.fill_seconds > 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qvpn import pathfinding
+from qvpn.checks import InputError
 from qvpn.fixtures import TOPOLOGY_10, bundled_topology
 from qvpn.oracles import enumerate_simple_paths
 from qvpn.pathfinding import (
@@ -282,6 +283,18 @@ def test_path_finder_argument_errors(triangle):
     pair = make_pair("org0", "A", "B")
     with pytest.raises(ValueError, match="different graph"):
         build_candidate_set(_grid_graph(), pair, k=2, finder=finder)
+
+
+def test_k_must_be_an_integer(triangle):
+    # a bool or a float k once passed as a number of paths
+    finder = PathFinder(triangle)
+    for k in (True, 2.0, 0, -1, "2"):
+        with pytest.raises(InputError, match="k must be an integer >= 1"):
+            yen_k_shortest(triangle, "A", "B", k, WeightScheme.HOP)
+        with pytest.raises(InputError, match="k must be an integer >= 1"):
+            finder.paths("A", "B", k, WeightScheme.HOP)
+    assert finder.queries == 0
+    assert len(finder.paths("A", "B", np.int64(2), WeightScheme.HOP)) == 2
 
 
 def test_path_finder_memo_consistency(monkeypatch):
