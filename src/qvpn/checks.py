@@ -16,7 +16,12 @@ class InputError(ValueError):
 
 
 def _is_number(value, kind) -> bool:
-    # JSON true/false load as bools, which are ints; no input number is a bool
+    # an exact int or float answers without the ABC check, which costs about
+    # 30 times more; JSON true/false load as bools, which are ints, and no
+    # input number is a bool
+    cls = type(value)
+    if cls is int or (cls is float and kind is Real):
+        return True
     return isinstance(value, kind) and not isinstance(value, bool)
 
 

@@ -451,10 +451,12 @@ def cmd_report(config, out_dir):
              "seconds": p.seconds, "error": p.error}
             for p in result.points
         ],
-        # path searches asked and Yen runs done; each worker process keeps its
-        # own memo, so yen_runs depends on max_workers and both stay out of every CSV
+        # path searches asked, Yen runs done and the shortest-path searches run
+        # inside them; each worker process keeps its own memo, so the last two
+        # depend on max_workers and all three stay out of every CSV
         "path_queries": finder.queries,
         "yen_runs": finder.yen_runs,
+        "spur_searches": finder.spur_searches,
         "outputs": outputs,
     }
 

@@ -333,10 +333,12 @@ def _guarded_point(scenario: Scenario, task, finder: PathFinder) -> PointResult:
 
 def _run_share(scenario: Scenario, tasks, finder: PathFinder, conn) -> None:
     """A worker process's body: its tasks in order on its copy of finder,
-    then the points and the finder's query and Yen-run counts to conn."""
-    queries, yen_runs = finder.queries, finder.yen_runs
+    then the points and the finder's query, Yen-run and spur-search counts
+    to conn."""
+    queries, yen_runs, spur_searches = finder.queries, finder.yen_runs, finder.spur_searches
     points = [_guarded_point(scenario, task, finder) for task in tasks]
-    conn.send((points, finder.queries - queries, finder.yen_runs - yen_runs))
+    conn.send((points, finder.queries - queries, finder.yen_runs - yen_runs,
+               finder.spur_searches - spur_searches))
     conn.close()
 
 
@@ -356,9 +358,10 @@ def _run_forked(scenario: Scenario, tasks, workers: int, finder: PathFinder) -> 
         shares = [forks.start(f"sweep worker {w}", _run_share, scenario, tasks[w::workers], finder)
                   for w in range(workers)]
         for w, worker in enumerate(shares):
-            points[w::workers], queries, yen_runs = worker.recv()
+            points[w::workers], queries, yen_runs, spur_searches = worker.recv()
             finder.queries += queries
             finder.yen_runs += yen_runs
+            finder.spur_searches += spur_searches
     return tuple(points)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -84,6 +85,96 @@ class SchemeTable(NamedTuple):
         return cls(weights, adjacency)
 
 
+# Relative margin by which a tree path must beat every other route before it
+# stands in for a spur search, and by which a spur's lower bound must exceed
+# the cutoff before the spur is skipped; see yen_k_shortest.
+MARGIN = 1e-9
+
+
+class SpurTree(NamedTuple):
+    """Every node's shortest path to one destination under one scheme: the
+    reverse shortest-path tree from which Yen answers its spur searches
+    (Martins & Pascoal 2003).
+
+    dist: node id -> weight of the node's shortest path to dst, math.inf
+    when it has none. step: node id -> (next hop, its link weight, gap) for
+    each node with a path other than dst, where gap is how much less its
+    next hop's weight + dist is than every other neighbor's (0 where two
+    routes tie, math.inf with no other neighbor). gates: node id -> the
+    nodes other than itself and dst that every path from it to dst passes
+    through (its cut vertices toward dst); () when it has none or no path.
+    """
+    dist: dict
+    step: dict
+    gates: dict
+
+    @classmethod
+    def build(cls, table: SchemeTable, dst: str):
+        adjacency = table.adjacency
+        dist = dict.fromkeys(adjacency, math.inf)
+        dist[dst] = 0.0
+        via = {}  # settled node -> (next hop toward dst, its link weight)
+        heap = [(0.0, dst, dst, 0.0)]
+        while heap:
+            d, node, hop, w = heapq.heappop(heap)
+            if node in via:
+                continue
+            via[node] = (hop, w)
+            for nbr, w in adjacency[node]:
+                c = d + w
+                if c < dist[nbr]:
+                    dist[nbr] = c
+                    heapq.heappush(heap, (c, nbr, node, w))
+        del via[dst]
+        step = {}
+        for node, (hop, w) in via.items():
+            # dist[node] is the least weight + dist over its neighbors, reached at hop
+            d = dist[node]
+            gap = math.inf
+            for nbr, v in adjacency[node]:
+                if nbr != hop:
+                    c = v + dist[nbr] - d
+                    if c < gap:
+                        gap = c
+            step[node] = (hop, w, gap)
+        return cls(dist, step, _gates(adjacency, dst))
+
+
+def _gates(adjacency, dst):
+    """SpurTree.gates by Tarjan's low links on a depth-first tree rooted at
+    dst: a node p other than dst separates its child c's subtree from dst
+    exactly when no edge leaves that subtree for a node found before p.
+    Nodes are numbered in the order the search finds them."""
+    number = {dst: 0}
+    found = [dst]
+    parent = [0]
+    low = [0]
+    stack = [(0, iter(adjacency[dst]))]
+    while stack:
+        i, neighbors = stack[-1]
+        for nbr, _ in neighbors:
+            j = number.get(nbr)
+            if j is None:
+                j = number[nbr] = len(found)
+                found.append(nbr)
+                parent.append(i)
+                low.append(j)
+                stack.append((j, iter(adjacency[nbr])))
+                break
+            if j < low[i] and j != parent[i]:
+                low[i] = j
+        else:
+            stack.pop()
+            if stack and low[i] < low[stack[-1][0]]:
+                low[stack[-1][0]] = low[i]
+    gates = dict.fromkeys(adjacency, ())
+    for j in range(1, len(found)):  # a parent is found before its children
+        p = parent[j]
+        above = gates[found[p]]
+        gates[found[j]] = above + (found[p],) if p and low[j] >= p else above
+    return gates
+
+
 def _dijkstra(adjacency, src, dst, banned_nodes, banned_first_hops):
     """Shortest src-dst path (src != dst) that avoids banned_nodes and leaves
     src by none of banned_first_hops; ties resolved toward the lexicographically
@@ -107,16 +198,58 @@ def _dijkstra(adjacency, src, dst, banned_nodes, banned_first_hops):
     return None
 
 
+def _spur(adjacency, tree, v, dst, banned, banned_hops, root_cost, cutoff):
+    """Yen's spur search at v: the cheapest v-dst path that enters no node of
+    banned (which holds v and the root before it) and leaves v by none of
+    banned_hops, as (cost, nodes), or None. Also returns whether it ran
+    _dijkstra. None also stands for a spur skipped because root_cost plus
+    its lower bound exceeds cutoff; see yen_k_shortest."""
+    dist, step, gates = tree
+    best = second = math.inf  # the two cheapest first hops by weight + dist
+    for nbr, w in adjacency[v]:
+        if nbr in banned or nbr in banned_hops:
+            continue
+        cut = gates[nbr]
+        if cut and not banned.isdisjoint(cut):
+            continue  # every path from nbr to dst enters the root
+        c = w + dist[nbr]
+        if c < best:
+            second, best, hop, cost = best, c, nbr, w
+        elif c < second:
+            second = c
+    if best == math.inf or root_cost + best > cutoff:
+        return None, False
+    margin = MARGIN * best
+    if second - best > margin:
+        # follow the tree from hop while each node's next hop is clear of
+        # the root and beats the others by the margin, summing the cost as
+        # _dijkstra sums it
+        nodes = [v, hop]
+        while hop != dst:
+            hop, w, gap = step[hop]
+            if gap <= margin or hop in banned:
+                break
+            nodes.append(hop)
+            cost += w
+        else:
+            return (cost, tuple(nodes)), False
+    return _dijkstra(adjacency, v, dst, banned, banned_hops), True
+
+
 def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
-                   scheme: WeightScheme, *, table=None, built: dict | None = None):
+                   scheme: WeightScheme, *, table=None, tree=None,
+                   built: dict | None = None, tally=None):
     """Up to k loopless shortest paths in nondecreasing total weight.
 
     Returns an empty list when src and dst are disconnected, and raises
-    InputError unless k is an integer >= 1. table: the
-    graph's SchemeTable for scheme, when the caller keeps one; built here
-    otherwise. built: a dict from node tuple to CandidatePath that the
-    caller keeps across searches; a ranked path found there is returned as
-    it is, and each path built here is added to it.
+    InputError unless k is an integer >= 1. table: the graph's SchemeTable
+    for scheme, when the caller keeps one; built here otherwise. tree: the
+    table's SpurTree toward dst, when the caller keeps one; built here
+    when k > 1 (a k of 1 then runs one _dijkstra instead). built: a dict
+    from node tuple to CandidatePath that the caller keeps across searches;
+    a ranked path found there is returned as it is, and each path built here
+    is added to it. tally: an object whose spur_searches attribute counts
+    the _dijkstra runs made here.
 
     The first j paths do not depend on k: the search accepts paths in rank
     order and k only says when to stop. PathFinder's memo relies on this.
@@ -127,6 +260,27 @@ def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
     root and banned hops, so the skip changes no ranked path; it only saves
     Dijkstra runs. Root costs are a running sum in the order of sum(), so
     path costs, and with them every tie, keep their bits.
+
+    The tree answers most spurs without a search (Martins & Pascoal 2003).
+    The first path is the spur at src with nothing banned. A spur at v
+    first takes its cheapest allowed first hop x by weight + tree distance,
+    a lower bound on the spur's cost. A hop whose tree gates (the nodes
+    every path from it to dst passes) meet the root counts as not allowed.
+    - no allowed hop with a finite distance: the spur has no path.
+    - once the heap holds need = k - len(accepted) candidates, a spur whose
+      root cost plus bound exceeds the need-th cheapest candidate cost by
+      the relative MARGIN is skipped. That cost only falls as candidates
+      come and go, so the spur's path could never be among the next need
+      accepted, and no candidate that is accepted comes from a skipped spur.
+    - x beats every other allowed hop, and every node on x's tree path
+      beats its other routes, by MARGIN times the bound, and the tree path
+      enters no banned node: the spur is v, then that path. Every other
+      route then costs more by far more than any rounding of a sum, so it is
+      the path _dijkstra returns, and its cost is summed the way _dijkstra
+      sums it.
+    - otherwise _dijkstra runs.
+    So every ranked path and its order keep their bits, and with them the
+    prefix property.
     """
     if src == dst:
         raise ValueError("src and dst must differ")
@@ -136,40 +290,11 @@ def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
             raise ValueError(f"unknown node {nid!r}")
     if table is None:
         table = SchemeTable.build(graph, scheme)
-    weights, adjacency = table
-
-    first = _dijkstra(adjacency, src, dst, frozenset(), frozenset())
-    if first is None:
-        return []
-    accepted = [first[1]]  # node tuples in rank order
-    seen = {first[1]}
-    # heap of (cost, nodes, spur index); no nodes tuple is pushed twice, so
-    # ties break on (cost, nodes) alone
-    candidates = []
-    deviation = 0  # spur index at which the last accepted path left its parent
-
-    while len(accepted) < k:
-        prev = accepted[-1]
-        root_cost = 0  # running sum in sum()'s order, so every cost keeps its bits
-        for i in range(len(prev) - 1):
-            if i >= deviation:  # Lawler's skip, see the docstring
-                root = prev[: i + 1]
-                # the spur may not leave by the next hop of any accepted path
-                # that shares this root; it is settled first, so no path re-enters it
-                banned_hops = {nodes[i + 1] for nodes in accepted if nodes[: i + 1] == root}
-                spur_path = _dijkstra(adjacency, prev[i], dst, prev[:i], banned_hops)
-                if spur_path is not None:
-                    total = prev[:i] + spur_path[1]
-                    if total not in seen:
-                        seen.add(total)
-                        heapq.heappush(candidates, (root_cost + spur_path[0], total, i))
-            a, b = prev[i], prev[i + 1]
-            root_cost += weights[(a, b) if a <= b else (b, a)]
-        if not candidates:
-            break
-        _, nodes, deviation = heapq.heappop(candidates)
-        accepted.append(nodes)
-
+    if tree is None and k > 1:
+        tree = SpurTree.build(table, dst)
+    accepted, searches = _ranked(table, tree, src, dst, k)
+    if tally is not None:
+        tally.spur_searches += searches
     if built is None:
         built = {}
     paths = []
@@ -179,6 +304,70 @@ def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
             path = built[nodes] = path_from_nodes(graph, nodes)
         paths.append(path)
     return paths
+
+
+def _ranked(table, tree, src, dst, k):
+    """yen_k_shortest's node tuples in rank order, and the number of
+    _dijkstra runs it took to find them."""
+    weights, adjacency = table
+    if tree is None:
+        first, searches = _dijkstra(adjacency, src, dst, (), ()), 1
+    else:
+        first, searches = _spur(adjacency, tree, src, dst, {src}, (), 0, math.inf)
+    if first is None:
+        return [], searches
+    accepted = [first[1]]
+    seen = {first[1]}
+    # the accepted paths as a trie of next-hop dicts: the keys of the dict a
+    # root leads to are the hops a spur at its end may not take
+    trie = {}
+    _add_to_trie(trie, first[1])
+    # heap of (cost, nodes, spur index); no nodes tuple is pushed twice, so
+    # ties break on (cost, nodes) alone
+    candidates = []
+    top = []  # the need cheapest candidate costs, sorted
+    deviation = 0  # spur index at which the last accepted path left its parent
+
+    while len(accepted) < k:
+        prev = accepted[-1]
+        need = k - len(accepted)
+        cutoff = top[-1] * (1 + MARGIN) if len(top) == need else math.inf
+        banned = set()  # the root's nodes
+        hops = trie  # the trie's dict for the root
+        root_cost = 0  # running sum in sum()'s order, so every cost keeps its bits
+        for i in range(len(prev) - 1):
+            v = prev[i]
+            banned.add(v)
+            if i >= deviation:  # Lawler's skip, see yen_k_shortest
+                spur, searched = _spur(adjacency, tree, v, dst, banned, hops,
+                                       root_cost, cutoff)
+                searches += searched
+                if spur is not None:
+                    total = prev[:i] + spur[1]
+                    if total not in seen:
+                        seen.add(total)
+                        cost = root_cost + spur[0]
+                        heapq.heappush(candidates, (cost, total, i))
+                        if len(top) < need or cost < top[-1]:
+                            insort(top, cost)
+                            del top[need:]
+                            if len(top) == need:
+                                cutoff = top[-1] * (1 + MARGIN)
+            b = prev[i + 1]
+            hops = hops[b]
+            root_cost += weights[(v, b) if v <= b else (b, v)]
+        if not candidates:
+            break
+        _, nodes, deviation = heapq.heappop(candidates)
+        del top[0]  # the cheapest candidate is the one accepted
+        accepted.append(nodes)
+        _add_to_trie(trie, nodes)
+    return accepted, searches
+
+
+def _add_to_trie(trie, nodes):
+    for node in nodes[1:]:
+        trie = trie.setdefault(node, {})
 
 
 class PathFinder:
@@ -194,19 +383,23 @@ class PathFinder:
     Yen built, by node tuple, and a search that finds a known path takes it
     from there. So the finder builds one CandidatePath per node tuple, and
     every pair, scheme and query that finds that path gets the same object.
+    It keeps one SpurTree per (dst, scheme), built by the first query for
+    more than one path toward dst and used by every later run toward dst.
 
-    queries counts calls and yen_runs the searches run. Every answer is a
-    pure function of (graph, src, dst, scheme, k), so neither count changes
-    a result; both belong in the manifest only. A finder is not safe to
-    share between threads; run_scenario's worker processes each search on
-    their own copy.
+    queries counts calls, yen_runs the Yen runs and spur_searches the
+    _dijkstra runs inside them. Every answer is a pure function of (graph,
+    src, dst, scheme, k), so no count changes a result; they belong in the
+    manifest only. A finder is not safe to share between threads;
+    run_scenario's worker processes each search on their own copy.
     """
 
     def __init__(self, graph: NetworkGraph):
         self.graph = graph
         self.queries = 0
         self.yen_runs = 0
+        self.spur_searches = 0
         self._tables = {scheme: SchemeTable.build(graph, scheme) for scheme in WeightScheme}
+        self._trees = {}  # (dst, scheme) -> SpurTree
         self._memo = {}  # (src, dst, scheme) -> (CandidatePaths, exhausted)
         self._built = {}  # node tuple -> CandidatePath as Yen built it
 
@@ -220,8 +413,12 @@ class PathFinder:
         if known is not None and (len(known[0]) >= k or known[1]):
             return known[0][:k]
         self.yen_runs += 1
-        found = tuple(yen_k_shortest(self.graph, src, dst, k, scheme,
-                                     table=self._tables[scheme], built=self._built))
+        tree = self._trees.get((dst, scheme))
+        # an unknown dst is left for yen_k_shortest to refuse
+        if tree is None and k > 1 and dst in self.graph.node_by_id:
+            tree = self._trees[(dst, scheme)] = SpurTree.build(self._tables[scheme], dst)
+        found = tuple(yen_k_shortest(self.graph, src, dst, k, scheme, table=self._tables[scheme],
+                                     tree=tree, built=self._built, tally=self))
         self._memo[key] = (found, len(found) < k)  # exhausted: found is every path there is
         return found
 

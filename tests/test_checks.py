@@ -1,11 +1,14 @@
 """Every input number is checked once, by the type or entry point that takes
 it, and a broken rule raises InputError before any work is done."""
 
+from fractions import Fraction
+from numbers import Integral, Real
+
 import numpy as np
 import pytest
 
 from qvpn import rl_optimizer as rl
-from qvpn.checks import InputError, check_int, check_real
+from qvpn.checks import InputError, _is_number, check_int, check_real
 from qvpn.ga_optimizer import GaConfig
 from qvpn.harness import Scenario, search
 from qvpn.pathfinding import PathFinder, build_candidate_sets
@@ -35,6 +38,18 @@ def test_the_two_rules():
     # the typed errors of the file formats and of the RL quota are input errors
     for error in (TopologyError, WorkloadError, rl.QuotaError):
         assert issubclass(error, InputError) and issubclass(InputError, ValueError)
+
+
+@pytest.mark.parametrize("value", [
+    0, 3, -2, 2**70, 0.5, -0.0, NAN, INF, True, False, np.int64(4), np.int32(-1),
+    np.float64(0.25), np.float32(1.5), np.bool_(True), Fraction(1, 3), "1", None, 1j,
+])
+def test_number_rule_fast_path_agrees_with_the_abc_rule(value):
+    # exact ints and floats skip the ABC check; every value must still get
+    # the answer of isinstance(kind) without bools
+    for kind in (Integral, Real):
+        assert _is_number(value, kind) == (isinstance(value, kind)
+                                           and not isinstance(value, bool))
 
 
 @pytest.mark.parametrize("fields", [

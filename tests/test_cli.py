@@ -379,16 +379,20 @@ def test_report_manifest_counts_path_searches(tmp_path):
     manifest = _manifest(out)
     assert manifest["path_queries"] == 16
     assert manifest["yen_runs"] == 4
+    # a k=1 search runs one Dijkstra; the k=2 searches are answered from each
+    # destination's shortest-path tree
+    assert manifest["spur_searches"] == 2
     for name in manifest["outputs"]:
-        assert "yen_runs" not in (out / name).read_text()
-        assert "path_queries" not in (out / name).read_text()
+        for count in ("yen_runs", "path_queries", "spur_searches"):
+            assert count not in (out / name).read_text()
     # two workers, one repetition each: each runs both p_max values' 4 searches
     cfg = _config(tmp_path, "report2.json", _base(topo, wlf),
                   optimizer="baseline-hop", repetitions=2,
                   sweep={"axis": "p_max", "values": [1, 2]}, max_workers=2)
     assert main(["report", "--config", str(cfg), "--out", str(tmp_path / "out2")]) == 0
     manifest = _manifest(tmp_path / "out2")
-    assert (manifest["path_queries"], manifest["yen_runs"]) == (16, 8)
+    assert (manifest["path_queries"], manifest["yen_runs"], manifest["spur_searches"]) == \
+        (16, 8, 4)
 
 
 def test_report_outputs_do_not_depend_on_max_workers(tmp_path):

@@ -1,5 +1,7 @@
 import heapq
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from qvpn.oracles import enumerate_simple_paths
 from qvpn.pathfinding import (
     PathFinder,
     SchemeTable,
+    SpurTree,
     WeightScheme,
     _dijkstra,
     baseline_selection,
@@ -246,6 +249,144 @@ def test_lawler_skip_matches_full_spur_loop_on_tied_random_graphs():
         src, dst = (f"r{i}" for i in rng.choice(n, size=2, replace=False))
         for scheme in WeightScheme:
             _assert_matches_full_spur_loop(g, src, dst, scheme, ks=(3, 8))
+
+
+def _net50_user_pairs():
+    g = bundled_topology()
+    return g, list(itertools.combinations(sorted(n.id for n in g.user_nodes()), 2))
+
+
+def test_tree_route_matches_full_spur_loop_on_every_net50_user_pair():
+    # one finder per scheme, so the searches share its per-destination trees
+    g, pairs = _net50_user_pairs()
+    for scheme in WeightScheme:
+        finder = PathFinder(g)
+        for src, dst in pairs:
+            want = _yen_full_spur_loop(g, src, dst, 5, scheme)
+            for k in (3, 5):
+                got = [p.nodes for p in finder.paths(src, dst, k, scheme)]
+                assert got == want[:k], (src, dst, scheme, k)
+
+
+def _count_spur_outcomes(monkeypatch):
+    """Counter of how Yen's spurs end: "tree" (the tree path is the spur),
+    "search" (_dijkstra ran), "bound" (skipped, though the spur has a path)
+    or "none" (no path); "dijkstra" counts every _dijkstra run."""
+    outcomes = Counter()
+    real_spur, real_dijkstra = pathfinding._spur, pathfinding._dijkstra
+
+    def dijkstra(*args):
+        outcomes["dijkstra"] += 1
+        return real_dijkstra(*args)
+
+    def spur(adjacency, tree, v, dst, banned, hops, root_cost, cutoff):
+        path, searched = real_spur(adjacency, tree, v, dst, banned, hops, root_cost, cutoff)
+        if searched:
+            outcomes["search"] += 1
+        elif path is not None:
+            outcomes["tree"] += 1
+        else:
+            runs = outcomes["dijkstra"]
+            unbounded = real_spur(adjacency, tree, v, dst, banned, hops, root_cost, math.inf)
+            outcomes["dijkstra"] = runs  # the probe's search is not Yen's
+            outcomes["none" if unbounded[0] is None else "bound"] += 1
+        return path, searched
+
+    monkeypatch.setattr(pathfinding, "_dijkstra", dijkstra)
+    monkeypatch.setattr(pathfinding, "_spur", spur)
+    return outcomes
+
+
+def test_tree_and_bound_answer_most_spurs_on_net50(monkeypatch):
+    # Yen over every net50 user pair at k=3, then 5, through one finder makes
+    # 98,398 spurs (the first path counted as one); each was a _dijkstra run
+    # before the tree and the bound, and 7,146 (7.3%) still are
+    g, pairs = _net50_user_pairs()
+    outcomes = _count_spur_outcomes(monkeypatch)
+    finder = PathFinder(g)
+    for k in (3, 5):
+        for scheme in WeightScheme:
+            for src, dst in pairs:
+                finder.paths(src, dst, k, scheme)
+    assert outcomes["dijkstra"] == outcomes["search"] == finder.spur_searches
+    spurs = sum(outcomes[kind] for kind in ("tree", "search", "bound", "none"))
+    assert spurs == 98398
+    assert outcomes["search"] < 0.09 * spurs
+    assert outcomes["tree"] > 0.2 * spurs
+    assert outcomes["bound"] > 0.07 * spurs
+    assert outcomes["none"] > 0.5 * spurs
+
+
+def _ladder(lengths, multiplex=1):
+    """Two rails l0..l4 and u0..u4 joined by a rung at every index; links
+    take their lengths from the cycle `lengths` in rail-then-rung order."""
+    length = itertools.cycle(lengths)
+    ids = [f"{side}{i}" for side in "lu" for i in range(5)]
+    links = [make_link(f"{side}{i}", f"{side}{i + 1}", next(length), multiplex)
+             for side in "lu" for i in range(4)]
+    links += [make_link(f"l{i}", f"u{i}", next(length), multiplex) for i in range(5)]
+    return NetworkGraph(nodes=tuple(NodeSpec(i) for i in ids), links=tuple(links))
+
+
+@pytest.mark.parametrize("multiplex, capacity", [(1, 1e5), (100, 1e7)])
+def test_tree_falls_back_where_routes_tie(monkeypatch, multiplex, capacity):
+    # equal-capacity alternative routes of the ladder tie, and a tie summed
+    # forward and backward may round apart; at multiplex 100 the capacities
+    # are huge and inv-egr-sq weights near 1e-15, where only a relative
+    # margin tells routes apart
+    graph = _ladder((10.0, 5.0), multiplex)
+    assert min(l.capacity_eprps for l in graph.links) > capacity
+    ids = sorted(n.id for n in graph.nodes)
+    for scheme in WeightScheme:
+        outcomes = _count_spur_outcomes(monkeypatch)
+        for src, dst in itertools.permutations(ids, 2):
+            _assert_matches_full_spur_loop(graph, src, dst, scheme, ks=(3, 8))
+        assert outcomes["search"] > 0 and outcomes["tree"] > 0, (scheme, outcomes)
+
+
+def test_spur_tree_distances_and_gates():
+    # every node's distance and tree path against a search from it, and its
+    # gates against removing each node in turn
+    def reachable(adjacency, a, b, removed):
+        seen, stack = {a, removed}, [a]
+        while stack:
+            node = stack.pop()
+            if node == b:
+                return True
+            for nbr, _ in adjacency[node]:
+                if nbr not in seen:
+                    seen.add(nbr)
+                    stack.append(nbr)
+        return False
+
+    rng = np.random.default_rng(24)
+    for trial in range(40):
+        n = int(rng.integers(4, 12))
+        g = _random_graph(rng, n, extra=int(rng.integers(0, n)), dead=int(rng.integers(0, 3)))
+        for scheme in WeightScheme:
+            table = SchemeTable.build(g, scheme)
+            for dst in table.adjacency:
+                tree = SpurTree.build(table, dst)
+                for node in table.adjacency:
+                    if node == dst:
+                        continue
+                    best = _dijkstra(table.adjacency, node, dst, (), ())
+                    if best is None:
+                        assert tree.dist[node] == math.inf and node not in tree.step
+                        assert tree.gates[node] == ()
+                        continue
+                    assert tree.dist[node] == pytest.approx(best[0], rel=1e-12)
+                    cost, hop = 0.0, node
+                    for _ in range(n):  # the tree path: its weights add up to dist
+                        hop, w, gap = tree.step[hop]
+                        assert gap >= 0
+                        cost += w
+                        if hop == dst:
+                            break
+                    assert hop == dst and cost == pytest.approx(best[0], rel=1e-12)
+                    assert set(tree.gates[node]) == {
+                        cut for cut in table.adjacency if cut not in (node, dst)
+                        and not reachable(table.adjacency, node, dst, cut)}
 
 
 def test_path_finder_serves_prefixes_from_its_memo():
