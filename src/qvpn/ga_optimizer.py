@@ -2,9 +2,10 @@
 
 A strategy changes only a column's per-link overheads, so on each
 candidate path only the strategies that no other dominates are worth a
-search (LpCompiler.non_dominated). A genome is a flat tuple of genes,
-p_max slots per user pair in a fixed pair order; a gene indexes its
-pair's non-dominated columns, in candidate order and then catalog order.
+search (LpCompiler.non_dominated). A genome is a (pairs, p_max) integer
+array of genes, p_max slots per user pair in a fixed pair order; a gene
+indexes its pair's non-dominated columns, in candidate order and then
+catalog order, so it lies below its slot's GaProblem.gene_limits entry.
 Fitness is the W-EGR of the selection through the allocation LP;
 infeasible selections score 0 so the search can walk out of infeasible
 regions. Fitness never decodes: each gene is an id in the compiler's
@@ -24,7 +25,6 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -32,11 +32,6 @@ import numpy as np
 from .allocation_lp import LpCompiler, SolverError, wegr_of_selection
 from .checks import InputError, check_int, check_real
 from .quantum_math import DEFAULT_NOISE
-
-
-@dataclass(frozen=True)
-class Genome:
-    genes: tuple  # one column index per slot, num_pairs * p_max of them
 
 
 @dataclass(frozen=True)
@@ -84,7 +79,7 @@ class GaTrace:
     # the part of seconds spent building the generation's children (none in
     # generation 0) and keying the generation
     breed_seconds: list = field(default_factory=list)
-    best_genome: Genome | None = None
+    best_genome: np.ndarray | None = None  # the best (pairs, p_max) gene row
     best_wegr: float = 0.0
     lp_solves: int = 0
     fitness_calls: int = 0  # genomes scored, cache hits included
@@ -170,39 +165,31 @@ class GaProblem:
         num_columns = np.array(num_columns, dtype=np.intp)
         # per (pair, slot): the pair's base id and its column count
         self._slot_base = np.repeat(np.cumsum(num_columns) - num_columns, p_max).reshape(-1, p_max)
-        self._slot_limit = np.repeat(num_columns, p_max).reshape(-1, p_max)
+        self.gene_limits = np.repeat(num_columns, p_max).reshape(-1, p_max)
 
-    def genome_length(self):
-        return len(self.pair_order) * self.p_max
-
-    def gene_space(self, slot):
-        """The number of genes valid at a gene slot: its pair's columns."""
-        return int(self._slot_limit.flat[slot])
-
-    def decode(self, genome: Genome):
-        """Genome -> {pair_key: [(path, strategy), ...]}; a path repeated
-        within a pair keeps its first occurrence."""
+    def decode(self, genes):
+        """(pairs, p_max) gene row -> {pair_key: [(path, strategy), ...]};
+        a path repeated within a pair keeps its first occurrence."""
         selection = {k: [] for k in self.pair_order}
-        for column in self._keyed(self._gene_array([genome])).ids(0).tolist():
+        for column in self._keyed(self._checked([genes])).ids(0).tolist():
             pair_key, path, strategy = self.compiler.choice(column)
             selection[pair_key].append((path, strategy))
         return selection
 
-    def _gene_array(self, genomes) -> np.ndarray:
-        """The (len(genomes), pairs, p_max) gene array of Genomes, each
-        checked against the problem encoding and the gene space."""
-        length = self.genome_length()
-        for genome in genomes:
-            if len(genome.genes) != length:
-                raise ValueError("genome length does not match the problem encoding")
-        flat = chain.from_iterable(g.genes for g in genomes)
-        genes = np.fromiter(flat, dtype=np.intp, count=length * len(genomes))
-        genes = genes.reshape(len(genomes), *self._slot_limit.shape)
-        valid = (0 <= genes) & (genes < self._slot_limit)
-        bad = np.flatnonzero(~valid.reshape(len(genomes), -1).all(axis=1))
+    def _checked(self, genes) -> np.ndarray:
+        """genes, (n, pairs, p_max), as an intp array; ValueError unless
+        they have that shape and an integer dtype and each gene lies in
+        [0, gene_limits) of its slot."""
+        genes = np.asarray(genes)
+        if genes.shape[1:] != self.gene_limits.shape:
+            raise ValueError(f"genomes of shape {genes.shape[1:]}, but the problem "
+                             f"encodes {self.gene_limits.shape}")
+        if genes.dtype.kind not in "iu":
+            raise ValueError(f"genes of dtype {genes.dtype}, not integers")
+        bad = np.flatnonzero(((genes < 0) | (genes >= self.gene_limits)).any(axis=(1, 2)))
         if bad.size:
-            raise ValueError(f"gene outside the gene space in {genomes[bad[0]].genes}")
-        return genes
+            raise ValueError(f"gene outside the gene space in {genes[bad[0]].tolist()}")
+        return genes.astype(np.intp, copy=False)
 
     def _keyed(self, genes: np.ndarray) -> "_Keyed":
         """Pool ids and cache keys of a (n, pairs, p_max) gene array.
@@ -219,15 +206,10 @@ class GaProblem:
         rows = np.sort(np.where(first, columns, -1), axis=-1).reshape(len(genes), -1)
         return _Keyed(genes, columns, first, [row.tobytes() for row in rows])
 
-    def score(self, ids) -> float:
-        """W-EGR of the selection with these pool ids, solved uncached."""
-        return wegr_of_selection(self.compiler, ids)
-
-    def fitness(self, genome) -> float:
-        """Cached W-EGR of one genome: a Genome, or its (pairs, p_max) gene
-        array."""
-        genes = self._gene_array([genome]) if isinstance(genome, Genome) else genome[None]
-        return self.fitnesses(self._keyed(genes), partial(_solve_each, self))[0]
+    def fitness(self, genes) -> float:
+        """Cached W-EGR of one (pairs, p_max) gene row."""
+        keyed = self._keyed(self._checked([genes]))
+        return self.fitnesses(keyed, partial(_solve_each, self))[0]
 
     def fitnesses(self, keyed: "_Keyed", solve_batch) -> list:
         """fitness of every keyed genome, with the distinct misses among
@@ -242,14 +224,15 @@ class GaProblem:
         results = solve_batch([keyed.ids(i) for i in misses.values()])
         for (key, i), result in zip(misses.items(), results):
             if isinstance(result, SolverError):
-                raise _scoring_error(result, _genome_of(keyed.genes[i])) from result
+                raise SolverError(f"{result} (while scoring genes "
+                                  f"{keyed.genes[i].tolist()})") from result
             if isinstance(result, BaseException):
                 raise result
             self.lp_solves += 1
             self._cache[key] = result
         return [self._cache[key] for key in keyed.keys]
 
-    def encode_selection(self, selection) -> Genome:
+    def encode_selection(self, selection) -> np.ndarray:
         """Inverse of decode for seeding, up to dominance: each pick becomes
         the gene of its stand-in (LpCompiler.non_dominated), so the seeded
         genome scores no less than the selection. A pick on a path without
@@ -274,7 +257,7 @@ class GaProblem:
                     slots.append(gene)
             slots = slots or [0]
             genes += slots + slots[:1] * (self.p_max - len(slots))
-        return Genome(tuple(genes))
+        return np.array(genes, dtype=np.intp).reshape(self.gene_limits.shape)
 
 
 class _Keyed(NamedTuple):
@@ -285,32 +268,24 @@ class _Keyed(NamedTuple):
     keys: list  # the cache key of each genome
 
     def ids(self, i) -> np.ndarray:
-        """Genome i's LP pool ids, in pair order and then slot order."""
+        """The LP pool ids of genome i, in pair order and then slot order."""
         return self.columns[i][self.first[i]]
 
 
-def _genome_of(genes: np.ndarray) -> Genome:
-    """The Genome of one genome's gene array, in Python ints."""
-    return Genome(tuple(genes.ravel().tolist()))
-
-
-def _scoring_error(exc: SolverError, genome: Genome) -> SolverError:
-    return SolverError(f"{exc} (while scoring genome {genome.genes})")
-
-
 def initialize_population(problem: GaProblem, config: GaConfig, seed_heuristics=()):
-    """Population of size N: injected heuristic genomes, then uniform random
-    genes from default_rng([seed, 0])."""
+    """(N, pairs, p_max) gene array of the population: injected heuristic
+    genomes, then uniform random genes from default_rng([seed, 0])."""
     heur = [problem.encode_selection(sel) for sel in seed_heuristics]
     if config.population_size < len(heur):
         raise ValueError(
             f"population size {config.population_size} below the "
             f"{len(heur)} injected heuristics"
         )
-    limit = problem._slot_limit
+    limit = problem.gene_limits
     rng = np.random.default_rng([config.seed, 0])
-    genes = rng.integers(limit, size=(config.population_size - len(heur), *limit.shape))
-    return heur + [_genome_of(g) for g in genes]
+    drawn = rng.integers(limit, size=(config.population_size - len(heur), *limit.shape))
+    heur = np.array(heur, dtype=np.intp).reshape(len(heur), *limit.shape)
+    return np.concatenate((heur, drawn))
 
 
 def _schedule_for(config: GaConfig, generation: int):
@@ -364,11 +339,12 @@ def _usable_cpus() -> int:
 
 
 def _solve_each(problem: GaProblem, id_lists) -> list:
-    """problem.score of each pool-id array, or the exception it raised."""
+    """The uncached W-EGR of each pool-id array's selection, or the
+    exception it raised."""
     results = []
     for ids in id_lists:
         try:
-            results.append(problem.score(ids))
+            results.append(wegr_of_selection(problem.compiler, ids))
         except Exception as exc:  # reported in miss order by GaProblem.fitnesses
             results.append(exc)
     return results
@@ -391,8 +367,8 @@ def _solve_split(problem: GaProblem, helper, id_lists) -> list:
 
 
 def evolve(population, config: GaConfig, problem: GaProblem) -> GaTrace:
-    """Run the generational loop on a population of config.population_size
-    Genomes; returns the trace (one row per generation, including the
+    """Run the generational loop on a (config.population_size, pairs, p_max)
+    gene array; returns the trace (one row per generation, including the
     initial population as generation 0). Each generation is keyed at once
     and its distinct cache misses, in first-appearance order, are solved
     and cached in that order.
@@ -407,7 +383,7 @@ def evolve(population, config: GaConfig, problem: GaProblem) -> GaTrace:
     if len(population) != config.population_size:
         raise ValueError(f"population of {len(population)} genomes, but "
                          f"population_size is {config.population_size}")
-    genes = problem._gene_array(population)
+    genes = problem._checked(population)
     trace = None
     if _usable_cpus() >= 2:
         from . import forking  # here, so that serial runs do not import multiprocessing
@@ -431,7 +407,7 @@ def _generations(genes, config: GaConfig, problem: GaProblem, solve_batch) -> Ga
     trace = GaTrace()
     children = config.population_size - config.elitism_count
 
-    def score(genes, t0):
+    def evaluate(genes, t0):
         keyed = problem._keyed(genes)
         trace.breed_seconds.append(time.perf_counter() - t0)
         fitnesses = problem.fitnesses(keyed, solve_batch)
@@ -441,7 +417,7 @@ def _generations(genes, config: GaConfig, problem: GaProblem, solve_batch) -> Ga
         trace.fitness_calls += len(fitnesses)
         return fitnesses
 
-    fitnesses = score(genes, time.perf_counter())
+    fitnesses = evaluate(genes, time.perf_counter())
     for gen in range(1, config.generations + 1):
         t0 = time.perf_counter()
         pool_frac, mut_prob, cross_prob = _schedule_for(config, gen - 1)
@@ -450,13 +426,13 @@ def _generations(genes, config: GaConfig, problem: GaProblem, solve_batch) -> Ga
         weights = _pool_weights(pool, fitnesses, config.mode == "dynamic")
         rng = np.random.default_rng([config.seed, gen])
         bred = _breed(rng, children, genes, pool, weights, cross_prob, mut_prob,
-                      problem._slot_limit)
+                      problem.gene_limits)
         genes = np.concatenate((genes[order[:config.elitism_count]], bred))
-        fitnesses = score(genes, t0)
+        fitnesses = evaluate(genes, t0)
 
     best_idx = max(range(len(genes)), key=lambda i: (fitnesses[i], -i))
     # elitism guarantees the final population contains the best-ever genome
-    trace.best_genome = _genome_of(genes[best_idx])
+    trace.best_genome = genes[best_idx]
     trace.best_wegr = fitnesses[best_idx]
     trace.lp_solves = problem.lp_solves
     return trace

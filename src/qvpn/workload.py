@@ -84,6 +84,10 @@ class WorkloadParams:
         check_real("r_max", self.r_max, open_low=True, open_high=False)  # inf: no R_max rows
         if not isinstance(self.random_r_max, bool):
             raise InputError(f"random_r_max must be true or false, got {self.random_r_max!r}")
+        if self.random_r_max:
+            # each pair draws R_max ~ Unif[10, r_max], which must not fall below r_min
+            check_real("r_min with random_r_max", self.r_min, high=10.0, open_high=False)
+            check_real("r_max with random_r_max", self.r_max, 10.0)
 
 
 @dataclass(frozen=True)
@@ -195,7 +199,10 @@ def load_workload(source: str) -> Workload:
                     )
                 )
             elif parts[0] == "seed":
-                seed = int(parts[1])
+                if len(parts) != 2:
+                    raise WorkloadError(f"line {lineno}: seed line expects '<n>'")
+                seed = check_int(f"line {lineno}: seed", int(parts[1]), low=0,
+                                 error=WorkloadError)
             else:
                 raise WorkloadError(f"line {lineno}: unknown directive {parts[0]!r}")
         except ValueError as exc:

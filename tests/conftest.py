@@ -35,9 +35,9 @@ def ga_bound_oracle(monkeypatch):
         trace = real_generations(genes, config, problem, solve_batch)
         bound = wegr_of_selection(problem.compiler, np.arange(problem._layout_size))
         assert trace.best_wegr <= bound * (1 + ORACLE_RTOL), (trace.best_wegr, bound)
-        initial = {ga_optimizer._genome_of(g) for g in genes}
+        initial = {row.tobytes() for row in genes}
         seeded = [wegr_of_selection(problem.compiler, selection) for owner, selection, genome in encoded
-                  if owner is problem and genome in initial]
+                  if owner is problem and genome.tobytes() in initial]
         for wegr in seeded:
             assert trace.best_wegr >= wegr * (1 - ORACLE_RTOL), (trace.best_wegr, wegr)
         checked.append((trace.best_wegr, bound, seeded))

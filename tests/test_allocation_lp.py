@@ -532,7 +532,7 @@ def test_routes_give_the_same_ga_trace(monkeypatch):
     direct, fallback = _both_routes(monkeypatch, run)
     assert direct.best_fitness == fallback.best_fitness
     assert direct.mean_fitness == fallback.mean_fitness
-    assert direct.best_genome == fallback.best_genome
+    assert np.array_equal(direct.best_genome, fallback.best_genome)
 
 
 def _fresh_python(code, cwd):

@@ -559,6 +559,20 @@ def test_config_errors_exit_2(tmp_path, capsys):
     missing["topology"] = str(tmp_path / "nope.topo")
     assert rc("capacity", "missing.json", missing) == 2
 
+    # random_r_max draws R_max ~ Unif[10, r_max]: these used to exit 1 from
+    # numpy, or fail to generate on most seeds
+    for params, rule in (({"r_max": 5}, "r_max with random_r_max"),
+                         ({"r_max": float("inf")}, "r_max with random_r_max"),
+                         ({"r_min": 50}, "r_min with random_r_max")):
+        cfg = _config(tmp_path, "rmax.json", _base(topo),
+                      workload_params=dict(params, random_r_max=True))
+        assert main(["paths", "--config", str(cfg), "--out", str(out)]) == 2, params
+        assert rule in capsys.readouterr().err
+    # a bare seed line in a workload file used to exit 1 with an IndexError
+    bare = tmp_path / "bare.workload"
+    bare.write_text(wlf.read_text().replace("seed 0", "seed"))
+    assert rc("paths", "bare.json", _base(topo, bare)) == 2
+
     assert rc("allocate", "badsrc.json", _base(topo, wlf), source={}) == 2
     assert rc("report", "badscen.json", _base(topo, wlf),
               sweep={"axis": "volume", "values": [1, 2]}) == 2

@@ -14,8 +14,6 @@ from qvpn.fixtures import TOPOLOGY_10, bundled_topology
 from qvpn.ga_optimizer import (
     GaConfig,
     GaProblem,
-    Genome,
-    _genome_of,
     dynamic_schedule,
     evolve,
     initialize_population,
@@ -30,7 +28,7 @@ from qvpn_helpers import ORACLE_RTOL, make_pair, three_fidelity_copy
 
 def random_genome(problem, rng):
     """A uniform random genome of the problem, one draw per slot."""
-    return _genome_of(rng.integers(problem._slot_limit))
+    return rng.integers(problem.gene_limits)
 
 
 @pytest.fixture
@@ -57,7 +55,7 @@ def mixed_problem():
     wl = Workload(organizations=(Organization("org0", 1.0),), user_pairs=pairs, seed=0)
     problem = GaProblem(graph, wl, build_candidate_sets(graph, wl, k=3),
                         default_strategy_catalog(4), p_max=2)
-    assert problem._slot_limit.tolist() == [[3, 3], [2, 2]]
+    assert problem.gene_limits.tolist() == [[3, 3], [2, 2]]
     return problem
 
 
@@ -121,10 +119,10 @@ def test_dynamic_schedule_midpoint_and_monotone():
 
 
 def test_genome_length_and_gene_space(tri_problem, mixed_problem):
-    assert tri_problem.genome_length() == 4  # 2 pairs x p_max 2
+    assert tri_problem.gene_limits.shape == (2, 2)  # 2 pairs x p_max 2
     # the triangle's links share one fidelity: one column per path
-    assert tri_problem.gene_space(0) == len(tri_problem.candidates[tri_problem.pair_order[0]])
-    assert [mixed_problem.gene_space(slot) for slot in range(4)] == [3, 3, 2, 2]
+    assert tri_problem.gene_limits[0, 0] == len(tri_problem.candidates[tri_problem.pair_order[0]])
+    assert mixed_problem.gene_limits.ravel().tolist() == [3, 3, 2, 2]
     first = [mixed_problem.compiler.choice(i) for i in range(3)]
     assert [p.nodes for _, p, _ in first] == [("A", "B"), ("A", "C", "B"), ("A", "C", "B")]
     assert [mixed_problem.catalog.index(s) for _, _, s in first] == [0, 0, 2]
@@ -149,7 +147,7 @@ def test_decode_structure_fuzz(tri_problem):
 def test_decode_keeps_first_duplicate(mixed_problem):
     catalog = mixed_problem.catalog
     for genes, kept in (((2, 1), 2), ((1, 2), 0)):
-        sel = mixed_problem.decode(Genome((*genes, 0, 1)))
+        sel = mixed_problem.decode(np.array([genes, (0, 1)]))
         picks = sel[mixed_problem.pair_order[0]]
         assert len(picks) == 1  # A-C-B twice
         assert picks[0][1] is catalog[kept]  # the first column wins
@@ -195,7 +193,7 @@ def test_repeated_catalog_strategies_are_rejected(triangle, tri_problem):
 
 
 def test_fitness_matches_lp_and_caches(tri_problem):
-    g = Genome((0, 1, 0, 0))
+    g = np.array([[0, 1], [0, 0]])
     want = wegr_of_selection(LpCompiler(tri_problem.graph, tri_problem.workload, p_max=2),
                              tri_problem.decode(g))
     before = tri_problem.lp_solves
@@ -208,8 +206,8 @@ def test_fitness_matches_lp_and_caches(tri_problem):
 def test_fitness_cache_keyed_by_canonical_selection(tri_problem):
     before = tri_problem.lp_solves
     # slots reordered within the pair but the same columns
-    a = Genome((0, 1, 0, 1))
-    b = Genome((1, 0, 1, 0))
+    a = np.array([[0, 1], [0, 1]])
+    b = np.array([[1, 0], [1, 0]])
     fa = tri_problem.fitness(a)
     fb = tri_problem.fitness(b)
     assert fa == fb
@@ -233,8 +231,8 @@ def test_initialize_population_heuristics_first(triangle, tri_problem):
                              p_max=2, catalog=catalog)
     cfg = GaConfig(population_size=6, generations=2)
     pop = initialize_population(tri_problem, cfg, seed_heuristics=(sel,))
-    assert len(pop) == 6
-    assert pop[0] == tri_problem.encode_selection(sel)
+    assert pop.shape == (6, *tri_problem.gene_limits.shape)
+    assert np.array_equal(pop[0], tri_problem.encode_selection(sel))
     with pytest.raises(ValueError, match="below"):
         initialize_population(tri_problem, GaConfig(population_size=2, generations=1),
                               seed_heuristics=(sel, sel, sel))
@@ -250,7 +248,7 @@ def test_evolve_deterministic(tri_problem, triangle):
         runs.append(evolve(pop, cfg, prob))
     assert runs[0].best_fitness == runs[1].best_fitness
     assert runs[0].mean_fitness == runs[1].mean_fitness
-    assert runs[0].best_genome == runs[1].best_genome
+    assert np.array_equal(runs[0].best_genome, runs[1].best_genome)
     assert runs[0].best_wegr == runs[1].best_wegr
 
 
@@ -284,8 +282,8 @@ def test_evolve_improves_on_seeded_heuristic(triangle, tri_problem):
 
 def test_evolve_rejects_wrong_genome_length(tri_problem):
     cfg = GaConfig(population_size=4, generations=1)
-    with pytest.raises(ValueError, match="length"):
-        evolve([Genome((0,))] * 4, cfg, tri_problem)
+    with pytest.raises(ValueError, match="shape"):
+        evolve(np.zeros((4, 1), dtype=np.intp), cfg, tri_problem)
 
 
 @pytest.mark.parametrize("size", [0, 3, 11])
@@ -317,14 +315,14 @@ def test_pairs_without_candidates_are_skipped(triangle):
     cands[pairs[1].key] = []
     prob = GaProblem(triangle, wl, cands, default_strategy_catalog(2), p_max=2)
     assert prob.pair_order == [pairs[0].key]
-    assert prob.genome_length() == 2
+    assert prob.gene_limits.shape == (1, 2)
     # with no candidates at all the genome is empty, and every generation
     # scores the one empty selection
     cands[pairs[0].key] = []
     prob = GaProblem(triangle, wl, cands, default_strategy_catalog(2), p_max=2)
     cfg = GaConfig(population_size=4, generations=3)
     trace = evolve(initialize_population(prob, cfg), cfg, prob)
-    assert trace.best_genome == Genome(())
+    assert trace.best_genome.shape == (0, 2)
     assert (trace.lp_solves, trace.fitness_calls) == (1, 16)
 
 
@@ -338,7 +336,7 @@ def test_pairs_without_a_feasible_column_are_skipped(triangle):
     cands = build_candidate_sets(triangle, wl, k=2)
     prob = GaProblem(triangle, wl, cands, default_strategy_catalog(2, max_rounds=1), p_max=2)
     assert prob.pair_order == [pairs[0].key]
-    assert prob.genome_length() == 2
+    assert prob.gene_limits.shape == (1, 2)
     picks = {k: [(p, prob.catalog[0]) for p in v] for k, v in cands.items()}
     assert prob.decode(prob.encode_selection(picks)) == {pairs[0].key: picks[pairs[0].key][:1]}
 
@@ -351,9 +349,9 @@ def test_encode_selection_maps_picks_to_their_stand_ins(mixed_problem):
     catalog = problem.catalog
     for s, gene in ((0, 1), (1, 1), (2, 2), (3, 1)):
         genome = problem.encode_selection({ab: [(detour, catalog[s])]})
-        assert genome.genes[:2] == (gene, gene)
+        assert genome[0].tolist() == [gene, gene]
     genome = problem.encode_selection({ab: [(detour, catalog[3]), (direct, catalog[2])]})
-    assert genome.genes == (1, 0, 0, 0)  # A-C, the first gene, pads the empty pair
+    assert genome.tolist() == [[1, 0], [0, 0]]  # A-C, the first gene, pads the empty pair
 
 
 def test_the_bound_oracle_checks_every_search(ga_bound_oracle, triangle, tri_problem):
@@ -419,7 +417,7 @@ def _path_genes(problem):
     """Per pair index: per candidate path index, the genes on that path."""
     out = []
     for i in range(len(problem.pair_order)):
-        base, limit = problem._slot_base[i, 0], problem._slot_limit[i, 0]
+        base, limit = problem._slot_base[i, 0], problem.gene_limits[i, 0]
         paths = problem._column_path[base:base + limit].tolist()
         by_path = {}
         for gene, path in enumerate(paths):
@@ -451,19 +449,17 @@ def test_pool_lp_equals_compile_of_decode(monkeypatch, net50_problem):
     lps = _scored_lps(monkeypatch, problem)
     reference = LpCompiler(problem.graph, problem.workload, problem.noise, problem.p_max)
     rng = np.random.default_rng(41)
-    p = problem.p_max
     forced_duplicates = 0
     for trial in range(300):
-        genes = list(random_genome(problem, rng).genes)
+        genome = random_genome(problem, rng)
         for i, by_path in enumerate(path_genes):
             if rng.random() < 0.4:  # one path twice; the first column wins
                 on_path = list(by_path.values())[int(rng.integers(len(by_path)))]
                 if two_columns[i] and rng.random() < 0.5:
                     on_path = two_columns[i][int(rng.integers(len(two_columns[i])))]
-                genes[i * p] = int(rng.choice(on_path))
-                genes[i * p + 2] = int(rng.choice(on_path))
+                genome[i, 0] = int(rng.choice(on_path))
+                genome[i, 2] = int(rng.choice(on_path))
                 forced_duplicates += 1
-        genome = Genome(tuple(genes))
         before = len(lps)
         value = problem.fitness(genome)
         assert len(lps) == before + 1, trial  # random genomes never repeat here
@@ -506,14 +502,13 @@ def test_fitness_cache_is_keyed_on_first_picks(net50_problem):
     i, on_path = max(((i, g) for i, by_path in enumerate(_path_genes(problem))
                       for g in by_path.values()), key=lambda x: len(x[1]))
     a, b = on_path[0], on_path[-1]
-    other = next(g for g in range(problem.gene_space(i * problem.p_max)) if g not in on_path)
-    base = list(random_genome(problem, np.random.default_rng(3)).genes)
-    p = problem.p_max
+    other = next(g for g in range(problem.gene_limits[i, 0]) if g not in on_path)
+    base = random_genome(problem, np.random.default_rng(3))
 
     def with_pair(slots):
-        genes = list(base)
-        genes[i * p:(i + 1) * p] = slots
-        return Genome(tuple(genes))
+        genes = base.copy()
+        genes[i] = slots
+        return genes
 
     before = problem.lp_solves
     a_first = problem.fitness(with_pair([a, other, b]))
@@ -529,14 +524,24 @@ def test_fitness_cache_is_keyed_on_first_picks(net50_problem):
 
 
 def test_genes_outside_the_gene_space_are_rejected(mixed_problem):
-    for slot in range(4):
-        for bad in (mixed_problem.gene_space(slot), -1):
-            genes = [0, 0, 0, 0]
+    limits = mixed_problem.gene_limits
+    for slot in np.ndindex(limits.shape):
+        for bad in (limits[slot], -1):
+            genes = np.zeros_like(limits)
             genes[slot] = bad
             with pytest.raises(ValueError, match="gene space"):
-                mixed_problem.fitness(Genome(tuple(genes)))
-    with pytest.raises(ValueError, match="length"):
-        mixed_problem.fitness(Genome((0, 0)))
+                mixed_problem.fitness(genes)
+    with pytest.raises(ValueError, match="shape"):
+        mixed_problem.fitness(np.zeros(2, dtype=np.intp))
+    # whole numbers in a float array are not genes, nor is a wrongly shaped array
+    for check in (mixed_problem.fitness, mixed_problem.decode):
+        with pytest.raises(ValueError, match="dtype float64, not integers"):
+            check(np.zeros(limits.shape))
+        with pytest.raises(ValueError, match=re.escape("shape (2, 3), but the problem encodes (2, 2)")):
+            check(np.zeros((2, 3), dtype=np.intp))
+    config = GaConfig(population_size=4, generations=1)
+    with pytest.raises(ValueError, match="not integers"):
+        evolve(np.zeros((4, *limits.shape)), config, mixed_problem)
 
 
 def test_traced_lp_solves_see_every_miss(monkeypatch, tri_problem):
@@ -578,7 +583,7 @@ def _run_on(monkeypatch, cpus, problem, config, population=None):
 
 
 def _trace_view(trace):
-    return (trace.best_fitness, trace.mean_fitness, trace.best_genome, trace.best_wegr,
+    return (trace.best_fitness, trace.mean_fitness, trace.best_genome.tolist(), trace.best_wegr,
             trace.lp_solves, trace.fitness_calls)
 
 
@@ -606,7 +611,7 @@ def test_helper_gives_the_serial_trace_with_repeated_children(monkeypatch, tri_p
     # across generations; the initial population repeats genomes outright
     rng = np.random.default_rng(5)
     distinct = [random_genome(tri_problem, rng) for _ in range(4)]
-    population = [distinct[i % 4] for i in range(10)]
+    population = np.array([distinct[i % 4] for i in range(10)])
     for config in (GaConfig(population_size=10, generations=8, seed=2),
                    GaConfig.static_mode(population_size=10, generations=8, seed=2)):
         serial = _run_on(monkeypatch, 1, _fresh(tri_problem), config, population)
@@ -688,7 +693,7 @@ def test_a_solver_error_in_the_helper_reaches_the_caller(monkeypatch, net50_prob
     with pytest.raises(SolverError, match="Time limit") as info:
         _run_on(monkeypatch, 2, net50_problem, config, population)
     # the helper takes the second distinct miss: the second random genome
-    assert str(info.value).endswith(f"(while scoring genome {population[1].genes})")
+    assert str(info.value).endswith(f"(while scoring genes {population[1].tolist()})")
     assert multiprocessing.active_children() == []
 
 

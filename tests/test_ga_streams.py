@@ -8,8 +8,7 @@ import pytest
 
 from qvpn import harness
 from qvpn.fixtures import TOPOLOGY_10, bundled_topology
-from qvpn.ga_optimizer import (GaConfig, GaProblem, _breed, _genome_of, _pool_weights,
-                               initialize_population)
+from qvpn.ga_optimizer import GaConfig, GaProblem, _breed, _pool_weights, initialize_population
 from qvpn.pathfinding import WeightScheme, baseline_selection, build_candidate_sets
 from qvpn.quantum_math import default_strategy_catalog
 from qvpn.workload import Organization, Workload, WorkloadParams, generate_workload
@@ -125,16 +124,15 @@ def test_initial_population_draws_the_random_genome_genes(triangle, net, bound):
     for seed, heuristics in ((bound, ()), (11, (heuristic,))):
         config = GaConfig(population_size=40, seed=seed)
         random = config.population_size - len(heuristics)
-        limit = problem._slot_limit
+        limit = problem.gene_limits
         drawn = np.random.default_rng([seed, 0]).integers(limit, size=(random, *limit.shape))
-        want = [problem.encode_selection(h) for h in heuristics]
-        want += [_genome_of(g) for g in drawn]
+        want = [problem.encode_selection(h) for h in heuristics] + list(drawn)
         got = initialize_population(problem, config, seed_heuristics=heuristics)
-        assert got == want
-        assert all(type(i) is int for genome in got for i in genome.genes)
+        assert got.dtype == np.intp and got.shape == (config.population_size, *limit.shape)
+        assert np.array_equal(got, want)
         # every gene lies in its slot's gene space, and the draws cover it
-        genes = problem._gene_array(got[len(heuristics):]).reshape(random, -1)
-        assert (genes.max(axis=0) < limit.ravel()).all()
+        genes = got[len(heuristics):].reshape(random, -1)
+        assert genes.min() >= 0 and (genes.max(axis=0) < limit.ravel()).all()
         assert genes.max() == limit.max() - 1
 
 
@@ -186,5 +184,5 @@ def test_ga_bits_on_net50_are_pinned(mode):
     assert [x.hex() for x in trace.best_fitness] == pin["best"]
     assert [x.hex() for x in trace.mean_fitness] == pin["mean"]
     assert (trace.lp_solves, trace.fitness_calls) == (pin["lp_solves"], pin["fitness_calls"])
-    assert list(trace.best_genome.genes) == PIN_GENES
-    assert all(type(i) is int for i in trace.best_genome.genes)
+    assert trace.best_genome.ravel().tolist() == PIN_GENES
+    assert trace.best_genome.dtype == np.intp and trace.best_genome.shape == (30, 3)

@@ -1,10 +1,12 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from qvpn.checks import InputError
 from qvpn.fixtures import TOPOLOGY_10, bundled_topology
 from qvpn.topology import min_hop_distances
 from qvpn.workload import (
@@ -153,6 +155,16 @@ def test_generation_random_r_max(net10):
     assert len(values) > 10  # actually drawn per pair
     for p in wl.user_pairs:
         assert 10.0 <= p.r_max <= 800.0
+    # an r_max below 10 or infinite cannot be drawn from, and a draw below
+    # an r_min over 10 breaks the pair; each value is fine without random_r_max
+    for params, name in (({"r_max": 5.0}, "r_max"), ({"r_max": math.inf}, "r_max"),
+                         ({"r_min": 50.0}, "r_min")):
+        with pytest.raises(InputError, match=f"{name} with random_r_max"):
+            replace(SMALL, random_r_max=True, **params)
+        replace(SMALL, **params)
+    # the edges of the rule hold, and draw from a one-point range
+    wl = generate_workload(net10, replace(SMALL, random_r_max=True, r_min=10.0, r_max=10.0), 0)
+    assert {(p.r_min, p.r_max) for p in wl.user_pairs} == {(10.0, 10.0)}
 
 
 def test_generation_exhaustion_error(net10):
@@ -178,6 +190,13 @@ def test_load_rejects_bad_documents():
         load_workload("qvpn-workload v1\nbanana o 1.0\n")
     with pytest.raises(WorkloadError, match="line 2"):
         load_workload("qvpn-workload v1\norg o heavy\n")
+    # a seed line holds one integer >= 0
+    for line, why in (("seed", "seed line expects '<n>'"), ("seed 1 2", "expects"),
+                      ("seed -3", "seed must be an integer >= 0, got -3"),
+                      ("seed 1.5", "1.5"), ("seed x", "'x'")):
+        with pytest.raises(WorkloadError, match=f"line 3: .*{re.escape(why)}"):
+            load_workload(f"qvpn-workload v1\norg o 1.0\n{line}\n")
+    assert load_workload("qvpn-workload v1\nseed 0\n").seed == 0
 
 
 def test_duplicate_pair_keys_are_rejected():
