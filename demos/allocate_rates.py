@@ -1,16 +1,16 @@
 """Rate allocation on the bundled 10-node topology.
 
-Generates a 2-org workload, enumerates candidate paths, picks a hop-count
-baseline selection, and solves the weighted-rate LP. Shows where the
+Generates a 2-org workload, enumerates candidate paths, and solves the
+weighted-rate LP of a hop-count baseline selection through harness.search,
+the pipeline of `qvpn allocate`, on the same PathFinder. Shows where the
 capacity actually goes and which pairs starve under pure W-EGR maximization.
 """
 
 from qvpn.fixtures import bundled_topology, TOPOLOGY_10
 from qvpn.workload import WorkloadParams, generate_workload
-from qvpn.pathfinding import (WeightScheme, baseline_selection, build_candidate_sets,
-                              nearest_strategy_index)
+from qvpn.pathfinding import PathFinder, build_candidate_sets
 from qvpn.quantum_math import default_strategy_catalog
-from qvpn.allocation_lp import build_problem, solve
+from qvpn.harness import search
 
 SEED = 7
 
@@ -26,15 +26,14 @@ def main():
         print(f"  {org.id} (weight {org.weight:.2f}): "
               + ", ".join(f"{a}-{b}" for a, b in (p.endpoints for p in pairs)))
 
-    candidates = build_candidate_sets(graph, workload, k=5)
+    finder = PathFinder(graph)  # the search reuses these Yen runs
+    candidates = build_candidate_sets(graph, workload, k=5, finder=finder)
     total = sum(len(v) for v in candidates.values())
     print(f"candidate paths: {total} across {len(candidates)} pairs")
 
-    catalog = default_strategy_catalog()
-    idx = nearest_strategy_index(catalog, 0.992)
-    selection = baseline_selection(graph, workload, candidates, WeightScheme.HOP,
-                                   p_max=3, strategy_index=idx, catalog=catalog)
-    solution = solve(build_problem(graph, workload, selection, p_max=3))
+    result = search(graph, workload, "baseline-hop", SEED, k=5, p_max=3,
+                    catalog=default_strategy_catalog(), finder=finder)
+    selection, solution = result.selection, result.solution
     print(f"LP status: {solution.status}, W-EGR = {solution.wegr:.2f}")
 
     print()

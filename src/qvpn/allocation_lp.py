@@ -9,8 +9,8 @@ time; an unsatisfiable R_min row then makes the whole problem infeasible,
 which reports as W-EGR 0.
 
 An LpCompiler is built once per (graph, workload, noise, p_max) and turns
-selections into LPs in compressed sparse column (CSC) form; it is the
-instance that wegr_of_selection scores a selection on. solve_lp hands
+selections into LPs in compressed sparse column (CSC) form; its solve
+answers a selection and wegr_of_selection scores one. solve_lp hands
 those arrays to the HiGHS binding bundled with scipy, with the options
 linprog(method="highs") sets; where that private binding is missing it
 falls back to linprog itself.
@@ -111,18 +111,6 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
-class AllocationProblem:
-    variables: tuple  # (pair_key, CandidatePath, DistillationStrategy) per column
-    lp: LinearProgram
-    pair_keys: tuple  # all workload pair keys, in workload order
-    swap_success_prob: float = 1.0  # q, for recovering true EGR from raw rates
-
-    @property
-    def num_variables(self):
-        return len(self.variables)
-
-
-@dataclass(frozen=True)
 class AllocationSolution:
     status: str  # "optimal" | "infeasible"
     rates: dict  # (pair_key, path nodes) -> rate
@@ -144,11 +132,12 @@ class LpCompiler:
     column math; the first gather that asks for an id computes its column
     into flat arrays that grow by doubling; fill computes a whole id array's
     missing columns ahead of use. gather turns an id array into an LP with
-    one numpy gather. Every LP takes that one route: compile is
-    column_ids plus gather, for a solve; wegr_of_selection gathers and
-    solves for a search's W-EGR. A search holds one compiler and makes
-    both calls through it, so no column is computed twice. non_dominated
-    compares a path's strategies by the overheads _fill writes.
+    one numpy gather. Every LP takes that one route: solve gathers ids and
+    returns their AllocationSolution, the answer a search reports;
+    wegr_of_selection gathers and solves for the W-EGR alone, the score a
+    search compares. A search holds one compiler and makes both calls
+    through it, so no column is computed twice. non_dominated compares a
+    path's strategies by the overheads _fill writes.
     """
 
     def __init__(self, graph, workload, noise: NoiseParams = DEFAULT_NOISE, p_max: int = 3):
@@ -368,17 +357,36 @@ class LpCompiler:
             row_labels=tuple([cap_labels[i] for i in touched.tolist()]) + self._pair_labels,
         )
 
-    def compile(self, selection) -> AllocationProblem:
-        """The LP of one selection: gather of its column_ids. Its variables
-        are the pool's choices of the kept columns. Raises as column_ids does."""
-        ids = self.column_ids(selection)
-        lp = self.gather(ids)
-        return AllocationProblem(
-            variables=tuple(self._choices[i] for i in ids[self._count[ids] > 0].tolist()),
-            lp=lp,
-            pair_keys=self._pair_keys,
-            swap_success_prob=self.noise.swap_success_prob,
-        )
+    def solve(self, ids) -> AllocationSolution:
+        """The allocation of pool columns ids (an integer array): solve_lp of
+        their gather. Propagates solver failures."""
+        ids = np.asarray(ids, dtype=np.intp)
+        return self._solved(ids, self.gather(ids))
+
+    def _solved(self, ids, lp) -> AllocationSolution:
+        """The allocation of lp, the gather of ids: a rate per (pair key,
+        path nodes) of each kept choice, in column order, W-EGR objective @ x
+        and each workload pair's true EGR; W-EGR 0 and no rates when
+        infeasible."""
+        status, x = solve_lp(lp)
+        true_egr = {k: 0.0 for k in self._pair_keys}
+        if status == "infeasible":
+            return AllocationSolution("infeasible", {}, 0.0, true_egr)
+        q = self.noise.swap_success_prob
+        rates = {}
+        for rate, column in zip(x.tolist(), ids[self._count[ids] > 0].tolist()):
+            pair_key, path, _ = self._choices[column]
+            rates[(pair_key, path.nodes)] = rate
+            true_egr[pair_key] += rate * q ** (path.hop_count - 1)
+        return AllocationSolution("optimal", rates, float(lp.objective @ x), true_egr)
+
+
+@dataclass(frozen=True)
+class AllocationProblem:
+    """The LP of pool ids on a compiler, as build_problem gathers it."""
+    compiler: LpCompiler
+    ids: np.ndarray  # pool ids, in column_ids order; infeasible ones included
+    lp: LinearProgram  # compiler.gather(ids)
 
 
 def _grown(array, size):
@@ -393,13 +401,15 @@ def _grown(array, size):
 
 def build_problem(graph, workload, selection, noise: NoiseParams = DEFAULT_NOISE,
                   p_max: int = 3) -> AllocationProblem:
-    """Assemble the LP for one selection with a one-shot LpCompiler.
+    """Gather the LP of one selection's column_ids on a one-shot LpCompiler.
 
     selection: {pair_key: [(CandidatePath, DistillationStrategy), ...]}.
     Raises ValueError if a selected path's endpoints mismatch its pair or a
     pair exceeds p_max paths.
     """
-    return LpCompiler(graph, workload, noise, p_max).compile(selection)
+    compiler = LpCompiler(graph, workload, noise, p_max)
+    ids = compiler.column_ids(selection)
+    return AllocationProblem(compiler, ids, compiler.gather(ids))
 
 
 def lp_backend() -> str:
@@ -507,23 +517,8 @@ def solve_lp(lp: LinearProgram):
 
 
 def solve(problem: AllocationProblem) -> AllocationSolution:
-    """Solve to optimality or report infeasibility (wegr 0 by convention)."""
-    status, x = solve_lp(problem.lp)
-    if status == "infeasible":
-        return AllocationSolution(
-            status="infeasible",
-            rates={},
-            wegr=0.0,
-            true_egr_per_pair={k: 0.0 for k in problem.pair_keys},
-        )
-    q = problem.swap_success_prob
-    rates = {}
-    true_egr = {k: 0.0 for k in problem.pair_keys}
-    for rate, (pair_key, path, _) in zip(x.tolist(), problem.variables):
-        rates[(pair_key, path.nodes)] = rate
-        true_egr[pair_key] += rate * q ** (path.hop_count - 1)
-    wegr = float(problem.lp.objective @ x)
-    return AllocationSolution("optimal", rates, wegr, true_egr)
+    """LpCompiler.solve of a built problem, on the LP it already holds."""
+    return problem.compiler._solved(problem.ids, problem.lp)
 
 
 def wegr_of_selection(compiler: LpCompiler, selection) -> float:

@@ -1,8 +1,11 @@
-"""The two rules that guard every input number, and the error they raise.
+"""The two rules that guard every input number, the rule for ids, and the
+error they raise.
 
 An input number is either an integer with a minimum or a real in a range.
 Every type or entry point that takes one checks it here, so each rule is
-written once. The CLI reports an InputError as a config error (exit 2).
+written once. A node or org id read from a file holds no comma, the cell
+separator of every CSV the CLI writes. The CLI reports an InputError as a
+config error (exit 2).
 """
 
 from __future__ import annotations
@@ -44,4 +47,11 @@ def check_real(name: str, value, low=0, high=math.inf, *, open_low=False, open_h
         else:
             rule = f"a number in {'(' if open_low else '['}{low}, {high}{')' if open_high else ']'}"
         raise error(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
+def check_id(name: str, value: str, error=InputError) -> str:
+    """value, if it holds no comma; else error naming `name`."""
+    if "," in value:
+        raise error(f"{name} may not contain a comma, got {value!r}")
     return value

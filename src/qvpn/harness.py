@@ -38,8 +38,8 @@ from .pathfinding import (
     path_from_nodes,
 )
 from .workload import Workload, WorkloadParams, generate_workload, save_workload
-# perfbench/layers.py wraps harness.build_problem until the bench calls
-# search (ROADMAP item 3); search itself solves through its own compiler
+# perfbench/layers.py wraps harness.build_problem and harness.solve until
+# the bench calls search (ROADMAP item 3); search solves through its compiler
 from .allocation_lp import LpCompiler, build_problem, solve  # noqa: F401
 from . import ga_optimizer as ga
 from . import rl_optimizer as rl
@@ -244,7 +244,7 @@ def search(graph: NetworkGraph, workload: Workload, optimizer: str, seed: int, *
     rl_config (defaults when None) and seeds the RL policy of layer widths
     `hidden`. Every path query goes to finder (a fresh PathFinder when
     None). The search builds one LpCompiler (the GA's, the RL reward's or
-    the baseline's), and the final solve compiles through it too. Raises
+    the baseline's) and ends with its solve of the chosen pool ids. Raises
     InputError before any search when an argument breaks its rule (k and
     p_max integers >= 1, a non-empty catalog, a finite baseline_threshold
     > 0, a GA population that holds the baselines); the final solve
@@ -296,7 +296,9 @@ def search(graph: NetworkGraph, workload: Workload, optimizer: str, seed: int, *
             compiler = LpCompiler(graph, workload, noise, p_max)
     seconds = time.perf_counter() - start
 
-    solution = solve(compiler.compile(selection))
+    ids = (problem.column_ids(trace.best_genome) if optimizer == "ga"
+           else compiler.column_ids(selection))
+    solution = compiler.solve(ids)
     return SearchResult(selection=selection, solution=solution, trace=trace,
                         lp_solves=lp_solves, seconds=seconds, policy=policy)
 

@@ -169,9 +169,14 @@ def path_overhead_per_link(link_fidelity: float, path_length_links: int,
     costs g_link raw pairs on each link. The swap chain is evaluated at the
     nominal post-distillation link fidelity max(F_l, threshold).
 
+    A link fidelity at or below 1/4 (a separable Werner state, which no
+    round distills) is infeasible, as one below the F = 1/2 fixed line is.
+
     Memoized (bounded): the arguments are numbers and frozen dataclasses,
     and the result is frozen, so callers share it safely.
     """
+    if link_fidelity <= 0.25:
+        return OverheadResult(math.inf, 0, link_fidelity, False)
     g_link = 1.0
     rounds = 0
     if strategy.link_threshold > link_fidelity + FIDELITY_ATOL:

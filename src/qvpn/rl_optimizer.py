@@ -531,8 +531,10 @@ def cached_reward(compiler):
 
 
 def greedy_selection(policy: PolicyNetwork, problem: RlProblem):
-    """Inference: per pair, take the top-p_max paths by probability."""
+    """Inference: per pair, take the top-p_max paths by probability.
+    Raises DivergenceError on a policy with a non-finite parameter."""
     _check_fits(policy, problem)
+    policy.check_finite()
     logits, _ = policy.forward(problem.encode_state())
     probs = policy.block_probs(logits)
     actions = {}

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .checks import InputError, check_int, check_real
+from .checks import InputError, check_id, check_int, check_real
 
 # Section-IV style defaults used when a topology file omits the param lines.
 DEFAULT_REPETITION_TIME_S = 1e-6
@@ -164,7 +164,7 @@ def load_topology(source: str) -> NetworkGraph:
     for lineno, parts in node_rows:
         if not parts:
             raise TopologyError(f"line {lineno}: node line needs an id")
-        nid = parts[0]
+        nid = check_id(f"line {lineno}: node id", parts[0], TopologyError)
         rest = parts[1:]
         is_rep = False
         if rest and rest[-1] == "repeater":
@@ -248,10 +248,13 @@ def engineer_repeaters(graph: NetworkGraph, threshold_km: float, spacing_km: flo
     Every link strictly longer than threshold_km is replaced by a chain of
     ceil(length/spacing) segments of length spacing_km with the remainder
     last; capacities are recomputed per segment. Idempotent: inserted node
-    ids are deterministic functions of the original endpoints.
+    ids are deterministic functions of the original endpoints. Raises
+    InputError unless 0 < spacing_km <= threshold_km, both finite.
     """
     check_real("threshold_km", threshold_km, open_low=True)
-    spacing_km = float(check_real("spacing_km", spacing_km, open_low=True))  # JSON may give an int
+    # a spacing past the threshold would leave segments longer than it
+    spacing_km = float(check_real("spacing_km", spacing_km, high=threshold_km, open_low=True,
+                                  open_high=False))  # JSON may give an int
     T = graph.repetition_time_s
     beta = graph.attenuation_db_per_km
     nodes = list(graph.nodes)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import InputError, check_int, check_real
+from .checks import InputError, check_id, check_int, check_real
 from .topology import NetworkGraph
 
 
@@ -181,6 +181,7 @@ def load_workload(source: str) -> Workload:
             if parts[0] == "org":
                 if len(parts) != 3:
                     raise WorkloadError(f"line {lineno}: org line expects '<id> <weight>'")
+                check_id(f"line {lineno}: org id", parts[1], WorkloadError)
                 orgs.append(Organization(id=parts[1], weight=float(parts[2])))
             elif parts[0] == "pair":
                 if len(parts) != 8:
@@ -188,6 +189,8 @@ def load_workload(source: str) -> Workload:
                         f"line {lineno}: pair line expects "
                         "'<org> <a> <b> <lambda> <Fth> <Rmin> <Rmax>'"
                     )
+                for token in parts[1:4]:
+                    check_id(f"line {lineno}: pair id", token, WorkloadError)
                 pairs.append(
                     UserPair(
                         org_id=parts[1],

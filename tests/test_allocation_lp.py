@@ -60,7 +60,7 @@ def test_problem_structure(triangle, one_pair_workload):
     cands = build_candidate_set(triangle, pair, k=5)
     sel = {pair.key: [(cands[0], EASY), (cands[1], EASY)]}
     prob = build_problem(triangle, one_pair_workload, sel)
-    assert prob.num_variables == 2
+    assert len(prob.lp.objective) == 2
     # objective = org weight * pair weight * q^(hops-1); q defaults to 1
     assert prob.lp.objective == pytest.approx([0.5, 0.5])
     kinds = [k for k, _ in prob.lp.row_labels]
@@ -120,9 +120,9 @@ def test_problem_rejects_endpoint_mismatch(triangle, one_pair_workload):
     # a rejected choice leaves the compiler's column pool as it was
     compiler = LpCompiler(triangle, one_pair_workload)
     with pytest.raises(ValueError, match="endpoints"):
-        compiler.compile({pair.key: [(stray, EASY)]})
+        compiler.column_ids({pair.key: [(stray, EASY)]})
     good = {pair.key: [(p, EASY) for p in build_candidate_set(triangle, pair, k=2)]}
-    got = compiler.compile(good).lp
+    got = compiler.gather(compiler.column_ids(good))
     want = build_problem(triangle, one_pair_workload, good).lp
     for name in ("objective", "indptr", "indices", "data", "row_bounds"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -134,8 +134,8 @@ def test_problem_collapses_duplicate_paths(triangle, one_pair_workload):
     sel = {pair.key: [(p, EASY), (p, DistillationStrategy(0.9))]}
     prob = build_problem(triangle, one_pair_workload, sel)
     # same path twice: only the first (path, strategy) survives
-    assert prob.num_variables == 1
-    assert prob.variables[0][2] is EASY
+    assert len(prob.lp.objective) == 1
+    assert prob.compiler.choice(prob.ids[0])[2] is EASY
 
 
 def test_problem_drops_infeasible_strategy(triangle):
@@ -145,7 +145,7 @@ def test_problem_drops_infeasible_strategy(triangle):
     hard = DistillationStrategy(0.998, max_rounds=1)
     cands = build_candidate_set(triangle, pair, k=1)
     prob = build_problem(triangle, wl, {pair.key: [(cands[0], hard)]})
-    assert prob.num_variables == 0
+    assert len(prob.lp.objective) == 0
     sol = solve(prob)
     assert sol.status == "optimal" and sol.wegr == 0.0
 
@@ -237,7 +237,7 @@ def test_solve_lp_no_rows(triangle):
                          direct_selection(triangle, one_org(make_pair("org0", "A", "B"))))
     status, x = solve_lp(prob.lp)
     assert status == "optimal"
-    assert len(x) == prob.num_variables
+    assert len(x) == len(prob.lp.objective)
 
 
 def test_empty_selection_no_floor_is_trivially_optimal(triangle, one_pair_workload):
@@ -331,7 +331,7 @@ def test_random_problems_match_vertex_oracle():
     for trial in range(60):
         graph, wl, sel = _random_small_problem(rng)
         prob = build_problem(graph, wl, sel, p_max=6)
-        if not (0 < prob.num_variables <= 6) or len(prob.lp.row_bounds) > 10:
+        if not (0 < len(prob.lp.objective) <= 6) or len(prob.lp.row_bounds) > 10:
             continue
         want_val, _ = brute_force_lp(prob.lp.objective, prob.lp.row_coeffs,
                                      prob.lp.row_bounds)
@@ -354,7 +354,9 @@ def test_solution_rates_respect_capacities():
         if sol.status != "optimal":
             continue
         loads = {}
-        for j, (pair_key, path, strategy) in enumerate(prob.variables):
+        # the LP's columns: the ids whose one-column gather keeps a column
+        kept = [i for i in prob.ids.tolist() if len(prob.compiler.gather([i]).objective)]
+        for j, (pair_key, path, strategy) in enumerate(map(prob.compiler.choice, kept)):
             r = sol.rates[(pair_key, path.nodes)]
             coeffs = dict(zip(path.link_keys, prob.lp.row_coeffs[:, j][
                 [i for i, (k, _) in enumerate(prob.lp.row_labels) if k == "cap"]]))
@@ -372,14 +374,14 @@ def test_compiled_lp_does_not_depend_on_memo_state():
         graph, wl, sel = _random_small_problem(rng)
         compiler = LpCompiler(graph, wl, p_max=6)
         # fill the memo with other choices first, in reverse pair order
-        compiler.compile({k: v[::-1] for k, v in reversed(sel.items())})
-        warm = compiler.compile(sel).lp
+        compiler.gather(compiler.column_ids({k: v[::-1] for k, v in reversed(sel.items())}))
+        warm = compiler.gather(compiler.column_ids(sel))
         # every choice gets an id, in reverse order, before the first gather
         numbered = LpCompiler(graph, wl, p_max=6)
         for pair_key, choices in reversed(sel.items()):
             for path, strategy in reversed(choices):
                 numbered.column_id(pair_key, path, strategy)
-        late = numbered.compile(sel).lp
+        late = numbered.gather(numbered.column_ids(sel))
         cold = build_problem(graph, wl, sel, p_max=6).lp
         for lp in (warm, late):
             for name in ("objective", "indptr", "indices", "data", "row_bounds"):
@@ -747,8 +749,8 @@ def test_stand_ins_never_lower_wegr():
                     better[key] = [(p, catalog[stand_ins[key, p.nodes][s]]) for p, s in picks
                                    if stand_ins[key, p.nodes][s] is not None]
                     swapped += sum(stand_ins[key, p.nodes][s] != s for p, s in picks)
-                before = solve(compiler.compile(selection))
-                after = solve(compiler.compile(better))
+                before = compiler.solve(compiler.column_ids(selection))
+                after = compiler.solve(compiler.column_ids(better))
                 assert after.wegr >= before.wegr * (1 - 1e-9)
                 assert before.status == "infeasible" or after.status == "optimal"
                 rose += after.wegr > before.wegr * (1 + 1e-6)

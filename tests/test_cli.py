@@ -129,6 +129,69 @@ def test_capacity_engineer_splits_long_links(tmp_path):
     assert manifest["num_links"] == 3
 
 
+def test_link_at_or_below_a_quarter_fidelity_drops_its_columns(tmp_path):
+    # alpha 0.8 gives a link of base fidelity 0.2, which no round distills:
+    # its columns leave the LP as those of an alpha 0.6 link (F 0.4) do, so
+    # the two topologies give the same rates. allocate and ga used to exit 1
+    # with "input fidelity must lie in (0.25,1]"
+    _, wlf = _triangle_files(tmp_path)
+    bodies = {}
+    for alpha in (0.6, 0.8):
+        topo = tmp_path / f"weak-{alpha}.topo"
+        topo.write_text("qvpn-topology v1\nnode A\nnode B\nnode C repeater\n"
+                        f"link A B 10.0 alpha={alpha}\nlink A C 10.0\nlink C B 10.0\n")
+        for command, extra in (("capacity", {}), ("allocate", {"source": {"baseline": "hop"}}),
+                               ("ga", {"ga": {"population_size": 4, "generations": 2}})):
+            cfg = _config(tmp_path, f"{command}.json", _base(topo, wlf), **extra)
+            out = tmp_path / f"{command}-{alpha}"
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, (command, alpha)
+            if command != "capacity":
+                assert _manifest(out)["status"] == "optimal"
+                for name in ("rates.csv", "pairs.csv"):
+                    bodies.setdefault((command, name), []).append(_csv_rows(out / name)[1:])
+        _, _, rows = _csv_rows(tmp_path / f"allocate-{alpha}" / "rates.csv")
+        assert [float(r[6]) for r in rows if r[3] == "A>B"] == [0.0]
+        assert any(float(r[6]) > 0 for r in rows)
+    for key, (weak, separable) in bodies.items():
+        assert weak == separable, key
+
+
+def test_engineer_spacing_past_the_threshold_exits_2(tmp_path, capsys):
+    # threshold 5, spacing 8 turned a 10 km link into 8 km and 2 km segments
+    graph = NetworkGraph(nodes=(NodeSpec("D"), NodeSpec("E")),
+                         links=(make_link("D", "E", 10.0),))
+    topo = tmp_path / "long.topo"
+    topo.write_text(save_topology(graph))
+    out = tmp_path / "out"
+    for spacing, code in ((8.0, 2), (5.0, 0)):
+        cfg = _config(tmp_path, "cap.json", _base(topo),
+                      engineer={"threshold_km": 5, "spacing_km": spacing})
+        assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == code, spacing
+    assert "spacing_km must be a number in (0, 5], got 8.0" in capsys.readouterr().err
+    _, _, rows = _csv_rows(out / "links.csv")
+    assert [float(r[2]) for r in rows] == [5.0, 5.0]
+
+
+def test_ids_with_commas_exit_2_naming_the_line(tmp_path, capsys):
+    # such ids loaded, then every command writing CSVs exited 1 with
+    # "CSV cell may not contain commas"
+    topo, wlf = _triangle_files(tmp_path)
+    out = tmp_path / "out"
+    bad_topo = tmp_path / "comma.topo"
+    bad_topo.write_text("qvpn-topology v1\nnode A\nnode B,1\n")
+    cfg = _config(tmp_path, "cap.json", _base(bad_topo))
+    assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "line 3: node id may not contain a comma, got 'B,1'" in capsys.readouterr().err
+    for lines, where in (("org org,1 1.0\npair org,1 A B 0.5 0.7 0.0 10.0", "line 2: org id"),
+                         ("org org1 1.0\npair org1 A B,1 0.5 0.7 0.0 10.0", "line 3: pair id")):
+        bad_wl = tmp_path / "comma.workload"
+        bad_wl.write_text(f"qvpn-workload v1\n{lines}\n")
+        cfg = _config(tmp_path, "alloc.json", _base(topo, bad_wl), source={"baseline": "hop"})
+        assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2, lines
+        assert f"{where} may not contain a comma" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_paths_rows_match_manifest(tmp_path):
     topo, wlf = _triangle_files(tmp_path)
     cfg = _config(tmp_path, "paths.json", _base(topo, wlf), k=4)

@@ -440,8 +440,9 @@ def _scored_lps(monkeypatch, problem):
 
 
 def test_pool_lp_equals_compile_of_decode(monkeypatch, net50_problem):
-    # the id route must hand HiGHS exactly the arrays compile(decode(g))
-    # builds, with repeated paths in the mix, of one column or two
+    # the id route must hand HiGHS exactly the arrays that the gather of
+    # column_ids(decode(g)) builds, with repeated paths in the mix, of one
+    # column or two
     problem = net50_problem
     path_genes = _path_genes(problem)
     two_columns = [[g for g in by_path.values() if len(g) >= 2] for by_path in path_genes]
@@ -463,7 +464,7 @@ def test_pool_lp_equals_compile_of_decode(monkeypatch, net50_problem):
         before = len(lps)
         value = problem.fitness(genome)
         assert len(lps) == before + 1, trial  # random genomes never repeat here
-        want = reference.compile(problem.decode(genome)).lp
+        want = reference.gather(reference.column_ids(problem.decode(genome)))
         got = lps[-1]
         for name in ("objective", "indptr", "indices", "data", "row_bounds"):
             a, b = getattr(got, name), getattr(want, name)

@@ -501,8 +501,27 @@ def test_search_builds_one_compiler(monkeypatch, triangle, one_pair_workload, op
                     rl_config=TrainConfig(epochs=2, batch_size=2))
     assert len(built) == 1
     monkeypatch.undo()
-    assert result.solution == solve(build_problem(triangle, one_pair_workload,
-                                                  result.selection, p_max=2))
+    want = solve(build_problem(triangle, one_pair_workload, result.selection, p_max=2))
+    assert result.solution == want
+    assert list(result.solution.rates.items()) == list(want.rates.items())
+
+
+@pytest.mark.parametrize("optimizer", ["baseline-inv-egr", "ga", "rl"])
+def test_search_solution_is_the_one_shot_solve_on_net50(optimizer):
+    # the GA's final solve reads its best genome's pool ids, a baseline's
+    # and RL's the column_ids of the selection: each gives the allocation
+    # of a one-shot build_problem of the selection, rates in the same order
+    net50 = bundled_topology()
+    workload = generate_workload(
+        net50, WorkloadParams(num_orgs=3, pairs_per_org=10, r_min=0.0), 0)
+    result = search(net50, workload, optimizer, 3, k=5, p_max=3,
+                    catalog=default_strategy_catalog(), hidden=(4,),
+                    ga_config=GaConfig(population_size=6, generations=2),
+                    rl_config=TrainConfig(epochs=2, batch_size=2))
+    want = solve(build_problem(net50, workload, result.selection, p_max=3))
+    assert result.solution == want
+    assert want.status == "optimal" and len(want.rates) > 1
+    assert list(result.solution.rates.items()) == list(want.rates.items())
 
 
 @pytest.mark.parametrize("optimizer", ["baseline-hop", "ga", "rl"])
@@ -539,7 +558,7 @@ def _union_baseline(graph, workload, optimizer, k, p_max, catalog, finder):
 
 def _lp_view(problem):
     lp = problem.lp
-    return (problem.variables, problem.pair_keys, lp.row_labels,
+    return (tuple(map(problem.compiler.choice, problem.ids.tolist())), lp.row_labels,
             *(a.tobytes() for a in (lp.objective, lp.indptr, lp.indices, lp.data,
                                     lp.row_bounds)))
 

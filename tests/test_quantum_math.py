@@ -234,6 +234,15 @@ def test_path_overhead_long_low_fidelity_path_infeasible():
     assert r.overhead == math.inf
 
 
+def test_path_overhead_at_or_below_a_quarter_link_fidelity_is_infeasible():
+    # a separable link (F <= 1/4) is infeasible, as a stalled one (F 0.4) is;
+    # it used to raise "input fidelity must lie in (0.25,1]"
+    for fidelity in (0.4, 0.25, 0.19999999999999996, 0.0):
+        for hops in (1, 3):
+            r = path_overhead_per_link(fidelity, hops, DistillationStrategy(0.8), 0.7)
+            assert not r.feasible and r.overhead == math.inf, (fidelity, hops)
+
+
 def test_path_overhead_memo_matches_uncached():
     # the memo must hand back what the uncached function computes, on the
     # catalog x hop counts x user thresholds, feasible and infeasible alike

@@ -453,6 +453,16 @@ def test_greedy_selection_caps_at_p_max(triangle):
         assert sel[k][0][0] is prob.candidates[k][best - start]
 
 
+def test_greedy_selection_rejects_non_finite_policy(triangle):
+    # a checkpoint holding NaN used to yield an arbitrary selection
+    prob = _multi_problem(triangle)
+    for part, value in (("weights", np.nan), ("biases", np.inf)):
+        policy = PolicyNetwork.init(prob, hidden=(6,), seed=0)
+        getattr(policy, part)[-1][0] = value
+        with pytest.raises(DivergenceError, match=part):
+            greedy_selection(load_policy(save_policy(policy)), prob)
+
+
 def test_checkpoint_round_trip(triangle):
     prob = _multi_problem(triangle)
     policy = PolicyNetwork.init(prob, hidden=(8,), seed=5)
