@@ -132,12 +132,11 @@ class LpCompiler:
     column math; the first gather that asks for an id computes its column
     into flat arrays that grow by doubling; fill computes a whole id array's
     missing columns ahead of use. gather turns an id array into an LP with
-    one numpy gather. Every LP takes that one route: solve gathers ids and
-    returns their AllocationSolution, the answer a search reports;
-    wegr_of_selection gathers and solves for the W-EGR alone, the score a
-    search compares. A search holds one compiler and makes both calls
-    through it, so no column is computed twice. non_dominated compares a
-    path's strategies by the overheads _fill writes.
+    one numpy gather. Every LP takes that one route: solve gathers ids into
+    the AllocationSolution a search reports; wegr_of_selection gathers and
+    solves for the W-EGR a search compares. A search holds one compiler and
+    makes both calls through it, so no column is computed twice.
+    non_dominated compares a path's strategies by the overheads _fill writes.
     """
 
     def __init__(self, graph, workload, noise: NoiseParams = DEFAULT_NOISE, p_max: int = 3):
@@ -331,9 +330,16 @@ class LpCompiler:
     def gather(self, ids) -> LinearProgram:
         """The LP of pool columns ids (an integer array), in that order, with
         infeasible columns dropped."""
+        return self._lp(self._kept(ids))
+
+    def _kept(self, ids) -> np.ndarray:
+        """Filled ids (an integer array) less infeasible ones: the LP's columns."""
         ids = np.asarray(ids, dtype=np.intp)
         self.fill(ids)
-        ids = ids[self._count[ids] > 0]
+        return ids[self._count[ids] > 0]
+
+    def _lp(self, ids) -> LinearProgram:
+        """The LP whose columns are pool ids, all computed and feasible."""
         count = self._count[ids]
         indptr = np.zeros(len(ids) + 1, dtype=np.int32)
         np.cumsum(count, out=indptr[1:])
@@ -360,21 +366,20 @@ class LpCompiler:
     def solve(self, ids) -> AllocationSolution:
         """The allocation of pool columns ids (an integer array): solve_lp of
         their gather. Propagates solver failures."""
-        ids = np.asarray(ids, dtype=np.intp)
-        return self._solved(ids, self.gather(ids))
+        kept = self._kept(ids)
+        return self._solved(kept, self._lp(kept))
 
-    def _solved(self, ids, lp) -> AllocationSolution:
-        """The allocation of lp, the gather of ids: a rate per (pair key,
-        path nodes) of each kept choice, in column order, W-EGR objective @ x
-        and each workload pair's true EGR; W-EGR 0 and no rates when
-        infeasible."""
+    def _solved(self, kept, lp) -> AllocationSolution:
+        """The allocation of lp, whose columns are pool ids kept: a rate per
+        (pair key, path nodes) in column order, W-EGR objective @ x and each
+        workload pair's true EGR; W-EGR 0 and no rates when infeasible."""
         status, x = solve_lp(lp)
         true_egr = {k: 0.0 for k in self._pair_keys}
         if status == "infeasible":
             return AllocationSolution("infeasible", {}, 0.0, true_egr)
         q = self.noise.swap_success_prob
         rates = {}
-        for rate, column in zip(x.tolist(), ids[self._count[ids] > 0].tolist()):
+        for rate, column in zip(x.tolist(), kept.tolist()):
             pair_key, path, _ = self._choices[column]
             rates[(pair_key, path.nodes)] = rate
             true_egr[pair_key] += rate * q ** (path.hop_count - 1)
@@ -383,9 +388,8 @@ class LpCompiler:
 
 @dataclass(frozen=True)
 class AllocationProblem:
-    """The LP of pool ids on a compiler, as build_problem gathers it."""
     compiler: LpCompiler
-    ids: np.ndarray  # pool ids, in column_ids order; infeasible ones included
+    ids: np.ndarray  # pool ids of the LP's columns, in column order
     lp: LinearProgram  # compiler.gather(ids)
 
 
@@ -408,8 +412,8 @@ def build_problem(graph, workload, selection, noise: NoiseParams = DEFAULT_NOISE
     pair exceeds p_max paths.
     """
     compiler = LpCompiler(graph, workload, noise, p_max)
-    ids = compiler.column_ids(selection)
-    return AllocationProblem(compiler, ids, compiler.gather(ids))
+    kept = compiler._kept(compiler.column_ids(selection))
+    return AllocationProblem(compiler, kept, compiler._lp(kept))
 
 
 def lp_backend() -> str:

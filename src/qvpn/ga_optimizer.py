@@ -167,17 +167,11 @@ class GaProblem:
         self._slot_base = np.repeat(np.cumsum(num_columns) - num_columns, p_max).reshape(-1, p_max)
         self.gene_limits = np.repeat(num_columns, p_max).reshape(-1, p_max)
 
-    def column_ids(self, genes) -> np.ndarray:
-        """Pool ids of a (pairs, p_max) gene row, in the order its fitness
-        LP gathers them: each pair's first occurrence of each path, in pair
-        order and then slot order."""
-        return self._keyed(self._checked([genes])).ids(0)
-
     def decode(self, genes):
-        """(pairs, p_max) gene row -> {pair_key: [(path, strategy), ...]},
-        the choices of its column_ids."""
+        """(pairs, p_max) gene row -> {pair_key: [(path, strategy), ...]};
+        a path repeated within a pair keeps its first occurrence."""
         selection = {k: [] for k in self.pair_order}
-        for column in self.column_ids(genes).tolist():
+        for column in self._keyed(self._checked([genes])).ids(0).tolist():
             pair_key, path, strategy = self.compiler.choice(column)
             selection[pair_key].append((path, strategy))
         return selection

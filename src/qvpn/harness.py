@@ -296,9 +296,7 @@ def search(graph: NetworkGraph, workload: Workload, optimizer: str, seed: int, *
             compiler = LpCompiler(graph, workload, noise, p_max)
     seconds = time.perf_counter() - start
 
-    ids = (problem.column_ids(trace.best_genome) if optimizer == "ga"
-           else compiler.column_ids(selection))
-    solution = compiler.solve(ids)
+    solution = compiler.solve(compiler.column_ids(selection))
     return SearchResult(selection=selection, solution=solution, trace=trace,
                         lp_solves=lp_solves, seconds=seconds, policy=policy)
 

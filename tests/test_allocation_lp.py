@@ -354,9 +354,8 @@ def test_solution_rates_respect_capacities():
         if sol.status != "optimal":
             continue
         loads = {}
-        # the LP's columns: the ids whose one-column gather keeps a column
-        kept = [i for i in prob.ids.tolist() if len(prob.compiler.gather([i]).objective)]
-        for j, (pair_key, path, strategy) in enumerate(map(prob.compiler.choice, kept)):
+        for j, (pair_key, path, strategy) in enumerate(
+                map(prob.compiler.choice, prob.ids.tolist())):
             r = sol.rates[(pair_key, path.nodes)]
             coeffs = dict(zip(path.link_keys, prob.lp.row_coeffs[:, j][
                 [i for i, (k, _) in enumerate(prob.lp.row_labels) if k == "cap"]]))
