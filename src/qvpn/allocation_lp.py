@@ -525,17 +525,12 @@ def solve(problem: AllocationProblem) -> AllocationSolution:
     return problem.compiler._solved(problem.ids, problem.lp)
 
 
-def wegr_of_selection(compiler: LpCompiler, selection) -> float:
-    """W-EGR of a selection on the compiler's instance: gather + solve_lp;
-    0 on infeasible. Propagates solver failures.
-
-    selection is a {pair_key: [(CandidatePath, DistillationStrategy), ...]}
-    dict, or an integer array of ids from the compiler's column pool. A
-    search passes the LpCompiler it holds, so its column pool carries over
-    between calls.
+def wegr_of_selection(compiler: LpCompiler, ids) -> float:
+    """W-EGR of pool columns ids (an integer array, as column_ids gives) on
+    the compiler's instance: gather + solve_lp; 0 on infeasible. Propagates
+    solver failures. A search passes the LpCompiler it holds, so its column
+    pool carries over between calls.
     """
-    if not isinstance(selection, np.ndarray):
-        selection = compiler.column_ids(selection)
-    lp = compiler.gather(selection)
+    lp = compiler.gather(ids)
     status, x = solve_lp(lp)
     return 0.0 if status == "infeasible" else float(lp.objective @ x)

@@ -1,10 +1,12 @@
-"""The two rules that guard every input number, the rule for ids, and the
-error they raise.
+"""The two rules that guard every input number, the rule for ids, the one
+reader of the line-format documents, and the error they raise.
 
 An input number is either an integer with a minimum or a real in a range.
 Every type or entry point that takes one checks it here, so each rule is
 written once. A node or org id read from a file holds no comma, the cell
-separator of every CSV the CLI writes. The CLI reports an InputError as a
+separator of every CSV the CLI writes. The topology, workload, selection
+and strategy catalog documents share one format, read by `records`, and
+`number` parses each of their numbers. The CLI reports an InputError as a
 config error (exit 2).
 """
 
@@ -55,3 +57,29 @@ def check_id(name: str, value: str, error=InputError) -> str:
     if "," in value:
         raise error(f"{name} may not contain a comma, got {value!r}")
     return value
+
+
+def records(source: str, header, error) -> list:
+    """(line number, tokens) of every line of a line-format document that
+    holds more than a comment: `#` starts a comment, tokens are split on
+    whitespace. The first such line must be the header, which is left out;
+    a document without one (the strategy catalog) passes header None."""
+    lines = []
+    for lineno, raw in enumerate(source.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            lines.append((lineno, tokens))
+    if header is not None:
+        if not lines or lines[0][1] != header.split():
+            raise error(f"missing or unsupported header, expected {header!r}")
+        del lines[0]
+    return lines
+
+
+def number(token: str, name: str, kind, error):
+    """kind(token), kind float or int; else error naming `name`."""
+    try:
+        return kind(token)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise error(f"{name} is not {what}: {token!r}") from None

@@ -29,7 +29,7 @@ from .topology import load_topology, engineer_repeaters
 from .quantum_math import catalog_prefix, default_strategy_catalog, load_strategy_catalog
 from .pathfinding import PathFinder, build_candidate_sets
 from .workload import WorkloadParams, generate_workload, load_workload
-from .allocation_lp import build_problem, lp_backend, solve
+from .allocation_lp import LpCompiler, lp_backend
 from . import ga_optimizer as ga
 from . import rl_optimizer as rl
 from .harness import (
@@ -161,20 +161,21 @@ def _load_graph(config, hasher):
     return graph
 
 
-def _workload_source(config, hasher):
-    """(workload read from its file, None) or (None, generator parameters)."""
+def _workload_source(config, graph, hasher):
+    """(workload read from its file against graph, None) or (None, generator
+    parameters)."""
     has_file = "workload" in config
     if has_file == ("workload_params" in config):
         raise ConfigError("config needs exactly one of \"workload\" / \"workload_params\"")
     if has_file:
-        return _load_ref(config, "workload", hasher, load_workload), None
+        return _load_ref(config, "workload", hasher, load_workload, graph), None
     params = _block(config, "workload_params", WorkloadParams)
     hasher.update(f"\n--workload_params--\n{params!r}".encode())
     return None, params
 
 
 def _load_workload(config, graph, hasher):
-    workload, params = _workload_source(config, hasher)
+    workload, params = _workload_source(config, graph, hasher)
     return workload if params is None else generate_workload(graph, params, config["seed"])
 
 
@@ -290,7 +291,8 @@ def cmd_allocate(config, out_dir):
         raise ConfigError(f"source must be a JSON object, got {source!r}")
     if "selection" in source:
         selection = _load_ref(source, "selection", hasher, load_selection, graph)
-        solution = solve(build_problem(graph, workload, selection, p_max=p_max))
+        compiler = LpCompiler(graph, workload, p_max=p_max)
+        solution = compiler.solve(compiler.column_ids(selection))
     elif "baseline" in source:
         result = search(graph, workload, f"baseline-{source['baseline']}", config["seed"],
                         k=config.get("k", 5), p_max=p_max, catalog=catalog,
@@ -390,7 +392,7 @@ def cmd_report(config, out_dir):
     hasher = _hasher(config)
     graph = _load_graph(config, hasher)
     catalog = _load_catalog(config, hasher)
-    workload, params = _workload_source(config, hasher)
+    workload, params = _workload_source(config, graph, hasher)
     sweep = config.get("sweep") or {}
     if not isinstance(sweep, dict) or not isinstance(sweep.get("values", []), list):
         raise ConfigError(f"sweep must be an object with a list of values, got {sweep!r}")

@@ -20,7 +20,7 @@ import math
 import time
 from dataclasses import dataclass, replace, field
 
-from .checks import InputError, check_int, check_real
+from .checks import InputError, check_int, check_real, number, records
 from .topology import NetworkGraph, save_topology
 from .quantum_math import (
     DEFAULT_NOISE,
@@ -499,10 +499,12 @@ def fairness_report(solution, workload: Workload, selection) -> FairnessReport:
     )
 
 
-# Selection file: line-oriented, header "qvpn-selection v1", then one line per
-# active (pair, path, strategy):
+# Selection file: header "qvpn-selection v1", then one line per active
+# (pair, path, strategy):
 #   select <org> <a> <b> path <node> <node> ... threshold <t> max_rounds <n>
+# The strategy is the last four tokens, so a node may be named "threshold".
 SELECTION_HEADER = "qvpn-selection v1"
+_SELECT_FORM = "expected 'select <org> <a> <b> path <node> ... threshold <t> max_rounds <n>'"
 
 
 def save_selection(selection) -> str:
@@ -518,31 +520,29 @@ def save_selection(selection) -> str:
 
 def load_selection(source: str, graph: NetworkGraph):
     """Parse a selection document against a graph; round-trips save_selection.
-    Raises InputError on a line that breaks the format or names no path of
-    the graph."""
-    lines = source.splitlines()
-    if not lines or lines[0].strip() != SELECTION_HEADER:
-        raise InputError(f"missing selection header {SELECTION_HEADER!r}")
+    Raises InputError on a line that breaks the format, names no path of
+    the graph, or repeats a path of its pair."""
     selection = {}
-    for lineno, raw in enumerate(lines[1:], start=2):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        tokens = text.split()
+    for lineno, tokens in records(source, SELECTION_HEADER, InputError):
+        where = f"line {lineno}:"
+        if (len(tokens) < 10 or tokens[0] != "select" or tokens[4] != "path"
+                or tokens[-4] != "threshold" or tokens[-2] != "max_rounds"):
+            raise InputError(f"{where} {_SELECT_FORM}")
+        pair_key = tuple(tokens[1:4])
+        nodes = tuple(tokens[5:-4])
+        if nodes[0] != pair_key[1] or nodes[-1] != pair_key[2]:
+            raise InputError(f"{where} path must run from the pair's first endpoint "
+                             "to its second")
+        chosen = selection.setdefault(pair_key, [])
+        if any(path.nodes == nodes for path, _ in chosen):
+            raise InputError(f"{where} pair {pair_key} repeats path {' '.join(nodes)}")
+        threshold = number(tokens[-3], f"{where} threshold", float, InputError)
+        max_rounds = number(tokens[-1], f"{where} max_rounds", int, InputError)
         try:
-            if tokens[0] != "select" or tokens[4] != "path":
-                raise ValueError("expected 'select <org> <a> <b> path ...'")
-            org, a, b = tokens[1:4]
-            t_idx = tokens.index("threshold")
-            if tokens[t_idx + 2] != "max_rounds":
-                raise ValueError("expected 'threshold <t> max_rounds <n>'")
-            nodes = tuple(tokens[5:t_idx])
-            strategy = DistillationStrategy(float(tokens[t_idx + 1]), int(tokens[t_idx + 3]))
-            pair_key = (org, a, b)
-            if not nodes or nodes[0] != a or nodes[-1] != b:
-                raise ValueError("path must run from the pair's first endpoint to its second")
-            path = path_from_nodes(graph, nodes)
-        except (ValueError, IndexError, KeyError) as exc:
-            raise InputError(f"selection line {lineno}: {exc}") from None
-        selection.setdefault(pair_key, []).append((path, strategy))
+            chosen.append((path_from_nodes(graph, nodes),
+                           DistillationStrategy(threshold, max_rounds)))
+        except KeyError as exc:
+            raise InputError(f"{where} the graph has no link {exc}") from None
+        except InputError as exc:
+            raise InputError(f"{where} {exc}") from None
     return selection

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .checks import InputError, check_int, check_real
+from .checks import InputError, check_int, check_real, number, records
 
 # Absolute tolerance for all fidelity threshold comparisons.
 FIDELITY_ATOL = 1e-9
@@ -206,16 +206,12 @@ def default_strategy_catalog(count: int = 16, low: float = 0.8, high: float = 0.
 
 
 def load_strategy_catalog(source: str, max_rounds: int = DEFAULT_MAX_ROUNDS):
-    """Parse a catalog document: one threshold per line, # comments allowed."""
+    """Parse a catalog document, which has no header: one threshold per line."""
     thresholds = []
-    for lineno, raw in enumerate(source.splitlines(), start=1):
-        text = raw.split("#", 1)[0].strip()
-        if not text:
-            continue
-        try:
-            thresholds.append(float(text))
-        except ValueError:
-            raise InputError(f"line {lineno}: bad threshold {text!r}") from None
+    for lineno, tokens in records(source, None, InputError):
+        if len(tokens) != 1:
+            raise InputError(f"line {lineno}: expected one threshold, got {' '.join(tokens)!r}")
+        thresholds.append(number(tokens[0], f"line {lineno}: threshold", float, InputError))
     if not thresholds:
         raise InputError("strategy catalog is empty")
     if any(a >= b for a, b in zip(thresholds, thresholds[1:])):

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .checks import InputError, check_id, check_int, check_real
+from .checks import InputError, check_id, check_int, check_real, number, records
 
 # Section-IV style defaults used when a topology file omits the param lines.
 DEFAULT_REPETITION_TIME_S = 1e-6
@@ -126,28 +126,18 @@ def load_topology(source: str) -> NetworkGraph:
       link <a> <b> <length_km> [multiplex=<int>] [alpha=<real>]
       param T <seconds> | param beta <dB/km>
     """
-    lines = source.splitlines()
-    content = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if text:
-            content.append((lineno, text))
-    if not content or content[0][1] != "qvpn-topology v1":
-        raise TopologyError("missing or unsupported header, expected 'qvpn-topology v1'")
-
     T = DEFAULT_REPETITION_TIME_S
     beta = DEFAULT_ATTENUATION_DB_PER_KM
     node_rows = []
     link_rows = []
-    for lineno, text in content[1:]:
-        parts = text.split()
+    for lineno, parts in records(source, "qvpn-topology v1", TopologyError):
         kind = parts[0]
         if kind == "param":
             if len(parts) != 3 or parts[1] not in ("T", "beta"):
-                raise TopologyError(f"line {lineno}: bad param line {text!r}")
-            value = check_real(f"line {lineno}: param {parts[1]}",
-                               _parse_float(parts[2], lineno, parts[1]), open_low=True,
-                               error=TopologyError)
+                raise TopologyError(f"line {lineno}: bad param line {' '.join(parts)!r}")
+            name = f"line {lineno}: param {parts[1]}"
+            value = check_real(name, number(parts[2], name, float, TopologyError),
+                               open_low=True, error=TopologyError)
             if parts[1] == "T":
                 T = value
             else:
@@ -174,7 +164,8 @@ def load_topology(source: str) -> NetworkGraph:
             raise TopologyError(f"line {lineno}: node {nid!r} expects 'x y' coordinates")
         pos = None
         if len(rest) == 2:
-            pos = (_parse_float(rest[0], lineno, "x"), _parse_float(rest[1], lineno, "y"))
+            pos = (number(rest[0], f"line {lineno}: x", float, TopologyError),
+                   number(rest[1], f"line {lineno}: y", float, TopologyError))
         if nid in seen:
             raise TopologyError(f"line {lineno}: duplicate node id {nid!r}")
         seen.add(nid)
@@ -191,14 +182,16 @@ def load_topology(source: str) -> NetworkGraph:
         for nid in (a, b):
             if nid not in seen:
                 raise TopologyError(f"line {lineno}: link references undeclared node {nid!r}")
-        length = _parse_float(parts[2], lineno, "length_km")
+        length = number(parts[2], f"line {lineno}: length_km", float, TopologyError)
         multiplex = 1
         alpha = DEFAULT_ALPHA
         for opt in parts[3:]:
             if opt.startswith("multiplex="):
-                multiplex = _parse_int(opt.split("=", 1)[1], lineno, "multiplex")
+                multiplex = number(opt.split("=", 1)[1], f"line {lineno}: multiplex", int,
+                                   TopologyError)
             elif opt.startswith("alpha="):
-                alpha = _parse_float(opt.split("=", 1)[1], lineno, "alpha")
+                alpha = number(opt.split("=", 1)[1], f"line {lineno}: alpha", float,
+                               TopologyError)
             else:
                 raise TopologyError(f"line {lineno}: unknown link option {opt!r}")
         key = (a, b) if a <= b else (b, a)
@@ -312,16 +305,3 @@ def min_hop_distances(graph: NetworkGraph, src: str) -> dict:
         frontier = nxt
     return dist
 
-
-def _parse_float(token, lineno, name):
-    try:
-        return float(token)
-    except ValueError:
-        raise TopologyError(f"line {lineno}: {name} is not a number: {token!r}") from None
-
-
-def _parse_int(token, lineno, name):
-    try:
-        return int(token)
-    except ValueError:
-        raise TopologyError(f"line {lineno}: {name} is not an integer: {token!r}") from None

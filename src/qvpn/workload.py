@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import InputError, check_id, check_int, check_real
+from .checks import InputError, check_id, check_int, check_real, number, records
 from .topology import NetworkGraph
 
 
@@ -162,56 +162,43 @@ def generate_workload(graph: NetworkGraph, params: WorkloadParams, seed: int) ->
     return Workload(organizations=tuple(orgs), user_pairs=tuple(pairs), seed=seed, params=params)
 
 
-def load_workload(source: str) -> Workload:
-    """Parse a workload document: header `qvpn-workload v1`, org and pair lines."""
-    lines = source.splitlines()
-    content = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.split("#", 1)[0].strip()
-        if text:
-            content.append((lineno, text))
-    if not content or content[0][1] != "qvpn-workload v1":
-        raise WorkloadError("missing or unsupported header, expected 'qvpn-workload v1'")
+def load_workload(source: str, graph: NetworkGraph) -> Workload:
+    """Parse a workload document, header `qvpn-workload v1`, against the
+    graph it runs on: a pair may name only the graph's nodes."""
     orgs = []
     pairs = []
     seed = None
-    for lineno, text in content[1:]:
-        parts = text.split()
-        try:
-            if parts[0] == "org":
-                if len(parts) != 3:
-                    raise WorkloadError(f"line {lineno}: org line expects '<id> <weight>'")
-                check_id(f"line {lineno}: org id", parts[1], WorkloadError)
-                orgs.append(Organization(id=parts[1], weight=float(parts[2])))
-            elif parts[0] == "pair":
-                if len(parts) != 8:
-                    raise WorkloadError(
-                        f"line {lineno}: pair line expects "
-                        "'<org> <a> <b> <lambda> <Fth> <Rmin> <Rmax>'"
-                    )
-                for token in parts[1:4]:
-                    check_id(f"line {lineno}: pair id", token, WorkloadError)
-                pairs.append(
-                    UserPair(
-                        org_id=parts[1],
-                        endpoints=(parts[2], parts[3]),
-                        weight=float(parts[4]),
-                        fidelity_threshold=float(parts[5]),
-                        r_min=float(parts[6]),
-                        r_max=float(parts[7]),
-                    )
-                )
-            elif parts[0] == "seed":
-                if len(parts) != 2:
-                    raise WorkloadError(f"line {lineno}: seed line expects '<n>'")
-                seed = check_int(f"line {lineno}: seed", int(parts[1]), low=0,
-                                 error=WorkloadError)
-            else:
-                raise WorkloadError(f"line {lineno}: unknown directive {parts[0]!r}")
-        except ValueError as exc:
-            if isinstance(exc, WorkloadError):
-                raise
-            raise WorkloadError(f"line {lineno}: {exc}") from None
+    for lineno, parts in records(source, "qvpn-workload v1", WorkloadError):
+        where = f"line {lineno}:"
+        if parts[0] == "org":
+            if len(parts) != 3:
+                raise WorkloadError(f"{where} org line expects '<id> <weight>'")
+            check_id(f"{where} org id", parts[1], WorkloadError)
+            orgs.append(Organization(
+                id=parts[1], weight=number(parts[2], f"{where} org weight", float, WorkloadError)))
+        elif parts[0] == "pair":
+            if len(parts) != 8:
+                raise WorkloadError(
+                    f"{where} pair line expects '<org> <a> <b> <lambda> <Fth> <Rmin> <Rmax>'")
+            for token in parts[1:4]:
+                check_id(f"{where} pair id", token, WorkloadError)
+            for node in parts[2:4]:
+                if node not in graph.node_by_id:
+                    raise WorkloadError(f"{where} pair names node {node!r}, "
+                                        "which the topology lacks")
+            weight, threshold, r_min, r_max = (
+                number(token, f"{where} pair {name}", float, WorkloadError)
+                for token, name in zip(parts[4:], ("lambda", "Fth", "Rmin", "Rmax")))
+            pairs.append(UserPair(org_id=parts[1], endpoints=(parts[2], parts[3]),
+                                  weight=weight, fidelity_threshold=threshold,
+                                  r_min=r_min, r_max=r_max))
+        elif parts[0] == "seed":
+            if len(parts) != 2:
+                raise WorkloadError(f"{where} seed line expects '<n>'")
+            seed = check_int(f"{where} seed", number(parts[1], f"{where} seed", int, WorkloadError),
+                             low=0, error=WorkloadError)
+        else:
+            raise WorkloadError(f"{where} unknown directive {parts[0]!r}")
     return Workload(organizations=tuple(orgs), user_pairs=tuple(pairs), seed=seed)
 
 

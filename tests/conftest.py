@@ -36,7 +36,8 @@ def ga_bound_oracle(monkeypatch):
         bound = wegr_of_selection(problem.compiler, np.arange(problem._layout_size))
         assert trace.best_wegr <= bound * (1 + ORACLE_RTOL), (trace.best_wegr, bound)
         initial = {row.tobytes() for row in genes}
-        seeded = [wegr_of_selection(problem.compiler, selection) for owner, selection, genome in encoded
+        seeded = [wegr_of_selection(problem.compiler, problem.compiler.column_ids(selection))
+                  for owner, selection, genome in encoded
                   if owner is problem and genome.tobytes() in initial]
         for wegr in seeded:
             assert trace.best_wegr >= wegr * (1 - ORACLE_RTOL), (trace.best_wegr, wegr)

@@ -175,7 +175,7 @@ def test_06_ga_dominates_every_baseline():
         candidates = build_candidate_sets(net10, workload, k=5)
         baselines = _seeded_baselines(net10, workload, candidates, catalog, p_max=3)
         compiler = LpCompiler(net10, workload, p_max=3)
-        base_wegrs = [wegr_of_selection(compiler, sel) for sel in baselines]
+        base_wegrs = [wegr_of_selection(compiler, compiler.column_ids(sel)) for sel in baselines]
         problem = ga.GaProblem(net10, workload, candidates, catalog, p_max=3)
         config = ga.GaConfig(population_size=50, generations=200, seed=seed)
         population = ga.initialize_population(problem, config, seed_heuristics=baselines)

@@ -263,7 +263,8 @@ def test_solve_lp_without_columns_reads_only_the_row_bounds():
 
 def test_wegr_of_selection_matches_solve(triangle, one_pair_workload):
     sel = direct_selection(triangle, one_pair_workload)
-    direct = wegr_of_selection(LpCompiler(triangle, one_pair_workload), sel)
+    compiler = LpCompiler(triangle, one_pair_workload)
+    direct = wegr_of_selection(compiler, compiler.column_ids(sel))
     via_solve = solve(build_problem(triangle, one_pair_workload, sel)).wegr
     assert direct == via_solve
 
@@ -276,8 +277,9 @@ def test_wegr_of_selection_scores_on_its_compilers_instance():
                   user_pairs=tuple(replace(p, weight=2 * p.weight) for p in wa.user_pairs))
     sel = {p.key: [(build_candidate_set(g, p, k=1)[0], DistillationStrategy(0.95))]
            for p in wa.user_pairs}
-    want = wegr_of_selection(LpCompiler(g, wb), sel)
-    assert want == 2 * wegr_of_selection(LpCompiler(g, wa), sel) > 0
+    ca, cb = LpCompiler(g, wa), LpCompiler(g, wb)
+    want = wegr_of_selection(cb, cb.column_ids(sel))
+    assert want == 2 * wegr_of_selection(ca, ca.column_ids(sel)) > 0
 
 
 def _random_small_problem(rng):

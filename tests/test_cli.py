@@ -371,7 +371,8 @@ def test_rl_outputs_and_policy_checkpoint(tmp_path):
     assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
 
     # the reloaded policy picks the selection the run wrote
-    graph, workload = load_topology(topo.read_text()), load_workload(wlf.read_text())
+    graph = load_topology(topo.read_text())
+    workload = load_workload(wlf.read_text(), graph)
     problem = rl.RlProblem(workload, build_candidate_sets(graph, workload, k=5),
                            default_strategy_catalog()[0], p_max=1)
     selection = rl.greedy_selection(policy, problem)
@@ -509,7 +510,8 @@ def test_allocate_dead_link_pair_writes_the_same_csvs(tmp_path):
     out = tmp_path / "out"
     assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 0
 
-    graph, workload = load_topology(topo.read_text()), load_workload(wlf.read_text())
+    graph = load_topology(topo.read_text())
+    workload = load_workload(wlf.read_text(), graph)
     catalog = default_strategy_catalog()
     candidates = build_candidate_sets(graph, workload, k=5)
     selection = baseline_selection(graph, workload, candidates, WeightScheme.INV_EGR, p_max=3,
@@ -550,9 +552,10 @@ def test_cli_matches_the_harness_point(tmp_path, command, optimizer, extra):
     out = tmp_path / command
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
 
+    graph = load_topology(topo.read_text())
     scenario = Scenario(
-        name=command, graph=load_topology(topo.read_text()),
-        workload=load_workload(wlf.read_text()), optimizer=optimizer,
+        name=command, graph=graph,
+        workload=load_workload(wlf.read_text(), graph), optimizer=optimizer,
         ga_config=ga.GaConfig(**extra["ga"]) if "ga" in extra else None,
         rl_config=rl.TrainConfig(**extra["rl"]) if "rl" in extra else None,
         seeds=(3,), k=4, p_max=2, catalog=tuple(default_strategy_catalog()[:5]))
@@ -823,18 +826,55 @@ def test_rl_paths_per_state_below_pair_count_exits_2(tmp_path, capsys):
 
 
 def test_runtime_failure_exits_1(tmp_path, capsys):
-    # workload parses fine but names a node the graph lacks
+    # a valid config whose output directory cannot be made: --out is a file
+    topo, _ = _triangle_files(tmp_path)
+    cfg = _config(tmp_path, "cap.json", _base(topo))
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("qvpn: FileExistsError:")
+    assert out.read_text() == ""
+
+
+def test_workload_pair_off_the_graph_exits_2(tmp_path, capsys):
+    # the workload is read against the topology, before any search
     topo, _ = _triangle_files(tmp_path)
     wlf = tmp_path / "bad.workload"
     wlf.write_text("qvpn-workload v1\n"
                    "org org1 1.0\n"
                    "pair org1 A Z 0.5 0.7 0.0 1e9\n")
-    cfg = _config(tmp_path, "paths.json", _base(topo, wlf))
+    cfg = _config(tmp_path, "bad.json", _base(topo, wlf), source={"baseline": "hop"})
     out = tmp_path / "out"
-    assert main(["paths", "--config", str(cfg), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("qvpn:")
+    for command in ("paths", "allocate", "ga"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2, command
+        err = capsys.readouterr().err
+        assert (f"config error: workload file {str(wlf)!r}: line 3: pair names node 'Z'"
+                in err), err
     assert not (out / "manifest.json").exists()
+
+
+def test_ga_selection_with_a_node_named_threshold_replays(tmp_path):
+    # the strategy is read from the last four tokens, so a path may pass a
+    # node named after a keyword of the line
+    graph = NetworkGraph(nodes=(NodeSpec("A"), NodeSpec("threshold")),
+                         links=(make_link("A", "threshold", 10.0),))
+    topo = tmp_path / "net.topo"
+    topo.write_text(save_topology(graph))
+    wlf = tmp_path / "one.workload"
+    wlf.write_text(save_workload(Workload(
+        organizations=(Organization("o1", 1.0),),
+        user_pairs=(UserPair("o1", ("A", "threshold"), 0.5, 0.7, 0.0, 1e9),))))
+    ga_cfg = _config(tmp_path, "ga.json", _base(topo, wlf), p_max=1, strategy_count=2,
+                     ga={"population_size": 4, "generations": 1})
+    assert main(["ga", "--config", str(ga_cfg), "--out", str(tmp_path / "ga")]) == 0
+    sel = tmp_path / "ga" / "selection.txt"
+    assert " path A threshold threshold " in sel.read_text()
+    alloc_cfg = _config(tmp_path, "alloc.json", _base(topo, wlf), p_max=1,
+                        source={"selection": str(sel)})
+    assert main(["allocate", "--config", str(alloc_cfg), "--out", str(tmp_path / "alloc")]) == 0
+    assert ((tmp_path / "alloc" / "rates.csv").read_text().splitlines()[1:]
+            == (tmp_path / "ga" / "rates.csv").read_text().splitlines()[1:])
 
 
 def test_emit_plots_writes_gnuplot_scripts(tmp_path):
@@ -880,12 +920,18 @@ def test_malformed_topology_and_selection_files_exit_2(tmp_path, capsys):
     assert "config error: topology file" in err and "undeclared node 'b'" in err
     for line in ("select org1 A B path A Z B threshold 0.9 max_rounds 20",
                  "select org1 A B path A B threshold 0.9 max_rounds 2.5",
-                 "select org1 A B path A B threshold nan max_rounds 20"):
+                 "select org1 A B path A B threshold nan max_rounds 20",
+                 "select org1 A B path A B threshold 0.9 max_rounds 20 extra",
+                 # a repeated path would print its one rate on both rows of rates.csv
+                 "select org1 A B path A B threshold 0.8 max_rounds 20\n"
+                 "select org1 A B path A B threshold 0.9 max_rounds 20"):
         sel = tmp_path / "bad.sel"
         sel.write_text(f"qvpn-selection v1\n{line}\n")
         cfg = _config(tmp_path, "alloc.json", _base(topo, wlf), source={"selection": str(sel)})
         assert main(["allocate", "--config", str(cfg), "--out", str(out)]) == 2, line
-        assert "config error: selection file" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        last = 1 + len(line.splitlines())  # the header is line 1
+        assert "config error: selection file" in err and f"line {last}:" in err, err
     assert not (out / "manifest.json").exists()
 
 

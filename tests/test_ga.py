@@ -194,8 +194,8 @@ def test_repeated_catalog_strategies_are_rejected(triangle, tri_problem):
 
 def test_fitness_matches_lp_and_caches(tri_problem):
     g = np.array([[0, 1], [0, 0]])
-    want = wegr_of_selection(LpCompiler(tri_problem.graph, tri_problem.workload, p_max=2),
-                             tri_problem.decode(g))
+    compiler = LpCompiler(tri_problem.graph, tri_problem.workload, p_max=2)
+    want = wegr_of_selection(compiler, compiler.column_ids(tri_problem.decode(g)))
     before = tri_problem.lp_solves
     assert tri_problem.fitness(g) == want
     assert tri_problem.lp_solves == before + 1
@@ -272,7 +272,8 @@ def test_evolve_trace_shape_and_monotone_best(tri_problem):
 def test_evolve_improves_on_seeded_heuristic(triangle, tri_problem):
     sel = baseline_selection(triangle, tri_problem.workload, tri_problem.candidates,
                              WeightScheme.HOP, p_max=2, catalog=tri_problem.catalog)
-    heur_fit = wegr_of_selection(LpCompiler(triangle, tri_problem.workload, p_max=2), sel)
+    compiler = LpCompiler(triangle, tri_problem.workload, p_max=2)
+    heur_fit = wegr_of_selection(compiler, compiler.column_ids(sel))
     cfg = GaConfig(population_size=10, generations=8, seed=5)
     pop = initialize_population(tri_problem, cfg, seed_heuristics=(sel,))
     trace = evolve(pop, cfg, tri_problem)
@@ -470,7 +471,8 @@ def test_pool_lp_equals_compile_of_decode(monkeypatch, net50_problem):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (trial, name)
         assert got.row_labels == want.row_labels
-        assert value == wegr_of_selection(reference, problem.decode(genome))
+        assert value == wegr_of_selection(reference,
+                                          reference.column_ids(problem.decode(genome)))
     assert forced_duplicates > 300
 
 

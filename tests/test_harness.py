@@ -792,6 +792,15 @@ def test_selection_load_errors(triangle):
     with pytest.raises(ValueError, match="max_rounds"):
         load_selection("qvpn-selection v1\nselect org0 A B path A B threshold 0.9 rounds 2\n",
                        triangle)
+    # the strategy is the last four tokens: nothing may follow them
+    with pytest.raises(ValueError, match="line 2: expected 'select"):
+        load_selection("qvpn-selection v1\n"
+                       "select org0 A B path A B threshold 0.9 max_rounds 2 extra\n", triangle)
+    # a pair may not repeat a path, whatever its strategy
+    with pytest.raises(ValueError, match=r"line 3: pair \('org0', 'A', 'B'\) repeats path A B"):
+        load_selection("qvpn-selection v1\n"
+                       "select org0 A B path A B threshold 0.8 max_rounds 2\n"
+                       "select org0 A B path A B threshold 0.9 max_rounds 2\n", triangle)
     # unknown link in the path
     bare = NetworkGraph(nodes=(NodeSpec("A"), NodeSpec("B")), links=())
     with pytest.raises(ValueError, match="line 2"):

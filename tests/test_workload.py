@@ -8,7 +8,7 @@ from scipy.stats import kstest
 
 from qvpn.checks import InputError
 from qvpn.fixtures import TOPOLOGY_10, bundled_topology
-from qvpn.topology import min_hop_distances
+from qvpn.topology import NetworkGraph, NodeSpec, min_hop_distances
 from qvpn.workload import (
     Organization,
     UserPair,
@@ -27,6 +27,8 @@ def net10():
 
 
 SMALL = WorkloadParams(num_orgs=3, pairs_per_org=10, hop_cap=4)
+# the nodes the hand-written documents below name
+NODES = NetworkGraph(nodes=tuple(NodeSpec(n) for n in "ABab"), links=())
 
 
 def test_validation_errors():
@@ -174,29 +176,29 @@ def test_generation_exhaustion_error(net10):
 
 def test_save_load_round_trip(net10):
     wl = generate_workload(net10, SMALL, seed=21)
-    again = load_workload(save_workload(wl))
+    again = load_workload(save_workload(wl), net10)
     assert again == wl  # params is provenance-only and excluded from equality
     assert again.seed == 21
 
 
 def test_load_rejects_bad_documents():
     with pytest.raises(WorkloadError, match="header"):
-        load_workload("org o 1.0\n")
+        load_workload("org o 1.0\n", NODES)
     with pytest.raises(WorkloadError, match="line 2"):
-        load_workload("qvpn-workload v1\norg lonely\n")
+        load_workload("qvpn-workload v1\norg lonely\n", NODES)
     with pytest.raises(WorkloadError, match="line 3"):
-        load_workload("qvpn-workload v1\norg o 1.0\npair o a b 0.5 0.8 0\n")
+        load_workload("qvpn-workload v1\norg o 1.0\npair o a b 0.5 0.8 0\n", NODES)
     with pytest.raises(WorkloadError, match="directive"):
-        load_workload("qvpn-workload v1\nbanana o 1.0\n")
+        load_workload("qvpn-workload v1\nbanana o 1.0\n", NODES)
     with pytest.raises(WorkloadError, match="line 2"):
-        load_workload("qvpn-workload v1\norg o heavy\n")
+        load_workload("qvpn-workload v1\norg o heavy\n", NODES)
     # a seed line holds one integer >= 0
     for line, why in (("seed", "seed line expects '<n>'"), ("seed 1 2", "expects"),
                       ("seed -3", "seed must be an integer >= 0, got -3"),
                       ("seed 1.5", "1.5"), ("seed x", "'x'")):
         with pytest.raises(WorkloadError, match=f"line 3: .*{re.escape(why)}"):
-            load_workload(f"qvpn-workload v1\norg o 1.0\n{line}\n")
-    assert load_workload("qvpn-workload v1\nseed 0\n").seed == 0
+            load_workload(f"qvpn-workload v1\norg o 1.0\n{line}\n", NODES)
+    assert load_workload("qvpn-workload v1\nseed 0\n", NODES).seed == 0
 
 
 def test_duplicate_pair_keys_are_rejected():
@@ -204,9 +206,10 @@ def test_duplicate_pair_keys_are_rejected():
     doc = ("qvpn-workload v1\norg o1 1.0\norg o2 1.0\n"
            "pair o1 A B 0.5 0.8 0.0 10.0\n")
     with pytest.raises(WorkloadError, match="duplicate pair"):
-        load_workload(doc + "pair o1 A B 0.4 0.85 1.0 20.0\n")
+        load_workload(doc + "pair o1 A B 0.4 0.85 1.0 20.0\n", NODES)
     # the same endpoints in another org, or in the other order, are other pairs
-    wl = load_workload(doc + "pair o2 A B 0.5 0.8 0.0 10.0\npair o1 B A 0.5 0.8 0.0 10.0\n")
+    wl = load_workload(doc + "pair o2 A B 0.5 0.8 0.0 10.0\npair o1 B A 0.5 0.8 0.0 10.0\n",
+                       NODES)
     assert len({p.key for p in wl.user_pairs}) == 3
 
 
@@ -214,12 +217,12 @@ def test_infinite_r_min_is_rejected():
     # an R_min row of inf fails every LP with a column for the pair
     doc = "qvpn-workload v1\norg org1 1.0\n"
     with pytest.raises(WorkloadError, match="R_min must be a finite number"):
-        load_workload(doc + "pair org1 A B 0.5 0.7 inf inf\n")
+        load_workload(doc + "pair org1 A B 0.5 0.7 inf inf\n", NODES)
     with pytest.raises(WorkloadError, match="R_min"):
         UserPair("org1", ("A", "B"), weight=0.5, fidelity_threshold=0.7,
                  r_min=math.inf, r_max=math.inf)
     # an unbounded R_max stays legal: the pair gets no R_max row
-    wl = load_workload(doc + "pair org1 A B 0.5 0.7 1.0 inf\n")
+    wl = load_workload(doc + "pair org1 A B 0.5 0.7 1.0 inf\n", NODES)
     assert wl.user_pairs[0].r_max == math.inf
 
 
@@ -231,7 +234,7 @@ qvpn-workload v1
 org o 1.0  # the only tenant
 pair o a b 0.5 0.8 0.0 10.0
 """
-    wl = load_workload(doc)
+    wl = load_workload(doc, NODES)
     assert len(wl.organizations) == 1
     assert wl.user_pairs[0].endpoints == ("a", "b")
     assert wl.seed is None
