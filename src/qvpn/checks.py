@@ -5,9 +5,10 @@ An input number is either an integer with a minimum or a real in a range.
 Every type or entry point that takes one checks it here, so each rule is
 written once. A node or org id read from a file holds no comma, the cell
 separator of every CSV the CLI writes. The topology, workload, selection
-and strategy catalog documents share one format, read by `records`, and
-`number` parses each of their numbers. The CLI reports an InputError as a
-config error (exit 2).
+and strategy catalog documents share one format, read by `records`;
+`number` parses each of their numbers, and `made` names the line of a
+value that the type built from it refuses. The CLI reports an InputError
+as a config error (exit 2).
 """
 
 from __future__ import annotations
@@ -74,6 +75,14 @@ def records(source: str, header, error) -> list:
             raise error(f"missing or unsupported header, expected {header!r}")
         del lines[0]
     return lines
+
+
+def made(where: str, error, make, *args):
+    """make(*args); an InputError it raises becomes error, led by `where`."""
+    try:
+        return make(*args)
+    except InputError as exc:
+        raise error(f"{where} {exc}") from None
 
 
 def number(token: str, name: str, kind, error):

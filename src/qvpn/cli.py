@@ -33,6 +33,10 @@ from .allocation_lp import LpCompiler, lp_backend
 from . import ga_optimizer as ga
 from . import rl_optimizer as rl
 from .harness import (
+    DEFAULT_BASELINE_THRESHOLD,
+    DEFAULT_HIDDEN,
+    DEFAULT_K,
+    DEFAULT_P_MAX,
     DegenerateVarianceError,
     Scenario,
     fairness_report,
@@ -186,6 +190,13 @@ def _load_catalog(config, hasher):
     return tuple(catalog if count is None else catalog_prefix(catalog, count))
 
 
+def _load_inputs(config, hasher):
+    """The config's graph, workload and strategy catalog, hashed in that order."""
+    graph = _load_graph(config, hasher)
+    workload = _load_workload(config, graph, hasher)
+    return graph, workload, _load_catalog(config, hasher)
+
+
 def _optimizer_config(config, name: str, cls):
     """The config's `name` block as a cls (GaConfig / TrainConfig), None when
     absent or empty. The top-level seed seeds the search, so the block may
@@ -234,6 +245,29 @@ def _rates_outputs(out_dir, config, workload, selection, solution, config_hash):
     return outputs
 
 
+def _search(config, optimizer, baseline_threshold, **options):
+    """(config hash, workload, SearchResult) of the one harness.search over
+    the config's inputs; options (ga_config, rl_config, hidden) go to it."""
+    hasher = _hasher(config)
+    graph, workload, catalog = _load_inputs(config, hasher)
+    result = search(graph, workload, optimizer, config["seed"],
+                    k=config.get("k", DEFAULT_K), p_max=config.get("p_max", DEFAULT_P_MAX),
+                    catalog=catalog, baseline_threshold=baseline_threshold, **options)
+    return hasher.hexdigest(), workload, result
+
+
+def _search_outputs(out_dir, config, outputs, config_hash, workload, result):
+    """Write a search's selection.txt, rates.csv, pairs.csv (and rates.gp)
+    after the outputs written so far; returns the manifest keys every
+    search command shares."""
+    (out_dir / "selection.txt").write_text(save_selection(result.selection))
+    outputs += ["selection.txt", *_rates_outputs(out_dir, config, workload, result.selection,
+                                                 result.solution, config_hash)]
+    return {"config_hash": config_hash, "status": result.solution.status,
+            "wegr": result.solution.wegr, "lp_solves": result.lp_solves,
+            "seconds": result.seconds, "outputs": outputs}
+
+
 def cmd_capacity(config, out_dir):
     hasher = _hasher(config)
     graph = _load_graph(config, hasher)
@@ -261,7 +295,7 @@ def cmd_paths(config, out_dir):
     graph = _load_graph(config, hasher)
     workload = _load_workload(config, graph, hasher)
     config_hash = hasher.hexdigest()
-    k = config.get("k", 5)
+    k = config.get("k", DEFAULT_K)
     candidates = build_candidate_sets(graph, workload, k=k)
     rows = []
     for pair in workload.user_pairs:
@@ -281,111 +315,69 @@ def cmd_paths(config, out_dir):
 
 
 def cmd_allocate(config, out_dir):
-    hasher = _hasher(config)
-    graph = _load_graph(config, hasher)
-    workload = _load_workload(config, graph, hasher)
-    catalog = _load_catalog(config, hasher)
-    p_max = config.get("p_max", 3)
     source = _require(config, "source")
     if not isinstance(source, dict):
         raise ConfigError(f"source must be a JSON object, got {source!r}")
-    if "selection" in source:
-        selection = _load_ref(source, "selection", hasher, load_selection, graph)
-        compiler = LpCompiler(graph, workload, p_max=p_max)
-        solution = compiler.solve(compiler.column_ids(selection))
-    elif "baseline" in source:
-        result = search(graph, workload, f"baseline-{source['baseline']}", config["seed"],
-                        k=config.get("k", 5), p_max=p_max, catalog=catalog,
-                        baseline_threshold=source.get("threshold", 0.992))
-        selection, solution = result.selection, result.solution
-    else:
-        raise ConfigError("source must contain \"selection\" (file) or \"baseline\" (scheme)")
+    if "selection" not in source:
+        if "baseline" not in source:
+            raise ConfigError("source must contain \"selection\" (file) or \"baseline\" (scheme)")
+        return _search_outputs(out_dir, config, [], *_search(
+            config, f"baseline-{source['baseline']}",
+            source.get("threshold", DEFAULT_BASELINE_THRESHOLD)))
+    hasher = _hasher(config)
+    graph, workload, _ = _load_inputs(config, hasher)
+    selection = _load_ref(source, "selection", hasher, load_selection, graph)
+    compiler = LpCompiler(graph, workload, p_max=config.get("p_max", DEFAULT_P_MAX))
+    solution = compiler.solve(compiler.column_ids(selection))
     config_hash = hasher.hexdigest()
     outputs = _rates_outputs(out_dir, config, workload, selection, solution, config_hash)
-    return {
-        "config_hash": config_hash,
-        "status": solution.status,
-        "wegr": solution.wegr,
-        "outputs": outputs,
-    }
+    return {"config_hash": config_hash, "status": solution.status, "wegr": solution.wegr,
+            "outputs": outputs}
 
 
 def cmd_ga(config, out_dir):
-    hasher = _hasher(config)
-    graph = _load_graph(config, hasher)
-    workload = _load_workload(config, graph, hasher)
-    catalog = _load_catalog(config, hasher)
     ga_config = _optimizer_config(config, "ga", ga.GaConfig) or ga.GaConfig()
-    config_hash = hasher.hexdigest()
-
-    result = search(graph, workload, "ga", config["seed"], k=config.get("k", 5),
-                    p_max=config.get("p_max", 3), catalog=catalog,
-                    baseline_threshold=config.get("baseline_threshold", 0.992),
-                    ga_config=ga_config)
+    config_hash, workload, result = _search(
+        config, "ga", config.get("baseline_threshold", DEFAULT_BASELINE_THRESHOLD),
+        ga_config=ga_config)
     trace = result.trace
-    trace_rows = list(zip(range(len(trace.best_fitness)), trace.best_fitness,
-                          trace.mean_fitness))
-    outputs = [_write_csv(out_dir, "trace.csv",
-                          ("generation", "best_wegr", "mean_fitness"),
-                          trace_rows, config_hash)]
-    (out_dir / "selection.txt").write_text(save_selection(result.selection))
-    outputs.append("selection.txt")
-    outputs.extend(_rates_outputs(out_dir, config, workload, result.selection,
-                                  result.solution, config_hash))
+    outputs = [_write_csv(out_dir, "trace.csv", ("generation", "best_wegr", "mean_fitness"),
+                          zip(range(len(trace.best_fitness)), trace.best_fitness,
+                              trace.mean_fitness), config_hash)]
+    manifest = _search_outputs(out_dir, config, outputs, config_hash, workload, result)
     _write_plot(out_dir, outputs, config, "trace.gp",
                 "set xlabel 'generation'\nset ylabel 'W-EGR'\n"
                 "plot 'trace.csv' using 1:2 with lines lw 2 title 'best', "
                 "'trace.csv' using 1:3 with lines title 'population mean'\n")
-    return {
-        "config_hash": config_hash,
-        "status": result.solution.status,
-        "wegr": trace.best_wegr,
-        "lp_solves": result.lp_solves,
+    manifest.update({
         "fitness_calls": trace.fitness_calls,  # the cache hit rate is 1 - lp_solves / this
         "fitness_helper": trace.fitness_helper,
         "generations": ga_config.generations,
-        "seconds": result.seconds,
         "pool_fill_seconds": trace.pool_fill_seconds,  # part of seconds: GaProblem's columns
         "generation_seconds": trace.seconds,
         "breed_seconds": trace.breed_seconds,
-        "outputs": outputs,
-    }
+    })
+    return manifest
 
 
 def cmd_rl(config, out_dir):
-    hasher = _hasher(config)
-    graph = _load_graph(config, hasher)
-    workload = _load_workload(config, graph, hasher)
-    catalog = _load_catalog(config, hasher)
     rl_config = _optimizer_config(config, "rl", rl.TrainConfig) or rl.TrainConfig()
-    hidden = config.get("hidden", [128])
+    hidden = config.get("hidden", list(DEFAULT_HIDDEN))
     if not isinstance(hidden, list):
         raise ConfigError(f"'hidden' must be a list of layer widths, got {hidden!r}")
-    config_hash = hasher.hexdigest()
-
-    result = search(graph, workload, "rl", config["seed"], k=config.get("k", 5),
-                    p_max=config.get("p_max", 3), catalog=catalog, rl_config=rl_config,
-                    hidden=tuple(hidden))
+    # the RL search seeds no greedy baseline, so no threshold of the config applies
+    config_hash, workload, result = _search(config, "rl", DEFAULT_BASELINE_THRESHOLD,
+                                            rl_config=rl_config, hidden=tuple(hidden))
     outputs = [_write_csv(out_dir, "trace.csv", ("epoch", "mean_reward"),
-                          list(zip(range(len(result.trace)), result.trace)), config_hash)]
-    (out_dir / "selection.txt").write_text(save_selection(result.selection))
-    outputs.append("selection.txt")
+                          enumerate(result.trace), config_hash)]
+    manifest = _search_outputs(out_dir, config, outputs, config_hash, workload, result)
     (out_dir / "policy.bin").write_bytes(rl.save_policy(result.policy))
     outputs.append("policy.bin")
-    outputs.extend(_rates_outputs(out_dir, config, workload, result.selection,
-                                  result.solution, config_hash))
     _write_plot(out_dir, outputs, config, "trace.gp",
                 "set xlabel 'epoch'\nset ylabel 'mean reward (W-EGR)'\n"
                 "plot 'trace.csv' using 1:2 with lines lw 2 title 'reward'\n")
-    return {
-        "config_hash": config_hash,
-        "status": result.solution.status,
-        "wegr": result.solution.wegr,
-        "lp_solves": result.lp_solves,
-        "epochs": rl_config.epochs,
-        "seconds": result.seconds,
-        "outputs": outputs,
-    }
+    manifest["epochs"] = rl_config.epochs
+    return manifest
 
 
 def cmd_report(config, out_dir):
@@ -405,7 +397,7 @@ def cmd_report(config, out_dir):
         seeds = range(config["seed"], config["seed"] + repetitions) \
             if isinstance(repetitions, int) else ()
     if "hidden" in config:
-        raise ConfigError("report trains the default (128,) policy; "
+        raise ConfigError(f"report trains the default {DEFAULT_HIDDEN} policy; "
                           "\"hidden\" is read by `qvpn rl` only")
     fairness = _config_bool(config, "fairness", True)
     scenario = Scenario(
@@ -420,10 +412,10 @@ def cmd_report(config, out_dir):
         sweep_values=tuple(sweep.get("values", ())),
         repetitions=repetitions,
         seeds=tuple(seeds),
-        k=config.get("k", 5),
-        p_max=config.get("p_max", 3),
+        k=config.get("k", DEFAULT_K),
+        p_max=config.get("p_max", DEFAULT_P_MAX),
         catalog=catalog,
-        baseline_threshold=config.get("baseline_threshold", 0.992),
+        baseline_threshold=config.get("baseline_threshold", DEFAULT_BASELINE_THRESHOLD),
     )
     config_hash = hasher.hexdigest()
 

@@ -20,7 +20,7 @@ import math
 import time
 from dataclasses import dataclass, replace, field
 
-from .checks import InputError, check_int, check_real, number, records
+from .checks import InputError, check_int, check_real, made, number, records
 from .topology import NetworkGraph, save_topology
 from .quantum_math import (
     DEFAULT_NOISE,
@@ -76,6 +76,12 @@ _BASELINE_SCHEMES = {f"baseline-{name}": scheme for name, scheme in BASELINE_SCH
 OPTIMIZERS = (*_BASELINE_SCHEMES, "ga", "rl")
 SWEEP_AXES = ("p_max", "strategy_count", "pairs_per_org", "k", "r_max")
 
+# the search defaults of Scenario, search and the CLI
+DEFAULT_K = 5  # candidate paths per pair per weight scheme
+DEFAULT_P_MAX = 3  # active paths per pair
+DEFAULT_BASELINE_THRESHOLD = 0.992  # greedy baselines distill links to (nearest of) this
+DEFAULT_HIDDEN = (128,)  # RL policy layer widths
+
 
 def _check_search(optimizer, k, p_max, catalog, baseline_threshold, ga_config) -> None:
     """Raise InputError unless search can take these arguments. The GA
@@ -106,11 +112,11 @@ class Scenario:
     sweep_values: tuple = ()
     repetitions: int = 1
     seeds: tuple = (0,)
-    k: int = 5
-    p_max: int = 3
+    k: int = DEFAULT_K
+    p_max: int = DEFAULT_P_MAX
     catalog: tuple = field(default_factory=default_strategy_catalog)
     noise: NoiseParams = DEFAULT_NOISE
-    baseline_threshold: float = 0.992  # greedy baselines distill links to (nearest of) this
+    baseline_threshold: float = DEFAULT_BASELINE_THRESHOLD
 
     def __post_init__(self):
         _check_search(self.optimizer, self.k, self.p_max, self.catalog,
@@ -229,8 +235,9 @@ class SearchResult:
 
 def search(graph: NetworkGraph, workload: Workload, optimizer: str, seed: int, *,
            k: int, p_max: int, catalog, noise: NoiseParams = DEFAULT_NOISE,
-           baseline_threshold: float = 0.992, ga_config: ga.GaConfig | None = None,
-           rl_config: rl.TrainConfig | None = None, hidden=(128,),
+           baseline_threshold: float = DEFAULT_BASELINE_THRESHOLD,
+           ga_config: ga.GaConfig | None = None, rl_config: rl.TrainConfig | None = None,
+           hidden=DEFAULT_HIDDEN,
            finder: PathFinder | None = None) -> SearchResult:
     """Path searches, one selection search, one final LP solve.
 
@@ -539,10 +546,9 @@ def load_selection(source: str, graph: NetworkGraph):
         threshold = number(tokens[-3], f"{where} threshold", float, InputError)
         max_rounds = number(tokens[-1], f"{where} max_rounds", int, InputError)
         try:
-            chosen.append((path_from_nodes(graph, nodes),
-                           DistillationStrategy(threshold, max_rounds)))
+            path = path_from_nodes(graph, nodes)
         except KeyError as exc:
             raise InputError(f"{where} the graph has no link {exc}") from None
-        except InputError as exc:
-            raise InputError(f"{where} {exc}") from None
+        chosen.append((path, made(where, InputError, DistillationStrategy, threshold,
+                                  max_rounds)))
     return selection

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .checks import InputError, check_int, check_real, number, records
+from .checks import InputError, check_int, check_real, made, number, records
 
 # Absolute tolerance for all fidelity threshold comparisons.
 FIDELITY_ATOL = 1e-9
@@ -207,16 +207,19 @@ def default_strategy_catalog(count: int = 16, low: float = 0.8, high: float = 0.
 
 def load_strategy_catalog(source: str, max_rounds: int = DEFAULT_MAX_ROUNDS):
     """Parse a catalog document, which has no header: one threshold per line."""
-    thresholds = []
+    catalog = []
     for lineno, tokens in records(source, None, InputError):
         if len(tokens) != 1:
             raise InputError(f"line {lineno}: expected one threshold, got {' '.join(tokens)!r}")
-        thresholds.append(number(tokens[0], f"line {lineno}: threshold", float, InputError))
-    if not thresholds:
+        threshold = number(tokens[0], f"line {lineno}: threshold", float, InputError)
+        if catalog and threshold <= catalog[-1].link_threshold:
+            raise InputError(f"line {lineno}: strategy catalog must be strictly ascending "
+                             "by threshold")
+        catalog.append(made(f"line {lineno}:", InputError, DistillationStrategy, threshold,
+                            max_rounds))
+    if not catalog:
         raise InputError("strategy catalog is empty")
-    if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
-        raise InputError("strategy catalog must be strictly ascending by threshold")
-    return [DistillationStrategy(t, max_rounds) for t in thresholds]
+    return catalog
 
 
 def catalog_prefix(catalog, count):

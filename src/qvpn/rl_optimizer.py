@@ -332,8 +332,8 @@ class EpochPolicy:
 
     def dlogits(self, actions, advantage):
         """dL/dlogits of one sample's actions at this epoch's policy."""
-        chosen = [a for k in self.pair_order for a in actions[k]]
-        return _sample_dlogits(chosen, self.expected, advantage, self.entropy_term)
+        return _sample_dlogits(_chosen(self, actions), self.expected, advantage,
+                               self.entropy_term)
 
 
 class _BlockSampler:
@@ -436,14 +436,6 @@ def _sample_dlogits(chosen, expected, advantage, entropy_term):
     if entropy_term is not None:
         d += entropy_term
     return d
-
-
-def _surrogate_dlogits(policy, problem, probs, actions, advantage, beta):
-    """dL/dlogits for L = sum log pi(a)*(advantage) + beta*H, per pair block."""
-    blocks = policy.blocks
-    picks = blocks.spread([len(actions[k]) for k in problem.pair_order])
-    return _sample_dlogits(_chosen(problem, actions), picks * probs, advantage,
-                           _entropy_dlogits(blocks, probs, beta) if beta > 0 else None)
 
 
 def surrogate_value(policy, problem, actions, advantage, beta):
@@ -550,17 +542,17 @@ def greedy_selection(policy: PolicyNetwork, problem: RlProblem):
 
 def gradient_check(policy: PolicyNetwork, problem: RlProblem, actions,
                    advantage: float, beta: float, step: float = 1e-5) -> float:
-    """Max deviation between analytic and central-difference gradients,
-    relative to the largest finite-difference component.
+    """Max deviation between the gradient train applies (EpochPolicy.dlogits
+    of an epoch whose quotas are the actions' picks, then backward) and
+    central differences of surrogate_value, relative to the largest
+    finite-difference component.
 
     Guarded to small policies (<= 1e3 parameters); intended as a test gate.
     """
     if policy.num_parameters() > 1000:
         raise ValueError("gradient_check is limited to policies with <= 1000 parameters")
-    logits, cache = policy.forward(problem.encode_state())
-    probs = policy.block_probs(logits)
-    dlogits = _surrogate_dlogits(policy, problem, probs, actions, advantage, beta)
-    grads_w, grads_b = policy.backward(dlogits, cache)
+    current = EpochPolicy(policy, problem, [len(actions[k]) for k in problem.pair_order], beta)
+    grads_w, grads_b = policy.backward(current.dlogits(actions, advantage), current.cache)
 
     analytic = np.concatenate([g.ravel() for g in [*grads_w, *grads_b]])
     fd = np.empty_like(analytic)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .checks import InputError, check_id, check_int, check_real, number, records
+from .checks import InputError, check_id, check_int, check_real, made, number, records
 
 # Section-IV style defaults used when a topology file omits the param lines.
 DEFAULT_REPETITION_TIME_S = 1e-6
@@ -200,10 +200,8 @@ def load_topology(source: str) -> NetworkGraph:
                 f"line {lineno}: duplicate link {a!r}-{b!r} (use multiplex= for parallel capacity)"
             )
         link_keys.add(key)
-        try:  # make_link checks the link's numbers
-            links.append(make_link(a, b, length, multiplex, alpha, beta, T))
-        except InputError as exc:
-            raise TopologyError(f"line {lineno}: link {a!r}-{b!r}: {exc}") from None
+        links.append(made(f"line {lineno}: link {a!r}-{b!r}:", TopologyError,
+                          make_link, a, b, length, multiplex, alpha, beta, T))
 
     return NetworkGraph(
         nodes=tuple(nodes),

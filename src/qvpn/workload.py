@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import InputError, check_id, check_int, check_real, number, records
+from .checks import InputError, check_id, check_int, check_real, made, number, records
 from .topology import NetworkGraph
 
 
@@ -174,8 +174,8 @@ def load_workload(source: str, graph: NetworkGraph) -> Workload:
             if len(parts) != 3:
                 raise WorkloadError(f"{where} org line expects '<id> <weight>'")
             check_id(f"{where} org id", parts[1], WorkloadError)
-            orgs.append(Organization(
-                id=parts[1], weight=number(parts[2], f"{where} org weight", float, WorkloadError)))
+            orgs.append(made(where, WorkloadError, Organization, parts[1],
+                             number(parts[2], f"{where} org weight", float, WorkloadError)))
         elif parts[0] == "pair":
             if len(parts) != 8:
                 raise WorkloadError(
@@ -186,12 +186,10 @@ def load_workload(source: str, graph: NetworkGraph) -> Workload:
                 if node not in graph.node_by_id:
                     raise WorkloadError(f"{where} pair names node {node!r}, "
                                         "which the topology lacks")
-            weight, threshold, r_min, r_max = (
-                number(token, f"{where} pair {name}", float, WorkloadError)
-                for token, name in zip(parts[4:], ("lambda", "Fth", "Rmin", "Rmax")))
-            pairs.append(UserPair(org_id=parts[1], endpoints=(parts[2], parts[3]),
-                                  weight=weight, fidelity_threshold=threshold,
-                                  r_min=r_min, r_max=r_max))
+            numbers = (number(token, f"{where} pair {name}", float, WorkloadError)
+                       for token, name in zip(parts[4:], ("lambda", "Fth", "Rmin", "Rmax")))
+            pairs.append(made(where, WorkloadError, UserPair, parts[1], (parts[2], parts[3]),
+                              *numbers))
         elif parts[0] == "seed":
             if len(parts) != 2:
                 raise WorkloadError(f"{where} seed line expects '<n>'")

@@ -562,13 +562,32 @@ def test_cli_matches_the_harness_point(tmp_path, command, optimizer, extra):
     (point,) = run_scenario(scenario).points
     assert point.status == "optimal"
     assert _manifest(out)["wegr"] == point.wegr
-    if command == "allocate":  # writes no selection.txt; rates.csv lists the selection
-        _, _, rows = _csv_rows(out / "rates.csv")
-        assert [tuple(r[:6]) for r in rows] == [
-            (*pk, ">".join(path.nodes), repr(st.link_threshold), str(st.max_rounds))
-            for pk in sorted(point.selection) for path, st in point.selection[pk]]
-    else:
-        assert (out / "selection.txt").read_text() == save_selection(point.selection)
+    assert (out / "selection.txt").read_text() == save_selection(point.selection)
+    _, _, rows = _csv_rows(out / "rates.csv")
+    assert [tuple(r[:6]) for r in rows] == [
+        (*pk, ">".join(path.nodes), repr(st.link_threshold), str(st.max_rounds))
+        for pk in sorted(point.selection) for path, st in point.selection[pk]]
+
+
+def test_search_commands_share_manifest_keys_and_list_every_output(tmp_path):
+    """allocate (baseline source), ga and rl write their selection and rates
+    through one route: each manifest carries the shared keys, and its
+    outputs name exactly the files the run wrote."""
+    topo, wlf = _triangle_files(tmp_path)
+    shared = {"config_hash", "status", "wegr", "lp_solves", "seconds", "outputs"}
+    for command, extra in (("allocate", {"source": {"baseline": "hop"}}),
+                           ("ga", {"ga": {"population_size": 4, "generations": 2}}),
+                           ("rl", {"rl": {"epochs": 2, "batch_size": 2}, "hidden": [4]})):
+        cfg = _config(tmp_path, f"{command}.json", _base(topo, wlf), emit_plots=True, **extra)
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        manifest = _manifest(out)
+        assert shared <= set(manifest), command
+        assert manifest["status"] == "optimal"
+        written = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+        assert sorted(manifest["outputs"]) == written, command
+        assert {"selection.txt", "rates.csv", "pairs.csv", "rates.gp"} <= set(written)
+    assert "policy.bin" in written
 
 
 def test_report_single_pair_skips_fairness(tmp_path):

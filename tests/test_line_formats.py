@@ -1,8 +1,8 @@
 """The four line-format documents (topology, workload, selection, strategy
 catalog) share one reader, checks.records, and one number parse,
 checks.number: each round-trips through its saver, ids may be the formats'
-keywords, a comment may come before the header, and a bad number names its
-line."""
+keywords, a comment may come before the header, and a bad number, whether
+it does not parse or is out of its range, names its line."""
 
 import pytest
 
@@ -50,6 +50,9 @@ KEYWORD_CATALOG = """# no ids here; a comment still may lead
 """
 
 
+NOT_A_NUMBER = " is not (a number|an integer)"
+
+
 def _on(graph, load):
     """load(text, graph) as a one-argument loader."""
     return lambda text: load(text, graph)
@@ -62,7 +65,9 @@ def _topology_case():
     return (save_topology,
             [(load_topology, bundled_topology(TOPOLOGY_10)),
              (load_topology, bundled_topology(TOPOLOGY_50)), (load_topology, keywords)],
-            (load_topology, "qvpn-topology v1\nnode A\n# gap\nnode B\nlink A B ten\n", 5))
+            load_topology,
+            [("qvpn-topology v1\nnode A\n# gap\nnode B\nlink A B ten\n", 5, NOT_A_NUMBER),
+             ("qvpn-topology v1\nnode A\nnode B\nlink A B 10.0 alpha=2\n", 4, "")])
 
 
 def _workload_case():
@@ -73,8 +78,10 @@ def _workload_case():
     assert [p.key for p in keywords.user_pairs] == [
         ("org", "node", "link"), ("pair", "seed", "pair"), ("pair", "path", "threshold")]
     return (save_workload, [(_on(net50, load_workload), generated), (on_keywords, keywords)],
-            (on_keywords, "qvpn-workload v1\norg org 1.0\npair org node link 0.5 0.8 0.0 lots\n",
-             3))
+            on_keywords,
+            [("qvpn-workload v1\norg org 1.0\npair org node link 0.5 0.8 0.0 lots\n", 3,
+              NOT_A_NUMBER),
+             ("qvpn-workload v1\n# weights are above 0\norg org -1\n", 3, "")])
 
 
 def _selection_case():
@@ -91,9 +98,12 @@ def _selection_case():
     assert path.nodes == ("path", "threshold", "max_rounds")
     assert (strategy.link_threshold, strategy.max_rounds) == (0.9, 5)
     return (save_selection, [(_on(net10, load_selection), chosen), (on_keywords, keywords)],
-            (on_keywords, "# keyword graph\nqvpn-selection v1\n"
-                          "select org node link path node link threshold 0.9 max_rounds five\n",
-             3))
+            on_keywords,
+            [("# keyword graph\nqvpn-selection v1\n"
+              "select org node link path node link threshold 0.9 max_rounds five\n", 3,
+              NOT_A_NUMBER),
+             ("qvpn-selection v1\n"
+              "select org node link path node link threshold 0.2 max_rounds 5\n", 2, "")])
 
 
 def _catalog_case():
@@ -102,17 +112,20 @@ def _catalog_case():
     return (save_strategy_catalog,
             [(load_strategy_catalog, bundled_catalog(CATALOG_16)),
              (load_strategy_catalog, keywords)],
-            (load_strategy_catalog, "0.8\n0.9\n\n0.9x5\n", 4))
+            load_strategy_catalog,
+            [("0.8\n0.9\n\n0.9x5\n", 4, NOT_A_NUMBER), ("0.2\n0.9\n", 1, ""),
+             ("# out of order\n0.9\n\n0.8\n0.85\n", 4, "")])
 
 
 @pytest.mark.parametrize("case", [_topology_case, _workload_case, _selection_case,
                                   _catalog_case], ids=lambda case: case.__name__[1:-5])
 def test_load_save_round_trip_and_errors_name_the_line(case):
     """load(save(x)) == x for bundled and generated inputs and for documents
-    whose ids are keywords, each led by a comment; a bad number names its
-    line."""
-    save, objects, (load, bad_doc, bad_line) = case()
+    whose ids are keywords, each led by a comment; a number that does not
+    parse, and one out of its range, names its line."""
+    save, objects, load, bad_docs = case()
     for load_one, obj in objects:
         assert load_one(save(obj)) == obj
-    with pytest.raises(InputError, match=f"^line {bad_line}: .* is not (a number|an integer)"):
-        load(bad_doc)
+    for bad_doc, bad_line, error in bad_docs:
+        with pytest.raises(InputError, match=f"^line {bad_line}: .*{error}"):
+            load(bad_doc)

@@ -14,11 +14,11 @@ from qvpn.rl_optimizer import (
     PROB_FLOOR,
     BaselineTable,
     DivergenceError,
+    EpochPolicy,
     PolicyNetwork,
     RlProblem,
     TrainConfig,
     _BlockSampler,
-    _surrogate_dlogits,
     cached_reward,
     gradient_check,
     greedy_selection,
@@ -616,19 +616,21 @@ def test_block_ops_match_per_block_loops():
     ends = np.cumsum(lengths)
     slices = [(int(e - n), int(e)) for e, n in zip(ends, lengths)]
     size = int(ends[-1])
-    policy = PolicyNetwork([np.zeros((size, 1))], [np.zeros(size)], slices)
-    problem = SimpleNamespace(pair_order=list(range(len(slices))))
+    problem = SimpleNamespace(pair_order=list(range(len(slices))), block_slices=slices,
+                              encode_state=lambda: np.ones(1))
     for trial in range(30):
+        # zero weights: the logits are the biases, bit for bit
         logits = rng.normal(0.0, 10.0 ** rng.uniform(0, 3), size)
-        probs = policy.block_probs(logits)
-        assert np.array_equal(probs, _reference_block_probs(logits, slices))
+        policy = PolicyNetwork([np.zeros((size, 1))], [logits], slices)
         chosen = [sorted((start + rng.choice(end - start, size=rng.integers(1, end - start + 1),
                                              replace=False)).tolist())
                   for start, end in slices]
         advantage = float(rng.normal(0.0, 5.0))
         for beta in (0.0, 0.1):
-            got = _surrogate_dlogits(policy, problem, probs, dict(enumerate(chosen)),
-                                     advantage, beta)
+            current = EpochPolicy(policy, problem, [len(c) for c in chosen], beta)
+            probs = current.probs
+            assert np.array_equal(probs, _reference_block_probs(logits, slices))
+            got = current.dlogits(dict(enumerate(chosen)), advantage)
             assert np.array_equal(got, _reference_dlogits(probs, slices, chosen,
                                                           advantage, beta))
 
