@@ -71,7 +71,6 @@ from .ga_optimizer import (
     evolve,
 )
 from .rl_optimizer import (
-    BaselineTable,
     DivergenceError,
     PolicyNetwork,
     QuotaError,

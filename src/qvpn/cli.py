@@ -326,9 +326,15 @@ def cmd_allocate(config, out_dir):
             source.get("threshold", DEFAULT_BASELINE_THRESHOLD)))
     hasher = _hasher(config)
     graph, workload, _ = _load_inputs(config, hasher)
-    selection = _load_ref(source, "selection", hasher, load_selection, graph)
     compiler = LpCompiler(graph, workload, p_max=config.get("p_max", DEFAULT_P_MAX))
-    solution = compiler.solve(compiler.column_ids(selection))
+
+    def parse(text):
+        # a pair the workload lacks or one over p_max is named with the file too
+        selection = load_selection(text, graph)
+        return selection, compiler.column_ids(selection)
+
+    selection, ids = _load_ref(source, "selection", hasher, parse)
+    solution = compiler.solve(ids)
     config_hash = hasher.hexdigest()
     outputs = _rates_outputs(out_dir, config, workload, selection, solution, config_hash)
     return {"config_hash": config_hash, "status": solution.status, "wegr": solution.wegr,

@@ -171,12 +171,6 @@ class ScenarioResult:
     config_hash: str
     points: tuple
 
-    def point(self, axis_value, repetition=0):
-        for p in self.points:
-            if p.axis_value == axis_value and p.repetition == repetition:
-                return p
-        raise KeyError(f"no point for axis_value={axis_value!r} repetition={repetition}")
-
 
 def scenario_config_text(scenario: Scenario) -> str:
     """Canonical text dump of everything that influences a scenario's results."""

@@ -245,7 +245,7 @@ def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
     InputError unless k is an integer >= 1. table: the graph's SchemeTable
     for scheme, when the caller keeps one; built here otherwise. tree: the
     table's SpurTree toward dst, when the caller keeps one; built here
-    when k > 1 (a k of 1 then runs one _dijkstra instead). built: a dict
+    otherwise. built: a dict
     from node tuple to CandidatePath that the caller keeps across searches;
     a ranked path found there is returned as it is, and each path built here
     is added to it. tally: an object whose spur_searches attribute counts
@@ -290,7 +290,7 @@ def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
             raise ValueError(f"unknown node {nid!r}")
     if table is None:
         table = SchemeTable.build(graph, scheme)
-    if tree is None and k > 1:
+    if tree is None:
         tree = SpurTree.build(table, dst)
     accepted, searches = _ranked(table, tree, src, dst, k)
     if tally is not None:
@@ -310,10 +310,7 @@ def _ranked(table, tree, src, dst, k):
     """yen_k_shortest's node tuples in rank order, and the number of
     _dijkstra runs it took to find them."""
     weights, adjacency = table
-    if tree is None:
-        first, searches = _dijkstra(adjacency, src, dst, (), ()), 1
-    else:
-        first, searches = _spur(adjacency, tree, src, dst, {src}, (), 0, math.inf)
+    first, searches = _spur(adjacency, tree, src, dst, {src}, (), 0, math.inf)
     if first is None:
         return [], searches
     accepted = [first[1]]
@@ -383,8 +380,8 @@ class PathFinder:
     Yen built, by node tuple, and a search that finds a known path takes it
     from there. So the finder builds one CandidatePath per node tuple, and
     every pair, scheme and query that finds that path gets the same object.
-    It keeps one SpurTree per (dst, scheme), built by the first query for
-    more than one path toward dst and used by every later run toward dst.
+    It keeps one SpurTree per (dst, scheme), built by the first query
+    toward dst and used by every later run toward dst.
 
     queries counts calls, yen_runs the Yen runs and spur_searches the
     _dijkstra runs inside them. Every answer is a pure function of (graph,
@@ -415,7 +412,7 @@ class PathFinder:
         self.yen_runs += 1
         tree = self._trees.get((dst, scheme))
         # an unknown dst is left for yen_k_shortest to refuse
-        if tree is None and k > 1 and dst in self.graph.node_by_id:
+        if tree is None and dst in self.graph.node_by_id:
             tree = self._trees[(dst, scheme)] = SpurTree.build(self._tables[scheme], dst)
         found = tuple(yen_k_shortest(self.graph, src, dst, k, scheme, table=self._tables[scheme],
                                      tree=tree, built=self._built, tally=self))

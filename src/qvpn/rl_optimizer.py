@@ -6,20 +6,22 @@ is applied per pair block; during training paths are sampled without
 replacement within each block, at inference each pair takes its top-p_max
 probabilities. The update is
 
-    theta <- theta + alpha * sum_t [ grad log pi(a_t|s_t) * (r_t - b(s_t))
-                                     + beta * grad H(pi(.|s_t)) ]
+    theta <- theta + alpha * sum_t [ grad log pi(a_t|s) * (r_t - b_t)
+                                     + beta * grad H(pi(.|s)) ]
 
-with b(s) the running mean of rewards observed at s (updated with r_t before
-the advantage is formed). Gradients are computed by hand-written reverse-mode
-differentiation; gradient_check validates them against central finite
-differences and is part of the test gate.
+with b_t the running mean of every reward observed so far, r_t included.
+The state s never changes, so one mean serves every sample; a baseline
+need only be independent of the action (Williams 1992). Gradients are
+computed by hand-written reverse-mode differentiation; gradient_check
+validates them against central finite differences and is part of the test
+gate.
 """
 
 from __future__ import annotations
 
 import struct
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -74,7 +76,6 @@ class RlProblem:
     def __init__(self, workload, candidates, strategy, p_max=3):
         self.pair_order = [p.key for p in workload.user_pairs if candidates.get(p.key)]
         self.candidates = {k: list(candidates[k]) for k in self.pair_order}
-        self.strategy = strategy
         self.p_max = p_max
         self.block_slices = []
         start = 0
@@ -87,9 +88,6 @@ class RlProblem:
         self.input_dim = self.num_pairs
         # the (path, strategy) choice of each global candidate index
         self._choices = [(path, strategy) for k in self.pair_order for path in self.candidates[k]]
-
-    def state_key(self):
-        return tuple(self.pair_order)
 
     def encode_state(self) -> np.ndarray:
         """The static pair list as one input of 1.0 per pair slot."""
@@ -275,25 +273,6 @@ class PolicyNetwork:
             if not np.all(np.isfinite(b)):
                 raise DivergenceError("policy biases diverged to non-finite values")
 
-    def copy(self):
-        return PolicyNetwork([w.copy() for w in self.weights],
-                             [b.copy() for b in self.biases], self.block_slices)
-
-
-@dataclass
-class BaselineTable:
-    counts: dict = field(default_factory=dict)  # n[s]
-    totals: dict = field(default_factory=dict)  # v[s]
-
-    def update(self, key, reward):
-        self.counts[key] = self.counts.get(key, 0) + 1
-        self.totals[key] = self.totals.get(key, 0.0) + reward
-
-    def value(self, key):
-        if key not in self.counts:
-            raise KeyError(f"baseline read before any observation of state {key!r}")
-        return self.totals[key] / self.counts[key]
-
 
 class EpochPolicy:
     """The policy's work for one epoch, in which neither the policy nor its
@@ -462,7 +441,9 @@ def train(policy: PolicyNetwork, problem: RlProblem, config: TrainConfig, enviro
     """REINFORCE loop; mutates the policy in place.
 
     environment(selection) -> W-EGR reward. Returns (policy, reward_trace,
-    baseline_table) with one mean-reward entry per epoch. Raises
+    baseline) with one mean-reward entry per epoch, and baseline the mean of
+    every reward seen (their running sum over their count), or None when no
+    epoch ran. Raises
     InputError before the first epoch when the policy was made for other
     logit blocks, and QuotaError when config.paths_per_state is below the
     number of pairs.
@@ -471,8 +452,7 @@ def train(policy: PolicyNetwork, problem: RlProblem, config: TrainConfig, enviro
     # a loaded policy can hold non-finite weights; name them before any reward
     policy.check_finite()
     quotas = problem.per_pair_quota(config.paths_per_state)
-    baseline = BaselineTable()
-    state = problem.state_key()
+    total, count = 0.0, 0  # every reward so far; the baseline is their mean
     trace = []
     # Gradient buffers live for the whole run: allocating and freeing large
     # arrays per sample lets the allocator's reuse of those blocks, and so
@@ -488,8 +468,9 @@ def train(policy: PolicyNetwork, problem: RlProblem, config: TrainConfig, enviro
         for b_idx in range(config.batch_size):
             actions = current.sample(np.random.default_rng([config.seed, epoch, b_idx]))
             reward = environment(problem.selection_from_actions(actions))
-            baseline.update(state, reward)
-            advantage = reward - baseline.value(state)
+            total += reward
+            count += 1
+            advantage = reward - total / count
             gw, gb = policy.backward(current.dlogits(actions, advantage), current.cache,
                                      out=sample_w)
             for acc, g in zip(grads_w, gw):
@@ -499,7 +480,7 @@ def train(policy: PolicyNetwork, problem: RlProblem, config: TrainConfig, enviro
             rewards.append(reward)
         policy.apply_update(grads_w, grads_b, config.lr_at(epoch))
         trace.append(float(np.mean(rewards)))
-    return policy, trace, baseline
+    return policy, trace, total / count if count else None
 
 
 def cached_reward(compiler):
@@ -576,10 +557,8 @@ def gradient_check(policy: PolicyNetwork, problem: RlProblem, actions,
 # then per array uint32 ndim, uint32 dims..., float64 payload (row-major).
 # Arrays are W0, b0, W1, b1, ... followed by one extra array holding the
 # block slices as a flat (start, end) int-valued float array. With P block
-# slices, W0 is P columns wide. "QVPNPOL1" files have the same layout with a
-# P*P-wide W0, of which the state read only columns i*P + i.
+# slices, W0 is P columns wide.
 _MAGIC = b"QVPNPOL2"
-_MAGIC_V1 = b"QVPNPOL1"
 
 
 def save_policy(policy: PolicyNetwork) -> bytes:
@@ -597,8 +576,7 @@ def save_policy(policy: PolicyNetwork) -> bytes:
 
 
 def load_policy(blob: bytes) -> PolicyNetwork:
-    magic = blob[:8]
-    if magic not in (_MAGIC, _MAGIC_V1):
+    if blob[:8] != _MAGIC:
         raise ValueError("not a policy checkpoint (bad magic)")
     offset = 8
     arrays = []
@@ -620,12 +598,9 @@ def load_policy(blob: bytes) -> PolicyNetwork:
             raise ValueError("unexpected array count")
         block_slices = [(int(start), int(end)) for start, end in arrays[-1].reshape(-1, 2)]
         weights = arrays[:-1:2]
-        pairs = len(block_slices)
-        width = pairs * pairs if magic == _MAGIC_V1 else pairs
+        width = len(block_slices)
         if weights[0].shape[1:] != (width,):
             raise ValueError(f"first layer {weights[0].shape} is not {width} inputs wide")
-        if magic == _MAGIC_V1:
-            weights[0] = weights[0][:, ::pairs + 1]
         return PolicyNetwork(weights, arrays[1:-1:2], block_slices)
     except (struct.error, ValueError) as exc:
         raise ValueError(f"corrupt checkpoint: {exc}") from None

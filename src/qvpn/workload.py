@@ -8,7 +8,7 @@ configured ranges, and fixed or uniformly drawn rate bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,27 +95,36 @@ class Workload:
     organizations: tuple
     user_pairs: tuple
     seed: int | None = None
-    # provenance only; the file format does not carry it, so it is not compared
-    params: WorkloadParams | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        org_ids = [o.id for o in self.organizations]
-        if len(set(org_ids)) != len(org_ids):
-            raise WorkloadError("duplicate organization ids")
-        known = set(org_ids)
-        keys = set()
-        for p in self.user_pairs:
-            if p.org_id not in known:
-                raise WorkloadError(f"pair {p.endpoints} references unknown org {p.org_id!r}")
-            if p.key in keys:
-                raise WorkloadError(f"duplicate pair {p.key}")
-            keys.add(p.key)
+        conflict = _conflict(self.organizations, self.user_pairs)
+        if conflict is not None:
+            raise WorkloadError(conflict[1])
 
     def org_by_id(self, org_id):
         for o in self.organizations:
             if o.id == org_id:
                 return o
         raise KeyError(org_id)
+
+
+def _conflict(organizations, user_pairs):
+    """(index into organizations + user_pairs, message) of the first entry
+    that repeats an org id or a pair, or whose org none declares; None when
+    no entry does."""
+    known = set()
+    for i, o in enumerate(organizations):
+        if o.id in known:
+            return i, f"duplicate organization id {o.id!r}"
+        known.add(o.id)
+    keys = set()
+    for i, p in enumerate(user_pairs, len(organizations)):
+        if p.org_id not in known:
+            return i, f"pair {p.endpoints} references unknown org {p.org_id!r}"
+        if p.key in keys:
+            return i, f"duplicate pair {p.key}"
+        keys.add(p.key)
+    return None
 
 
 def generate_workload(graph: NetworkGraph, params: WorkloadParams, seed: int) -> Workload:
@@ -159,7 +168,7 @@ def generate_workload(graph: NetworkGraph, params: WorkloadParams, seed: int) ->
                     r_max=r_max,
                 )
             )
-    return Workload(organizations=tuple(orgs), user_pairs=tuple(pairs), seed=seed, params=params)
+    return Workload(organizations=tuple(orgs), user_pairs=tuple(pairs), seed=seed)
 
 
 def load_workload(source: str, graph: NetworkGraph) -> Workload:
@@ -167,6 +176,7 @@ def load_workload(source: str, graph: NetworkGraph) -> Workload:
     graph it runs on: a pair may name only the graph's nodes."""
     orgs = []
     pairs = []
+    org_lines, pair_lines = [], []
     seed = None
     for lineno, parts in records(source, "qvpn-workload v1", WorkloadError):
         where = f"line {lineno}:"
@@ -176,6 +186,7 @@ def load_workload(source: str, graph: NetworkGraph) -> Workload:
             check_id(f"{where} org id", parts[1], WorkloadError)
             orgs.append(made(where, WorkloadError, Organization, parts[1],
                              number(parts[2], f"{where} org weight", float, WorkloadError)))
+            org_lines.append(lineno)
         elif parts[0] == "pair":
             if len(parts) != 8:
                 raise WorkloadError(
@@ -190,6 +201,7 @@ def load_workload(source: str, graph: NetworkGraph) -> Workload:
                        for token, name in zip(parts[4:], ("lambda", "Fth", "Rmin", "Rmax")))
             pairs.append(made(where, WorkloadError, UserPair, parts[1], (parts[2], parts[3]),
                               *numbers))
+            pair_lines.append(lineno)
         elif parts[0] == "seed":
             if len(parts) != 2:
                 raise WorkloadError(f"{where} seed line expects '<n>'")
@@ -197,7 +209,11 @@ def load_workload(source: str, graph: NetworkGraph) -> Workload:
                              low=0, error=WorkloadError)
         else:
             raise WorkloadError(f"{where} unknown directive {parts[0]!r}")
-    return Workload(organizations=tuple(orgs), user_pairs=tuple(pairs), seed=seed)
+    try:
+        return Workload(organizations=tuple(orgs), user_pairs=tuple(pairs), seed=seed)
+    except WorkloadError:  # a conflict; name the line of the entry it is found at
+        entry, message = _conflict(orgs, pairs)
+        raise WorkloadError(f"line {(org_lines + pair_lines)[entry]}: {message}") from None
 
 
 def save_workload(wl: Workload) -> str:

@@ -44,12 +44,6 @@ def policy_blob(*arrays, magic=b"QVPNPOL2"):
     return out
 
 
-def policy_blob_v1(weights, biases, block_slices):
-    """A QVPNPOL1 checkpoint: the QVPNPOL2 layout with a P*P-wide W0."""
-    arrays = [a for wb in zip(weights, biases) for a in wb]
-    return policy_blob(*arrays, [v for se in block_slices for v in se], magic=b"QVPNPOL1")
-
-
 def dead_link_case():
     """A triangle A-B-C plus a user node D whose one link, C-D, is 25,000 km
     long: its capacity underflows to 0, so only the hop scheme reaches D.

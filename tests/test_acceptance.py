@@ -293,19 +293,21 @@ def test_08_policy_gradient_correctness():
         learned.append(float(policy.block_probs(logits)[start + direct]))
     converged = all(p > 0.9 for p in learned)
 
-    # baseline table must return the exact mean of what it has seen
-    table = rl.BaselineTable()
-    rng = np.random.default_rng(5)
-    keys = ("s0", "s1")
-    seen = {k: (0, 0.0) for k in keys}
-    exact = True
-    for _ in range(200):
-        key = keys[int(rng.integers(2))]
-        reward = float(rng.uniform(-3.0, 9.0))
-        table.update(key, reward)
-        n, total = seen[key]
-        seen[key] = (n + 1, total + reward)
-        exact &= table.value(key) == seen[key][1] / seen[key][0]
+    # train's baseline is the exact mean of every reward it has seen: their
+    # sum in call order over their count
+    draws = np.random.default_rng(5)
+    seen = []
+
+    def noisy(selection):
+        seen.append(float(draws.uniform(-3.0, 9.0)))
+        return seen[-1]
+
+    policy = rl.PolicyNetwork.init(toy, hidden=(4,), seed=0)
+    _, _, baseline = rl.train(policy, toy, rl.TrainConfig(epochs=50, batch_size=4), noisy)
+    total = 0.0
+    for reward in seen:
+        total += reward
+    exact = len(seen) == 200 and baseline == total / len(seen)
 
     _verdict("gradient check < 1e-4 (20 policies), toy P(dominant) > 0.9 (3/3 "
              "seeds), baseline = running mean",

@@ -179,9 +179,7 @@ def test_run_scenario_baseline_p_max_sweep(triangle, one_pair_workload):
         ws = [p.wegr for p in result.points if p.repetition == rep]
         assert ws[0] < ws[1]  # the detour path adds disjoint capacity
         assert ws[2] >= ws[1] - 1e-9 * abs(ws[1])
-    assert result.point(2, 1).seed == 1
-    with pytest.raises(KeyError):
-        result.point(9)
+    assert [p.seed for p in result.points] == [0, 1] * 3
 
 
 def test_run_scenario_repeatable_across_worker_counts(triangle, one_pair_workload):

@@ -81,7 +81,14 @@ def _workload_case():
             on_keywords,
             [("qvpn-workload v1\norg org 1.0\npair org node link 0.5 0.8 0.0 lots\n", 3,
               NOT_A_NUMBER),
-             ("qvpn-workload v1\n# weights are above 0\norg org -1\n", 3, "")])
+             ("qvpn-workload v1\n# weights are above 0\norg org -1\n", 3, ""),
+             ("qvpn-workload v1\norg org 1\norg pair 1\norg org 2\n", 4,
+              "duplicate organization id 'org'"),
+             ("qvpn-workload v1\norg org 1.0\npair org node link 0.5 0.8 0.0 10.0\n"
+              "pair org link seed 0.5 0.8 0.0 10.0\npair org node link 0.4 0.8 0.0 10.0\n",
+              5, "duplicate pair"),
+             ("qvpn-workload v1\npair org node link 0.5 0.8 0.0 10.0\norg org 1.0\n"
+              "pair pair node link 0.5 0.8 0.0 10.0\n", 4, "unknown org 'pair'")])
 
 
 def _selection_case():

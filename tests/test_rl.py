@@ -12,7 +12,6 @@ from qvpn.quantum_math import DistillationStrategy
 from qvpn.rl_optimizer import (
     LEAKY_SLOPE,
     PROB_FLOOR,
-    BaselineTable,
     DivergenceError,
     EpochPolicy,
     PolicyNetwork,
@@ -30,7 +29,7 @@ from qvpn.rl_optimizer import (
 from qvpn.topology import NetworkGraph, NodeSpec, make_link
 from qvpn.workload import Organization, Workload, WorkloadParams, generate_workload
 
-from qvpn_helpers import make_pair, one_hot_init, policy_blob, policy_blob_v1
+from qvpn_helpers import make_pair, one_hot_init, policy_blob
 
 EASY = DistillationStrategy(0.8)
 
@@ -91,7 +90,6 @@ def test_problem_layout(triangle):
     assert prob.block_slices == [(0, 2), (2, 3), (3, 5)]
     assert prob.output_dim == 5
     assert prob.input_dim == 3
-    assert prob.state_key() == tuple(prob.pair_order)
     assert np.array_equal(prob.encode_state(), np.ones(3))
 
 
@@ -182,20 +180,6 @@ def test_selection_from_actions(triangle):
         path, strategy = sel[k][0]
         assert path is prob.candidates[k][0]
         assert strategy is EASY
-
-
-def test_baseline_table_running_mean():
-    table = BaselineTable()
-    with pytest.raises(KeyError):
-        table.value("s")
-    table.update("s", 2.0)
-    assert table.value("s") == 2.0
-    table.update("s", 4.0)
-    assert table.value("s") == 3.0
-    table.update("s", 0.0)
-    assert table.value("s") == 2.0
-    table.update("t", 10.0)
-    assert table.value("t") == 10.0 and table.value("s") == 2.0
 
 
 def test_gradients_match_finite_differences(triangle):
@@ -305,15 +289,13 @@ def test_dense_update_detects_divergence_in_any_column(triangle):
 def test_train_rejects_non_finite_policy_before_first_epoch(triangle):
     prob = _multi_problem(triangle)
     policy = PolicyNetwork.init(prob, hidden=(6,), seed=0)
-    # a QVPNPOL1 file's columns the one-hot state never read are dropped
-    wide = one_hot_init(prob, (6,), seed=0)
-    wide[0][3, 1] = np.nan
-    loaded = load_policy(policy_blob_v1(wide, policy.biases, prob.block_slices))
-    assert np.array_equal(loaded.weights[0], policy.weights[0])
-    # a non-finite weight the state does read (a bad loaded policy.bin) is
-    # named before any reward is computed
-    wide[0][3, 4] = np.nan
-    loaded = load_policy(policy_blob_v1(wide, policy.biases, prob.block_slices))
+    # a non-finite weight in a loaded policy.bin is named before any reward
+    # is computed
+    w0, w1 = (w.copy() for w in policy.weights)
+    w0[3, 1] = np.nan
+    b0, b1 = policy.biases
+    loaded = load_policy(policy_blob(w0, b0, w1, b1,
+                                     [v for se in prob.block_slices for v in se]))
     calls = []
     with pytest.raises(DivergenceError, match="weights"):
         train(loaded, prob, TrainConfig(epochs=1, batch_size=1),
@@ -413,9 +395,10 @@ def test_train_baseline_is_exact_reward_mean(triangle):
 
     policy = PolicyNetwork.init(prob, hidden=(6,), seed=2)
     _, trace, baseline = train(policy, prob, cfg, env)
-    state = prob.state_key()
-    assert baseline.counts[state] == 12
-    assert baseline.value(state) == pytest.approx(np.mean(rewards), rel=1e-15)
+    assert len(rewards) == 12
+    # the running sum in call order over the count, bit for bit
+    assert baseline == sum(rewards) / len(rewards)
+    assert train(policy, prob, TrainConfig(epochs=0), env)[1:] == ([], None)
     # each trace entry is that epoch's mean reward
     assert trace == pytest.approx([np.mean(rewards[i:i + 3]) for i in range(0, 12, 3)])
 
@@ -481,8 +464,9 @@ def test_checkpoint_rejects_bad_blobs():
     slices = [0, 3, 3, 5]
     good = policy_blob(w0, b0, w1, b1, slices)
     assert load_policy(good).num_parameters() == 12 + 6 + 30 + 5
-    v1 = load_policy(policy_blob(np.zeros((6, 4)), b0, w1, b1, slices, magic=b"QVPNPOL1"))
-    assert v1.weights[0].shape == (6, 2)
+    # a QVPNPOL1 file (a P*P-wide W0) is refused by its magic
+    with pytest.raises(ValueError, match="magic"):
+        load_policy(policy_blob(np.zeros((6, 4)), b0, w1, b1, slices, magic=b"QVPNPOL1"))
     bad = {
         "truncated": good[:-12],
         "trailing bytes": good + b"\x00",
@@ -492,7 +476,6 @@ def test_checkpoint_rejects_bad_blobs():
         "slices short of the output": policy_blob(w0, b0, w1, b1, [0, 2, 2, 4]),
         "odd slice count": policy_blob(w0, b0, w1, b1, [0, 3, 5]),
         "W0 not P wide": policy_blob(np.zeros((6, 4)), b0, w1, b1, slices),
-        "v1 W0 not P*P wide": policy_blob(w0, b0, w1, b1, slices, magic=b"QVPNPOL1"),
     }
     for name, blob in bad.items():
         with pytest.raises(ValueError, match="corrupt checkpoint"):
@@ -554,8 +537,7 @@ def _reference_dlogits(probs, block_slices, chosen_per_block, advantage, beta):
 def _reference_train(policy, problem, config, environment):
     """REINFORCE with dense W0 @ x, a Python pass per block and
     Generator.choice; mutates policy and returns the reward trace."""
-    baseline = BaselineTable()
-    state = problem.state_key()
+    total, count = 0.0, 0
     x = problem.encode_state()
     quotas = problem.per_pair_quota(config.paths_per_state)
     trace = []
@@ -583,10 +565,11 @@ def _reference_train(policy, problem, config, environment):
                     chosen = rng.choice(end - start, size=r, replace=False, p=p)
                 actions[k] = [start + int(c) for c in sorted(chosen)]
             reward = environment(problem.selection_from_actions(actions))
-            baseline.update(state, reward)
+            total += reward
+            count += 1
             delta = _reference_dlogits(probs, problem.block_slices,
                                        [actions[k] for k in problem.pair_order],
-                                       reward - baseline.value(state), config.entropy_beta)
+                                       reward - total / count, config.entropy_beta)
             for layer in range(len(policy.weights) - 1, -1, -1):
                 grads_w[layer] += np.outer(delta, hs[layer])
                 grads_b[layer] += delta
@@ -735,7 +718,7 @@ def test_train_matches_dense_reference(monkeypatch, problem, learning_rate, beta
                       entropy_beta=beta, paths_per_state=paths_per_state, seed=4)
     env = lambda sel: float(_count_hops(sel)) ** 2
     policy = PolicyNetwork.init(prob, hidden=(6,), seed=4)
-    reference = policy.copy()
+    reference = load_policy(save_policy(policy))
     cdfs = [0]
     first_round_cdf = rl_optimizer._cdf
 
