@@ -15,9 +15,9 @@ those arrays to the HiGHS binding bundled with scipy, with the options
 linprog(method="highs") sets; where that private binding is missing it
 falls back to linprog itself.
 
-The binding is loaded from its file, so importing this module never runs
-the scipy.optimize package __init__, which takes longer than the rest of
-importing qvpn; linprog is imported only when the fallback solves.
+The binding is loaded from its file, so importing this module runs neither
+scipy's package __init__ nor scipy.optimize's (longer than the rest of
+importing qvpn); scipy and linprog load only when the fallback solves.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .checks import InputError, check_int
 from .quantum_math import DEFAULT_NOISE, NoiseParams, path_overhead_per_link
@@ -58,12 +57,12 @@ def _load_extension(name, folder):
     return module
 
 
-# scipy's private HiGHS binding. A copy scipy.optimize already imported is
-# reused, so a process never holds two; any other layout of scipy's files
-# leaves None, and solve_lp falls back to linprog.
+# scipy's private HiGHS binding, in the folder find_spec names without
+# importing scipy. A copy scipy.optimize already imported is reused; any
+# other layout of scipy's files leaves None, and solve_lp uses linprog.
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
-_highs = sys.modules.get(_HIGHS_MODULE) or _load_extension(
-    _HIGHS_MODULE, os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy"))
+_highs = sys.modules.get(_HIGHS_MODULE) or _load_extension(_HIGHS_MODULE, os.path.join(
+    importlib.util.find_spec("scipy").submodule_search_locations[0], "optimize", "_highspy"))
 
 SOLVER_TOL = 1e-7
 # linprog's post-solve check: sqrt(tol) * 10 at its default tol of 1e-9
@@ -324,8 +323,8 @@ class LpCompiler:
             self._count = _grown(self._count, size)
             self._weight = _grown(self._weight, size)
         new = ids[self._count[ids] < 0]
-        if new.size:
-            self._fill(np.unique(new))
+        if new.size:  # distinct and ascending, as np.unique gives them
+            self._fill(np.array(sorted(set(new.tolist())), dtype=np.intp))
 
     def gather(self, ids) -> LinearProgram:
         """The LP of pool columns ids (an integer array), in that order, with

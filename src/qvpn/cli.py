@@ -329,9 +329,15 @@ def cmd_allocate(config, out_dir):
     compiler = LpCompiler(graph, workload, p_max=config.get("p_max", DEFAULT_P_MAX))
 
     def parse(text):
-        # a pair the workload lacks or one over p_max is named with the file too
-        selection = load_selection(text, graph)
-        return selection, compiler.column_ids(selection)
+        # ids pair by pair, so a pair the workload lacks or over p_max names its line
+        selection, first_lines = load_selection(text, graph)
+        ids = []
+        for pair_key, choices in selection.items():
+            try:
+                ids += compiler.column_ids({pair_key: choices}).tolist()
+            except InputError as exc:
+                raise InputError(f"line {first_lines[pair_key]}: {exc}") from None
+        return selection, ids
 
     selection, ids = _load_ref(source, "selection", hasher, parse)
     solution = compiler.solve(ids)

@@ -348,9 +348,7 @@ def _run_forked(scenario: Scenario, tasks, workers: int, finder: PathFinder) -> 
     forking.Forks); the points come back in task order and the workers'
     counts are added to finder. Raises if a worker ends without sending its
     points; no worker outlives the call."""
-    # numpy loads these on first use (np.random.default_rng, and np.unique's
-    # masked-array check): load them here once, not again in every worker
-    import numpy.ma  # noqa: F401
+    # np.random.default_rng loads numpy.random: once here, not in every worker
     import numpy.random  # noqa: F401
     from .forking import Forks
 
@@ -520,10 +518,10 @@ def save_selection(selection) -> str:
 
 
 def load_selection(source: str, graph: NetworkGraph):
-    """Parse a selection document against a graph; round-trips save_selection.
-    Raises InputError on a line that breaks the format, names no path of
-    the graph, or repeats a path of its pair."""
-    selection = {}
+    """Parse a selection document against a graph: (selection round-tripping
+    save_selection, {pair key: its first line}). Raises InputError on a line
+    that breaks the format, names no path of the graph, or repeats a path."""
+    selection, first_lines = {}, {}
     for lineno, tokens in records(source, SELECTION_HEADER, InputError):
         where = f"line {lineno}:"
         if (len(tokens) < 10 or tokens[0] != "select" or tokens[4] != "path"
@@ -535,6 +533,7 @@ def load_selection(source: str, graph: NetworkGraph):
             raise InputError(f"{where} path must run from the pair's first endpoint "
                              "to its second")
         chosen = selection.setdefault(pair_key, [])
+        first_lines.setdefault(pair_key, lineno)
         if any(path.nodes == nodes for path, _ in chosen):
             raise InputError(f"{where} pair {pair_key} repeats path {' '.join(nodes)}")
         threshold = number(tokens[-3], f"{where} threshold", float, InputError)
@@ -545,4 +544,4 @@ def load_selection(source: str, graph: NetworkGraph):
             raise InputError(f"{where} the graph has no link {exc}") from None
         chosen.append((path, made(where, InputError, DistillationStrategy, threshold,
                                   max_rounds)))
-    return selection
+    return selection, first_lines

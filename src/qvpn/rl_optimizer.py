@@ -77,15 +77,10 @@ class RlProblem:
         self.pair_order = [p.key for p in workload.user_pairs if candidates.get(p.key)]
         self.candidates = {k: list(candidates[k]) for k in self.pair_order}
         self.p_max = p_max
-        self.block_slices = []
-        start = 0
-        for k in self.pair_order:
-            end = start + len(self.candidates[k])
-            self.block_slices.append((start, end))
-            start = end
-        self.output_dim = start
-        self.num_pairs = len(self.pair_order)
-        self.input_dim = self.num_pairs
+        bounds = list(accumulate((len(self.candidates[k]) for k in self.pair_order), initial=0))
+        self.block_slices = list(zip(bounds, bounds[1:]))
+        self.output_dim = bounds[-1]
+        self.num_pairs = self.input_dim = len(self.pair_order)
         # the (path, strategy) choice of each global candidate index
         self._choices = [(path, strategy) for k in self.pair_order for path in self.candidates[k]]
 
@@ -136,7 +131,7 @@ class _BlockLayout:
                 or np.any(self.starts != np.cumsum(self.lengths) - self.lengths)):
             raise ValueError(f"block slices must tile the {width} logits in order, none empty")
         self.groups = []
-        for length in np.unique(self.lengths):
+        for length in sorted(set(self.lengths.tolist())):
             blocks = np.nonzero(self.lengths == length)[0]
             self.groups.append((blocks, self.starts[blocks, None] + np.arange(length)))
 
@@ -157,18 +152,31 @@ class _BlockLayout:
         return np.repeat(per_block, self.lengths)
 
 
-def _outer(a, b, out):
-    """np.outer(a, b), written into out when given. np.outer(..., out=)
-    allocates a 128 KiB ufunc buffer per call for its broadcast operands; a
-    one-term matrix product has the same elementwise products and writes
-    straight into a C-ordered out, or into the transpose of an F-ordered one."""
-    if out is None:
-        return np.outer(a, b)
-    if out.flags.c_contiguous:
-        np.dot(a[:, None], b[None, :], out=out)
-    else:
-        np.dot(b[:, None], a[None, :], out=out.T)
-    return out
+class _GradientSum:
+    """Per-parameter sums of sample gradients. add computes a weight
+    gradient BLOCK rows (of its memory order) at a time into one small
+    buffer, by a one-term matrix product (np.outer's products), and adds
+    each block to its sum: the bits of adding whole outer products."""
+
+    BLOCK = 64
+
+    def __init__(self, policy):
+        self.w = [np.zeros_like(w) for w in policy.weights]
+        self.b = [np.zeros_like(b) for b in policy.biases]
+        width = max(w.shape[1] if w.flags.c_contiguous else w.shape[0] for w in self.w)
+        self._block = np.empty(self.BLOCK * width)
+
+    def add(self, deltas, hs):
+        """Add the gradient of weights outer(deltas[l], hs[l]), biases deltas[l]."""
+        for acc, delta, h in zip(self.w, deltas, hs):
+            # an F-ordered sum is the C-ordered transpose of outer(h, delta)
+            rows, u, v = (acc, delta, h) if acc.flags.c_contiguous else (acc.T, h, delta)
+            for start in range(0, u.size, self.BLOCK):
+                part = u[start:start + self.BLOCK, None]
+                block = self._block[:part.size * v.size].reshape(part.size, v.size)
+                rows[start:start + part.size] += np.dot(part, v[None, :], out=block)
+        for acc, delta in zip(self.b, deltas):
+            acc += delta
 
 
 class PolicyNetwork:
@@ -202,9 +210,11 @@ class PolicyNetwork:
         pairs = problem.num_pairs
         dims = [problem.input_dim, *hidden, problem.output_dim]
         scale = np.sqrt(2.0 / (pairs * pairs + dims[1]))
-        # copy each row's kept columns, so its P*P draws are freed at once
-        weights = [np.array([rng.normal(0.0, scale, size=pairs * pairs)[::pairs + 1].copy()
-                             for _ in range(dims[1])]).reshape(dims[1], dims[0])]
+        # rng.normal(0, scale) is 0.0 + scale * z: scale only the kept draws
+        draws = np.empty(pairs * pairs)
+        weights = [np.empty((dims[1], dims[0]), order="F")]
+        for row in weights[0]:
+            np.multiply(rng.standard_normal(out=draws)[::pairs + 1], scale, out=row)
         for fan_in, fan_out in zip(dims[1:], dims[2:]):
             scale = np.sqrt(2.0 / (fan_in + fan_out))
             weights.append(rng.normal(0.0, scale, size=(fan_out, fan_in)))
@@ -231,27 +241,20 @@ class PolicyNetwork:
         e = np.exp(logits - self.blocks.spread(self.blocks.max(logits)))
         return e / self.blocks.spread(self.blocks.sum(e))
 
-    def backward(self, dlogits, cache, out=None):
-        """Gradient of a scalar surrogate wrt all parameters, given dL/dlogits.
-
-        out: optional arrays of the weights' shapes that receive the weight
-        gradients, so a training loop reuses one buffer per layer instead of
-        allocating a fresh outer product per sample.
+    def backward(self, dlogits, cache, into=None):
+        """Gradient of a scalar surrogate wrt all parameters, given dL/dlogits:
+        (grads_w, grads_b). into: a _GradientSum the gradient is added to;
+        its arrays are then returned, and no weight-sized array is made.
         """
         hs, zs = cache
-        if out is None:
-            out = [None] * len(self.weights)
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
-        delta = dlogits
-        grads_w[-1] = _outer(delta, hs[-1], out[-1])
-        grads_b[-1] = delta.copy()
+        deltas = [dlogits]
         for layer in range(len(self.weights) - 2, -1, -1):
-            delta = self.weights[layer + 1].T @ delta
-            delta = delta * np.where(zs[layer] > 0, 1.0, LEAKY_SLOPE)
-            grads_w[layer] = _outer(delta, hs[layer], out[layer])
-            grads_b[layer] = delta.copy()
-        return grads_w, grads_b
+            delta = self.weights[layer + 1].T @ deltas[0]
+            deltas.insert(0, delta * np.where(zs[layer] > 0, 1.0, LEAKY_SLOPE))
+        if into is None:
+            return [np.outer(d, h) for d, h in zip(deltas, hs)], [d.copy() for d in deltas]
+        into.add(deltas, hs)
+        return into.w, into.b
 
     def apply_update(self, grads_w, grads_b, scale):
         """Add scale * gradient to every parameter. The gradients are scaled
@@ -454,14 +457,12 @@ def train(policy: PolicyNetwork, problem: RlProblem, config: TrainConfig, enviro
     quotas = problem.per_pair_quota(config.paths_per_state)
     total, count = 0.0, 0  # every reward so far; the baseline is their mean
     trace = []
-    # Gradient buffers live for the whole run: allocating and freeing large
-    # arrays per sample lets the allocator's reuse of those blocks, and so
+    # The gradient sums live for the whole run: allocating and freeing large
+    # arrays per epoch lets the allocator's reuse of those blocks, and so
     # the peak memory, depend on unrelated small allocations.
-    grads_w = [np.zeros_like(w) for w in policy.weights]
-    grads_b = [np.zeros_like(b) for b in policy.biases]
-    sample_w = [np.empty_like(w) for w in policy.weights]
+    grads = _GradientSum(policy)
     for epoch in range(config.epochs):
-        for acc in grads_w + grads_b:
+        for acc in grads.w + grads.b:
             acc.fill(0.0)
         current = EpochPolicy(policy, problem, quotas, config.entropy_beta)
         rewards = []
@@ -471,14 +472,9 @@ def train(policy: PolicyNetwork, problem: RlProblem, config: TrainConfig, enviro
             total += reward
             count += 1
             advantage = reward - total / count
-            gw, gb = policy.backward(current.dlogits(actions, advantage), current.cache,
-                                     out=sample_w)
-            for acc, g in zip(grads_w, gw):
-                acc += g
-            for acc, g in zip(grads_b, gb):
-                acc += g
+            policy.backward(current.dlogits(actions, advantage), current.cache, into=grads)
             rewards.append(reward)
-        policy.apply_update(grads_w, grads_b, config.lr_at(epoch))
+        policy.apply_update(grads.w, grads.b, config.lr_at(epoch))
         trace.append(float(np.mean(rewards)))
     return policy, trace, total / count if count else None
 

@@ -1,15 +1,32 @@
 """Helpers shared by the tests under tests/ (a unique module name, so no
 other directory's conftest shadows it)."""
 
+import json
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 
+import qvpn
 from qvpn.topology import NetworkGraph, NodeSpec, make_link
 from qvpn.workload import Organization, UserPair, Workload
 
 # the relative slack the GA oracles of conftest allow HiGHS's tolerances
 ORACLE_RTOL = 1e-9
+
+
+def fresh_python(code, cwd):
+    """Run code in a new interpreter importing qvpn from this source tree;
+    return the JSON its last output line holds."""
+    env = dict(os.environ, PYTHONPATH=str(Path(qvpn.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def three_fidelity_copy(graph, rng):

@@ -1,13 +1,8 @@
 import importlib.machinery
-import json
 import math
-import os
 import pickle
-import subprocess
 import sys
-import textwrap
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +31,7 @@ from qvpn.quantum_math import (
 from qvpn.topology import NetworkGraph, NodeSpec, make_link
 from qvpn.workload import Organization, UserPair, Workload, WorkloadParams, generate_workload
 
-from qvpn_helpers import make_pair, three_fidelity_copy
+from qvpn_helpers import fresh_python, make_pair, three_fidelity_copy
 from test_acceptance import _random_bounded_lp
 
 EASY = DistillationStrategy(0.8)  # base fidelity already 0.8, so g_link = 1
@@ -538,20 +533,10 @@ def test_routes_give_the_same_ga_trace(monkeypatch):
     assert np.array_equal(direct.best_genome, fallback.best_genome)
 
 
-def _fresh_python(code, cwd):
-    """Run code in a new interpreter importing qvpn from this source tree;
-    return the JSON its last output line holds."""
-    env = dict(os.environ, PYTHONPATH=str(Path(allocation_lp.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=cwd, env=env,
-                          capture_output=True, text=True, check=False)
-    assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
-
-
 def test_import_solve_and_config_error_leave_scipy_optimize_unloaded(tmp_path):
     if allocation_lp._highs is None:
         pytest.skip("this scipy has no bundled HiGHS binding")
-    result = _fresh_python("""
+    result = fresh_python("""
         import json, sys
         import qvpn
         from qvpn import allocation_lp
@@ -589,7 +574,7 @@ def test_import_solve_and_config_error_leave_scipy_optimize_unloaded(tmp_path):
 def test_binding_imported_by_scipy_optimize_first_is_reused(tmp_path):
     if allocation_lp._highs is None:
         pytest.skip("this scipy has no bundled HiGHS binding")
-    result = _fresh_python("""
+    result = fresh_python("""
         import json
         from scipy.optimize._highspy import _core
         from qvpn import allocation_lp
@@ -602,7 +587,7 @@ def test_binding_imported_by_scipy_optimize_first_is_reused(tmp_path):
 def test_linprog_imported_after_qvpn_still_solves(tmp_path):
     if allocation_lp._highs is None:
         pytest.skip("this scipy has no bundled HiGHS binding")
-    result = _fresh_python("""
+    result = fresh_python("""
         import json, sys
         from qvpn import allocation_lp
         from qvpn.allocation_lp import LinearProgram, solve_lp
@@ -622,12 +607,20 @@ def test_unloadable_binding_falls_back_to_linprog_with_the_same_bits(tmp_path):
     rng = np.random.default_rng(77)
     lps = [_random_bounded_lp(rng) for _ in range(40)]
     (tmp_path / "lps.pkl").write_bytes(pickle.dumps(lps))
-    # scipy.__file__ names a folder without the binding before qvpn loads it
-    result = _fresh_python("""
-        import json, pickle
-        import scipy
-        scipy.__file__ = "missing/scipy/__init__.py"
+    # the scipy folder qvpn looks up holds no binding when qvpn loads it
+    result = fresh_python("""
+        import importlib.util, json, pickle
+        find_spec = importlib.util.find_spec
+
+        def missing_binding(name, package=None):
+            spec = find_spec(name, package)
+            if name == "scipy":
+                spec.submodule_search_locations = ["missing/scipy"]
+            return spec
+
+        importlib.util.find_spec = missing_binding
         from qvpn.allocation_lp import lp_backend, solve_lp
+        importlib.util.find_spec = find_spec
         with open("lps.pkl", "rb") as f:
             lps = pickle.load(f)
         solved = [solve_lp(lp) for lp in lps]

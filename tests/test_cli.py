@@ -273,12 +273,14 @@ def test_allocate_selection_that_breaks_the_workload_is_config_error(tmp_path, c
     # a pair the workload lacks, and more paths than p_max for one it has
     topo, wlf = _triangle_files(tmp_path)
     header = "qvpn-selection v1\n"
+    known = "select org1 A B path A B threshold 0.9 max_rounds 8\n"
     cases = {
-        "unknown": ("select org9 A B path A B threshold 0.9 max_rounds 8\n", 3,
-                    "selection references unknown pair ('org9', 'A', 'B')"),
-        "over_cap": ("select org1 A B path A B threshold 0.9 max_rounds 8\n"
-                     "select org1 A B path A C B threshold 0.9 max_rounds 8\n", 1,
-                     "pair ('org1', 'A', 'B') selects 2 paths, cap is 1"),
+        "unknown": (known + "# a comment line\n"
+                    "select org9 A B path A B threshold 0.9 max_rounds 8\n", 3,
+                    "line 4: selection references unknown pair ('org9', 'A', 'B')"),
+        "over_cap": ("select org2 A C path A C threshold 0.9 max_rounds 8\n" + known
+                     + "select org1 A B path A C B threshold 0.9 max_rounds 8\n", 1,
+                     "line 3: pair ('org1', 'A', 'B') selects 2 paths, cap is 1"),
     }
     for name, (lines, p_max, message) in cases.items():
         sel = tmp_path / f"{name}.sel"
@@ -287,7 +289,8 @@ def test_allocate_selection_that_breaks_the_workload_is_config_error(tmp_path, c
                       source={"selection": str(sel)})
         assert main(["allocate", "--config", str(cfg), "--out", str(tmp_path / name)]) == 2
         err = capsys.readouterr().err
-        # named with the file, as the selection's own rules are
+        # named with the file and the pair's first line, as the selection's
+        # own rules are
         assert f"config error: selection file {str(sel)!r}: {message}" in err, err
 
 

@@ -755,7 +755,8 @@ def test_selection_save_load_round_trip(triangle):
     }
     text = save_selection(sel)
     assert text.startswith("qvpn-selection v1\n")
-    back = load_selection(text, triangle)
+    back, first_lines = load_selection(text, triangle)
+    assert first_lines == {k1: 2, k2: 4}
     assert set(back) == {k1, k2}
     assert [(p.nodes, s.link_threshold, s.max_rounds) for p, s in back[k1]] == \
            [(("A", "B"), 0.9, 20), (("A", "C", "B"), 0.85, 7)]
@@ -767,7 +768,8 @@ def test_selection_load_ignores_comments(triangle):
             "# chosen by hand\n"
             "\n"
             "select org0 A B path A C B threshold 0.9 max_rounds 5  # detour\n")
-    sel = load_selection(text, triangle)
+    sel, first_lines = load_selection(text, triangle)
+    assert first_lines == {("org0", "A", "B"): 4}
     [(path, strategy)] = sel[("org0", "A", "B")]
     assert path.nodes == ("A", "C", "B")
     assert strategy.max_rounds == 5

@@ -58,6 +58,11 @@ def _on(graph, load):
     return lambda text: load(text, graph)
 
 
+def _selection_only(text, graph):
+    """load_selection's selection, without its first-line map."""
+    return load_selection(text, graph)[0]
+
+
 def _topology_case():
     keywords = load_topology(KEYWORD_TOPOLOGY)
     assert keywords.node_by_id["repeater"].is_repeater
@@ -99,12 +104,12 @@ def _selection_case():
                     ga_config=GaConfig(population_size=6, generations=2))
     # a pair the GA leaves without a path has no line in the file
     chosen = {key: picks for key, picks in result.selection.items() if picks}
-    on_keywords = _on(KEYWORD_GRAPH, load_selection)
+    on_keywords = _on(KEYWORD_GRAPH, _selection_only)
     keywords = on_keywords(KEYWORD_SELECTION)
     [(path, strategy)] = keywords[("threshold", "path", "max_rounds")]
     assert path.nodes == ("path", "threshold", "max_rounds")
     assert (strategy.link_threshold, strategy.max_rounds) == (0.9, 5)
-    return (save_selection, [(_on(net10, load_selection), chosen), (on_keywords, keywords)],
+    return (save_selection, [(_on(net10, _selection_only), chosen), (on_keywords, keywords)],
             on_keywords,
             [("# keyword graph\nqvpn-selection v1\n"
               "select org node link path node link threshold 0.9 max_rounds five\n", 3,

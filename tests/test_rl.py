@@ -205,38 +205,50 @@ def test_gradient_check_size_guard(triangle):
         gradient_check(policy, prob, actions, 1.0, 0.1)
 
 
-def test_backward_into_buffers_matches_fresh_arrays(triangle):
-    # train reuses one gradient buffer per layer; the bits must not change
-    prob = _multi_problem(triangle)
-    policy = PolicyNetwork.init(prob, hidden=(6,), seed=3)
-    actions, probs, cache = sample_action(policy, prob, np.random.default_rng(3))
-    dlogits = probs - 0.5
+def _wide_policy(rng):
+    """Three layers over 130 inputs: W0 is column-major with 130 rows in
+    memory, W1 row-major with 70; both span more than one block."""
+    widths = (130, 90, 70, 4)
+    weights = [rng.normal(size=(fan_out, fan_in)) for fan_in, fan_out in zip(widths, widths[1:])]
+    biases = [rng.normal(size=n) for n in widths[1:]]
+    return PolicyNetwork(weights, biases, [(0, 1), (1, 4)])
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_backward_into_a_gradient_sum_adds_the_fresh_gradient_bit_for_bit(triangle, wide):
+    # train adds every sample's gradient into one sum per parameter, a block
+    # of rows at a time; the bits must be those of adding whole outer products
+    rng = np.random.default_rng(11)
+    policy = (_wide_policy(rng) if wide
+              else PolicyNetwork.init(_multi_problem(triangle), hidden=(6,), seed=3))
+    logits, cache = policy.forward(rng.normal(size=policy.weights[0].shape[1]))
+    dlogits = rng.normal(size=logits.size)
     fresh_w, fresh_b = policy.backward(dlogits, cache)
-    out = [np.full_like(g, np.nan) for g in fresh_w]
-    into_w, into_b = policy.backward(dlogits, cache, out=out)
-    for f, i, o in zip(fresh_w, into_w, out):
-        assert i is o
-        assert np.array_equal(f, i)
-    for f, i in zip(fresh_b, into_b):
-        assert np.array_equal(f, i)
+    grads = rl_optimizer._GradientSum(policy)
+    assert grads.w[0].flags.f_contiguous and grads.w[-1].flags.c_contiguous
+    for acc in grads.w + grads.b:
+        acc[...] = rng.normal(size=acc.shape)
+    expect = [acc + g for acc, g in zip(grads.w + grads.b, fresh_w + fresh_b)]
+    into_w, into_b = policy.backward(dlogits, cache, into=grads)
+    assert into_w is grads.w and into_b is grads.b
+    assert [a.tobytes() for a in into_w + into_b] == [e.tobytes() for e in expect]
 
 
-def test_backward_into_buffers_allocates_no_ufunc_buffer(triangle):
-    # np.outer(..., out=) took a 128 KiB ufunc buffer per layer per call
-    prob = _multi_problem(triangle)
-    policy = PolicyNetwork.init(prob, hidden=(128, 64), seed=3)
-    actions, probs, cache = sample_action(policy, prob, np.random.default_rng(3))
-    dlogits = probs - 0.5
-    out = [np.empty_like(w) for w in policy.weights]
-    assert not out[0].flags.c_contiguous  # W0's buffer is column-major
-    policy.backward(dlogits, cache, out=out)
+def test_backward_into_a_gradient_sum_makes_no_weight_sized_array():
+    rng = np.random.default_rng(12)
+    policy = _wide_policy(rng)
+    logits, cache = policy.forward(rng.normal(size=130))
+    dlogits = rng.normal(size=logits.size)
+    grads = rl_optimizer._GradientSum(policy)
+    policy.backward(dlogits, cache, into=grads)
     tracemalloc.start()
     try:
-        policy.backward(dlogits, cache, out=out)
+        policy.backward(dlogits, cache, into=grads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8192
+    # W0's gradient alone is 90 x 130 x 8 = 93,600 bytes
+    assert peak < 8192, peak
 
 
 def test_apply_update_matches_scaled_sum(triangle):
