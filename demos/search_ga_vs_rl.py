@@ -50,8 +50,9 @@ def main():
         rel = (wegr - best_base) / best_base * 100.0
         print(f"{name:>22} {wegr:>10.2f} {rel:>+16.1f}%")
     print()
-    print("the GA edge is mostly strategy tuning: the policy gradient picks "
-          "paths for one fixed strategy and ends a few percent above the baselines.")
+    print("the GA edge is path choice: every net10 link has fidelity 0.8, so each path "
+          "keeps one non-dominated strategy; the policy gradient picks paths for one fixed "
+          "strategy and ends a few percent above the baselines.")
 
 
 if __name__ == "__main__":

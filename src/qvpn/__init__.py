@@ -94,6 +94,6 @@ from .harness import (
     save_selection,
     load_selection,
 )
-from .fixtures import bundled_topology, bundled_catalog
+from .fixtures import bundled_topology
 
 __version__ = "0.1.0"

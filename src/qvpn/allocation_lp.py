@@ -139,8 +139,6 @@ class LpCompiler:
     """
 
     def __init__(self, graph, workload, noise: NoiseParams = DEFAULT_NOISE, p_max: int = 3):
-        self.graph = graph
-        self.workload = workload
         self.noise = noise
         self.p_max = check_int("p_max", p_max)
         org_weight = {o.id: o.weight for o in workload.organizations}
@@ -205,10 +203,6 @@ class LpCompiler:
                 raise ValueError(f"path endpoints {ends} do not match pair {pair_key}")
             self._choices.append((pair_key, path, strategy))
         return column
-
-    def find_id(self, pair_key, path, strategy) -> int | None:
-        """Pool id of a choice, or None when it has none; assigns no id."""
-        return self._ids.get((pair_key, path.link_keys, strategy))
 
     def choice(self, column: int):
         """(pair key, path, strategy) of a pool id: the choice that got it."""

@@ -1,13 +1,11 @@
-"""Access to the bundled data files (synthetic topologies, strategy catalog)."""
+"""Access to the bundled data files (synthetic topologies)."""
 
 from importlib.resources import files
 
 from .topology import load_topology
-from .quantum_math import load_strategy_catalog
 
 TOPOLOGY_50 = "synthetic50.topo"
 TOPOLOGY_10 = "synthetic10.topo"
-CATALOG_16 = "strategies16.txt"
 
 
 def fixture_text(name: str) -> str:
@@ -17,6 +15,3 @@ def fixture_text(name: str) -> str:
 def bundled_topology(name: str = TOPOLOGY_50):
     return load_topology(fixture_text(name))
 
-
-def bundled_catalog(name: str = CATALOG_16):
-    return load_strategy_catalog(fixture_text(name))

@@ -118,14 +118,11 @@ class GaProblem:
     """
 
     def __init__(self, graph, workload, candidates, catalog, noise=DEFAULT_NOISE, p_max=3):
-        self.graph = graph
-        self.workload = workload
         self.catalog = list(catalog)
         if not self.catalog:
             raise ValueError("the strategy catalog is empty")
         if len(set(self.catalog)) < len(self.catalog):
             raise ValueError("catalog strategies repeat")
-        self.noise = noise
         self.p_max = p_max
         self.compiler = LpCompiler(graph, workload, noise, p_max)
         self._cache = {}

@@ -167,7 +167,6 @@ class PointResult:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    scenario: Scenario
     config_hash: str
     points: tuple
 
@@ -393,7 +392,7 @@ def run_scenario(scenario: Scenario, max_workers: int = 1,
             points = _run_forked(scenario, tasks, workers, finder)
     if points is None:
         points = tuple(_guarded_point(scenario, task, finder) for task in tasks)
-    return ScenarioResult(scenario=scenario, config_hash=config_hash, points=points)
+    return ScenarioResult(config_hash=config_hash, points=points)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ through rounds k = 1..n costs g = prod(2/p_k) base pairs per output.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -124,37 +125,44 @@ def purify_step(state_a: BellDiagonalState, state_b: BellDiagonalState):
     return BellDiagonalState(coefficients), p
 
 
+@lru_cache(maxsize=None)
+def _ladder(input_fidelity, max_rounds):
+    """The symmetric recurrence from Werner(input_fidelity), run once:
+    (fidelities, results). Rung k is the fidelity after k rounds, rising
+    strictly, and its feasible result; the one extra result is where the
+    ladder stopped, at max_rounds or at a round that did not rise."""
+    state = werner(input_fidelity).coefficients
+    fidelities, results = [state[0]], [OverheadResult(1.0, 0, state[0], True)]
+    while len(fidelities) - 1 < max_rounds:
+        state, p = _dejmps_round(state, state)  # p >= 1/2: running on never raises
+        if state[0] <= fidelities[-1] + 1e-15:
+            # map stalled (at or below the F=0.5 fixed line); cap would only spin
+            stop = OverheadResult(math.inf, len(fidelities), state[0], False)
+            break
+        fidelities.append(state[0])
+        results.append(OverheadResult(results[-1].overhead * (2.0 / p), len(results),
+                                      state[0], True))
+    else:
+        stop = OverheadResult(math.inf, len(fidelities) - 1, fidelities[-1], False)
+    return tuple(fidelities), (*results, stop)
+
+
 def purification_overhead(input_fidelity: float, target_fidelity: float,
                           max_rounds: int = DEFAULT_MAX_ROUNDS) -> OverheadResult:
     """Base pairs needed per output pair distilled from Werner(input) to the target.
 
     Symmetric recurrence: each round purifies two identical copies of the
-    current state. Overhead multiplies by 2/p_k per round. Infeasibility
-    (target unreached within max_rounds) is a tagged result, not an error.
+    current state. Overhead multiplies by 2/p_k per round. The result is
+    read off the input's ladder, so all targets on one input share one run
+    of the recurrence. Infeasibility (target unreached within max_rounds)
+    is a tagged result, not an error.
     """
     if not 0.25 < input_fidelity <= 1.0:
         raise ValueError(f"input fidelity must lie in (0.25,1], got {input_fidelity}")
     if not 0.25 < target_fidelity < 1.0:
         raise ValueError(f"target fidelity must lie in (0.25,1), got {target_fidelity}")
-    state = werner(input_fidelity).coefficients
-    overhead = 1.0
-    rounds = 0
-    while state[0] < target_fidelity - FIDELITY_ATOL:
-        if rounds >= max_rounds:
-            return OverheadResult(math.inf, rounds, state[0], False)
-        prev = state[0]
-        state, p = _dejmps_round(state, state)
-        overhead *= 2.0 / p
-        rounds += 1
-        if state[0] <= prev + 1e-15:
-            # map stalled (at or below the F=0.5 fixed line); cap would only spin
-            return OverheadResult(math.inf, rounds, state[0], False)
-    return OverheadResult(overhead, rounds, state[0], True)
-
-
-@lru_cache(maxsize=65536)
-def _overhead_cached(input_fidelity, target_fidelity, max_rounds):
-    return purification_overhead(input_fidelity, target_fidelity, max_rounds)
+    fidelities, results = _ladder(input_fidelity, max_rounds)
+    return results[bisect_left(fidelities, target_fidelity - FIDELITY_ATOL)]
 
 
 @lru_cache(maxsize=16384)
@@ -177,20 +185,17 @@ def path_overhead_per_link(link_fidelity: float, path_length_links: int,
     """
     if link_fidelity <= 0.25:
         return OverheadResult(math.inf, 0, link_fidelity, False)
-    g_link = 1.0
-    rounds = 0
-    if strategy.link_threshold > link_fidelity + FIDELITY_ATOL:
-        res = _overhead_cached(link_fidelity, strategy.link_threshold, strategy.max_rounds)
-        if not res.feasible:
-            return res
-        g_link, rounds = res.overhead, res.rounds
+    link = purification_overhead(link_fidelity, strategy.link_threshold, strategy.max_rounds)
+    if not link.feasible:
+        return link
+    g_link, rounds = link.overhead, link.rounds
     chain_input = max(link_fidelity, strategy.link_threshold)
     s = swap_chain_fidelity(chain_input, path_length_links, noise)
     if s >= user_threshold - FIDELITY_ATOL:
         return OverheadResult(g_link, rounds, s, True)
     if s <= 0.25:
         return OverheadResult(math.inf, rounds, s, False)
-    e2e = _overhead_cached(s, user_threshold, strategy.max_rounds)
+    e2e = purification_overhead(s, user_threshold, strategy.max_rounds)
     if not e2e.feasible:
         return OverheadResult(math.inf, rounds + e2e.rounds, e2e.achieved_fidelity, False)
     return OverheadResult(g_link * e2e.overhead, rounds + e2e.rounds, e2e.achieved_fidelity, True)

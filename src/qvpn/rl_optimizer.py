@@ -243,8 +243,8 @@ class PolicyNetwork:
 
     def backward(self, dlogits, cache, into=None):
         """Gradient of a scalar surrogate wrt all parameters, given dL/dlogits:
-        (grads_w, grads_b). into: a _GradientSum the gradient is added to;
-        its arrays are then returned, and no weight-sized array is made.
+        (grads_w, grads_b): the arrays of into (a _GradientSum, a fresh one
+        when None) once the gradient is added to them.
         """
         hs, zs = cache
         deltas = [dlogits]
@@ -252,7 +252,7 @@ class PolicyNetwork:
             delta = self.weights[layer + 1].T @ deltas[0]
             deltas.insert(0, delta * np.where(zs[layer] > 0, 1.0, LEAKY_SLOPE))
         if into is None:
-            return [np.outer(d, h) for d, h in zip(deltas, hs)], [d.copy() for d in deltas]
+            into = _GradientSum(self)
         into.add(deltas, hs)
         return into.w, into.b
 

@@ -9,7 +9,7 @@ T seconds, so the rate is p/T scaled by the multiplexing factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .checks import InputError, check_id, check_int, check_real, made, number, records
@@ -238,8 +238,9 @@ def engineer_repeaters(graph: NetworkGraph, threshold_km: float, spacing_km: flo
 
     Every link strictly longer than threshold_km is replaced by a chain of
     ceil(length/spacing) segments of length spacing_km with the remainder
-    last; capacities are recomputed per segment. Idempotent: inserted node
-    ids are deterministic functions of the original endpoints. Raises
+    last; a remainder within rounding of 0 adds no segment, so each lies in
+    (0, spacing_km]. Capacities are recomputed per segment. Idempotent:
+    inserted node ids are deterministic functions of the original endpoints. Raises
     InputError unless 0 < spacing_km <= threshold_km, both finite.
     """
     check_real("threshold_km", threshold_km, open_low=True)
@@ -257,11 +258,13 @@ def engineer_repeaters(graph: NetworkGraph, threshold_km: float, spacing_km: flo
             continue
         a, b = l.endpoints
         n_seg = math.ceil(l.length_km / spacing_km)
+        if l.length_km - spacing_km * (n_seg - 1) <= 1e-12 * l.length_km:
+            n_seg -= 1
         if n_seg <= 1:
             links.append(l)
             continue
         seg_lengths = [spacing_km] * (n_seg - 1)
-        seg_lengths.append(l.length_km - spacing_km * (n_seg - 1))
+        seg_lengths.append(min(spacing_km, l.length_km - spacing_km * (n_seg - 1)))
         pos_a = graph.node_by_id[a].position
         pos_b = graph.node_by_id[b].position
         chain = [a]

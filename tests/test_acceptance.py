@@ -6,11 +6,9 @@ tests (GA dominance, monotonicity) also enforce their runtime budgets.
 """
 
 import json
-import math
 import time
 
 import numpy as np
-import pytest
 
 from qvpn.allocation_lp import (LinearProgram, LpCompiler, build_problem, solve, solve_lp,
                                 wegr_of_selection)

@@ -463,7 +463,8 @@ def test_build_problem_matches_per_column_reference():
     other = next(v[0] for k, v in cands.items() if set(k[1:]) != set(key[1:]))
     with pytest.raises(ValueError, match="endpoints"):
         compiler.column_ids({key: [(other, catalog[0])]})
-    assert compiler.find_id(key, other, catalog[0]) is None
+    # no refused choice took a pool id: the next choice gets the first
+    assert compiler.column_id(key, paths[0], catalog[0]) == 0
 
 
 def test_csc_layout_and_dense_view():

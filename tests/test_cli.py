@@ -1,7 +1,6 @@
 """End-to-end runs of the qvpn command line driver on tiny configs."""
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest

@@ -32,13 +32,17 @@ def random_genome(problem, rng):
 
 
 @pytest.fixture
-def tri_problem(triangle):
+def tri_workload():
     org = Organization("org0", 1.0)
     pairs = (make_pair("org0", "A", "B"), make_pair("org0", "A", "C", weight=0.4))
-    wl = Workload(organizations=(org,), user_pairs=pairs, seed=0)
-    cands = build_candidate_sets(triangle, wl, k=3)
+    return Workload(organizations=(org,), user_pairs=pairs, seed=0)
+
+
+@pytest.fixture
+def tri_problem(triangle, tri_workload):
+    cands = build_candidate_sets(triangle, tri_workload, k=3)
     catalog = default_strategy_catalog(4)
-    return GaProblem(triangle, wl, cands, catalog, p_max=2)
+    return GaProblem(triangle, tri_workload, cands, catalog, p_max=2)
 
 
 @pytest.fixture
@@ -162,39 +166,39 @@ def test_encode_decode_round_trip(tri_problem):
                {k: [(p.link_keys, s.link_threshold) for p, s in v] for k, v in again.items()}
 
 
-def test_encode_selection_rejects_picks_outside_the_problem(triangle, tri_problem):
+def test_encode_selection_rejects_picks_outside_the_problem(triangle, tri_problem, tri_workload):
     pair_key = tri_problem.pair_order[0]
     cands = dict(tri_problem.candidates)
     outside = cands[pair_key][1]
     cands[pair_key] = cands[pair_key][:1]
-    prob = GaProblem(triangle, tri_problem.workload, cands, tri_problem.catalog, p_max=2)
+    prob = GaProblem(triangle, tri_workload, cands, tri_problem.catalog, p_max=2)
     inside = cands[pair_key][0]
     for pick in ((outside, prob.catalog[0]), (inside, DistillationStrategy(0.5))):
         with pytest.raises(ValueError, match=re.escape(f"pair {pair_key}")):
             prob.encode_selection({pair_key: [pick]})
-        # looking a pick up gives it no pool id
-        assert prob.compiler.find_id(pair_key, *pick) is None
-    # a choice scored through the problem's compiler gets an id past the layout
-    prob.compiler.column_id(pair_key, outside, prob.catalog[0])
+    # looking the picks up gave them no pool id: a choice scored through the
+    # problem's compiler gets the first id past the layout
+    layout = int(prob.gene_limits[:, 0].sum())
+    assert prob.compiler.column_id(pair_key, outside, prob.catalog[0]) == layout
     with pytest.raises(ValueError, match=re.escape(f"pair {pair_key}")):
         prob.encode_selection({pair_key: [(outside, prob.catalog[0])]})
 
 
-def test_an_empty_catalog_is_rejected(triangle, tri_problem):
+def test_an_empty_catalog_is_rejected(triangle, tri_problem, tri_workload):
     with pytest.raises(ValueError, match="catalog is empty"):
-        GaProblem(triangle, tri_problem.workload, tri_problem.candidates, [], p_max=2)
+        GaProblem(triangle, tri_workload, tri_problem.candidates, [], p_max=2)
 
 
-def test_repeated_catalog_strategies_are_rejected(triangle, tri_problem):
+def test_repeated_catalog_strategies_are_rejected(triangle, tri_problem, tri_workload):
     # a repeated strategy is a mistake in the catalog
     catalog = tri_problem.catalog + tri_problem.catalog[:1]
     with pytest.raises(ValueError, match="repeat"):
-        GaProblem(triangle, tri_problem.workload, tri_problem.candidates, catalog, p_max=2)
+        GaProblem(triangle, tri_workload, tri_problem.candidates, catalog, p_max=2)
 
 
-def test_fitness_matches_lp_and_caches(tri_problem):
+def test_fitness_matches_lp_and_caches(tri_problem, triangle, tri_workload):
     g = np.array([[0, 1], [0, 0]])
-    compiler = LpCompiler(tri_problem.graph, tri_problem.workload, p_max=2)
+    compiler = LpCompiler(triangle, tri_workload, p_max=2)
     want = wegr_of_selection(compiler, compiler.column_ids(tri_problem.decode(g)))
     before = tri_problem.lp_solves
     assert tri_problem.fitness(g) == want
@@ -224,9 +228,9 @@ def test_infeasible_genome_scores_zero(triangle):
     assert prob.fitness(random_genome(prob, rng)) == 0.0
 
 
-def test_initialize_population_heuristics_first(triangle, tri_problem):
+def test_initialize_population_heuristics_first(triangle, tri_problem, tri_workload):
     catalog = tri_problem.catalog
-    sel = baseline_selection(triangle, tri_problem.workload,
+    sel = baseline_selection(triangle, tri_workload,
                              tri_problem.candidates, WeightScheme.HOP,
                              p_max=2, catalog=catalog)
     cfg = GaConfig(population_size=6, generations=2)
@@ -238,11 +242,11 @@ def test_initialize_population_heuristics_first(triangle, tri_problem):
                               seed_heuristics=(sel, sel, sel))
 
 
-def test_evolve_deterministic(tri_problem, triangle):
+def test_evolve_deterministic(tri_problem, triangle, tri_workload):
     cfg = GaConfig(population_size=8, generations=6, seed=3)
     runs = []
     for _ in range(2):
-        prob = GaProblem(triangle, tri_problem.workload, tri_problem.candidates,
+        prob = GaProblem(triangle, tri_workload, tri_problem.candidates,
                          tri_problem.catalog, p_max=2)
         pop = initialize_population(prob, cfg)
         runs.append(evolve(pop, cfg, prob))
@@ -269,10 +273,10 @@ def test_evolve_trace_shape_and_monotone_best(tri_problem):
     assert trace.best_wegr == tri_problem.fitness(trace.best_genome)
 
 
-def test_evolve_improves_on_seeded_heuristic(triangle, tri_problem):
-    sel = baseline_selection(triangle, tri_problem.workload, tri_problem.candidates,
+def test_evolve_improves_on_seeded_heuristic(triangle, tri_problem, tri_workload):
+    sel = baseline_selection(triangle, tri_workload, tri_problem.candidates,
                              WeightScheme.HOP, p_max=2, catalog=tri_problem.catalog)
-    compiler = LpCompiler(triangle, tri_problem.workload, p_max=2)
+    compiler = LpCompiler(triangle, tri_workload, p_max=2)
     heur_fit = wegr_of_selection(compiler, compiler.column_ids(sel))
     cfg = GaConfig(population_size=10, generations=8, seed=5)
     pop = initialize_population(tri_problem, cfg, seed_heuristics=(sel,))
@@ -296,11 +300,11 @@ def test_evolve_rejects_a_population_of_another_size(tri_problem, size):
         evolve(population, cfg, tri_problem)
 
 
-def test_static_and_dynamic_both_search(tri_problem, triangle):
+def test_static_and_dynamic_both_search(tri_problem, triangle, tri_workload):
     results = {}
     for cfg in (GaConfig(population_size=8, generations=5, seed=2),
                 GaConfig.static_mode(population_size=8, generations=5, seed=2)):
-        prob = GaProblem(triangle, tri_problem.workload, tri_problem.candidates,
+        prob = GaProblem(triangle, tri_workload, tri_problem.candidates,
                          tri_problem.catalog, p_max=2)
         pop = initialize_population(prob, cfg)
         results[cfg.mode] = evolve(pop, cfg, prob).best_wegr
@@ -355,16 +359,17 @@ def test_encode_selection_maps_picks_to_their_stand_ins(mixed_problem):
     assert genome.tolist() == [[1, 0], [0, 0]]  # A-C, the first gene, pads the empty pair
 
 
-def test_the_bound_oracle_checks_every_search(ga_bound_oracle, triangle, tri_problem):
+def test_the_bound_oracle_checks_every_search(ga_bound_oracle, triangle, tri_problem,
+                                              tri_workload):
     # conftest's autouse oracle sees each evolve run, whichever way it is
     # called, and the seeded baselines that sit in its initial population
-    sel = baseline_selection(triangle, tri_problem.workload, tri_problem.candidates,
+    sel = baseline_selection(triangle, tri_workload, tri_problem.candidates,
                              WeightScheme.HOP, p_max=2, catalog=tri_problem.catalog)
     cfg = GaConfig(population_size=6, generations=2, seed=1)
     evolve(initialize_population(tri_problem, cfg, seed_heuristics=(sel,)), cfg, tri_problem)
-    problem = _fresh(tri_problem)
+    problem = _fresh(tri_problem, triangle, tri_workload)
     evolve(initialize_population(problem, cfg), cfg, problem)
-    harness.search(triangle, tri_problem.workload, "ga", 0, k=3, p_max=2,
+    harness.search(triangle, tri_workload, "ga", 0, k=3, p_max=2,
                    catalog=tri_problem.catalog, ga_config=cfg)
     assert [len(seeded) for _, _, seeded in ga_bound_oracle] == [1, 0, 3]
     for best, bound, seeded in ga_bound_oracle:
@@ -440,16 +445,16 @@ def _scored_lps(monkeypatch, problem):
     return lps
 
 
-def test_pool_lp_equals_compile_of_decode(monkeypatch, net50_problem):
+def test_pool_lp_equals_compile_of_decode(monkeypatch, net50_problem, net50_inputs):
     # the id route must hand HiGHS exactly the arrays that the gather of
     # column_ids(decode(g)) builds, with repeated paths in the mix, of one
     # column or two
     problem = net50_problem
     path_genes = _path_genes(problem)
     two_columns = [[g for g in by_path.values() if len(g) >= 2] for by_path in path_genes]
-    assert (sum(map(len, two_columns)) >= 10) == _mixed(problem.graph)
+    assert (sum(map(len, two_columns)) >= 10) == _mixed(net50_inputs[0])
     lps = _scored_lps(monkeypatch, problem)
-    reference = LpCompiler(problem.graph, problem.workload, problem.noise, problem.p_max)
+    reference = LpCompiler(*net50_inputs[:2], p_max=problem.p_max)
     rng = np.random.default_rng(41)
     forced_duplicates = 0
     for trial in range(300):
@@ -498,7 +503,7 @@ def test_building_a_problem_computes_only_its_layout(monkeypatch, net50_inputs):
     assert len(calls) == made
 
 
-def test_fitness_cache_is_keyed_on_first_picks(net50_problem):
+def test_fitness_cache_is_keyed_on_first_picks(net50_problem, net50_inputs):
     # each pair's path with the most columns: its first and last gene, the
     # same gene where the path keeps one strategy
     problem = net50_problem
@@ -523,7 +528,7 @@ def test_fitness_cache_is_keyed_on_first_picks(net50_problem):
     # the same path picked with another column first is another selection
     problem.fitness(with_pair([b, other, a]))
     assert problem.lp_solves == before + 1 + (a != b)
-    assert (a != b) == _mixed(problem.graph)
+    assert (a != b) == _mixed(net50_inputs[0])
 
 
 def test_genes_outside_the_gene_space_are_rejected(mixed_problem):
@@ -590,35 +595,38 @@ def _trace_view(trace):
             trace.lp_solves, trace.fitness_calls)
 
 
-def _fresh(problem):
-    return GaProblem(problem.graph, problem.workload, problem.candidates, problem.catalog,
-                     noise=problem.noise, p_max=problem.p_max)
+def _fresh(problem, graph, workload):
+    """problem built again on its graph and workload: no cached fitness, no
+    column past its layout."""
+    return GaProblem(graph, workload, problem.candidates, problem.catalog, p_max=problem.p_max)
 
 
 @needs_fork
 @pytest.mark.parametrize("mode", ["dynamic", "static"])
 @pytest.mark.parametrize("seed", [0, 7])
-def test_helper_gives_the_serial_trace(monkeypatch, net50_problem, mode, seed):
+def test_helper_gives_the_serial_trace(monkeypatch, net50_problem, mode, seed, net50_inputs):
     config = (GaConfig(population_size=12, generations=5, seed=seed) if mode == "dynamic"
               else GaConfig.static_mode(population_size=12, generations=5, seed=seed))
-    serial = _run_on(monkeypatch, 1, _fresh(net50_problem), config)
-    helped = _run_on(monkeypatch, 2, _fresh(net50_problem), config)
+    serial = _run_on(monkeypatch, 1, _fresh(net50_problem, *net50_inputs[:2]), config)
+    helped = _run_on(monkeypatch, 2, _fresh(net50_problem, *net50_inputs[:2]), config)
     assert not serial.fitness_helper and helped.fitness_helper
     assert _trace_view(helped) == _trace_view(serial)
     assert helped.fitness_calls == config.population_size * (config.generations + 1)
 
 
 @needs_fork
-def test_helper_gives_the_serial_trace_with_repeated_children(monkeypatch, tri_problem):
+def test_helper_gives_the_serial_trace_with_repeated_children(monkeypatch, tri_problem, triangle,
+                                                               tri_workload):
     # the triangle's gene space is small, so children repeat within and
     # across generations; the initial population repeats genomes outright
     rng = np.random.default_rng(5)
     distinct = [random_genome(tri_problem, rng) for _ in range(4)]
     population = np.array([distinct[i % 4] for i in range(10)])
+    fresh = lambda: _fresh(tri_problem, triangle, tri_workload)
     for config in (GaConfig(population_size=10, generations=8, seed=2),
                    GaConfig.static_mode(population_size=10, generations=8, seed=2)):
-        serial = _run_on(monkeypatch, 1, _fresh(tri_problem), config, population)
-        helped = _run_on(monkeypatch, 2, _fresh(tri_problem), config, population)
+        serial = _run_on(monkeypatch, 1, fresh(), config, population)
+        helped = _run_on(monkeypatch, 2, fresh(), config, population)
         assert helped.fitness_helper
         assert _trace_view(helped) == _trace_view(serial)
         assert 0 < helped.lp_solves < helped.fitness_calls / 2
@@ -632,7 +640,7 @@ def test_helper_scores_infeasible_lps_zero(monkeypatch):
     problem = GaProblem(net10, wl, build_candidate_sets(net10, wl, k=3),
                         default_strategy_catalog(4), p_max=2)
     config = GaConfig(population_size=16, generations=4, seed=3)
-    serial = _run_on(monkeypatch, 1, _fresh(problem), config)
+    serial = _run_on(monkeypatch, 1, _fresh(problem, net10, wl), config)
     replies = []
     real_recv = forking.Child.recv
 
@@ -641,19 +649,20 @@ def test_helper_scores_infeasible_lps_zero(monkeypatch):
         return reply
 
     monkeypatch.setattr(forking.Child, "recv", recording)
-    helped = _run_on(monkeypatch, 2, _fresh(problem), config)
+    helped = _run_on(monkeypatch, 2, _fresh(problem, net10, wl), config)
     assert _trace_view(helped) == _trace_view(serial)
     assert 0.0 in replies and max(replies) > 0.0  # the helper solved both kinds
     assert min(helped.mean_fitness) < max(helped.best_fitness)
 
 
 @needs_fork
-def test_helper_forked_after_solves_gives_the_serial_trace(monkeypatch, net50_problem):
+def test_helper_forked_after_solves_gives_the_serial_trace(monkeypatch, net50_problem,
+                                                           net50_inputs):
     # the parent's HiGHS instance and column pool are in use before the fork
     config = GaConfig(population_size=12, generations=4, seed=1)
     traces = []
     for cpus in (1, 2):
-        problem = _fresh(net50_problem)
+        problem = _fresh(net50_problem, *net50_inputs[:2])
         rng = np.random.default_rng(11)
         early = [problem.fitness(random_genome(problem, rng)) for _ in range(6)]
         assert problem.lp_solves == 6 and min(early) > 0
@@ -662,13 +671,14 @@ def test_helper_forked_after_solves_gives_the_serial_trace(monkeypatch, net50_pr
     assert _trace_view(traces[1]) == _trace_view(traces[0])
 
 
-def test_one_cpu_or_no_fork_starts_no_process(monkeypatch, tri_problem):
+def test_one_cpu_or_no_fork_starts_no_process(monkeypatch, tri_problem, triangle, tri_workload):
     starts = []
     monkeypatch.setattr(forking.Forks, "start", lambda *args: starts.append(args))
     config = GaConfig(population_size=6, generations=2, seed=0)
-    assert not _run_on(monkeypatch, 1, _fresh(tri_problem), config).fitness_helper
+    fresh = lambda: _fresh(tri_problem, triangle, tri_workload)
+    assert not _run_on(monkeypatch, 1, fresh(), config).fitness_helper
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    assert not _run_on(monkeypatch, 2, _fresh(tri_problem), config).fitness_helper
+    assert not _run_on(monkeypatch, 2, fresh(), config).fitness_helper
     assert starts == []
 
 
@@ -732,22 +742,24 @@ def test_a_dead_helper_fails_the_run(monkeypatch, net50_problem, death, code):
 _LP_FIELDS = ("objective", "indptr", "indices", "data", "row_bounds")
 
 
-def test_a_filled_pool_gathers_the_lazy_pools_lps(net50_problem):
+def test_a_filled_pool_gathers_the_lazy_pools_lps(net50_problem, net50_inputs):
     # GaProblem fills its layout in one call, so its columns sit elsewhere
     # in the flat arrays than in a pool that computes them gather by
     # gather; every gathered LP must be the same. Infeasible choices past
     # the layout are mixed in.
-    problem = _fresh(net50_problem)
+    problem = _fresh(net50_problem, *net50_inputs[:2])
     size = problem._layout_size
     filled = problem.compiler
-    lazy = LpCompiler(problem.graph, problem.workload, problem.noise, problem.p_max)
+    lazy = LpCompiler(*net50_inputs[:2], p_max=problem.p_max)
     for column in range(size):
         assert lazy.column_id(*filled.choice(column)) == column
+    layout = {(key, path.link_keys, strategy)
+              for key, path, strategy in map(filled.choice, range(size))}
     extra = []
     for key in problem.pair_order:
         for path in problem.candidates[key]:
             for strategy in problem.catalog:
-                if filled.find_id(key, path, strategy) is None:
+                if (key, path.link_keys, strategy) not in layout:
                     extra.append((key, path, strategy))
     for compiler in (filled, lazy):
         assert [compiler.column_id(*c) for c in extra] == list(range(size, size + len(extra)))
@@ -778,11 +790,12 @@ def _computed_during_a_generation(compiler, ids):
 
 
 @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
-def test_no_column_is_computed_during_the_generations(monkeypatch, net50_problem, cpus):
+def test_no_column_is_computed_during_the_generations(monkeypatch, net50_problem, cpus,
+                                                       net50_inputs):
     # GaProblem computed its whole layout. Computing a column raises from
     # here on, in this process and in a helper forked later; a raise in the
     # helper comes back as that miss's result and fails the run
-    problem = _fresh(net50_problem)
+    problem = _fresh(net50_problem, *net50_inputs[:2])
     config = GaConfig(population_size=12, generations=5, seed=3)
     population = initialize_population(problem, config)
     monkeypatch.setattr(LpCompiler, "_fill", _computed_during_a_generation)

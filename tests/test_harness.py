@@ -36,7 +36,7 @@ from qvpn.pathfinding import (
 from qvpn.quantum_math import DistillationStrategy, default_strategy_catalog
 from qvpn.rl_optimizer import TrainConfig
 from qvpn.topology import NetworkGraph, NodeSpec
-from qvpn.workload import Organization, UserPair, Workload, WorkloadParams, generate_workload
+from qvpn.workload import Organization, Workload, WorkloadParams, generate_workload
 
 from qvpn_helpers import dead_link_case, make_pair
 

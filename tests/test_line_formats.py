@@ -7,8 +7,7 @@ it does not parse or is out of its range, names its line."""
 import pytest
 
 from qvpn.checks import InputError
-from qvpn.fixtures import (CATALOG_16, TOPOLOGY_10, TOPOLOGY_50, bundled_catalog,
-                           bundled_topology)
+from qvpn.fixtures import TOPOLOGY_10, TOPOLOGY_50, bundled_topology
 from qvpn.ga_optimizer import GaConfig
 from qvpn.harness import load_selection, save_selection, search
 from qvpn.quantum_math import default_strategy_catalog, load_strategy_catalog, \
@@ -122,7 +121,7 @@ def _catalog_case():
     keywords = load_strategy_catalog(KEYWORD_CATALOG)
     assert [s.link_threshold for s in keywords] == [0.85, 0.9, 0.95]
     return (save_strategy_catalog,
-            [(load_strategy_catalog, bundled_catalog(CATALOG_16)),
+            [(load_strategy_catalog, default_strategy_catalog()),
              (load_strategy_catalog, keywords)],
             load_strategy_catalog,
             [("0.8\n0.9\n\n0.9x5\n", 4, NOT_A_NUMBER), ("0.2\n0.9\n", 1, ""),

@@ -1,6 +1,7 @@
-"""Package metadata agrees with the importable package, and a run loads
-only the modules it calls."""
+"""Package metadata agrees with the importable package, a run loads only
+the modules it calls, and no file imports a name it never reads."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -8,10 +9,12 @@ import qvpn
 
 from qvpn_helpers import fresh_python
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def test_pyproject_version_matches_package_version():
     # a regex rather than tomllib, which Python 3.10 lacks
-    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    text = (ROOT / "pyproject.toml").read_text()
     project = text.split("[project]", 1)[1].split("\n[", 1)[0]
     match = re.search(r'^version\s*=\s*"([^"]+)"', project, re.MULTILINE)
     assert match is not None, "pyproject.toml [project] has no version"
@@ -60,3 +63,31 @@ def test_searches_load_neither_scipy_nor_numpy_ma(tmp_path):
         print(json.dumps([solved.status, [p.status for p in swept.points],
                           sorted(m for m in sys.modules if m in ("scipy", "numpy.ma"))]))
         """, tmp_path) == ["optimal", ["optimal", "optimal"], []]
+
+
+def _unused_imports(path):
+    """(line, name) of every name path imports and never reads. An import
+    whose statement carries `# noqa` is exempt, as is __future__."""
+    text = path.read_text()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__" or any(
+                "# noqa" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in read)
+
+
+def test_no_file_imports_a_name_it_never_reads():
+    # a package __init__ imports to re-export, so it is left out
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for folder in ("src", "tests", "demos")
+             for path in sorted((ROOT / folder).rglob("*.py")) if path.name != "__init__.py"
+             for line, name in _unused_imports(path)]
+    assert found == []

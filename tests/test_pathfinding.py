@@ -25,7 +25,7 @@ from qvpn.pathfinding import (
 )
 from qvpn.quantum_math import default_strategy_catalog
 from qvpn.topology import NetworkGraph, NodeSpec, link_capacity, make_link
-from qvpn.workload import Organization, UserPair, Workload
+from qvpn.workload import Organization, Workload
 
 from qvpn_helpers import make_pair
 

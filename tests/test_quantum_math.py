@@ -4,6 +4,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from qvpn import quantum_math
 from qvpn.quantum_math import (
     BellDiagonalState,
     DEFAULT_MAX_ROUNDS,
@@ -188,6 +189,39 @@ def test_overhead_bits_are_pinned(args, overhead, rounds, fidelity):
     r = purification_overhead(*args)
     assert (r.overhead, r.rounds, r.achieved_fidelity) == \
         (float.fromhex(overhead), rounds, float.fromhex(fidelity))
+
+
+def test_targets_on_one_input_share_one_run_of_the_recurrence(monkeypatch):
+    # every user pair has its own threshold: the recurrence runs once per
+    # input, one round per ladder rung, and each target is read off it
+    calls = []
+    real = quantum_math._dejmps_round
+
+    def counting(first, second):
+        calls.append(first)
+        return real(first, second)
+
+    monkeypatch.setattr(quantum_math, "_dejmps_round", counting)
+    quantum_math._ladder.cache_clear()
+    targets = [float(t) for t in np.linspace(0.3, 0.999, 200)]
+    for input_fidelity in (0.77, 0.51, 0.5001, 0.45):  # stalls at 1, at 1, capped, falls
+        state, rounds = werner(input_fidelity), 0
+        while rounds < DEFAULT_MAX_ROUNDS:
+            nxt, _ = real(state.coefficients, state.coefficients)
+            rounds += 1
+            if nxt[0] <= state.fidelity + 1e-15:
+                break  # the stalled round is run, and is no rung
+            state = BellDiagonalState(nxt)
+        calls.clear()
+        got = [astuple(purification_overhead(input_fidelity, t)) for t in targets]
+        assert len(calls) == rounds, input_fidelity
+        want = [_overhead_by_purify_step(input_fidelity, t, DEFAULT_MAX_ROUNDS)
+                for t in targets]
+        assert got == want
+        calls.clear()
+        for t in targets[::-1]:
+            purification_overhead(input_fidelity, t)
+        assert calls == []
 
 
 def test_overhead_domain():

@@ -214,16 +214,30 @@ def _wide_policy(rng):
     return PolicyNetwork(weights, biases, [(0, 1), (1, 4)])
 
 
+def _outer_gradient(policy, dlogits, cache):
+    """backward's gradient by whole outer products: the reference the
+    block-wise sums must match bit for bit."""
+    hs, zs = cache
+    deltas = [dlogits]
+    for layer in range(len(policy.weights) - 2, -1, -1):
+        delta = policy.weights[layer + 1].T @ deltas[0]
+        deltas.insert(0, delta * np.where(zs[layer] > 0, 1.0, LEAKY_SLOPE))
+    return [np.outer(d, h) for d, h in zip(deltas, hs)], deltas
+
+
 @pytest.mark.parametrize("wide", [False, True])
 def test_backward_into_a_gradient_sum_adds_the_fresh_gradient_bit_for_bit(triangle, wide):
     # train adds every sample's gradient into one sum per parameter, a block
-    # of rows at a time; the bits must be those of adding whole outer products
+    # of rows at a time; the bits must be those of adding whole outer
+    # products, whether the sum is fresh (no into) or holds earlier samples
     rng = np.random.default_rng(11)
     policy = (_wide_policy(rng) if wide
               else PolicyNetwork.init(_multi_problem(triangle), hidden=(6,), seed=3))
     logits, cache = policy.forward(rng.normal(size=policy.weights[0].shape[1]))
     dlogits = rng.normal(size=logits.size)
-    fresh_w, fresh_b = policy.backward(dlogits, cache)
+    fresh_w, fresh_b = _outer_gradient(policy, dlogits, cache)
+    got_w, got_b = policy.backward(dlogits, cache)
+    assert [a.tobytes() for a in got_w + got_b] == [e.tobytes() for e in fresh_w + fresh_b]
     grads = rl_optimizer._GradientSum(policy)
     assert grads.w[0].flags.f_contiguous and grads.w[-1].flags.c_contiguous
     for acc in grads.w + grads.b:

@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -188,6 +187,19 @@ def test_engineer_25km_three_segments():
 def test_engineer_idempotent():
     g = engineer_repeaters(_simple_graph(47.0), 20.0, 10.0)
     assert engineer_repeaters(g, 20.0, 10.0) == g
+
+
+@pytest.mark.parametrize("length, spacing, segments", [(2.1, 0.7, 3), (2.1, 0.3, 7),
+                                                       (4.2, 1.4, 3)])
+def test_engineer_a_length_rounding_past_a_multiple_adds_no_hop(length, spacing, segments):
+    # 2.1 / 0.7 is 3.0000000000000004, whose ceil asks for a fourth segment
+    # of 4.4e-16 km (a 400,000 EPR/s link); 2.1 at 0.3 asks for one of 0.0 km
+    g = engineer_repeaters(_simple_graph(length), spacing, spacing)
+    lengths = [l.length_km for l in g.links]
+    assert len(lengths) == segments
+    assert all(0 < d <= spacing for d in lengths)
+    assert sum(lengths) == pytest.approx(length, rel=1e-12)
+    assert engineer_repeaters(g, spacing, spacing) == g
 
 
 def test_engineer_preserves_total_length():
