@@ -13,10 +13,11 @@ column pool, and the LP is gathered from it. evolve holds a generation as
 one (population, pairs, p_max) integer array and breeds all of its
 children at once from one numpy Generator per generation,
 default_rng([seed, generation]), so results do not depend on evaluation
-order. Where the process may use two CPUs and fork, evolve solves every
-other LP miss of a generation on one forked helper process, which
-inherits the column pool GaProblem fills; each LP is a pure function of
-its pool ids, so the trace does not change.
+order. Where the process may use two CPUs and fork (forking.can_fork),
+evolve solves every other LP miss of a generation on one helper process
+forked through forking.Forks, which inherits the column pool GaProblem
+fills; each LP is a pure function of its pool ids, so the trace does not
+change.
 """
 
 from __future__ import annotations
@@ -370,20 +371,22 @@ def evolve(population, config: GaConfig, problem: GaProblem) -> GaTrace:
     and its distinct cache misses, in first-appearance order, are solved
     and cached in that order.
 
-    With at least two usable CPUs and the fork start method, in a process
-    that is not itself a multiprocessing child, evolve forks one helper
-    process for its run. Each generation the helper solves every other
-    miss and this process the rest; elsewhere this process solves them
-    all. The trace is the same on either route. GaProblem has computed the
-    column of every gene, so neither process computes one during the
-    generations."""
+    With at least two usable CPUs and os.fork, in a process that is
+    neither a forked qvpn child nor a multiprocessing child, evolve forks
+    one helper process for its run and reaps it before returning. Each
+    generation the helper solves every other miss and this process the
+    rest; elsewhere this process solves them all. The trace is the same on
+    either route. A helper that ends before it replies raises
+    RuntimeError naming its exit code (minus the signal's number if a
+    signal killed it). GaProblem has computed the column of every gene, so
+    neither process computes one during the generations."""
     if len(population) != config.population_size:
         raise ValueError(f"population of {len(population)} genomes, but "
                          f"population_size is {config.population_size}")
     genes = problem._checked(population)
     trace = None
     if _usable_cpus() >= 2:
-        from . import forking  # here, so that serial runs do not import multiprocessing
+        from . import forking  # here, so that a run that never forks does not load it
         if forking.can_fork():
             with forking.Forks() as forks:
                 helper = forks.start("GA fitness helper", _serve_misses, problem)

@@ -372,9 +372,11 @@ def run_scenario(scenario: Scenario, max_workers: int = 1,
     processes forked from this one share the points out statically; each
     searches on its own copy of finder, whose counts then take in theirs.
     Every point is a pure function of (scenario, axis value, seed), so the
-    results do not depend on max_workers. Without the fork start method,
-    or in a process that is itself a multiprocessing child, the points run
-    serially.
+    results do not depend on max_workers. A worker that ends before it
+    sends its points raises RuntimeError naming its exit code (minus the
+    signal's number if a signal killed it), and no worker outlives the
+    call. Without os.fork, or in a process that is itself a forked qvpn
+    child or a multiprocessing child, the points run serially.
     """
     check_int("max_workers", max_workers)
     if finder is None:
@@ -387,7 +389,7 @@ def run_scenario(scenario: Scenario, max_workers: int = 1,
     workers = min(max_workers, len(tasks))
     points = None
     if workers > 1:
-        from . import forking  # here, so that serial runs do not import multiprocessing
+        from . import forking  # here, so that a run that never forks does not load it
         if forking.can_fork():
             points = _run_forked(scenario, tasks, workers, finder)
     if points is None:

@@ -29,6 +29,16 @@ def fresh_python(code, cwd):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def assert_no_child_process():
+    """Fail if this process has a child process left, running or unreaped."""
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError(f"child process {pid} is left (wait status {status})"
+                         if pid else "a child process is still running")
+
+
 def three_fidelity_copy(graph, rng):
     """graph with each link's alpha drawn from 0.1, 0.15 and 0.2 by rng, so
     the links of a path differ in base fidelity."""

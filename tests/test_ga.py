@@ -1,5 +1,4 @@
 import importlib
-import multiprocessing
 import os
 import re
 import signal
@@ -23,7 +22,7 @@ from qvpn.quantum_math import DistillationStrategy, default_strategy_catalog
 from qvpn.topology import NetworkGraph, NodeSpec, make_link
 from qvpn.workload import Organization, Workload, WorkloadParams, generate_workload
 
-from qvpn_helpers import ORACLE_RTOL, make_pair, three_fidelity_copy
+from qvpn_helpers import ORACLE_RTOL, assert_no_child_process, make_pair, three_fidelity_copy
 
 
 def random_genome(problem, rng):
@@ -586,7 +585,7 @@ def _run_on(monkeypatch, cpus, problem, config, population=None):
     if population is None:
         population = initialize_population(problem, config)
     trace = evolve(population, config, problem)
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
     return trace
 
 
@@ -677,7 +676,7 @@ def test_one_cpu_or_no_fork_starts_no_process(monkeypatch, tri_problem, triangle
     config = GaConfig(population_size=6, generations=2, seed=0)
     fresh = lambda: _fresh(tri_problem, triangle, tri_workload)
     assert not _run_on(monkeypatch, 1, fresh(), config).fitness_helper
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
     assert not _run_on(monkeypatch, 2, fresh(), config).fitness_helper
     assert starts == []
 
@@ -707,7 +706,7 @@ def test_a_solver_error_in_the_helper_reaches_the_caller(monkeypatch, net50_prob
         _run_on(monkeypatch, 2, net50_problem, config, population)
     # the helper takes the second distinct miss: the second random genome
     assert str(info.value).endswith(f"(while scoring genes {population[1].tolist()})")
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 def _serve_once_then_exit(problem, conn):
@@ -716,10 +715,13 @@ def _serve_once_then_exit(problem, conn):
 
 
 @needs_fork
-@pytest.mark.parametrize("death, code", [("mid-batch", 7), ("between batches", 5)])
+@pytest.mark.parametrize("death, code", [("mid-batch", 7), ("between batches", 5),
+                                         ("killed mid-batch", -signal.SIGKILL)])
 def test_a_dead_helper_fails_the_run(monkeypatch, net50_problem, death, code):
     if death == "mid-batch":
         _fail_in_helper(monkeypatch, lambda: os._exit(7))
+    elif death == "killed mid-batch":  # a signal's exit code is minus its number
+        _fail_in_helper(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
     else:  # the next send or receive finds the pipe closed
         monkeypatch.setattr(ga_optimizer, "_serve_misses", _serve_once_then_exit)
 
@@ -734,7 +736,7 @@ def test_a_dead_helper_fails_the_run(monkeypatch, net50_problem, death, code):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 # ------------------------------------------------ the pool filled before generation 0

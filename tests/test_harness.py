@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import os
 import re
 import signal
@@ -38,7 +37,7 @@ from qvpn.rl_optimizer import TrainConfig
 from qvpn.topology import NetworkGraph, NodeSpec
 from qvpn.workload import Organization, Workload, WorkloadParams, generate_workload
 
-from qvpn_helpers import dead_link_case, make_pair
+from qvpn_helpers import assert_no_child_process, dead_link_case, make_pair
 
 
 # ---------------------------------------------------------------- pearson
@@ -275,7 +274,7 @@ def test_no_worker_outlives_run_scenario(triangle, one_pair_workload):
     result = run_scenario(sc, max_workers=2)
     assert [p.status for p in result.points] == ["optimal", "optimal", "error"]
     assert "strategy count 50" in result.points[2].error
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 def test_a_dead_worker_fails_the_run(triangle, one_pair_workload, monkeypatch):
@@ -304,7 +303,7 @@ def test_a_dead_worker_fails_the_run(triangle, one_pair_workload, monkeypatch):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
     # serially the same points run in this process and succeed
     assert [p.status for p in run_scenario(sc).points] == ["optimal"] * 3
 
@@ -344,7 +343,7 @@ def test_ga_sweep_points_match_across_worker_counts(monkeypatch):
     assert [p.error for p in forked.points] == [None] * 4
     assert not any(p.trace.fitness_helper for p in forked.points)
     assert [view(p) for p in forked.points] == [view(p) for p in serial.points]
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
 
 
 def test_traced_yen_sees_every_finder_run(monkeypatch):

@@ -23,8 +23,8 @@ def test_pyproject_version_matches_package_version():
 
 def test_import_leaves_the_cli_and_process_machinery_unloaded(tmp_path):
     # every benchmark's setup_s includes `import qvpn`; the CLI (and argparse
-    # with it) and multiprocessing load only when a command or a forked sweep
-    # needs them
+    # with it) loads only when a command needs it, and no run loads
+    # multiprocessing (children fork through os.fork)
     assert fresh_python("""
         import json, sys, qvpn
         print(json.dumps(sorted(m for m in sys.modules
@@ -34,7 +34,9 @@ def test_import_leaves_the_cli_and_process_machinery_unloaded(tmp_path):
 
 def test_searches_load_neither_scipy_nor_numpy_ma(tmp_path):
     # each loaded module costs every run memory: the HiGHS binding is found
-    # without importing scipy's package, and no call needs numpy's masked arrays
+    # without importing scipy's package, no call needs numpy's masked arrays,
+    # and a forked GA or sweep forks through os.fork, without multiprocessing
+    # and the subprocess and socket modules it loads
     assert fresh_python("""
         import json, sys
         import qvpn
@@ -51,7 +53,11 @@ def test_searches_load_neither_scipy_nor_numpy_ma(tmp_path):
         compiler = allocation_lp.LpCompiler(graph, wl)
         solved = compiler.solve(compiler.column_ids(
             {key: [(paths[0], catalog[0])] for key, paths in candidates.items() if paths}))
-        ga_optimizer.GaProblem(graph, wl, candidates, catalog)
+        ga_problem = ga_optimizer.GaProblem(graph, wl, candidates, catalog)
+        ga_optimizer._usable_cpus = lambda: 2  # the helper route on any machine
+        ga_config = ga_optimizer.GaConfig(population_size=6, generations=2)
+        evolved = ga_optimizer.evolve(ga_optimizer.initialize_population(ga_problem, ga_config),
+                                      ga_config, ga_problem)
         problem = rl_optimizer.RlProblem(wl, candidates, catalog[0])
         rl_optimizer.train(rl_optimizer.PolicyNetwork.init(problem, hidden=(8,)), problem,
                            rl_optimizer.TrainConfig(epochs=1, batch_size=2),
@@ -60,9 +66,10 @@ def test_searches_load_neither_scipy_nor_numpy_ma(tmp_path):
             name="two", graph=graph, workload_params=WorkloadParams(num_orgs=1, r_min=0.0),
             sweep_axis="pairs_per_org", sweep_values=(2, 3), catalog=tuple(catalog)),
             max_workers=2)
-        print(json.dumps([solved.status, [p.status for p in swept.points],
-                          sorted(m for m in sys.modules if m in ("scipy", "numpy.ma"))]))
-        """, tmp_path) == ["optimal", ["optimal", "optimal"], []]
+        print(json.dumps([solved.status, evolved.fitness_helper, [p.status for p in swept.points],
+                          sorted(m for m in sys.modules if m in (
+                              "scipy", "numpy.ma", "multiprocessing", "subprocess", "socket"))]))
+        """, tmp_path) == ["optimal", True, ["optimal", "optimal"], []]
 
 
 def _unused_imports(path):
