@@ -51,14 +51,11 @@ from .workload import (
     save_workload,
 )
 from .allocation_lp import (
-    AllocationProblem,
     AllocationSolution,
     LinearProgram,
     LpCompiler,
     SolverError,
-    build_problem,
     lp_backend,
-    solve,
     solve_lp,
     wegr_of_selection,
 )

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import InputError, check_int
+from .pathfinding import DEFAULT_P_MAX
 from .quantum_math import DEFAULT_NOISE, NoiseParams, path_overhead_per_link
 
 
@@ -138,7 +139,8 @@ class LpCompiler:
     non_dominated compares a path's strategies by the overheads _fill writes.
     """
 
-    def __init__(self, graph, workload, noise: NoiseParams = DEFAULT_NOISE, p_max: int = 3):
+    def __init__(self, graph, workload, noise: NoiseParams = DEFAULT_NOISE,
+                 p_max: int = DEFAULT_P_MAX):
         self.noise = noise
         self.p_max = check_int("p_max", p_max)
         org_weight = {o.id: o.weight for o in workload.organizations}
@@ -397,7 +399,7 @@ def _grown(array, size):
 
 
 def build_problem(graph, workload, selection, noise: NoiseParams = DEFAULT_NOISE,
-                  p_max: int = 3) -> AllocationProblem:
+                  p_max: int = DEFAULT_P_MAX) -> AllocationProblem:
     """Gather the LP of one selection's column_ids on a one-shot LpCompiler.
 
     selection: {pair_key: [(CandidatePath, DistillationStrategy), ...]}.

@@ -32,6 +32,7 @@ import numpy as np
 
 from .allocation_lp import LpCompiler, SolverError, wegr_of_selection
 from .checks import InputError, check_int, check_real
+from .pathfinding import DEFAULT_P_MAX
 from .quantum_math import DEFAULT_NOISE
 
 
@@ -118,7 +119,8 @@ class GaProblem:
     ids of each pair's first occurrence of each path, in slot order.
     """
 
-    def __init__(self, graph, workload, candidates, catalog, noise=DEFAULT_NOISE, p_max=3):
+    def __init__(self, graph, workload, candidates, catalog, noise=DEFAULT_NOISE,
+                 p_max=DEFAULT_P_MAX):
         self.catalog = list(catalog)
         if not self.catalog:
             raise ValueError("the strategy catalog is empty")

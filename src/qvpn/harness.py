@@ -30,8 +30,10 @@ from .quantum_math import (
     default_strategy_catalog,
 )
 from .pathfinding import (
-    BASELINE_SCHEMES,
+    DEFAULT_K,
+    DEFAULT_P_MAX,
     PathFinder,
+    WeightScheme,
     build_candidate_sets,
     baseline_selection,
     nearest_strategy_index,
@@ -71,16 +73,15 @@ def pearson(xs, ys) -> float:
     return sxy / math.sqrt(sxx * syy)
 
 
-_BASELINE_SCHEMES = {f"baseline-{name}": scheme for name, scheme in BASELINE_SCHEMES.items()}
+_BASELINE_SCHEMES = {f"baseline-{scheme.value}": scheme for scheme in WeightScheme}
 
 OPTIMIZERS = (*_BASELINE_SCHEMES, "ga", "rl")
 SWEEP_AXES = ("p_max", "strategy_count", "pairs_per_org", "k", "r_max")
 
-# the search defaults of Scenario, search and the CLI
-DEFAULT_K = 5  # candidate paths per pair per weight scheme
-DEFAULT_P_MAX = 3  # active paths per pair
+# the search defaults of Scenario, search and the CLI: DEFAULT_K and
+# DEFAULT_P_MAX are pathfinding's, and rl.DEFAULT_HIDDEN the policy's
 DEFAULT_BASELINE_THRESHOLD = 0.992  # greedy baselines distill links to (nearest of) this
-DEFAULT_HIDDEN = (128,)  # RL policy layer widths
+DEFAULT_HIDDEN = rl.DEFAULT_HIDDEN
 
 
 def _check_search(optimizer, k, p_max, catalog, baseline_threshold, ga_config) -> None:
@@ -119,6 +120,8 @@ class Scenario:
     baseline_threshold: float = DEFAULT_BASELINE_THRESHOLD
 
     def __post_init__(self):
+        # a tuple, so that the frozen scenario hashes, whatever sequence it got
+        object.__setattr__(self, "catalog", tuple(self.catalog))
         _check_search(self.optimizer, self.k, self.p_max, self.catalog,
                       self.baseline_threshold, self.ga_config)
         if (self.workload is None) == (self.workload_params is None):

@@ -1,9 +1,9 @@
 """Candidate-path generation: Yen's k-shortest loopless paths under three weight schemes.
 
-Weight schemes mirror the greedy baselines: hop count, inverse link EGR, and
-inverse squared link EGR. Candidate sets are the deduplicated union over
-schemes; ties everywhere break lexicographically on the node-id sequence so
-results are reproducible.
+Weight schemes mirror the greedy baselines, whose names are their values:
+hop count, inverse link EGR, and inverse squared link EGR. Candidate sets
+are the deduplicated union over schemes; ties everywhere break
+lexicographically on the node-id sequence so results are reproducible.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .topology import NetworkGraph
 
 class WeightScheme(Enum):
     HOP = "hop"
-    INV_EGR = "inv_egr"
-    INV_EGR_SQ = "inv_egr_sq"
+    INV_EGR = "inv-egr"
+    INV_EGR_SQ = "inv-egr-sq"
 
     def link_weight(self, link) -> float:
         if self is WeightScheme.HOP:
@@ -237,19 +237,15 @@ def _spur(adjacency, tree, v, dst, banned, banned_hops, root_cost, cutoff):
 
 
 def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
-                   scheme: WeightScheme, *, table=None, tree=None,
-                   built: dict | None = None, tally=None):
+                   scheme: WeightScheme, *, finder: PathFinder | None = None):
     """Up to k loopless shortest paths in nondecreasing total weight.
 
     Returns an empty list when src and dst are disconnected, and raises
-    InputError unless k is an integer >= 1. table: the graph's SchemeTable
-    for scheme, when the caller keeps one; built here otherwise. tree: the
-    table's SpurTree toward dst, when the caller keeps one; built here
-    otherwise. built: a dict
-    from node tuple to CandidatePath that the caller keeps across searches;
-    a ranked path found there is returned as it is, and each path built here
-    is added to it. tally: an object whose spur_searches attribute counts
-    the _dijkstra runs made here.
+    InputError unless k is an integer >= 1. finder: a PathFinder of graph
+    whose search state the run reads and adds to (a fresh one when None):
+    its scheme table, its SpurTree toward dst, and its CandidatePath for
+    each ranked node tuple. The _dijkstra runs made here are added to its
+    spur_searches.
 
     The first j paths do not depend on k: the search accepts paths in rank
     order and k only says when to stop. PathFinder's memo relies on this.
@@ -288,22 +284,10 @@ def yen_k_shortest(graph: NetworkGraph, src: str, dst: str, k: int,
     for nid in (src, dst):
         if nid not in graph.node_by_id:
             raise ValueError(f"unknown node {nid!r}")
-    if table is None:
-        table = SchemeTable.build(graph, scheme)
-    if tree is None:
-        tree = SpurTree.build(table, dst)
-    accepted, searches = _ranked(table, tree, src, dst, k)
-    if tally is not None:
-        tally.spur_searches += searches
-    if built is None:
-        built = {}
-    paths = []
-    for nodes in accepted:
-        path = built.get(nodes)
-        if path is None:
-            path = built[nodes] = path_from_nodes(graph, nodes)
-        paths.append(path)
-    return paths
+    finder = _finder_for(graph, finder)
+    accepted, searches = _ranked(finder._tables[scheme], finder._tree(dst, scheme), src, dst, k)
+    finder.spur_searches += searches
+    return [finder._path(nodes) for nodes in accepted]
 
 
 def _ranked(table, tree, src, dst, k):
@@ -368,20 +352,20 @@ def _add_to_trie(trie, nodes):
 
 
 class PathFinder:
-    """Yen's k-shortest paths on one graph, memoized per (src, dst, scheme).
+    """The one owner of a graph's search state, and Yen's k-shortest paths
+    on the graph memoized per (src, dst, scheme).
 
     The caller owns the finder and shares it wherever the same graph is
-    searched again (one per CLI command or scenario). For each key the memo
-    keeps the longest ranked list of paths computed so far and whether it
-    is exhausted (Yen found fewer paths than asked). A query for k is
-    answered from that list when it is long enough or exhausted, since Yen's
-    first j paths for any k >= j are its paths for j; otherwise it runs
-    yen_k_shortest again with the larger k. The finder also keeps each path
-    Yen built, by node tuple, and a search that finds a known path takes it
-    from there. So the finder builds one CandidatePath per node tuple, and
-    every pair, scheme and query that finds that path gets the same object.
-    It keeps one SpurTree per (dst, scheme), built by the first query
-    toward dst and used by every later run toward dst.
+    searched again (one per CLI command or scenario). yen_k_shortest reads
+    and adds to its state: one SchemeTable per scheme, one SpurTree per
+    (dst, scheme), built by the first run toward dst, and one CandidatePath
+    per node tuple, which every pair, scheme and query that finds the path
+    shares. For each key the memo keeps the longest ranked list of paths
+    found so far and whether it is exhausted (Yen found fewer than asked).
+    A query for k is answered from that list when it is long enough or
+    exhausted, since Yen's first j paths for any k >= j are its paths for j;
+    otherwise it calls yen_k_shortest (the module attribute, so a wrapper
+    sees every run) with the larger k.
 
     queries counts calls, yen_runs the Yen runs and spur_searches the
     _dijkstra runs inside them. Every answer is a pure function of (graph,
@@ -410,14 +394,21 @@ class PathFinder:
         if known is not None and (len(known[0]) >= k or known[1]):
             return known[0][:k]
         self.yen_runs += 1
-        tree = self._trees.get((dst, scheme))
-        # an unknown dst is left for yen_k_shortest to refuse
-        if tree is None and dst in self.graph.node_by_id:
-            tree = self._trees[(dst, scheme)] = SpurTree.build(self._tables[scheme], dst)
-        found = tuple(yen_k_shortest(self.graph, src, dst, k, scheme, table=self._tables[scheme],
-                                     tree=tree, built=self._built, tally=self))
+        found = tuple(yen_k_shortest(self.graph, src, dst, k, scheme, finder=self))
         self._memo[key] = (found, len(found) < k)  # exhausted: found is every path there is
         return found
+
+    def _tree(self, dst: str, scheme: WeightScheme) -> SpurTree:
+        tree = self._trees.get((dst, scheme))
+        if tree is None:
+            tree = self._trees[(dst, scheme)] = SpurTree.build(self._tables[scheme], dst)
+        return tree
+
+    def _path(self, nodes: tuple) -> CandidatePath:
+        path = self._built.get(nodes)
+        if path is None:
+            path = self._built[nodes] = path_from_nodes(self.graph, nodes)
+        return path
 
 
 def _finder_for(graph, finder):
@@ -428,17 +419,13 @@ def _finder_for(graph, finder):
     return finder
 
 
-DEFAULT_SCHEMES = (WeightScheme.HOP, WeightScheme.INV_EGR, WeightScheme.INV_EGR_SQ)
-
-# Greedy baselines by name: each takes the top p_max paths of one scheme.
-BASELINE_SCHEMES = {
-    "hop": WeightScheme.HOP,
-    "inv-egr": WeightScheme.INV_EGR,
-    "inv-egr-sq": WeightScheme.INV_EGR_SQ,
-}
+# the search defaults of every layer that takes schemes, k or p_max
+DEFAULT_SCHEMES = tuple(WeightScheme)
+DEFAULT_K = 5  # candidate paths per pair per weight scheme
+DEFAULT_P_MAX = 3  # active paths per pair
 
 
-def build_candidate_set(graph: NetworkGraph, user_pair, k: int = 5,
+def build_candidate_set(graph: NetworkGraph, user_pair, k: int = DEFAULT_K,
                         schemes=DEFAULT_SCHEMES, *, finder: PathFinder | None = None):
     """Deduplicated union of per-scheme k-shortest paths for one user pair.
 
@@ -457,7 +444,7 @@ def build_candidate_set(graph: NetworkGraph, user_pair, k: int = 5,
     return list(unique.values())
 
 
-def build_candidate_sets(graph, workload, k=5, schemes=DEFAULT_SCHEMES, *, finder=None):
+def build_candidate_sets(graph, workload, k=DEFAULT_K, schemes=DEFAULT_SCHEMES, *, finder=None):
     """Candidate sets for every pair in the workload; pairs may map to [].
     Raises InputError unless k is an integer >= 1."""
     check_int("k", k)
@@ -467,7 +454,7 @@ def build_candidate_sets(graph, workload, k=5, schemes=DEFAULT_SCHEMES, *, finde
 
 
 def baseline_selection(graph, workload, candidates, scheme: WeightScheme,
-                       p_max: int = 3, strategy_index: int = 0, catalog=None, *,
+                       p_max: int = DEFAULT_P_MAX, strategy_index: int = 0, catalog=None, *,
                        finder: PathFinder | None = None):
     """Greedy baseline: per pair, the top p_max paths of one weight scheme,
     all using one fixed distillation strategy.

@@ -28,9 +28,11 @@ import numpy as np
 
 from . import allocation_lp
 from .checks import InputError, check_int, check_real
+from .pathfinding import DEFAULT_P_MAX
 
 LEAKY_SLOPE = 0.01
 PROB_FLOOR = 1e-12  # only applied when a softmax block underflows to zeros
+DEFAULT_HIDDEN = (128,)  # policy layer widths
 
 
 class DivergenceError(RuntimeError):
@@ -73,7 +75,7 @@ class RlProblem:
     """Candidate layout for the policy: pair order, per-pair logit blocks,
     and the single distillation strategy used for every selected path."""
 
-    def __init__(self, workload, candidates, strategy, p_max=3):
+    def __init__(self, workload, candidates, strategy, p_max=DEFAULT_P_MAX):
         self.pair_order = [p.key for p in workload.user_pairs if candidates.get(p.key)]
         self.candidates = {k: list(candidates[k]) for k in self.pair_order}
         self.p_max = p_max
@@ -196,7 +198,7 @@ class PolicyNetwork:
         self.blocks = _BlockLayout(self.block_slices, widths[-1])
 
     @classmethod
-    def init(cls, problem: RlProblem, hidden=(128,), seed=0):
+    def init(cls, problem: RlProblem, hidden=DEFAULT_HIDDEN, seed=0):
         """Normal weights of variance 2 / (fan_in + fan_out), zero biases.
 
         The first layer draws P*P normals per row, at the scale of a P*P-input

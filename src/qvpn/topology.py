@@ -126,28 +126,28 @@ def load_topology(source: str) -> NetworkGraph:
       link <a> <b> <length_km> [multiplex=<int>] [alpha=<real>]
       param T <seconds> | param beta <dB/km>
     """
-    T = DEFAULT_REPETITION_TIME_S
-    beta = DEFAULT_ATTENUATION_DB_PER_KM
+    params = {"T": DEFAULT_REPETITION_TIME_S, "beta": DEFAULT_ATTENUATION_DB_PER_KM}
+    param_lines = {}  # param name -> the line that set it
     node_rows = []
     link_rows = []
     for lineno, parts in records(source, "qvpn-topology v1", TopologyError):
         kind = parts[0]
         if kind == "param":
-            if len(parts) != 3 or parts[1] not in ("T", "beta"):
+            if len(parts) != 3 or parts[1] not in params:
                 raise TopologyError(f"line {lineno}: bad param line {' '.join(parts)!r}")
             name = f"line {lineno}: param {parts[1]}"
-            value = check_real(name, number(parts[2], name, float, TopologyError),
-                               open_low=True, error=TopologyError)
-            if parts[1] == "T":
-                T = value
-            else:
-                beta = value
+            if parts[1] in param_lines:
+                raise TopologyError(f"{name} repeated, first set on line {param_lines[parts[1]]}")
+            param_lines[parts[1]] = lineno
+            params[parts[1]] = check_real(name, number(parts[2], name, float, TopologyError),
+                                          open_low=True, error=TopologyError)
         elif kind == "node":
             node_rows.append((lineno, parts[1:]))
         elif kind == "link":
             link_rows.append((lineno, parts[1:]))
         else:
             raise TopologyError(f"line {lineno}: unknown directive {kind!r}")
+    T, beta = params["T"], params["beta"]
 
     nodes = []
     seen = set()

@@ -177,7 +177,7 @@ def load_workload(source: str, graph: NetworkGraph) -> Workload:
     orgs = []
     pairs = []
     org_lines, pair_lines = [], []
-    seed = None
+    seed = seed_line = None
     for lineno, parts in records(source, "qvpn-workload v1", WorkloadError):
         where = f"line {lineno}:"
         if parts[0] == "org":
@@ -205,6 +205,9 @@ def load_workload(source: str, graph: NetworkGraph) -> Workload:
         elif parts[0] == "seed":
             if len(parts) != 2:
                 raise WorkloadError(f"{where} seed line expects '<n>'")
+            if seed_line is not None:
+                raise WorkloadError(f"{where} seed repeated, first set on line {seed_line}")
+            seed_line = lineno
             seed = check_int(f"{where} seed", number(parts[1], f"{where} seed", int, WorkloadError),
                              low=0, error=WorkloadError)
         else:

@@ -25,8 +25,8 @@ from qvpn.harness import (
     search,
 )
 from qvpn.pathfinding import (
-    BASELINE_SCHEMES,
     PathFinder,
+    WeightScheme,
     baseline_selection,
     build_candidate_sets,
     nearest_strategy_index,
@@ -142,6 +142,19 @@ def test_scenario_hash_stability_and_sensitivity(triangle, one_pair_workload):
     other_wl = Workload(organizations=(Organization("org0", 1.0),),
                         user_pairs=(make_pair("org0", "A", "C"),), seed=0)
     assert scenario_hash(_scenario(triangle, other_wl)) != scenario_hash(a)
+
+
+def test_a_scenario_with_the_default_catalog_hashes():
+    # a frozen Scenario hashes like the frozen types it holds; its default
+    # catalog was once a list, which made hash() raise TypeError
+    net10 = bundled_topology(TOPOLOGY_10)
+    a, b = (Scenario(name="x", graph=net10, workload_params=WorkloadParams(pairs_per_org=2))
+            for _ in range(2))
+    assert a.catalog == tuple(default_strategy_catalog())
+    assert hash(a) == hash(b) and {a: "x"}[b] == "x"
+    listed = replace(a, catalog=default_strategy_catalog())  # a list, as the CLI passes
+    assert listed == a and hash(listed) == hash(a)
+    assert scenario_hash(listed) == scenario_hash(a)
 
 
 def test_point_workload_r_max_axis(triangle, one_pair_workload):
@@ -547,7 +560,7 @@ def _union_baseline(graph, workload, optimizer, k, p_max, catalog, finder):
     the baseline's own scheme."""
     candidates = build_candidate_sets(graph, workload, k=k, finder=finder)
     selection = baseline_selection(
-        graph, workload, candidates, BASELINE_SCHEMES[optimizer.removeprefix("baseline-")],
+        graph, workload, candidates, WeightScheme(optimizer.removeprefix("baseline-")),
         p_max=p_max, strategy_index=nearest_strategy_index(catalog, 0.992), catalog=catalog,
         finder=finder)
     return selection, solve(build_problem(graph, workload, selection, p_max=p_max))
@@ -607,7 +620,7 @@ def test_baseline_search_runs_yen_for_its_own_scheme_only(monkeypatch):
     endpoints = {pair.endpoints for pair in workload.user_pairs}
     catalog = tuple(default_strategy_catalog(4))
     for optimizer in BASELINES:
-        scheme = BASELINE_SCHEMES[optimizer.removeprefix("baseline-")]
+        scheme = WeightScheme(optimizer.removeprefix("baseline-"))
         for k, p_max in ((3, 3), (5, 2), (8, 1)):
             calls.clear()
             search(net50, workload, optimizer, 0, k=k, p_max=p_max, catalog=catalog)

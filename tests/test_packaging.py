@@ -1,11 +1,15 @@
 """Package metadata agrees with the importable package, a run loads only
-the modules it calls, and no file imports a name it never reads."""
+the modules it calls, no file imports a name it never reads, and each
+search default is written once."""
 
 import ast
+import inspect
 import re
+import textwrap
 from pathlib import Path
 
 import qvpn
+from qvpn import allocation_lp, ga_optimizer, harness, pathfinding, rl_optimizer
 
 from qvpn_helpers import fresh_python
 
@@ -98,3 +102,43 @@ def test_no_file_imports_a_name_it_never_reads():
              for path in sorted((ROOT / folder).rglob("*.py")) if path.name != "__init__.py"
              for line, name in _unused_imports(path)]
     assert found == []
+
+
+def _default_expression(function, name):
+    """The source expression of parameter name's default in function."""
+    args = ast.parse(textwrap.dedent(inspect.getsource(function))).body[0].args
+    positional = args.posonlyargs + args.args
+    pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+             *zip(args.kwonlyargs, args.kw_defaults)]
+    return next(default for arg, default in pairs if arg.arg == name)
+
+
+def test_each_search_default_is_its_owners_constant():
+    # k and p_max are pathfinding's, the policy widths rl_optimizer's; every
+    # library default names the constant (an equal literal would pass an
+    # identity check on a small int), and harness, and with it the CLI,
+    # re-exports the same object
+    owners = {"DEFAULT_K": pathfinding, "DEFAULT_P_MAX": pathfinding,
+              "DEFAULT_HIDDEN": rl_optimizer}
+    defaults = [
+        (allocation_lp.LpCompiler.__init__, "p_max", "DEFAULT_P_MAX"),
+        (allocation_lp.build_problem, "p_max", "DEFAULT_P_MAX"),
+        (ga_optimizer.GaProblem.__init__, "p_max", "DEFAULT_P_MAX"),
+        (rl_optimizer.RlProblem.__init__, "p_max", "DEFAULT_P_MAX"),
+        (pathfinding.build_candidate_set, "k", "DEFAULT_K"),
+        (pathfinding.build_candidate_sets, "k", "DEFAULT_K"),
+        (pathfinding.baseline_selection, "p_max", "DEFAULT_P_MAX"),
+        (rl_optimizer.PolicyNetwork.init, "hidden", "DEFAULT_HIDDEN"),
+        (harness.search, "hidden", "DEFAULT_HIDDEN"),
+    ]
+    for function, name, constant in defaults:
+        owned = getattr(owners[constant], constant)
+        assert inspect.signature(function).parameters[name].default is owned, function
+        expression = _default_expression(function, name)
+        assert isinstance(expression, ast.Name) and expression.id == constant, function
+    body = ast.parse(inspect.getsource(harness.Scenario)).body[0].body
+    scenario = {node.target.id: node.value for node in body if isinstance(node, ast.AnnAssign)}
+    assert [getattr(scenario[name], "id", None) for name in ("k", "p_max")] == \
+        ["DEFAULT_K", "DEFAULT_P_MAX"]
+    for constant, owner in owners.items():
+        assert getattr(harness, constant) is getattr(owner, constant)

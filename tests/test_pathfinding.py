@@ -36,6 +36,8 @@ def test_weight_schemes():
     assert WeightScheme.HOP.link_weight(link) == 1.0
     assert WeightScheme.INV_EGR.link_weight(link) == pytest.approx(1.0 / c)
     assert WeightScheme.INV_EGR_SQ.link_weight(link) == pytest.approx(1.0 / c**2)
+    # each value is the name of the scheme's greedy baseline
+    assert [s.value for s in pathfinding.DEFAULT_SCHEMES] == ["hop", "inv-egr", "inv-egr-sq"]
 
 
 def test_zero_capacity_link_is_unroutable():
@@ -472,14 +474,26 @@ def test_path_finder_memo_consistency(monkeypatch):
 
 
 def test_yen_reuses_the_paths_it_is_given():
+    # yen_k_shortest reads and adds to its finder's state: the paths it
+    # built, its trees and its count of Dijkstra runs; the memo and the
+    # query counts are PathFinder.paths' own
     g = _grid_graph()
-    built = {}
-    short = yen_k_shortest(g, "g00", "g12", 3, WeightScheme.HOP, built=built)
-    assert set(built) == {p.nodes for p in short}
-    longer = yen_k_shortest(g, "g00", "g12", 5, WeightScheme.HOP, built=built)
+    finder = PathFinder(g)
+    short = yen_k_shortest(g, "g00", "g12", 3, WeightScheme.HOP, finder=finder)
+    assert set(finder._built) == {p.nodes for p in short}
+    assert set(finder._trees) == {("g12", WeightScheme.HOP)}
+    searches = finder.spur_searches
+    assert searches > 0
+    longer = yen_k_shortest(g, "g00", "g12", 5, WeightScheme.HOP, finder=finder)
     assert longer[:3] == short and all(a is b for a, b in zip(longer, short))
-    assert set(built) == {p.nodes for p in longer}
+    assert set(finder._built) == {p.nodes for p in longer}
+    assert finder.spur_searches > searches
+    assert (finder.queries, finder.yen_runs, finder._memo) == (0, 0, {})
     assert longer == yen_k_shortest(g, "g00", "g12", 5, WeightScheme.HOP)
+    assert [a is b for a, b in zip(finder.paths("g00", "g12", 5, WeightScheme.HOP), longer)] \
+        == [True] * 5
+    with pytest.raises(ValueError, match="different graph"):
+        yen_k_shortest(_grid_graph(), "g00", "g12", 3, WeightScheme.HOP, finder=finder)
 
 
 def test_shared_finder_gives_the_same_candidates_and_baselines():

@@ -43,6 +43,18 @@ def test_duplicate_node_rejected():
         load_topology(doc)
 
 
+@pytest.mark.parametrize("name, first, second", [("T", "1e-06", "2e-06"),
+                                                  ("beta", "0.2", "0.2")])
+def test_repeated_param_names_its_line(name, first, second):
+    # a second param line once replaced the first without a word
+    doc = f"qvpn-topology v1\nparam {name} {first}\nnode A\nparam {name} {second}\n"
+    with pytest.raises(TopologyError,
+                       match=f"^line 4: param {name} repeated, first set on line 2$"):
+        load_topology(doc)
+    g = load_topology("qvpn-topology v1\nparam T 2e-06\nparam beta 0.3\nnode A\n")
+    assert (g.repetition_time_s, g.attenuation_db_per_km) == (2e-06, 0.3)
+
+
 def test_duplicate_link_suggests_multiplex():
     doc = "qvpn-topology v1\nnode A\nnode B\nlink A B 1.0\nlink B A 2.0\n"
     with pytest.raises(TopologyError, match="multiplex"):

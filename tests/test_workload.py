@@ -48,6 +48,14 @@ def test_validation_errors():
                  user_pairs=(UserPair("ghost", ("a", "b"), 0.5, 0.8, 0.0, 1.0),))
 
 
+def test_repeated_seed_line_names_its_line():
+    # a second seed line once replaced the first without a word
+    doc = "qvpn-workload v1\nseed 1\norg o 1.0\nseed 2\n"
+    with pytest.raises(WorkloadError, match="^line 4: seed repeated, first set on line 2$"):
+        load_workload(doc, NODES)
+    assert load_workload("qvpn-workload v1\nseed 2\norg o 1.0\n", NODES).seed == 2
+
+
 def test_org_lookup():
     wl = Workload(organizations=(Organization("o1", 1.0), Organization("o2", 2.0)),
                   user_pairs=())
