@@ -27,13 +27,16 @@ import importlib.util
 import math
 import os
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .checks import InputError, check_int
 from .pathfinding import DEFAULT_P_MAX
-from .quantum_math import DEFAULT_NOISE, NoiseParams, path_overhead_per_link
+from .quantum_math import DEFAULT_NOISE, FIDELITY_ATOL, NoiseParams, path_overhead_ladder
+# the scalar reference, re-exported for the bench's per-layer wrapper
+from .quantum_math import path_overhead_per_link  # noqa: F401
 
 
 def _load_extension(name, folder):
@@ -123,8 +126,11 @@ class LpCompiler:
 
     Rows: the capacity rows of the links a selection touches, in sorted
     link-key order, then per workload pair its R_min row (when r_min > 0)
-    and its R_max row (when finite). Columns follow selection order; a
-    pair's repeated path keeps its first occurrence, and a (path, strategy)
+    and, when a column of the pair is kept, its R_max row (when finite).
+    An untouched capacity or R_max row holds for every x >= 0, so it is
+    left out; an R_min row stays even when untouched, so an unserved floor
+    makes the LP infeasible. Columns follow selection order; a pair's
+    repeated path keeps its first occurrence, and a (path, strategy)
     choice with an infeasible distillation stage is dropped.
 
     Columns live in a pool, one id space for every search. column_id gives
@@ -151,29 +157,28 @@ class LpCompiler:
         # link key -> (capacity row, base fidelity)
         self._links = {lk: (i, graph.link_by_key[lk].base_fidelity)
                        for i, lk in enumerate(self._link_keys)}
-        self._cap_labels = [("cap", lk) for lk in self._link_keys]
-        self._capacity = np.array([graph.link_by_key[lk].capacity_eprps
-                                   for lk in self._link_keys], dtype=float)
-        # pair rows are coded after the link rows: num_links + position among pair rows
-        num_links = len(self._link_keys)
+        # one code per row: the links' capacity rows, then the pair rows
+        bounds = [graph.link_by_key[lk].capacity_eprps for lk in self._link_keys]
+        labels = [("cap", lk) for lk in self._link_keys]
         # pair key -> (fidelity threshold, weight, [row code, ...], [coefficient, ...])
         self._pair_rows = {}
-        bounds, labels = [], []
         for key, pair in zip(keys, workload.user_pairs):
             _, _, codes, coeffs = self._pair_rows.setdefault(
                 key, (pair.fidelity_threshold, org_weight[pair.org_id] * pair.weight, [], []))
             if pair.r_min > 0:
-                codes.append(num_links + len(bounds))
+                codes.append(len(bounds))
                 coeffs.append(-1.0)
                 bounds.append(-pair.r_min)
                 labels.append(("rmin", key))
             if math.isfinite(pair.r_max):
-                codes.append(num_links + len(bounds))
+                codes.append(len(bounds))
                 coeffs.append(1.0)
                 bounds.append(pair.r_max)
                 labels.append(("rmax", key))
-        self._pair_bounds = np.array(bounds, dtype=float)
-        self._pair_labels = tuple(labels)
+        self._row_bounds = np.array(bounds, dtype=float)
+        self._row_labels = tuple(labels)
+        # the rows every LP keeps, touched or not: the R_min rows
+        self._kept_rows = np.array([label[0] == "rmin" for label in labels], dtype=bool)
         # the column pool: (pair key, path links, strategy) -> id, the choice
         # behind each id, and per id its entries first[id] .. first[id] +
         # count[id] in codes / coeffs. count is -1 for a column not computed
@@ -186,6 +191,9 @@ class LpCompiler:
         self._codes = np.zeros(0, dtype=np.intp)
         self._coeffs = np.zeros(0)
         self._entries = 0  # filled length of codes / coeffs
+        # (base fidelity, hops, link threshold, max_rounds) -> the class's
+        # path_overhead_ladder: numbers only, so no read hashes a dataclass
+        self._ladders = {}
 
     def column_id(self, pair_key, path, strategy) -> int:
         """Pool id of one (path, strategy) choice for a pair, assigning the
@@ -235,18 +243,25 @@ class LpCompiler:
         """{base fidelity: overhead g} over the distinct link fidelities of
         path under strategy, for a pair of fidelity threshold threshold; None
         when a distillation stage is infeasible. The links of a path differ
-        only in base fidelity, so path_overhead_per_link is asked once per
-        fidelity, not once per link. _fill writes these values into the LP,
-        and non_dominated compares them."""
-        hops, links = path.hop_count, self._links
+        only in base fidelity, so each fidelity's path class table
+        (quantum_math.path_overhead_ladder) is read once, with one bisect.
+        _fill writes these values into the LP, and non_dominated compares
+        them."""
+        hops, links, ladders = path.hop_count, self._links, self._ladders
+        at = threshold - FIDELITY_ATOL
         overheads = {}
         for lk in path.link_keys:
             fidelity = links[lk][1]
             if fidelity not in overheads:
-                res = path_overhead_per_link(fidelity, hops, strategy, threshold, self.noise)
-                if not res.feasible:
+                key = (fidelity, hops, strategy.link_threshold, strategy.max_rounds)
+                ladder = ladders.get(key)
+                if ladder is None:
+                    ladder = ladders[key] = path_overhead_ladder(fidelity, hops, strategy,
+                                                                 self.noise)
+                g = ladder[1][bisect_left(ladder[0], at)]
+                if g == math.inf:
                     return None
-                overheads[fidelity] = res.overhead
+                overheads[fidelity] = g
         return overheads
 
     def non_dominated(self, pair_key, path, strategies) -> list:
@@ -341,21 +356,19 @@ class LpCompiler:
         # entry positions: each column's run first[id] .. first[id] + count[id]
         at = np.arange(indptr[-1]) + np.repeat(self._first[ids] - indptr[:-1], count)
         codes = self._codes[at]
-        num_links = len(self._link_keys)
-        num_pair_rows = len(self._pair_bounds)
-        touched = np.flatnonzero(np.bincount(codes, minlength=num_links)[:num_links])
-        # row code -> row index: touched links keep their sorted order, pair rows follow
-        row_of = np.empty(num_links + num_pair_rows, dtype=np.int32)
-        row_of[touched] = np.arange(len(touched))
-        row_of[num_links:] = len(touched) + np.arange(num_pair_rows)
-        cap_labels = self._cap_labels
+        # the rows a column touches and the R_min rows, in code order
+        rows = np.flatnonzero(
+            np.bincount(codes, minlength=len(self._row_bounds)).astype(bool) | self._kept_rows)
+        row_of = np.empty(len(self._row_bounds), dtype=np.int32)
+        row_of[rows] = np.arange(len(rows))
+        labels = self._row_labels
         return LinearProgram(
             objective=self._weight[ids],
             indptr=indptr,
             indices=row_of[codes],
             data=self._coeffs[at],
-            row_bounds=np.concatenate((self._capacity[touched], self._pair_bounds)),
-            row_labels=tuple([cap_labels[i] for i in touched.tolist()]) + self._pair_labels,
+            row_bounds=self._row_bounds[rows],
+            row_labels=tuple([labels[i] for i in rows.tolist()]),
         )
 
     def solve(self, ids) -> AllocationSolution:

@@ -36,6 +36,7 @@ from .harness import (
     DEFAULT_BASELINE_THRESHOLD,
     DEFAULT_HIDDEN,
     DEFAULT_K,
+    DEFAULT_OPTIMIZER,
     DEFAULT_P_MAX,
     DegenerateVarianceError,
     Scenario,
@@ -417,7 +418,7 @@ def cmd_report(config, out_dir):
         graph=graph,
         workload=workload,
         workload_params=params,
-        optimizer=config.get("optimizer", "baseline-hop"),
+        optimizer=config.get("optimizer", DEFAULT_OPTIMIZER),
         ga_config=_optimizer_config(config, "ga", ga.GaConfig),
         rl_config=_optimizer_config(config, "rl", rl.TrainConfig),
         sweep_axis=sweep.get("axis"),
@@ -460,9 +461,7 @@ def cmd_report(config, out_dir):
         # path searches asked, Yen runs done and the shortest-path searches run
         # inside them; each worker process keeps its own memo, so the last two
         # depend on max_workers and all three stay out of every CSV
-        "path_queries": finder.queries,
-        "yen_runs": finder.yen_runs,
-        "spur_searches": finder.spur_searches,
+        **finder.counts(),
         "outputs": outputs,
     }
 

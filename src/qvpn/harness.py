@@ -76,6 +76,7 @@ def pearson(xs, ys) -> float:
 _BASELINE_SCHEMES = {f"baseline-{scheme.value}": scheme for scheme in WeightScheme}
 
 OPTIMIZERS = (*_BASELINE_SCHEMES, "ga", "rl")
+DEFAULT_OPTIMIZER = f"baseline-{WeightScheme.HOP.value}"  # Scenario's and `qvpn report`'s
 SWEEP_AXES = ("p_max", "strategy_count", "pairs_per_org", "k", "r_max")
 
 # the search defaults of Scenario, search and the CLI: DEFAULT_K and
@@ -106,7 +107,7 @@ class Scenario:
     graph: NetworkGraph
     workload: Workload | None = None
     workload_params: WorkloadParams | None = None
-    optimizer: str = "baseline-hop"
+    optimizer: str = DEFAULT_OPTIMIZER
     ga_config: ga.GaConfig | None = None
     rl_config: rl.TrainConfig | None = None
     sweep_axis: str | None = None
@@ -120,8 +121,10 @@ class Scenario:
     baseline_threshold: float = DEFAULT_BASELINE_THRESHOLD
 
     def __post_init__(self):
-        # a tuple, so that the frozen scenario hashes, whatever sequence it got
-        object.__setattr__(self, "catalog", tuple(self.catalog))
+        # tuples, so that the frozen scenario hashes and its config text is
+        # the same whatever sequences it got
+        for name in ("catalog", "seeds", "sweep_values"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         _check_search(self.optimizer, self.k, self.p_max, self.catalog,
                       self.baseline_threshold, self.ga_config)
         if (self.workload is None) == (self.workload_params is None):
@@ -336,12 +339,10 @@ def _guarded_point(scenario: Scenario, task, finder: PathFinder) -> PointResult:
 
 def _run_share(scenario: Scenario, tasks, finder: PathFinder, conn) -> None:
     """A worker process's body: its tasks in order on its copy of finder,
-    then the points and the finder's query, Yen-run and spur-search counts
-    to conn."""
-    queries, yen_runs, spur_searches = finder.queries, finder.yen_runs, finder.spur_searches
+    then the points and what it added to the finder's counts to conn."""
+    before = finder.counts()
     points = [_guarded_point(scenario, task, finder) for task in tasks]
-    conn.send((points, finder.queries - queries, finder.yen_runs - yen_runs,
-               finder.spur_searches - spur_searches))
+    conn.send((points, {name: n - before[name] for name, n in finder.counts().items()}))
     conn.close()
 
 
@@ -359,10 +360,8 @@ def _run_forked(scenario: Scenario, tasks, workers: int, finder: PathFinder) -> 
         shares = [forks.start(f"sweep worker {w}", _run_share, scenario, tasks[w::workers], finder)
                   for w in range(workers)]
         for w, worker in enumerate(shares):
-            points[w::workers], queries, yen_runs, spur_searches = worker.recv()
-            finder.queries += queries
-            finder.yen_runs += yen_runs
-            finder.spur_searches += spur_searches
+            points[w::workers], counts = worker.recv()
+            finder.add_counts(counts)
     return tuple(points)
 
 

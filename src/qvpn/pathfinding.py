@@ -398,6 +398,19 @@ class PathFinder:
         self._memo[key] = (found, len(found) < k)  # exhausted: found is every path there is
         return found
 
+    # the counts: their manifest names and the attributes that hold them
+    _COUNTS = (("path_queries", "queries"), ("yen_runs", "yen_runs"),
+               ("spur_searches", "spur_searches"))
+
+    def counts(self) -> dict:
+        """{manifest name: count} of the three counts, in manifest order."""
+        return {name: getattr(self, attr) for name, attr in self._COUNTS}
+
+    def add_counts(self, counts: dict) -> None:
+        """Add counts, as another finder's counts() gives them, to this one's."""
+        for name, attr in self._COUNTS:
+            setattr(self, attr, getattr(self, attr) + counts[name])
+
     def _tree(self, dst: str, scheme: WeightScheme) -> SpurTree:
         tree = self._trees.get((dst, scheme))
         if tree is None:

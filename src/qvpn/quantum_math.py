@@ -4,6 +4,13 @@ States are Bell-diagonal with coefficients (a, b, c, d) over the Bell basis
 ordered (phi+, psi+, psi-, phi-); the fidelity is a. One purification round
 consumes two pairs and keeps one with probability p, so distilling a pair
 through rounds k = 1..n costs g = prod(2/p_k) base pairs per output.
+
+The recurrence depends on its input fidelity alone; a target only picks
+where it stops. So it runs once per input (_ladder), and a path's overhead
+is read off one table per path class (path_overhead_ladder): link fidelity,
+hop count, strategy and noise fix every stage but the last rung, which a
+pair's own fidelity threshold picks with one bisect.
+path_overhead_per_link is the scalar reference the table must equal.
 """
 
 from __future__ import annotations
@@ -165,7 +172,6 @@ def purification_overhead(input_fidelity: float, target_fidelity: float,
     return results[bisect_left(fidelities, target_fidelity - FIDELITY_ATOL)]
 
 
-@lru_cache(maxsize=16384)
 def path_overhead_per_link(link_fidelity: float, path_length_links: int,
                            strategy: DistillationStrategy, user_threshold: float,
                            noise: NoiseParams = DEFAULT_NOISE) -> OverheadResult:
@@ -180,8 +186,8 @@ def path_overhead_per_link(link_fidelity: float, path_length_links: int,
     A link fidelity at or below 1/4 (a separable Werner state, which no
     round distills) is infeasible, as one below the F = 1/2 fixed line is.
 
-    Memoized (bounded): the arguments are numbers and frozen dataclasses,
-    and the result is frozen, so callers share it safely.
+    Not memoized: this is the scalar reference. A compile reads the same
+    overheads off path_overhead_ladder.
     """
     if link_fidelity <= 0.25:
         return OverheadResult(math.inf, 0, link_fidelity, False)
@@ -199,6 +205,37 @@ def path_overhead_per_link(link_fidelity: float, path_length_links: int,
     if not e2e.feasible:
         return OverheadResult(math.inf, rounds + e2e.rounds, e2e.achieved_fidelity, False)
     return OverheadResult(g_link * e2e.overhead, rounds + e2e.rounds, e2e.achieved_fidelity, True)
+
+
+@lru_cache(maxsize=None)
+def path_overhead_ladder(link_fidelity: float, path_length_links: int,
+                         strategy: DistillationStrategy, noise: NoiseParams = DEFAULT_NOISE):
+    """The overhead table of one path class: (fidelities, overheads), two
+    tuples. A pair of fidelity threshold T pays
+
+        overheads[bisect_left(fidelities, T - FIDELITY_ATOL)]
+
+    per link, inf when a stage is infeasible; for every T in (1/4, 1) that
+    is path_overhead_per_link(link_fidelity, path_length_links, strategy,
+    T, noise).overhead, bit for bit. fidelities is the swapped pair's
+    ladder (its fidelity s first), and each overhead is g_link times the
+    rung's, multiplied in path_overhead_per_link's order; the last is inf.
+    An infeasible link stage has no fidelities, and s <= 1/4 only s.
+
+    Memoized without a size bound, as _ladder is: there are at most (link
+    fidelities x hop counts x strategies) classes per noise setting.
+    """
+    if link_fidelity <= 0.25:
+        return (), (math.inf,)
+    link = purification_overhead(link_fidelity, strategy.link_threshold, strategy.max_rounds)
+    if not link.feasible:
+        return (), (math.inf,)
+    g_link = link.overhead
+    s = swap_chain_fidelity(max(link_fidelity, strategy.link_threshold), path_length_links, noise)
+    if s <= 0.25:
+        return (s,), (g_link, math.inf)
+    fidelities, results = _ladder(s, strategy.max_rounds)
+    return fidelities, tuple(g_link * r.overhead for r in results)
 
 
 def default_strategy_catalog(count: int = 16, low: float = 0.8, high: float = 0.998,

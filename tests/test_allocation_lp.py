@@ -388,7 +388,8 @@ def test_compiled_lp_does_not_depend_on_memo_state():
 def _reference_lp(graph, workload, selection, noise, p_max):
     """The LP of a selection, one column at a time: every link's overhead
     straight from path_overhead_per_link, rows and bounds from the graph and
-    the workload, assembled densely."""
+    the workload, assembled densely. Untouched capacity and R_max rows are
+    left out."""
     org_weight = {o.id: o.weight for o in workload.organizations}
     pairs = {p.key: p for p in workload.user_pairs}
     link_keys = sorted(graph.link_by_key)
@@ -413,9 +414,12 @@ def _reference_lp(graph, workload, selection, noise, p_max):
     rows = [[col.get(lk, 0.0) for col, _ in columns] for lk in touched]
     bounds = [graph.link_by_key[lk].capacity_eprps for lk in touched]
     labels = [("cap", lk) for lk in touched]
+    served = {key for _, key in columns}
     for pair in workload.user_pairs:
         for kind, bound, sign in (("rmin", -pair.r_min, -1.0), ("rmax", pair.r_max, 1.0)):
-            if (kind == "rmin" and pair.r_min > 0) or (kind == "rmax" and math.isfinite(bound)):
+            # every R_min row; an R_max row only where the pair has a column
+            if (kind == "rmin" and pair.r_min > 0) or (
+                    kind == "rmax" and math.isfinite(bound) and pair.key in served):
                 rows.append([sign if key == pair.key else 0.0 for _, key in columns])
                 bounds.append(bound)
                 labels.append((kind, pair.key))

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import os
 import re
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qvpn import allocation_lp, forking, ga_optimizer, harness
+from qvpn import forking, ga_optimizer, harness
 from qvpn.allocation_lp import LpCompiler, SolverError, wegr_of_selection
 from qvpn.fixtures import TOPOLOGY_10, bundled_topology
 from qvpn.ga_optimizer import (
@@ -481,25 +482,50 @@ def test_pool_lp_equals_compile_of_decode(monkeypatch, net50_problem, net50_inpu
 
 
 def test_building_a_problem_computes_only_its_layout(monkeypatch, net50_inputs):
-    # GaProblem finds and computes its non-dominated columns at init; no
-    # fitness call computes one after that
-    calls = []
-    real = allocation_lp.path_overhead_per_link
+    # GaProblem finds and computes its non-dominated columns at init, in one
+    # _fill; no fitness call computes a column or reads an overhead after that
+    filled, reads = [], []
+    fill, overheads = LpCompiler._fill, LpCompiler._overheads
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting_fill(self, ids):
+        filled.append(ids.tolist())
+        return fill(self, ids)
 
-    monkeypatch.setattr(allocation_lp, "path_overhead_per_link", counting)
+    def counting_overheads(self, *args):
+        reads.append(args)
+        return overheads(self, *args)
+
+    monkeypatch.setattr(LpCompiler, "_fill", counting_fill)
+    monkeypatch.setattr(LpCompiler, "_overheads", counting_overheads)
     net50, wl, cands = net50_inputs
     problem = GaProblem(net50, wl, cands, default_strategy_catalog(), p_max=3)
     size = problem._layout_size
-    assert calls and problem.fill_seconds > 0
+    assert filled == [list(range(size))] and reads and problem.fill_seconds > 0
     assert len(problem.compiler._choices) == size
     assert (problem.compiler._count[:size] > 0).all()  # every layout column is feasible
-    made = len(calls)
+    made = len(reads)
     problem.fitness(random_genome(problem, np.random.default_rng(0)))
-    assert len(calls) == made
+    assert len(filled) == 1 and len(reads) == made
+
+
+def test_mixed_fidelity_pool_bytes_are_pinned():
+    # 3x60 pairs on net50's three-fidelity copy, p_max 2: the non-dominated
+    # layout and every column's row codes, overheads and weight keep the
+    # bits that per-column path_overhead_per_link calls gave them
+    net50 = three_fidelity_copy(bundled_topology(), np.random.default_rng(20))
+    wl = generate_workload(net50, WorkloadParams(num_orgs=3, pairs_per_org=60, r_min=0.0), 0)
+    problem = GaProblem(net50, wl, build_candidate_sets(net50, wl, k=5),
+                        default_strategy_catalog(), p_max=2)
+    compiler, size = problem.compiler, problem._layout_size
+    digest = hashlib.sha256()
+    for array in (compiler._codes[:compiler._entries], compiler._coeffs[:compiler._entries],
+                  compiler._first[:size], compiler._count[:size], compiler._weight[:size],
+                  problem.gene_limits):
+        digest.update(array.tobytes())
+    digest.update(repr([(key, path.nodes, strategy.link_threshold)
+                        for key, path, strategy in compiler._choices]).encode())
+    assert (size, digest.hexdigest()) == (
+        1410, "86c89f92c7aef74b35a6f09a6b25e2016926634c7e787c3cd52d5d4d9945612c")
 
 
 def test_fitness_cache_is_keyed_on_first_picks(net50_problem, net50_inputs):

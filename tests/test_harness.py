@@ -157,6 +157,19 @@ def test_a_scenario_with_the_default_catalog_hashes():
     assert scenario_hash(listed) == scenario_hash(a)
 
 
+def test_a_scenario_given_lists_hashes_as_with_tuples(triangle, one_pair_workload):
+    # seeds and sweep_values become tuples, as the catalog does: a library
+    # caller's lists used to make hash() raise TypeError, and their repr
+    # gave the same scenario a second config hash
+    listed = _scenario(triangle, one_pair_workload, repetitions=2, seeds=[0, 3],
+                       sweep_axis="k", sweep_values=[1, 2])
+    tupled = _scenario(triangle, one_pair_workload, repetitions=2, seeds=(0, 3),
+                       sweep_axis="k", sweep_values=(1, 2))
+    assert (listed.seeds, listed.sweep_values) == ((0, 3), (1, 2))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert scenario_hash(listed) == scenario_hash(tupled)
+
+
 def test_point_workload_r_max_axis(triangle, one_pair_workload):
     sc = _scenario(triangle, one_pair_workload, sweep_axis="r_max",
                    sweep_values=(10.0, 100.0))

@@ -404,6 +404,13 @@ def test_path_finder_serves_prefixes_from_its_memo():
     finder.paths("g12", "g00", 2, WeightScheme.HOP)
     finder.paths("g00", "g12", 2, WeightScheme.INV_EGR)
     assert (finder.queries, finder.yen_runs) == (5, 4)
+    counts = finder.counts()
+    assert list(counts) == ["path_queries", "yen_runs", "spur_searches"]
+    assert counts == {"path_queries": 5, "yen_runs": 4, "spur_searches": finder.spur_searches}
+    twice = PathFinder(g)
+    twice.add_counts(counts)
+    twice.add_counts(counts)
+    assert twice.counts() == {name: 2 * n for name, n in counts.items()}
 
 
 def test_path_finder_remembers_exhausted_searches(triangle):

@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_left
 from dataclasses import astuple
 
 import numpy as np
@@ -13,6 +14,7 @@ from qvpn.quantum_math import (
     NoiseParams,
     default_strategy_catalog,
     load_strategy_catalog,
+    path_overhead_ladder,
     path_overhead_per_link,
     purification_overhead,
     purify_step,
@@ -277,23 +279,58 @@ def test_path_overhead_at_or_below_a_quarter_link_fidelity_is_infeasible():
             assert not r.feasible and r.overhead == math.inf, (fidelity, hops)
 
 
-def test_path_overhead_memo_matches_uncached():
-    # the memo must hand back what the uncached function computes, on the
-    # catalog x hop counts x user thresholds, feasible and infeasible alike
-    uncached = path_overhead_per_link.__wrapped__
+def test_path_class_table_matches_the_scalar_reference():
+    # a path class's table read at a pair's threshold is
+    # path_overhead_per_link's overhead bit for bit, feasible or not: at a
+    # link fidelity <= 1/4, a swapped fidelity <= 1/4, the F <= 1/2 stall,
+    # max_rounds 1 and 20, and thresholds at every rung +- FIDELITY_ATOL
     noisy = NoiseParams(two_qubit_gate_fidelity=0.99, measurement_fidelity=0.97)
-    feasible = 0
-    for strategy in default_strategy_catalog():
-        for hops in range(1, 9):
-            for threshold in (0.6, 0.75, 0.8, 0.88, 0.95):
-                for link_fidelity in (0.82, 0.93, 0.99):
-                    for noise in (NoiseParams(), noisy):
-                        args = (link_fidelity, hops, strategy, threshold, noise)
-                        want = astuple(uncached(*args))
-                        assert astuple(path_overhead_per_link(*args)) == want, args
-                        assert astuple(path_overhead_per_link(*args)) == want, args  # a hit
-                        feasible += want[3]
-    assert 0 < feasible < 16 * 8 * 5 * 3 * 2
+    strategies = [DistillationStrategy(t, r)
+                  for t in (0.3, 0.6, 0.8, 0.9, 0.97, 0.998) for r in (1, DEFAULT_MAX_ROUNDS)]
+    cases, reads = set(), 0
+    for link_fidelity in (0.2, 0.25, 0.4, 0.5, 0.5001, 0.51, 0.6, 0.82, 0.93, 0.99, 1.0):
+        for hops in (1, 2, 4, 8, 40):
+            for strategy in strategies:
+                for noise in (NoiseParams(), noisy):
+                    fidelities, overheads = path_overhead_ladder(link_fidelity, hops, strategy,
+                                                                 noise)
+                    assert len(overheads) == len(fidelities) + 1 and overheads[-1] == math.inf
+                    thresholds = [0.25 + 1e-10, 0.5, 0.7, 0.85, 0.95, 0.999]
+                    thresholds += [f + d for f in fidelities
+                                   for d in (-FIDELITY_ATOL, 0.0, FIDELITY_ATOL) if 0.25 < f + d < 1]
+                    for threshold in thresholds:
+                        want = path_overhead_per_link(link_fidelity, hops, strategy, threshold,
+                                                      noise)
+                        rung = bisect_left(fidelities, threshold - FIDELITY_ATOL)
+                        got = overheads[rung]
+                        args = (link_fidelity, hops, strategy, noise, threshold)
+                        assert got == want.overhead, args
+                        assert (got < math.inf) == want.feasible, args
+                        reads += 1
+                        if not fidelities:
+                            cases.add("link stage infeasible")
+                        elif fidelities[0] <= 0.25:
+                            cases.add("swapped fidelity <= 1/4")
+                        elif rung == len(fidelities) and fidelities[-1] < 0.5:
+                            cases.add("stalled")
+                        elif rung == len(fidelities) and strategy.max_rounds == 1:
+                            cases.add("one round capped")
+                        elif rung == len(fidelities) == DEFAULT_MAX_ROUNDS + 1:
+                            cases.add("twenty rounds capped")
+                        elif 0 < rung:
+                            cases.add("distilled")
+                        else:
+                            cases.add("link stage only")
+    assert cases == {"link stage infeasible", "swapped fidelity <= 1/4", "stalled",
+                     "one round capped", "twenty rounds capped", "distilled",
+                     "link stage only"}, cases
+    assert reads > 10_000
+
+
+def test_path_overhead_is_not_memoized():
+    # the scalar reference keeps no cache; the compile reads the class tables
+    assert not hasattr(path_overhead_per_link, "cache_info")
+    assert path_overhead_ladder.cache_info().maxsize is None
 
 
 def test_catalog_default_16():
